@@ -20,22 +20,12 @@ from __future__ import annotations
 from .graph import Graph
 
 __all__ = [
-    "crib",
-    "full_components",
     "is_cliquish",
     "is_minimal_separator",
     "is_outbound",
     "is_pmc",
-    "outlet",
     "outlet_and_support",
-    "support",
-    "unconf",
 ]
-
-
-def full_components(g: Graph, s: int) -> list[int]:
-    """Components associated with ``s`` whose neighborhood equals ``s``."""
-    return [c for c, nb in g.components_with_neighborhoods(s) if nb == s]
 
 
 def first_full_component(g: Graph, s: int) -> int:
@@ -92,26 +82,6 @@ def is_pmc(g: Graph, k_set: int) -> bool:
     return is_cliquish(g, k_set, comp_nbs)
 
 
-def unconf(g: Graph, s: int, k_set: int) -> list[int]:
-    """Components associated with ``k_set`` whose neighborhood is not inside ``s``."""
-    return [c for c, nb in g.components_with_neighborhoods(k_set) if nb & ~s]
-
-
-def crib(g: Graph, s: int, k_set: int) -> int:
-    """The full component of ``s`` absorbing ``k_set - s`` and all unconfined components.
-
-    Requires ``k_set`` cliquish and ``s`` a proper subset of it; the result is
-    then a full component associated with ``s``.
-    """
-    assert s & ~k_set == 0 and s != k_set, "crib requires s to be a proper subset"
-    assert is_cliquish(g, k_set), "crib requires a cliquish set"
-    c = k_set & ~s
-    for comp, nb in g.components_with_neighborhoods(k_set):
-        if nb & ~s:
-            c |= comp
-    return c
-
-
 def is_outbound(g: Graph, c: int) -> bool:
     """True iff no full component associated with N(c) precedes ``c``.
 
@@ -122,45 +92,25 @@ def is_outbound(g: Graph, c: int) -> bool:
 
 
 def outlet_and_support(
-    g: Graph,
-    k_set: int,
-    comps_nbs: list[tuple[int, int]] | None = None,
-    debug: bool = False,
-) -> tuple[int, list[int]]:
-    """Outlet of a cliquish set together with its support components."""
-    if comps_nbs is None:
-        comps_nbs = g.components_with_neighborhoods(k_set)
+    g: Graph, k_set: int, debug: bool = False
+) -> tuple[int, tuple[int, ...]]:
+    """Outlet of a cliquish set together with its support components.
+
+    The support is listed ascending by minimum vertex.  With an outlet S, the
+    crib ``k_set - S`` plus the support is the full component of S that a
+    feasible ``k_set`` emits as an inbound block.
+    """
+    comps_nbs = g.components_with_neighborhoods(k_set)
     out = 0
     for c, nb in comps_nbs:
-        if nb == k_set:
-            continue
         # outbound iff c is the first full component of its own neighborhood
-        if first_full_component(g, nb) == c:
+        if nb != k_set and first_full_component(g, nb) == c:
             if debug and out:
                 assert out & ~nb == 0 or nb & ~out == 0, (
                     "outbound component neighborhoods must be nested"
                 )
             if nb.bit_count() > out.bit_count():
                 out = nb
-    sup = [c for c, nb in comps_nbs if nb & ~out]
-    if out == 0:
-        sup = [c for c, _ in comps_nbs]
-    return out, sup
-
-
-def outlet(g: Graph, k_set: int) -> int:
-    """Maximal neighborhood among outbound non-full components of ``k_set``, or 0."""
-    comps_nbs = g.components_with_neighborhoods(k_set)
-    assert not comps_nbs or is_cliquish(g, k_set, [nb for _, nb in comps_nbs]), (
-        "outlet requires a cliquish set"
-    )
-    return outlet_and_support(g, k_set, comps_nbs)[0]
-
-
-def support(g: Graph, k_set: int) -> list[int]:
-    """Components of ``k_set`` unconfined to its outlet, ascending by minimum vertex."""
-    comps_nbs = g.components_with_neighborhoods(k_set)
-    assert not comps_nbs or is_cliquish(g, k_set, [nb for _, nb in comps_nbs]), (
-        "support requires a cliquish set"
-    )
-    return outlet_and_support(g, k_set, comps_nbs)[1]
+    if out:
+        return out, tuple(c for c, nb in comps_nbs if nb & ~out)
+    return 0, tuple(c for c, _ in comps_nbs)

@@ -96,7 +96,8 @@ def main(argv: list[str] | None = None) -> int:
     except paceio.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (pipeline.PipelineError, AssertionError) as exc:
+    except (RuntimeError, AssertionError) as exc:
+        # PipelineError is a RuntimeError, as are extract's broken-witness errors
         print(f"internal validation failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:
@@ -143,11 +144,7 @@ def _cmd_lb(args: argparse.Namespace) -> int:
     deadline = time.monotonic() + args.time_limit
     for comp in g.components(0):
         sub, _ = g.subgraph(comp)
-        floor = sub.min_degree() if sub.n > 1 else 0
-        best = max(best, floor)
-        remaining = deadline - time.monotonic()
-        if remaining > 0:
-            best = max(best, solver.lower_bound(sub, remaining))
+        best = max(best, solver.lower_bound(sub, deadline - time.monotonic()))
     print(best)
     return 0
 

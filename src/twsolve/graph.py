@@ -113,26 +113,10 @@ class Graph:
 
     def components(self, s: int) -> list[int]:
         """Connected components of the graph minus ``s``, ascending by minimum vertex."""
-        adj = self.adj
-        rest = self.full_mask & ~s
-        out = []
-        while rest:
-            comp = rest & -rest
-            frontier = comp
-            while frontier:
-                nbrs = 0
-                while frontier:
-                    b = frontier & -frontier
-                    nbrs |= adj[b.bit_length() - 1]
-                    frontier ^= b
-                frontier = nbrs & rest & ~comp
-                comp |= frontier
-            out.append(comp)
-            rest &= ~comp
-        return out
+        return [c for c, _ in self.components_with_neighborhoods(s)]
 
     def components_with_neighborhoods(self, s: int) -> list[tuple[int, int]]:
-        """Like :meth:`components` but pairs each component with its neighborhood.
+        """Components of the graph minus ``s``, each paired with its neighborhood.
 
         The neighborhood of a component associated with ``s`` is always a
         subset of ``s``.

@@ -2,9 +2,11 @@
 
 The pipeline splits the input into connected components, optionally
 decomposes each along verified minor-safe separators, solves every part
-exactly, and glues the part decompositions back together.  Adjacent parts
-overlap exactly on a completed separator, so each part owns a bag containing
-it and gluing those bags keeps all decomposition conditions intact.
+exactly, and glues the part decompositions back together.  The split into
+components is a split along the empty separator, so one splitting tree
+covers both.  Adjacent parts overlap exactly on a completed separator, so
+each part owns a bag containing it and gluing those bags keeps all
+decomposition conditions intact.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import safesep
-from .graph import Graph, bits
+from .graph import Graph, bits, vset
 from .solver import treewidth
 from .tdbuild import TreeDecomposition, extract, validate
 
@@ -47,26 +49,62 @@ class SolveReport:
         }
 
 
-def _remap_mask(mask: int, labels: list[int]) -> int:
-    out = 0
-    for v in bits(mask):
-        out |= 1 << labels[v]
-    return out
-
-
 def _solve_leaf(graph: Graph) -> tuple[int, list[int], list[tuple[int, int]], tuple[int, int, int, int]]:
     from .solver import SolverStats  # local import keeps pool workers lean
 
     stats: list[SolverStats] = []
     tw, witness = treewidth(graph, stats_out=stats)
     td = extract(graph, witness)
-    last = stats[-1] if stats else None
-    counters = (
-        (last.iblocks, last.oblocks, last.pmcs_buildable, last.pmcs_feasible)
-        if last
-        else (0, 0, 0, 0)
-    )
+    last = stats[-1]
+    counters = (last.iblocks, last.oblocks, last.pmcs_buildable, last.pmcs_feasible)
     return tw, td.bags, td.edges, counters
+
+
+def _glue(
+    preorder: list[safesep.DecompNode], solved: dict[int, tuple]
+) -> tuple[int, list[int], list[tuple[int, int]]]:
+    """Glue the part decompositions of a splitting tree bottom-up; returns
+    (width, bags, edges) in the labels of the tree.
+
+    Each part's decomposition holds a bag containing the part's completed
+    neighborhood of the split component; those bags attach to a hub bag
+    containing the full separator (one exists in a full component's part,
+    since the separator is a clique there).
+    """
+    bags: list[int] = []
+    edges: list[tuple[int, int]] = []
+    # node id -> (width, first bag, end of bags) of its subtree
+    done: dict[int, tuple[int, int, int]] = {}
+    for node in reversed(preorder):
+        if not node.children:
+            tw, part_bags, part_edges, _ = solved[id(node)]
+            lo = len(bags)
+            bags.extend(vset(node.to_root[v] for v in bits(b)) for b in part_bags)
+            edges.extend((a + lo, b + lo) for a, b in part_edges)
+            done[id(node)] = (tw, lo, len(bags))
+            continue
+        sep = node.separator
+        spans = [done[id(child)] for child in node.children]
+        hub = next(
+            (i for _, lo, hi in spans for i in range(lo, hi) if sep & ~bags[i] == 0), None
+        )
+        if hub is None:
+            hub = len(bags)
+            bags.append(sep)
+        for child, (_, lo, hi) in zip(node.children, spans):
+            if lo <= hub < hi:
+                continue
+            target = sep & vset(child.to_root)
+            attach = next((i for i in range(lo, hi) if target & ~bags[i] == 0), None)
+            if attach is None:
+                raise PipelineError("no part bag contains its completed separator")
+            edges.append((hub, attach))
+        done[id(node)] = (
+            max(tw for tw, _, _ in spans),
+            min(lo for _, lo, _ in spans),
+            len(bags),
+        )
+    return done[id(preorder[0])][0], bags, edges
 
 
 def solve(
@@ -99,120 +137,33 @@ def solve(
         report.time_ms = (time.monotonic() - started) * 1000.0
         return -1, td, report
 
-    decomps: list[safesep.Decomposition] = []
-    comp_graphs: list[tuple[Graph, list[int]]] = []
+    components: list[safesep.DecompNode] = []
     for comp in g.components(0):
         sub, labels = g.subgraph(comp)
-        comp_graphs.append((sub, labels))
         if use_safe_separators and sub.n > 2:
-            decomps.append(safesep.decompose(sub, step_budget))
+            components.append(safesep.decompose(sub, step_budget, labels).root)
         else:
-            decomps.append(
-                safesep.Decomposition(sub, safesep.DecompNode(sub, list(range(sub.n))))
-            )
-
-    leaves: list[safesep.DecompNode] = []
-    for d in decomps:
-        stack = [d.root]
-        while stack:
-            node = stack.pop()
-            if node.children:
-                stack.extend(node.children)
-            else:
-                leaves.append(node)
+            components.append(safesep.DecompNode(sub, labels))
+    root = safesep.DecompNode(g, list(range(g.n)), 0, children=components)
+    preorder = list(root.walk())
+    leaves = [node for node in preorder if not node.children]
 
     if jobs > 1 and len(leaves) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             solved = list(pool.map(_solve_leaf, [leaf.graph for leaf in leaves]))
     else:
         solved = [_solve_leaf(leaf.graph) for leaf in leaves]
-    results = dict(zip(map(id, leaves), solved))
 
     for _, _, _, counters in solved:
         report.counters["iblocks"] += counters[0]
         report.counters["oblocks"] += counters[1]
         report.counters["pmcs_buildable"] += counters[2]
         report.counters["pmcs_feasible"] += counters[3]
-    report.safe_separators["found"] = sum(len(d.applied_separators) for d in decomps)
+    report.safe_separators["found"] = sum(node.report is not None for node in preorder)
     report.safe_separators["max_part"] = max(leaf.graph.n for leaf in leaves)
 
-    overall_tw = 0 if g.n else -1
-    all_bags: list[int] = []
-    all_edges: list[tuple[int, int]] = []
-    component_roots: list[int] = []
-
-    def glue(root: safesep.DecompNode) -> tuple[int, int]:
-        """Glue the subtree below ``root`` bottom-up; returns (width, anchor bag).
-
-        Each part's decomposition holds a bag containing the part's completed
-        neighborhood of the split component; those bags attach to a hub bag
-        containing the full separator (one exists in a full component's part,
-        since the separator is a clique there).
-        """
-        preorder: list[safesep.DecompNode] = []
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            preorder.append(node)
-            stack.extend(node.children)
-        done: dict[int, tuple[int, tuple[int, int]]] = {}
-        for node in reversed(preorder):
-            if not node.children:
-                tw, bags, edges, _ = results[id(node)]
-                offset = len(all_bags)
-                all_bags.extend(_remap_mask(b, node.to_root) for b in bags)
-                all_edges.extend((a + offset, b + offset) for a, b in edges)
-                done[id(node)] = (tw, (offset, len(all_bags)))
-                continue
-            sep = node.separator
-            tw = 0
-            start = min(done[id(child)][1][0] for child in node.children)
-            hub = None
-            for child in node.children:
-                child_tw, (lo, hi) = done[id(child)]
-                tw = max(tw, child_tw)
-                if hub is None:
-                    for i in range(lo, hi):
-                        if sep & ~all_bags[i] == 0:
-                            hub = i
-                            break
-            if hub is None:
-                hub = len(all_bags)
-                all_bags.append(sep)
-            for child in node.children:
-                lo, hi = done[id(child)][1]
-                if lo <= hub < hi:
-                    continue
-                span = _remap_mask(child.graph.full_mask, child.to_root)
-                target = sep & span
-                attach = None
-                for i in range(lo, hi):
-                    if target & ~all_bags[i] == 0:
-                        attach = i
-                        break
-                if attach is None:
-                    raise PipelineError("no part bag contains its completed separator")
-                all_edges.append((hub, attach))
-            done[id(node)] = (tw, (start, len(all_bags)))
-        return done[id(root)][0], done[id(root)][1][0]
-
-    for d, (sub, labels) in zip(decomps, comp_graphs):
-        # rewrite labels from component space to the global space
-        stack = [d.root]
-        while stack:
-            node = stack.pop()
-            node.to_root = [labels[v] for v in node.to_root]
-            if node.separator is not None:
-                node.separator = _remap_mask(node.separator, labels)
-            stack.extend(node.children)
-        comp_tw, anchor = glue(d.root)
-        overall_tw = max(overall_tw, comp_tw)
-        component_roots.append(anchor)
-
-    for a, b in zip(component_roots, component_roots[1:]):
-        all_edges.append((a, b))
-
-    td = TreeDecomposition(g.n, all_bags, all_edges)
+    overall_tw, bags, edges = _glue(preorder, dict(zip(map(id, leaves), solved)))
+    td = TreeDecomposition(g.n, bags, edges)
     problems = validate(g, td)
     if problems:
         raise PipelineError(f"produced decomposition failed validation: {problems[:3]}")

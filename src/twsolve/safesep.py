@@ -19,9 +19,10 @@ it is trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .blocks import is_minimal_separator
-from .graph import Graph, bit_list, bits, min_vertex
+from .graph import Graph, bit_list, bits, min_vertex, vset
 
 __all__ = [
     "ABORTED",
@@ -201,7 +202,8 @@ def heuristic_minor_safe(g: Graph, s: int, step_budget: int = 10000) -> SafeSepa
 
 
 def _check_report(g: Graph, s: int, comps: list[int], report: SafeSeparatorReport) -> None:
-    assert report.evidence is not None
+    if report.evidence is None:
+        raise AssertionError(f"safe-separator verdict for {bit_list(s)} carries no evidence")
     for c, ev in zip(comps, report.evidence):
         errors: list[str] = []
         if not verify_minor_evidence(g, s, c, ev, errors):
@@ -347,87 +349,79 @@ def _clique_minor_search(
 @dataclass
 class DecompNode:
     """A node of the splitting tree: the graph to solve (separators already
-    completed), its labels into the root graph, and the split applied here."""
+    completed), the labels of its vertices, and the split applied here.
+
+    ``separator`` is in the same labels as ``to_root``; ``report.separator``
+    is the same set in the vertex indices of ``graph``.
+    """
 
     graph: Graph
     to_root: list[int]
     separator: int | None = None
-    separator_local: int | None = None
     report: SafeSeparatorReport | None = None
     children: list["DecompNode"] = field(default_factory=list)
+
+    def walk(self) -> Iterator["DecompNode"]:
+        """This node and every node below it, each before its children."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(node.children)
 
 
 @dataclass
 class Decomposition:
-    root_graph: Graph
     root: DecompNode
     applied_separators: list[int] = field(default_factory=list)
 
     @property
     def parts(self) -> list[tuple[Graph, list[int]]]:
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.children:
-                stack.extend(node.children)
-            else:
-                out.append((node.graph, node.to_root))
-        return out
+        return [(node.graph, node.to_root) for node in self.root.walk() if not node.children]
 
     @property
     def max_part(self) -> int:
         return max(g.n for g, _ in self.parts)
 
     def applied_reports(self) -> list[tuple[Graph, int, SafeSeparatorReport]]:
-        out = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            stack.extend(node.children)
-            if node.report is not None:
-                out.append((node.graph, node.separator_local, node.report))
-        return out
+        return [
+            (node.graph, node.report.separator, node.report)
+            for node in self.root.walk()
+            if node.report is not None
+        ]
 
 
-def decompose(g: Graph, step_budget: int = 10000) -> Decomposition:
+def decompose(
+    g: Graph, step_budget: int = 10000, labels: list[int] | None = None
+) -> Decomposition:
     """Split ``g`` along verified minor-safe separators until none applies.
 
     Separators are tried largest impact first (greatest reduction of the
     biggest part, then size ascending); every applied part gets the separator
-    completed into a clique and is then split further if possible.
+    completed into a clique and is then split further if possible.  Node
+    labels and applied separators are given in ``labels``, the names of the
+    vertices of ``g`` (the identity by default).
     """
-    root = DecompNode(g, list(range(g.n)))
+    root = DecompNode(g, list(range(g.n)) if labels is None else labels)
     applied: list[int] = []
     stack = [root]
     while stack:
         node = stack.pop()
-        found = _find_safe_separator(node.graph, step_budget)
-        if found is None:
+        report = _find_safe_separator(node.graph, step_budget)
+        if report is None:
             continue
-        sep_local, report = found
-        node.separator_local = sep_local
-        node.separator = _remap(sep_local, node.to_root)
         node.report = report
+        node.separator = vset(node.to_root[v] for v in bits(report.separator))
         applied.append(node.separator)
-        for comp, nb in node.graph.components_with_neighborhoods(sep_local):
-            part, labels = node.graph.subgraph(comp | nb, make_clique=nb)
-            child = DecompNode(part, [node.to_root[v] for v in labels])
+        for comp, nb in node.graph.components_with_neighborhoods(report.separator):
+            part, part_labels = node.graph.subgraph(comp | nb, make_clique=nb)
+            child = DecompNode(part, [node.to_root[v] for v in part_labels])
             node.children.append(child)
             stack.append(child)
-    return Decomposition(g, root, applied)
+    return Decomposition(root, applied)
 
 
-def _remap(mask: int, labels: list[int]) -> int:
-    out = 0
-    for v in bits(mask):
-        out |= 1 << labels[v]
-    return out
-
-
-def _find_safe_separator(
-    g: Graph, step_budget: int
-) -> tuple[int, SafeSeparatorReport] | None:
+def _find_safe_separator(g: Graph, step_budget: int) -> SafeSeparatorReport | None:
     if g.n <= 2:
         return None
     scored = []
@@ -443,5 +437,5 @@ def _find_safe_separator(
     for _, _, s in scored:
         report = heuristic_minor_safe(g, s, step_budget)
         if report.verdict == YES:
-            return s, report
+            return report
     return None

@@ -106,7 +106,7 @@ class SieveTrie:
             if len(child.entries) > self.bucket_cap and child.start < self.n:
                 self._split(child)
 
-    def supersets(self, u: int, n_u: int, out: list[int], prune: bool = True) -> None:
+    def supersets(self, u: int, n_u: int, out: list[int]) -> None:
         """Append every stored superset of ``u`` within the union budget to ``out``."""
         budget = self.k + 1
         m = self.margin_bound
@@ -125,7 +125,7 @@ class SieveTrie:
                 if u_chunk & ~chunk:
                     continue
                 acc = overlap + (nu_chunk & chunk).bit_count()
-                if prune and acc > m:
+                if acc > m:
                     continue
                 stack.append((child, acc))
 
@@ -161,16 +161,15 @@ class SieveBank:
 
     def store(self, u: int, n_u: int) -> None:
         margin = self.k + 1 - n_u.bit_count()
-        assert 1 <= margin <= self.k, (
-            "stored sets must have neighborhood size between 1 and k"
-        )
+        if not 1 <= margin <= self.k:
+            raise AssertionError("stored sets must have neighborhood size between 1 and k")
         if u in self._stored:
             return
         self._stored.add(u)
         self.sieves[self.sieve_index(margin)].store(u, n_u)
 
-    def supersets(self, u: int, n_u: int, prune: bool = True) -> list[int]:
+    def supersets(self, u: int, n_u: int) -> list[int]:
         out: list[int] = []
         for sieve in self.sieves:
-            sieve.supersets(u, n_u, out, prune)
+            sieve.supersets(u, n_u, out)
         return out

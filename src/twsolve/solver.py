@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
-from .blocks import first_full_component, is_cliquish, is_outbound
+from .blocks import first_full_component, is_cliquish, is_outbound, outlet_and_support
 from .graph import Graph
 from .sieve import SieveBank
 
@@ -31,6 +32,7 @@ __all__ = [
     "SolverTimeout",
     "Witness",
     "decide",
+    "levels",
     "lower_bound",
     "treewidth",
 ]
@@ -139,20 +141,7 @@ class _Search:
         if cand in self.buildable:
             return
         self.buildable.add(cand)
-        g = self.g
-        comps = g.components_with_neighborhoods(cand)
-        out = 0
-        for c, nb in comps:
-            # non-full components only; PMCs have no full components
-            if first_full_component(g, nb) == c:
-                if self.debug and out:
-                    assert out & ~nb == 0 or nb & ~out == 0
-                if nb.bit_count() > out.bit_count():
-                    out = nb
-        if out:
-            sup = tuple(c for c, nb in comps if nb & ~out)
-        else:
-            sup = tuple(c for c, _ in comps)
+        out, sup = outlet_and_support(self.g, cand, debug=self.debug)
         rec = PmcRecord(cand, out, sup)
         self.records[cand] = rec
         miss = 0
@@ -164,28 +153,36 @@ class _Search:
                 miss += 1
         if miss:
             self.missing[cand] = miss
-        else:
-            self._feasible_now(cand, rec)
+            return
+        crib = self._mark_feasible(cand, rec)
+        if crib:
+            self._emit_iblock(crib, out, cand)
 
-    def _feasible_now(self, cand: int, rec: PmcRecord) -> None:
+    def _mark_feasible(self, cand: int, rec: PmcRecord) -> int:
+        """Mark a PMC feasible and return the crib of its outlet: the inbound
+        block it emits, or 0 when the outlet is empty.  The first PMC with an
+        empty outlet becomes the root."""
         self.feasible[cand] = rec
         if rec.outlet == 0:
             if self.root is None:
                 self.root = cand
-            return
-        c = cand & ~rec.outlet
+            return 0
+        crib = cand & ~rec.outlet
         for d in rec.support:
-            c |= d
-        self._emit_iblock(c, rec.outlet, cand)
+            crib |= d
+        return crib
 
     def _emit_iblock(self, comp: int, nb: int, src: int) -> None:
-        """Queue a new feasible inbound block and resolve PMCs waiting on it."""
+        """Queue a new feasible inbound block and resolve PMCs waiting on it.
+
+        A waiting PMC is marked feasible as soon as its last missing support
+        component arrives, before the blocks it emits are worked off.
+        """
         work = [(comp, nb, src)]
         iblock_set = self.iblock_set
         waiting = self.waiting
         missing = self.missing
         records = self.records
-        feasible = self.feasible
         while work:
             comp, nb, src = work.pop()
             if comp in iblock_set:
@@ -202,16 +199,9 @@ class _Search:
                     missing[k2] = cnt
                     continue
                 rec2 = records[k2]
-                feasible[k2] = rec2
-                if rec2.outlet == 0:
-                    if self.root is None:
-                        self.root = k2
-                    continue
-                c2 = k2 & ~rec2.outlet
-                for d in rec2.support:
-                    c2 |= d
-                if c2 not in iblock_set:
-                    work.append((c2, rec2.outlet, k2))
+                crib = self._mark_feasible(k2, rec2)
+                if crib and crib not in iblock_set:
+                    work.append((crib, rec2.outlet, k2))
 
     def _store_oblock(self, comp: int, nb: int, new_obs: list[tuple[int, int]]) -> None:
         if self.debug:
@@ -337,6 +327,26 @@ def decide(
     return DecideResult(answer, stats, witness)
 
 
+def levels(
+    g: Graph, *, deadline: float | None = None, debug: bool = False
+) -> Iterator[DecideResult]:
+    """Run the decision procedure on connected ``g`` level by level.
+
+    Yields one result per width bound k, ascending from max(1, minimum
+    degree) (from 0 for a single vertex), and stops after the first accepting
+    level.  Every negative level k certifies that the treewidth exceeds k.
+    """
+    if g.n == 0:
+        raise ValueError("levels requires a non-empty graph")
+    start = max(1, g.min_degree()) if g.n > 1 else 0
+    for k in range(start, g.n):
+        res = decide(g, k, deadline=deadline, debug=debug)
+        yield res
+        if res.answer:
+            return
+    raise RuntimeError("decision procedure failed to accept at the trivial bound")
+
+
 def treewidth(
     g: Graph,
     *,
@@ -350,22 +360,10 @@ def treewidth(
     minimum degree; binary search would overshoot and negative levels are
     cheap relative to the accepting one.
     """
-    if g.n == 0:
-        raise ValueError("treewidth requires a non-empty graph")
-    if g.n == 1:
-        return 0, _trivial_witness(1)
-    if not g.is_connected(g.full_mask):
-        raise ValueError("treewidth requires a connected graph")
-    k = max(1, g.min_degree())
-    while True:
-        res = decide(g, k, deadline=deadline, debug=debug)
+    for res in levels(g, deadline=deadline, debug=debug):
         if stats_out is not None:
             stats_out.append(res.stats)
-        if res.answer:
-            assert res.witness is not None
-            return k, res.witness
-        k += 1
-        assert k <= g.n - 1, "decision procedure failed to accept at the trivial bound"
+    return res.stats.k, res.witness
 
 
 def lower_bound(g: Graph, time_limit: float, *, debug: bool = False) -> int:
@@ -375,22 +373,11 @@ def lower_bound(g: Graph, time_limit: float, *, debug: bool = False) -> int:
     the floor is the minimum degree.  If a level accepts, the exact treewidth
     is returned.
     """
-    if g.n == 0:
-        raise ValueError("lower_bound requires a non-empty graph")
-    if g.n == 1:
-        return 0
-    if not g.is_connected(g.full_mask):
-        raise ValueError("lower_bound requires a connected graph")
-    lb = g.min_degree()
     deadline = time.monotonic() + max(0.0, time_limit)
-    k = max(1, lb)
-    while k <= g.n - 1:
-        try:
-            res = decide(g, k, deadline=deadline, debug=debug)
-        except SolverTimeout:
-            break
-        if res.answer:
-            return k
-        lb = k + 1
-        k += 1
-    return lb
+    lb = 0
+    try:
+        for res in levels(g, deadline=deadline, debug=debug):
+            lb = res.stats.k if res.answer else res.stats.k + 1
+    except SolverTimeout:
+        pass
+    return max(lb, g.min_degree())

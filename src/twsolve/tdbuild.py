@@ -42,7 +42,8 @@ def extract(g: Graph, witness: Witness) -> TreeDecomposition:
     component's neighborhood, so attaching the bags keeps occurrence subtrees
     connected.  Bags contained in their parent are contracted afterwards.
     """
-    assert witness.root is not None, "extract requires an accepting witness"
+    if witness.root is None:
+        raise AssertionError("extract requires an accepting witness")
     records = witness.records
     source = witness.iblock_source
     bags: list[int] = []
@@ -60,7 +61,8 @@ def extract(g: Graph, witness: Witness) -> TreeDecomposition:
         if not rec.support and for_comp:
             # leaf: the bag must close over the component it stands for
             closed = for_comp | g.open_neighborhood(for_comp)
-            assert closed & ~rec.vertices == 0
+            if closed & ~rec.vertices:
+                raise AssertionError("leaf bag does not close over its component")
         for comp in rec.support:
             child = source.get(comp)
             if child is None:

@@ -82,6 +82,28 @@ def test_lb_zero_budget_min_degree(tmp_graph_file, capsys):
     assert int(capsys.readouterr().out.strip()) == g.min_degree()
 
 
+def test_lb_zero_budget_disconnected_takes_largest_floor(tmp_graph_file, capsys):
+    # K4, a path on three vertices and an isolated vertex
+    text = "p tw 8 8\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n5 6\n6 7\n"
+    path = tmp_graph_file("k4p3k1.gr", text)
+    assert main(["lb", path, "--time-limit", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+
+
+def test_broken_witness_chain_exit_code(tmp_graph_file, capsys, monkeypatch):
+    from twsolve import pipeline
+    from twsolve.solver import PmcRecord, Witness
+
+    def broken(graph, stats_out=None):
+        # the root's support component has no source clique
+        return 1, Witness(graph.n, 0b11, {0b11: PmcRecord(0b11, 0, (0b100,))}, {})
+
+    monkeypatch.setattr(pipeline, "treewidth", broken)
+    path = tmp_graph_file("edge.gr", "p tw 2 1\n1 2\n")
+    assert main(["exact", path]) == 3
+    assert "broken witness chain" in capsys.readouterr().err
+
+
 def test_lb_matches_exact_with_generous_budget(tmp_graph_file, capsys):
     g = random_connected_graph(12, 24, 63)
     path = tmp_graph_file("g.gr", _gr_text(g))

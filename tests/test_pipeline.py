@@ -1,4 +1,6 @@
-from twsolve import oracle, pipeline
+from hypothesis import given, settings, strategies as st
+
+from twsolve import oracle, pipeline, safesep
 from twsolve.families import complete_graph, random_connected_graph
 from twsolve.graph import Graph
 from twsolve.tdbuild import validate
@@ -11,6 +13,25 @@ def triangle_chain(links: int) -> Graph:
         a = 2 * i
         edges += [(a, a + 1), (a, a + 2), (a + 1, a + 2)]
     return Graph(2 * links + 1, edges)
+
+
+def disjoint_union(*graphs: Graph) -> Graph:
+    edges = []
+    offset = 0
+    for h in graphs:
+        edges += [(u + offset, v + offset) for u, v in h.edge_list()]
+        offset += h.n
+    return Graph(offset, edges)
+
+
+@st.composite
+def separator_rich_graphs(draw, max_n: int = 9) -> Graph:
+    """Connected graphs with few edges beyond a spanning tree, so cut vertices
+    and small clique separators are common."""
+    n = draw(st.integers(min_value=3, max_value=max_n))
+    extra = draw(st.integers(min_value=0, max_value=n // 2))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    return random_connected_graph(n, n - 1 + extra, seed)
 
 
 def test_deep_decomposition_chain():
@@ -90,3 +111,28 @@ def test_pipeline_matches_oracle_on_grid():
     tw, td, _ = pipeline.solve(g)
     assert tw == oracle.bf_treewidth(g) == 3
     assert validate(g, td) == []
+
+
+def test_glue_across_components_that_split():
+    parts = [triangle_chain(4), triangle_chain(3), random_connected_graph(12, 15, 0)]
+    g = disjoint_union(*parts)
+    tw, td, report = pipeline.solve(g)
+    assert tw == max(oracle.bf_treewidth(h) for h in parts) == 3
+    assert validate(g, td) == []
+    assert td.width() == tw
+    found = [len(safesep.decompose(h).applied_separators) for h in parts]
+    assert all(found)
+    assert report.safe_separators["found"] == sum(found)
+    # solving again must not see labels mapped by the first run
+    tw2, td2, _ = pipeline.solve(g)
+    assert (tw2, td2.bags, td2.edges) == (tw, td.bags, td.edges)
+
+
+@given(separator_rich_graphs(), separator_rich_graphs())
+@settings(max_examples=40)
+def test_glued_components_match_oracle(a, b):
+    g = disjoint_union(a, b)
+    tw, td, _ = pipeline.solve(g)
+    assert tw == max(oracle.bf_treewidth(a), oracle.bf_treewidth(b))
+    assert validate(g, td) == []
+    assert td.width() == tw

@@ -3,7 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twsolve import oracle
+from twsolve import oracle, solver
 from twsolve.families import (
     complete_graph,
     cycle_graph,
@@ -14,7 +14,7 @@ from twsolve.families import (
     star_graph,
 )
 from twsolve.graph import Graph
-from twsolve.solver import SolverTimeout, decide, lower_bound, treewidth
+from twsolve.solver import SolverTimeout, decide, levels, lower_bound, treewidth
 from twsolve.tdbuild import extract, validate
 
 from conftest import connected_graphs
@@ -139,6 +139,28 @@ def test_lower_bound_floor_and_exactness():
 def test_lower_bound_zero_budget_is_min_degree():
     g = random_connected_graph(10, 25, 7)
     assert lower_bound(g, 0.0) == g.min_degree()
+
+
+def test_levels_ascend_from_min_degree_to_first_acceptance():
+    graphs = [path_graph(6), cycle_graph(6), complete_graph(5), grid_graph(3, 3),
+              random_connected_graph(10, 18, 3)]
+    for g in graphs:
+        results = list(levels(g))
+        ks = [r.stats.k for r in results]
+        assert ks == list(range(max(1, g.min_degree()), ks[-1] + 1))
+        assert [r.answer for r in results] == [False] * (len(ks) - 1) + [True]
+        assert ks[-1] == oracle.bf_treewidth(g)
+    [single] = levels(Graph(1))
+    assert single.answer and single.stats.k == 0
+
+
+def test_levels_raise_when_no_level_accepts(monkeypatch):
+    def reject(g, k, **kwargs):
+        return solver.DecideResult(False, solver.SolverStats(g.n, k, False))
+
+    monkeypatch.setattr(solver, "decide", reject)
+    with pytest.raises(RuntimeError, match="failed to accept"):
+        list(levels(cycle_graph(5)))
 
 
 def test_deadline_interrupts():
