@@ -142,9 +142,10 @@ def _cmd_lb(args: argparse.Namespace) -> int:
         return 0
     best = 0
     deadline = time.monotonic() + args.time_limit
-    for comp in g.components(0):
+    # largest first; levels below the best bound so far cannot raise it
+    for comp in sorted(g.components(0), key=int.bit_count, reverse=True):
         sub, _ = g.subgraph(comp)
-        best = max(best, solver.lower_bound(sub, deadline - time.monotonic()))
+        best = max(best, solver.lower_bound(sub, deadline - time.monotonic(), lower=best))
     print(best)
     return 0
 

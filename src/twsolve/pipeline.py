@@ -1,12 +1,15 @@
 """End-to-end solving: split, preprocess, solve parts, glue, validate.
 
 The pipeline splits the input into connected components, optionally
-decomposes each along verified minor-safe separators, solves every part
-exactly, and glues the part decompositions back together.  The split into
-components is a split along the empty separator, so one splitting tree
-covers both.  Adjacent parts overlap exactly on a completed separator, so
-each part owns a bag containing it and gluing those bags keeps all
-decomposition conditions intact.
+decomposes each along verified minor-safe separators, solves every part,
+and glues the part decompositions back together.  Every part comes with a
+greedy elimination decomposition of width ub; its decision levels stop below
+ub and start at the largest part width found so far, since levels outside
+that range cannot change the answer.  The split into components is a split
+along the empty separator, so one splitting tree covers both.  Adjacent
+parts overlap exactly on a completed separator, so each part owns a bag
+containing it and gluing those bags keeps all decomposition conditions
+intact.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from . import safesep
 from .graph import Graph, bits, vset
 from .solver import treewidth
-from .tdbuild import TreeDecomposition, extract, validate
+from .tdbuild import TreeDecomposition, extract, from_elimination, validate
 
 __all__ = ["PipelineError", "SolveReport", "solve"]
 
@@ -36,6 +40,7 @@ class SolveReport:
     time_ms: float = 0.0
     counters: dict[str, int] = field(default_factory=dict)
     safe_separators: dict[str, int] = field(default_factory=dict)
+    parts: dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -46,22 +51,29 @@ class SolveReport:
             "time_ms": self.time_ms,
             "counters": dict(self.counters),
             "safe_separators": dict(self.safe_separators),
+            "parts": dict(self.parts),
         }
 
 
-def _solve_leaf(graph: Graph) -> tuple[int, list[int], list[tuple[int, int]], tuple[int, int, int, int]]:
+def _solve_leaf(
+    graph: Graph, lower: int, upper: int
+) -> tuple[int, TreeDecomposition | None, tuple[int, int, int, int], int]:
+    """Solve one part between the bounds: (width, decomposition or None when
+    no level accepted, counters of the accepting level, levels run)."""
     from .solver import SolverStats  # local import keeps pool workers lean
 
     stats: list[SolverStats] = []
-    tw, witness = treewidth(graph, stats_out=stats)
+    tw, witness = treewidth(graph, lower=lower, upper=upper, stats_out=stats)
+    if witness is None:
+        return tw, None, (0, 0, 0, 0), len(stats)
     td = extract(graph, witness)
     last = stats[-1]
     counters = (last.iblocks, last.oblocks, last.pmcs_buildable, last.pmcs_feasible)
-    return tw, td.bags, td.edges, counters
+    return tw, td, counters, len(stats)
 
 
 def _glue(
-    preorder: list[safesep.DecompNode], solved: dict[int, tuple]
+    preorder: list[safesep.DecompNode], solved: dict[int, tuple[int, TreeDecomposition]]
 ) -> tuple[int, list[int], list[tuple[int, int]]]:
     """Glue the part decompositions of a splitting tree bottom-up; returns
     (width, bags, edges) in the labels of the tree.
@@ -77,10 +89,10 @@ def _glue(
     done: dict[int, tuple[int, int, int]] = {}
     for node in reversed(preorder):
         if not node.children:
-            tw, part_bags, part_edges, _ = solved[id(node)]
+            tw, td = solved[id(node)]
             lo = len(bags)
-            bags.extend(vset(node.to_root[v] for v in bits(b)) for b in part_bags)
-            edges.extend((a + lo, b + lo) for a, b in part_edges)
+            bags.extend(vset(node.to_root[v] for v in bits(b)) for b in td.bags)
+            edges.extend((a + lo, b + lo) for a, b in td.edges)
             done[id(node)] = (tw, lo, len(bags))
             continue
         sep = node.separator
@@ -118,9 +130,17 @@ def solve(
     """Exact treewidth of an arbitrary (possibly disconnected) graph with a
     validated tree decomposition.
 
-    Counters aggregate the accepting decision level over all solved parts.
-    Raises :class:`PipelineError` if the final decomposition fails its own
-    audit; the result is never silently wrong.
+    Parts are solved largest first (ties: larger elimination width ub first).
+    Each part runs its decision levels from the largest part width M found so
+    far up to its own ub - 1, and keeps its elimination decomposition when no
+    level accepts; its width ub is then certified by its negative level
+    ub - 1, by its minimum degree, or by ub <= M.  With ``jobs`` > 1 the
+    largest part is solved first in this process, then the others in a pool
+    with M fixed at its width.
+
+    Counters sum the accepting decision levels; a part that no level
+    accepted adds nothing.  Raises :class:`PipelineError` if the final
+    decomposition fails its own audit; the result is never silently wrong.
     """
     started = time.monotonic()
     report = SolveReport(instance, g.n, g.edge_count)
@@ -131,6 +151,7 @@ def solve(
         "pmcs_feasible": 0,
     }
     report.safe_separators = {"found": 0, "max_part": g.n}
+    report.parts = {"total": 0, "settled_by_bound": 0, "levels": 0}
     if g.n == 0:
         td = TreeDecomposition(0, [0], [])
         report.tw = -1
@@ -147,22 +168,39 @@ def solve(
     root = safesep.DecompNode(g, list(range(g.n)), 0, children=components)
     preorder = list(root.walk())
     leaves = [node for node in preorder if not node.children]
+    heuristic = [
+        from_elimination(leaf.graph, *(leaf.elimination or safesep.best_elimination(leaf.graph)))
+        for leaf in leaves
+    ]
+    ubs = [td.width() for td in heuristic]
+    order = sorted(range(len(leaves)), key=lambda i: (-leaves[i].graph.n, -ubs[i]))
 
-    if jobs > 1 and len(leaves) > 1:
+    solved: dict[int, tuple] = {}
+    running_max = 0
+    inline = order if jobs <= 1 else order[:1]
+    for i in inline:
+        solved[i] = _solve_leaf(leaves[i].graph, running_max, ubs[i])
+        running_max = max(running_max, solved[i][0])
+    rest = order[len(inline):]
+    if rest:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            solved = list(pool.map(_solve_leaf, [leaf.graph for leaf in leaves]))
-    else:
-        solved = [_solve_leaf(leaf.graph) for leaf in leaves]
+            solved.update(zip(rest, pool.map(
+                _solve_leaf, [leaves[i].graph for i in rest], repeat(running_max),
+                [ubs[i] for i in rest],
+            )))
 
-    for _, _, _, counters in solved:
-        report.counters["iblocks"] += counters[0]
-        report.counters["oblocks"] += counters[1]
-        report.counters["pmcs_buildable"] += counters[2]
-        report.counters["pmcs_feasible"] += counters[3]
+    glued: dict[int, tuple[int, TreeDecomposition]] = {}
+    for i, (tw, td, counters, ran) in solved.items():
+        for key, value in zip(report.counters, counters):
+            report.counters[key] += value
+        report.parts["levels"] += ran
+        report.parts["settled_by_bound"] += td is None
+        glued[id(leaves[i])] = (tw, heuristic[i] if td is None else td)
+    report.parts["total"] = len(leaves)
     report.safe_separators["found"] = sum(node.report is not None for node in preorder)
     report.safe_separators["max_part"] = max(leaf.graph.n for leaf in leaves)
 
-    overall_tw, bags, edges = _glue(preorder, dict(zip(map(id, leaves), solved)))
+    overall_tw, bags, edges = _glue(preorder, glued)
     td = TreeDecomposition(g.n, bags, edges)
     problems = validate(g, td)
     if problems:

@@ -31,8 +31,10 @@ __all__ = [
     "Decomposition",
     "DecompNode",
     "SafeSeparatorReport",
+    "best_elimination",
     "candidate_separators",
     "decompose",
+    "greedy_elimination",
     "heuristic_minor_safe",
     "is_almost_clique",
     "verify_minor_evidence",
@@ -60,29 +62,18 @@ class SafeSeparatorReport:
     steps_used: int = 0
 
 
-def candidate_separators(g: Graph) -> list[int]:
-    """Minimal separators harvested from greedy elimination decompositions.
+def greedy_elimination(g: Graph, mode: str) -> tuple[list[int], list[int]]:
+    """Min-fill (``mode="min_fill"``) or min-degree elimination of ``g``.
 
-    Runs min-fill and min-degree elimination; the neighborhood of each vertex
-    at its elimination time is an adjacent-bag intersection of the resulting
-    decomposition.  Deduplicated, filtered to minimal separators, sizes
-    ascending.
+    Returns the elimination order and, for each eliminated vertex in that
+    order, its neighborhood at elimination time (fill edges included).  The
+    order yields a tree decomposition of width equal to the largest of those
+    neighborhoods (Bodlaender & Koster, "Treewidth computations I. Upper
+    bounds", Inf. Comput. 2010).
     """
-    seen: set[int] = set()
-    out: list[int] = []
-    for mode in ("min_fill", "min_degree"):
-        for s in _greedy_elimination_neighborhoods(g, mode):
-            if s and s not in seen:
-                seen.add(s)
-                if is_minimal_separator(g, s):
-                    out.append(s)
-    out.sort(key=lambda s: (s.bit_count(), s))
-    return out
-
-
-def _greedy_elimination_neighborhoods(g: Graph, mode: str) -> list[int]:
     adj = list(g.adj)
     alive = g.full_mask
+    order = []
     out = []
     for _ in range(g.n):
         best = None
@@ -107,6 +98,7 @@ def _greedy_elimination_neighborhoods(g: Graph, mode: str) -> list[int]:
                 best_key = key
                 best = v
         nb = adj[best] & alive
+        order.append(best)
         out.append(nb)
         m = nb
         while m:
@@ -114,6 +106,40 @@ def _greedy_elimination_neighborhoods(g: Graph, mode: str) -> list[int]:
             m ^= ub
             adj[ub.bit_length() - 1] |= nb & ~ub
         alive &= ~(1 << best)
+    return order, out
+
+
+def _eliminations(g: Graph) -> list[tuple[list[int], list[int]]]:
+    """The min-fill and min-degree eliminations of ``g``, in that order."""
+    return [greedy_elimination(g, mode) for mode in ("min_fill", "min_degree")]
+
+
+def best_elimination(
+    g: Graph, elims: list[tuple[list[int], list[int]]] | None = None
+) -> tuple[list[int], list[int]]:
+    """The elimination of least width, min-fill on a tie."""
+    return min(elims or _eliminations(g), key=lambda e: max(map(int.bit_count, e[1]), default=0))
+
+
+def candidate_separators(
+    g: Graph, elims: list[tuple[list[int], list[int]]] | None = None
+) -> list[int]:
+    """Minimal separators harvested from greedy elimination decompositions.
+
+    Uses the min-fill and min-degree eliminations (computed unless given);
+    the neighborhood of each vertex at its elimination time is an
+    adjacent-bag intersection of the resulting decomposition.  Deduplicated,
+    filtered to minimal separators, sizes ascending.
+    """
+    seen: set[int] = set()
+    out: list[int] = []
+    for _, nbs in elims or _eliminations(g):
+        for s in nbs:
+            if s and s not in seen:
+                seen.add(s)
+                if is_minimal_separator(g, s):
+                    out.append(s)
+    out.sort(key=lambda s: (s.bit_count(), s))
     return out
 
 
@@ -352,7 +378,9 @@ class DecompNode:
     completed), the labels of its vertices, and the split applied here.
 
     ``separator`` is in the same labels as ``to_root``; ``report.separator``
-    is the same set in the vertex indices of ``graph``.
+    is the same set in the vertex indices of ``graph``.  A leaf of
+    :func:`decompose` keeps its better greedy ``elimination`` (order and
+    neighborhoods, in the vertex indices of ``graph``).
     """
 
     graph: Graph
@@ -360,6 +388,7 @@ class DecompNode:
     separator: int | None = None
     report: SafeSeparatorReport | None = None
     children: list["DecompNode"] = field(default_factory=list)
+    elimination: tuple[list[int], list[int]] | None = None
 
     def walk(self) -> Iterator["DecompNode"]:
         """This node and every node below it, each before its children."""
@@ -400,15 +429,18 @@ def decompose(
     biggest part, then size ascending); every applied part gets the separator
     completed into a clique and is then split further if possible.  Node
     labels and applied separators are given in ``labels``, the names of the
-    vertices of ``g`` (the identity by default).
+    vertices of ``g`` (the identity by default).  Every leaf keeps the better
+    of the greedy eliminations its separator search ran.
     """
     root = DecompNode(g, list(range(g.n)) if labels is None else labels)
     applied: list[int] = []
     stack = [root]
     while stack:
         node = stack.pop()
-        report = _find_safe_separator(node.graph, step_budget)
+        elims = _eliminations(node.graph)
+        report = _find_safe_separator(node.graph, elims, step_budget)
         if report is None:
+            node.elimination = best_elimination(node.graph, elims)
             continue
         node.report = report
         node.separator = vset(node.to_root[v] for v in bits(report.separator))
@@ -421,11 +453,13 @@ def decompose(
     return Decomposition(root, applied)
 
 
-def _find_safe_separator(g: Graph, step_budget: int) -> SafeSeparatorReport | None:
+def _find_safe_separator(
+    g: Graph, elims: list[tuple[list[int], list[int]]], step_budget: int
+) -> SafeSeparatorReport | None:
     if g.n <= 2:
         return None
     scored = []
-    for s in candidate_separators(g):
+    for s in candidate_separators(g, elims):
         sizes = [
             (c | nb).bit_count() for c, nb in g.components_with_neighborhoods(s)
         ]

@@ -328,55 +328,79 @@ def decide(
 
 
 def levels(
-    g: Graph, *, deadline: float | None = None, debug: bool = False
+    g: Graph,
+    *,
+    lower: int = 0,
+    upper: int | None = None,
+    deadline: float | None = None,
+    debug: bool = False,
 ) -> Iterator[DecideResult]:
     """Run the decision procedure on connected ``g`` level by level.
 
-    Yields one result per width bound k, ascending from max(1, minimum
-    degree) (from 0 for a single vertex), and stops after the first accepting
-    level.  Every negative level k certifies that the treewidth exceeds k.
+    Yields one result per width bound k, ascending from the larger of
+    ``lower`` and max(1, minimum degree) (from 0 for a single vertex), and
+    stops after the first accepting level or before k reaches ``upper``.
+    Every negative level k certifies that the treewidth exceeds k.  Without
+    ``upper`` some level below n must accept; a run in which none does
+    raises ``RuntimeError``.
     """
     if g.n == 0:
         raise ValueError("levels requires a non-empty graph")
-    start = max(1, g.min_degree()) if g.n > 1 else 0
-    for k in range(start, g.n):
+    start = max(lower, max(1, g.min_degree()) if g.n > 1 else 0)
+    stop = g.n if upper is None else upper
+    for k in range(start, stop):
         res = decide(g, k, deadline=deadline, debug=debug)
         yield res
         if res.answer:
             return
-    raise RuntimeError("decision procedure failed to accept at the trivial bound")
+    if upper is None and start < stop:
+        raise RuntimeError("decision procedure failed to accept at the trivial bound")
 
 
 def treewidth(
     g: Graph,
     *,
+    lower: int = 0,
+    upper: int | None = None,
     deadline: float | None = None,
     debug: bool = False,
     stats_out: list[SolverStats] | None = None,
-) -> tuple[int, Witness]:
-    """Exact treewidth of connected ``g`` with the accepting witness.
+) -> tuple[int, Witness | None]:
+    """Treewidth of connected ``g`` with the accepting witness.
 
-    Runs the decision procedure with the bound increasing one by one from the
-    minimum degree; binary search would overshoot and negative levels are
-    cheap relative to the accepting one.
+    Runs the decision procedure with the bound increasing one by one from
+    max(``lower``, minimum degree); binary search would overshoot and negative
+    levels are cheap relative to the accepting one.  ``upper`` is the width of
+    a decomposition the caller already holds: levels stop below it, and when
+    none of them accepts (or none runs) the result is ``(upper, None)``.
+    That width is the treewidth when level ``upper`` - 1 ran negative or
+    ``upper`` is the minimum degree; otherwise it is only known to be at most
+    ``lower``.  Likewise an accepting level at ``lower`` only bounds the
+    treewidth from above.  Without ``lower`` and ``upper`` the result is exact.
     """
-    for res in levels(g, deadline=deadline, debug=debug):
+    res = None
+    for res in levels(g, lower=lower, upper=upper, deadline=deadline, debug=debug):
         if stats_out is not None:
             stats_out.append(res.stats)
+    if res is None or not res.answer:
+        return upper, None
     return res.stats.k, res.witness
 
 
-def lower_bound(g: Graph, time_limit: float, *, debug: bool = False) -> int:
+def lower_bound(
+    g: Graph, time_limit: float, *, lower: int = 0, debug: bool = False
+) -> int:
     """Best certified treewidth lower bound within a time budget.
 
     Every completed negative decision at level k certifies a bound of k + 1;
     the floor is the minimum degree.  If a level accepts, the exact treewidth
-    is returned.
+    is returned.  Levels below ``lower`` are skipped, so a result at or below
+    ``lower`` only says that the treewidth does not exceed ``lower``.
     """
     deadline = time.monotonic() + max(0.0, time_limit)
     lb = 0
     try:
-        for res in levels(g, deadline=deadline, debug=debug):
+        for res in levels(g, lower=lower, deadline=deadline, debug=debug):
             lb = res.stats.k if res.answer else res.stats.k + 1
     except SolverTimeout:
         pass

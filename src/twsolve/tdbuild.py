@@ -1,4 +1,5 @@
-"""Tree decompositions: extraction from accepting witnesses and validation.
+"""Tree decompositions: extraction from accepting witnesses, construction
+from elimination orders, and validation.
 
 The validator shares only the graph layer with the solver, so it can audit
 decompositions produced elsewhere.
@@ -8,10 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, bit_list
+from .graph import Graph, bit_list, bits
 from .solver import Witness
 
-__all__ = ["TreeDecomposition", "Violation", "extract", "validate"]
+__all__ = ["TreeDecomposition", "Violation", "from_elimination", "extract", "validate"]
 
 
 @dataclass
@@ -70,6 +71,26 @@ def extract(g: Graph, witness: Witness) -> TreeDecomposition:
             stack.append((child, idx, comp))
     td = TreeDecomposition(g.n, bags, edges)
     return _contract_redundant(td)
+
+
+def from_elimination(g: Graph, order: list[int], neighborhoods: list[int]) -> TreeDecomposition:
+    """The tree decomposition of an elimination order.
+
+    ``neighborhoods[i]`` is the neighborhood of ``order[i]`` when it is
+    eliminated.  Each vertex gets the bag of itself and that neighborhood,
+    attached to the bag of the first vertex of the neighborhood to be
+    eliminated; the neighborhood is a clique by then, so that bag holds it.
+    Bags with an empty neighborhood (one per connected component) are chained
+    to the last bag.  Bags contained in a neighbor are contracted afterwards.
+    """
+    position = {v: i for i, v in enumerate(order)}
+    last = len(order) - 1
+    bags = [nb | 1 << v for v, nb in zip(order, neighborhoods)]
+    edges = [
+        (i, min(position[u] for u in bits(nb)) if nb else last)
+        for i, nb in enumerate(neighborhoods[:last])
+    ]
+    return _contract_redundant(TreeDecomposition(g.n, bags, edges))
 
 
 def _contract_redundant(td: TreeDecomposition) -> TreeDecomposition:
@@ -177,13 +198,14 @@ def validate(g: Graph, td: TreeDecomposition) -> list[Violation]:
         if not any(td.bags[i] >> v & 1 for i in bags_of[u]):
             out.append(Violation("edge-uncovered", f"edge ({u},{v}) appears in no bag"))
 
+    # the bags containing v induce a subtree iff |bags_of[v]| - 1 tree
+    # edges join two of them; count those edges once per tree edge
+    inner = [0] * g.n
+    for a, b in td.edges:
+        for v in bits(td.bags[a] & td.bags[b] & g.full_mask):
+            inner[v] += 1
     for v in range(g.n):
-        nodes = bags_of[v]
-        if not nodes:
-            continue
-        node_set = set(nodes)
-        inner_edges = sum(1 for a, b in td.edges if a in node_set and b in node_set)
-        if inner_edges != len(nodes) - 1:
+        if bags_of[v] and inner[v] != len(bags_of[v]) - 1:
             out.append(
                 Violation(
                     "occurrence-disconnected",

@@ -38,6 +38,31 @@ def vertex_subsets(draw, g: Graph, min_size: int = 0) -> int:
     return vset(members)
 
 
+def disjoint_union(*graphs: Graph) -> Graph:
+    edges = []
+    offset = 0
+    for h in graphs:
+        edges += [(u + offset, v + offset) for u, v in h.edge_list()]
+        offset += h.n
+    return Graph(offset, edges)
+
+
+@pytest.fixture
+def decided_levels(monkeypatch) -> list[tuple[int, int]]:
+    """(n, k) of every decision level run during the test, in order."""
+    from twsolve import solver
+
+    seen: list[tuple[int, int]] = []
+    decide = solver.decide
+
+    def logged(g, k, **kwargs):
+        seen.append((g.n, k))
+        return decide(g, k, **kwargs)
+
+    monkeypatch.setattr(solver, "decide", logged)
+    return seen
+
+
 @pytest.fixture
 def tmp_graph_file(tmp_path):
     def write(name: str, text: str) -> str:

@@ -6,6 +6,8 @@ from twsolve.families import mycielski_graph, random_connected_graph
 
 from twsolve.paceio import write_col as _col_text, write_gr as _gr_text
 
+from conftest import disjoint_union
+
 
 def test_exact_single_edge(tmp_graph_file, capsys):
     path = tmp_graph_file("edge.gr", "p tw 2 1\n1 2\n")
@@ -31,6 +33,7 @@ def test_exact_writes_valid_td_and_stats(tmp_graph_file, tmp_path, capsys):
         "pmcs_feasible",
     }
     assert set(stats["safe_separators"]) == {"found", "max_part"}
+    assert set(stats["parts"]) == {"total", "settled_by_bound", "levels"}
 
 
 def test_exact_col_format(tmp_graph_file, capsys):
@@ -90,11 +93,23 @@ def test_lb_zero_budget_disconnected_takes_largest_floor(tmp_graph_file, capsys)
     assert capsys.readouterr().out.strip() == "3"
 
 
+def test_lb_starts_later_components_at_best_bound(tmp_graph_file, capsys, decided_levels):
+    from twsolve.families import cycle_graph, grid_graph
+
+    # a 5-cycle (tw 2) listed before a 3x3 grid (tw 3)
+    g = disjoint_union(cycle_graph(5), grid_graph(3, 3))
+    path = tmp_graph_file("c5grid.gr", _gr_text(g))
+    assert main(["lb", path, "--time-limit", "60"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+    assert decided_levels[:2] == [(9, 2), (9, 3)]
+    assert decided_levels[2:] and all(k >= 3 for n, k in decided_levels if n == 5)
+
+
 def test_broken_witness_chain_exit_code(tmp_graph_file, capsys, monkeypatch):
     from twsolve import pipeline
     from twsolve.solver import PmcRecord, Witness
 
-    def broken(graph, stats_out=None):
+    def broken(graph, **kwargs):
         # the root's support component has no source clique
         return 1, Witness(graph.n, 0b11, {0b11: PmcRecord(0b11, 0, (0b100,))}, {})
 

@@ -1,9 +1,11 @@
 from hypothesis import given, settings, strategies as st
 
 from twsolve import oracle, pipeline, safesep
-from twsolve.families import complete_graph, random_connected_graph
+from twsolve.families import complete_graph, grid_graph, random_connected_graph
 from twsolve.graph import Graph
 from twsolve.tdbuild import validate
+
+from conftest import disjoint_union
 
 
 def triangle_chain(links: int) -> Graph:
@@ -13,15 +15,6 @@ def triangle_chain(links: int) -> Graph:
         a = 2 * i
         edges += [(a, a + 1), (a, a + 2), (a + 1, a + 2)]
     return Graph(2 * links + 1, edges)
-
-
-def disjoint_union(*graphs: Graph) -> Graph:
-    edges = []
-    offset = 0
-    for h in graphs:
-        edges += [(u + offset, v + offset) for u, v in h.edge_list()]
-        offset += h.n
-    return Graph(offset, edges)
 
 
 @st.composite
@@ -102,6 +95,13 @@ def test_report_shape():
     assert set(d["counters"]) == {"iblocks", "oblocks", "pmcs_buildable", "pmcs_feasible"}
     assert d["safe_separators"]["found"] == 0
     assert d["time_ms"] >= 0.0
+    # the elimination width 3 equals the minimum degree: no level runs
+    assert d["parts"] == {"total": 1, "settled_by_bound": 1, "levels": 0}
+    assert set(d["counters"].values()) == {0}
+    # levels 2 to 4 are negative, level 5 accepts below the elimination width 6
+    d = pipeline.solve(random_connected_graph(10, 25, 12), use_safe_separators=False)[2].as_dict()
+    assert d["parts"] == {"total": 1, "settled_by_bound": 0, "levels": 4}
+    assert d["counters"]["pmcs_feasible"] > 0
 
 
 def test_pipeline_matches_oracle_on_grid():
@@ -136,3 +136,42 @@ def test_glued_components_match_oracle(a, b):
     assert tw == max(oracle.bf_treewidth(a), oracle.bf_treewidth(b))
     assert validate(g, td) == []
     assert td.width() == tw
+
+
+def test_negative_level_below_elimination_width_settles(decided_levels):
+    g = grid_graph(4, 4)
+    assert g.min_degree() == 2
+    assert max(nb.bit_count() for nb in safesep.greedy_elimination(g, "min_fill")[1]) == 4
+    tw, td, report = pipeline.solve(g, use_safe_separators=False)
+    assert decided_levels == [(16, 2), (16, 3)]
+    assert tw == td.width() == 4
+    assert validate(g, td) == []
+    assert report.parts == {"total": 1, "settled_by_bound": 1, "levels": 2}
+
+
+def test_no_level_runs_on_parts_settled_by_bound(decided_levels):
+    alone = pipeline.solve(grid_graph(4, 4))
+    grid_levels = list(decided_levels)
+    decided_levels.clear()
+    g = disjoint_union(grid_graph(4, 4), triangle_chain(5))
+    tw, td, report = pipeline.solve(g)
+    assert decided_levels == grid_levels  # no level runs on the chain
+    assert tw == alone[0] == 4
+    assert validate(g, td) == []
+    assert report.parts["total"] == alone[2].parts["total"] + 5
+
+
+def test_parallel_jobs_agree_when_running_maximum_prunes():
+    # the 5x5 grid is solved first: levels 2 to 4 are negative below its
+    # elimination width 5.  The smaller part has minimum degree 3 and
+    # elimination width 6, so it runs level 5 alone, which accepts; starting
+    # it one level higher would report width 6.
+    small = random_connected_graph(10, 25, 3)
+    assert small.min_degree() == 3 and oracle.bf_treewidth(small) == 5
+    g = disjoint_union(grid_graph(5, 5), small)
+    runs = [pipeline.solve(g, use_safe_separators=False, jobs=jobs) for jobs in (1, 2)]
+    for tw, td, report in runs:
+        assert tw == td.width() == 5
+        assert validate(g, td) == []
+        assert report.parts == {"total": 2, "settled_by_bound": 1, "levels": 4}
+    assert runs[0][2].counters == runs[1][2].counters

@@ -154,6 +154,18 @@ def test_levels_ascend_from_min_degree_to_first_acceptance():
     assert single.answer and single.stats.k == 0
 
 
+def test_levels_between_bounds():
+    g = grid_graph(3, 3)  # minimum degree 2, treewidth 3
+    assert [r.stats.k for r in levels(g, lower=3)] == [3]
+    assert [r.answer for r in levels(g, upper=3)] == [False]
+    assert list(levels(g, lower=4, upper=4)) == []
+    assert treewidth(g, upper=3) == (3, None)  # level 2 negative: exact
+    assert treewidth(g, upper=2) == (2, None)  # empty range
+    tw, wit = treewidth(g, lower=2, upper=5)
+    assert tw == 3 and wit is not None
+    assert list(levels(path_graph(3), lower=3)) == []  # no level below n remains
+
+
 def test_levels_raise_when_no_level_accepts(monkeypatch):
     def reject(g, k, **kwargs):
         return solver.DecideResult(False, solver.SolverStats(g.n, k, False))

@@ -1,3 +1,5 @@
+from hypothesis import given, strategies as st
+
 from twsolve.families import (
     complete_graph,
     cycle_graph,
@@ -5,10 +7,11 @@ from twsolve.families import (
     star_graph,
 )
 from twsolve.graph import Graph
+from twsolve.safesep import greedy_elimination
 from twsolve.solver import treewidth
-from twsolve.tdbuild import TreeDecomposition, extract, validate
+from twsolve.tdbuild import TreeDecomposition, Violation, extract, from_elimination, validate
 
-from conftest import mask
+from conftest import connected_graphs, mask
 
 
 def test_extract_triangle_single_bag():
@@ -90,3 +93,65 @@ def test_validate_accepts_single_vertex():
 def test_width_of_empty_decomposition():
     assert TreeDecomposition(0, [], []).width() == -1
     assert TreeDecomposition(0, [0], []).width() == -1
+
+
+@given(connected_graphs(max_n=12), st.sampled_from(["min_fill", "min_degree"]))
+def test_elimination_decomposition_validates(g, mode):
+    order, nbs = greedy_elimination(g, mode)
+    assert sorted(order) == list(range(g.n))
+    td = from_elimination(g, order, nbs)
+    assert validate(g, td) == []
+    assert td.width() == max(nb.bit_count() for nb in nbs)
+
+
+def test_elimination_decomposition_of_disconnected_graph():
+    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    td = from_elimination(g, *greedy_elimination(g, "min_degree"))
+    assert validate(g, td) == [] and td.width() == 1
+
+
+def quadratic_occurrence_violations(g: Graph, td: TreeDecomposition) -> list[Violation]:
+    """Reference occurrence check: for each vertex, count the tree edges
+    inside the set of bags that contain it."""
+    out = []
+    for v in range(g.n):
+        nodes = [i for i, b in enumerate(td.bags) if b >> v & 1]
+        if not nodes:
+            continue
+        node_set = set(nodes)
+        inner_edges = sum(1 for a, b in td.edges if a in node_set and b in node_set)
+        if inner_edges != len(nodes) - 1:
+            out.append(
+                Violation(
+                    "occurrence-disconnected",
+                    f"bags containing vertex {v} do not induce a subtree",
+                )
+            )
+    return out
+
+
+@st.composite
+def bag_trees(draw) -> tuple[Graph, TreeDecomposition]:
+    """Random bags (some reaching past the graph) joined by a random tree,
+    sometimes with an edge dropped, doubled or added."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    nbags = draw(st.integers(min_value=1, max_value=8))
+    bags = draw(st.lists(st.integers(0, (1 << (n + 1)) - 1), min_size=nbags, max_size=nbags))
+    edges = [(draw(st.integers(0, i - 1)), i) for i in range(1, nbags)]
+    tweak = draw(st.sampled_from(["none", "drop", "double", "add"]))
+    if tweak == "drop" and edges:
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    elif tweak == "double" and edges:
+        edges.append(edges[draw(st.integers(0, len(edges) - 1))])
+    elif tweak == "add":
+        edges.append((draw(st.integers(0, nbags - 1)), draw(st.integers(0, nbags - 1))))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    graph_edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, graph_edges), TreeDecomposition(n, bags, edges)
+
+
+@given(bag_trees())
+def test_occurrence_check_matches_quadratic_reference(case):
+    g, td = case
+    linear = [p for p in validate(g, td) if p.kind == "occurrence-disconnected"]
+    assert linear == quadratic_occurrence_violations(g, td)
