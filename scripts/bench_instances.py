@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
 """Benchmark the solver on the standard instances and print a results table.
 
-Generated families run out of the box; file-based instances run when their
-files are under instances/ (see instances/README.md).  Pass --include-hard
-to also attempt the long-running rows (queen8_8 and up); those can take
-hours and are not part of the acceptance gate.
+Generated families run out of the box: Mycielski and queen graphs, and the
+sparse random rows random_connected_graph(150, 187, i) for i = 0..4, where
+safe-separator preprocessing splits each graph into dozens of parts.
+File-based instances run when their files are under instances/ (see
+instances/README.md).  Pass --include-hard to also attempt the long-running
+rows (queen8_8 and up); those can take hours and are not part of the
+acceptance gate.
 """
 
 import argparse
@@ -15,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from twsolve import paceio, pipeline
-from twsolve.families import mycielski_graph, queen_graph
+from twsolve.families import mycielski_graph, queen_graph, random_connected_graph
 
 INSTANCE_DIR = Path(__file__).resolve().parent.parent / "instances"
 
@@ -26,6 +29,8 @@ EASY = [
     ("queen5_5", lambda: queen_graph(5, 5)),
     ("queen6_6", lambda: queen_graph(6, 6)),
     ("queen7_7", lambda: queen_graph(7, 7)),
+] + [
+    (f"sparse150_{i}", lambda i=i: random_connected_graph(150, 187, i)) for i in range(5)
 ]
 HARD = [
     ("myciel6", lambda: mycielski_graph(6)),

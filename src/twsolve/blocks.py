@@ -36,9 +36,18 @@ def first_full_component(g: Graph, s: int) -> int:
     return 0
 
 
-def is_minimal_separator(g: Graph, s: int) -> bool:
+def is_minimal_separator(
+    g: Graph, s: int, comps_nbs: list[tuple[int, int]] | None = None
+) -> bool:
+    """True iff at least two full components are associated with ``s``.
+
+    ``comps_nbs`` may carry the precomputed components associated with ``s``
+    and their neighborhoods.
+    """
+    if comps_nbs is None:
+        comps_nbs = g.components_with_neighborhoods(s)
     count = 0
-    for c, nb in g.components_with_neighborhoods(s):
+    for c, nb in comps_nbs:
         if nb == s:
             count += 1
             if count == 2:

@@ -150,7 +150,7 @@ def solve(
         "pmcs_buildable": 0,
         "pmcs_feasible": 0,
     }
-    report.safe_separators = {"found": 0, "max_part": g.n}
+    report.safe_separators = {"found": 0, "max_part": g.n, **dict.fromkeys(safesep.TALLY_KEYS, 0)}
     report.parts = {"total": 0, "settled_by_bound": 0, "levels": 0}
     if g.n == 0:
         td = TreeDecomposition(0, [0], [])
@@ -162,7 +162,10 @@ def solve(
     for comp in g.components(0):
         sub, labels = g.subgraph(comp)
         if use_safe_separators and sub.n > 2:
-            components.append(safesep.decompose(sub, step_budget, labels).root)
+            split = safesep.decompose(sub, step_budget, labels)
+            components.append(split.root)
+            for key, value in split.tally.items():
+                report.safe_separators[key] += value
         else:
             components.append(safesep.DecompNode(sub, labels))
     root = safesep.DecompNode(g, list(range(g.n)), 0, children=components)

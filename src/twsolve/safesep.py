@@ -7,13 +7,18 @@ completing such a separator into a clique cannot raise the treewidth, so the
 instance splits into one independent subproblem per component.
 
 Candidates come from greedy elimination decompositions (min-fill and
-min-degree).  Clique and almost-clique minimal separators are accepted
-outright; everything else goes through a two-phase contraction heuristic.
-Phase one contracts edges outside the separator to build up clusters that
-neighbor both ends of missing separator edges; phase two spends those
-clusters, one per missing edge, contracting each into an endpoint.  Every
-yes verdict carries explicit contraction evidence and is re-verified before
-it is trusted.
+min-degree); each candidate's components are computed once and shared by
+the minimality test, the scoring and the check.  Clique and almost-clique
+minimal separators are accepted outright; everything else goes through a
+two-phase contraction heuristic (after Bodlaender & Koster, "Safe separators
+for treewidth", Discrete Math. 2006).  Phase one contracts edges outside the
+separator to build up clusters that neighbor both ends of missing separator
+edges.  It only merges clusters adjacent to the separator, since no other
+merge can cover a missing edge, but every adjacent pair of clusters it
+passes over still counts one step against the budget.  Phase two spends
+those clusters, one per missing edge, contracting each into an endpoint.
+Every yes verdict carries explicit contraction evidence and is re-verified
+before it is trusted.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .blocks import is_minimal_separator
-from .graph import Graph, bit_list, bits, min_vertex, vset
+from .graph import Graph, bit_list, bits, vset
 
 __all__ = [
     "ABORTED",
@@ -31,6 +36,7 @@ __all__ = [
     "Decomposition",
     "DecompNode",
     "SafeSeparatorReport",
+    "TALLY_KEYS",
     "best_elimination",
     "candidate_separators",
     "decompose",
@@ -43,6 +49,8 @@ __all__ = [
 YES = "yes"
 DONT_KNOW = "dont-know"
 ABORTED = "aborted"
+# keys of Decomposition.tally
+TALLY_KEYS = ("checks", "yes", "dont_know", "aborted", "steps")
 
 
 @dataclass
@@ -73,39 +81,42 @@ def greedy_elimination(g: Graph, mode: str) -> tuple[list[int], list[int]]:
     """
     adj = list(g.adj)
     alive = g.full_mask
+    min_degree = mode == "min_degree"
+
+    def key(v: int) -> int:
+        nb = adj[v] & alive
+        if min_degree:
+            return nb.bit_count()
+        fill = 0
+        while nb:
+            ub = nb & -nb
+            nb ^= ub
+            fill += (nb & ~adj[ub.bit_length() - 1]).bit_count()
+        return fill
+
+    keys = [key(v) for v in range(g.n)]
+    remaining = list(range(g.n))  # ascending: min takes the lowest index of least key
     order = []
     out = []
-    for _ in range(g.n):
-        best = None
-        best_key = None
-        rem = alive
-        while rem:
-            vb = rem & -rem
-            rem ^= vb
-            v = vb.bit_length() - 1
-            nb = adj[v] & alive
-            if mode == "min_degree":
-                key = nb.bit_count()
-            else:
-                fill = 0
-                m = nb
-                while m:
-                    ub = m & -m
-                    m ^= ub
-                    fill += (m & ~adj[ub.bit_length() - 1]).bit_count()
-                key = fill
-            if best_key is None or key < best_key:
-                best_key = key
-                best = v
+    while remaining:
+        best = min(remaining, key=keys.__getitem__)
+        remaining.remove(best)
         nb = adj[best] & alive
         order.append(best)
         out.append(nb)
+        stale = nb
         m = nb
         while m:
             ub = m & -m
             m ^= ub
-            adj[ub.bit_length() - 1] |= nb & ~ub
+            u = ub.bit_length() - 1
+            adj[u] |= nb & ~ub
+            if not min_degree:
+                stale |= adj[u]
         alive &= ~(1 << best)
+        # a key changes only where the neighborhood, or the edges inside it, did
+        for u in bits(stale & alive):
+            keys[u] = key(u)
     return order, out
 
 
@@ -131,15 +142,24 @@ def candidate_separators(
     adjacent-bag intersection of the resulting decomposition.  Deduplicated,
     filtered to minimal separators, sizes ascending.
     """
+    return [s for s, _ in _minimal_separators(g, elims)]
+
+
+def _minimal_separators(
+    g: Graph, elims: list[tuple[list[int], list[int]]] | None
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """The candidates of :func:`candidate_separators`, each with its
+    components and their neighborhoods."""
     seen: set[int] = set()
-    out: list[int] = []
+    out = []
     for _, nbs in elims or _eliminations(g):
         for s in nbs:
             if s and s not in seen:
                 seen.add(s)
-                if is_minimal_separator(g, s):
-                    out.append(s)
-    out.sort(key=lambda s: (s.bit_count(), s))
+                comps_nbs = g.components_with_neighborhoods(s)
+                if is_minimal_separator(g, s, comps_nbs):
+                    out.append((s, comps_nbs))
+    out.sort(key=lambda e: (e[0].bit_count(), e[0]))
     return out
 
 
@@ -193,14 +213,24 @@ def verify_minor_evidence(
     return True
 
 
-def heuristic_minor_safe(g: Graph, s: int, step_budget: int = 10000) -> SafeSeparatorReport:
+def heuristic_minor_safe(
+    g: Graph,
+    s: int,
+    step_budget: int = 10000,
+    comps_nbs: list[tuple[int, int]] | None = None,
+) -> SafeSeparatorReport:
     """Decide minor-safety of minimal separator ``s``: yes with verified
     evidence, don't-know, or aborted on budget exhaustion.
 
     The budget counts execution steps per (separator, component) pair:
-    contractions plus candidate-contraction evaluations.
+    contractions plus candidate-contraction evaluations.  Phase one only
+    merges clusters that touch ``s``, but every pair of adjacent clusters it
+    passes over still counts one step, as if it had been evaluated.
+    ``comps_nbs`` may carry the precomputed components associated with ``s``
+    and their neighborhoods.
     """
-    comps_nbs = g.components_with_neighborhoods(s)
+    if comps_nbs is None:
+        comps_nbs = g.components_with_neighborhoods(s)
     comps = [c for c, _ in comps_nbs]
     if g.is_clique(s):
         return SafeSeparatorReport(s, YES, [{} for _ in comps])
@@ -244,8 +274,7 @@ def _clique_minor_search(
     """Two-phase contraction search for a labelled clique minor of ``s`` in
     the graph minus ``component``."""
     adj = g.adj
-    allowed = g.full_mask & ~component
-    r = allowed & ~s
+    r = g.full_mask & ~component & ~s
     steps = 0
 
     missing = []
@@ -257,43 +286,38 @@ def _clique_minor_search(
     if not missing:
         return YES, {}, steps
 
-    # clusters over r: member mask -> set of adjacent separator vertices
-    members: list[int] = [1 << v for v in bits(r)]
-    sadj: list[int] = [adj[v] & s for v in bits(r)]
-    radj: list[int] = [adj[v] & r & ~(1 << v) for v in bits(r)]
-    alive = list(range(len(members)))
+    # clusters of r, named by their smallest vertex.  A merge can only cover
+    # a missing pair when both clusters touch s, so only those clusters are
+    # kept and merged; every other vertex of r stays a singleton whose
+    # adjacent pairs are still counted, one step each, in ``pairs``.
+    touch = g.open_neighborhood(s) & r
+    members = {v: 1 << v for v in bits(touch)}
+    sadj = {v: adj[v] & s for v in bits(touch)}
+    cadj = {v: adj[v] & r for v in bits(touch)}  # names of adjacent clusters
+    alive = r.bit_count()
+    low = alive - sum(1 for a in sadj.values() if a.bit_count() >= 2)  # see fewer than two of s
 
-    def pair_count(u: int, v: int) -> int:
-        uv = 1 << u | 1 << v
-        return sum(1 for i in alive if sadj[i] & uv == uv)
-
-    # phase one: grow clusters that cover missing pairs
-    while len(alive) > 1 and steps < step_budget:
-        if all(sadj[i].bit_count() >= 2 for i in alive):
-            break
-        counts = {p: pair_count(*p) for p in missing}
-        cur_min = min(counts.values())
+    # phase one: grow clusters that cover missing pairs; its set-up is
+    # skipped when no round will run, as when every cluster sees two of s
+    if alive > 1 and low:
+        pairs = sum((adj[v] & r).bit_count() for v in bits(r)) // 2  # adjacent cluster pairs
+        uvs = [1 << u | 1 << v for u, v in missing]
+        counts = [sum(1 for a in sadj.values() if a & uv == uv) for uv in uvs]
+    while alive > 1 and steps < step_budget and low:
+        if steps + pairs >= step_budget:
+            return ABORTED, {}, step_budget
+        steps += pairs
         best = None
         best_key = None
-        for ai in range(len(alive)):
-            i = alive[ai]
-            for aj in range(ai + 1, len(alive)):
-                j = alive[aj]
-                if not (radj[i] & members[j]):
-                    continue
-                steps += 1
-                if steps >= step_budget:
-                    return ABORTED, {}, steps
-                merged = sadj[i] | sadj[j]
+        for i in bits(touch):  # adjacent pairs i < j that both touch s
+            si = sadj[i]
+            for j in bits(cadj[i] & touch & ~((2 << i) - 1)):
+                sj = sadj[j]
+                merged = si | sj
                 improves = False
                 new_min = None
-                for (u, v), cnt in counts.items():
-                    uv = 1 << u | 1 << v
-                    delta = (
-                        (1 if merged & uv == uv else 0)
-                        - (1 if sadj[i] & uv == uv else 0)
-                        - (1 if sadj[j] & uv == uv else 0)
-                    )
+                for uv, cnt in zip(uvs, counts):
+                    delta = (merged & uv == uv) - (si & uv == uv) - (sj & uv == uv)
                     if delta > 0:
                         improves = True
                     val = cnt + delta
@@ -301,23 +325,34 @@ def _clique_minor_search(
                         new_min = val
                 if not improves:
                     continue
-                key = (new_min, -min_vertex(members[i]), -min_vertex(members[j]))
+                key = (new_min, -i, -j)
                 if best_key is None or key > best_key:
                     best_key = key
                     best = (i, j)
         if best is None:
             break
         i, j = best
-        members[i] |= members[j]
-        sadj[i] |= sadj[j]
-        radj[i] = (radj[i] | radj[j]) & ~members[i]
-        alive.remove(j)
+        si, sj = sadj[i], sadj.pop(j)
+        merged = sadj[i] = si | sj
+        counts = [
+            cnt + (merged & uv == uv) - (si & uv == uv) - (sj & uv == uv)
+            for uv, cnt in zip(uvs, counts)
+        ]
+        low += (merged.bit_count() < 2) - (si.bit_count() < 2) - (sj.bit_count() < 2)
+        ci, cj = cadj[i], cadj.pop(j)
+        cadj[i] = (ci | cj) & ~(1 << i | 1 << j)
+        pairs += cadj[i].bit_count() + 1 - ci.bit_count() - cj.bit_count()
+        for k in bits(cj & touch & ~(1 << i)):
+            cadj[k] = cadj[k] & ~(1 << j) | 1 << i
+        members[i] |= members.pop(j)
+        touch &= ~(1 << j)
+        alive -= 1
         steps += 1
 
     # phase two: spend one cluster per missing edge
     sadj_now = {u: adj[u] & s for u in bits(s)}
     bags: dict[int, int] = {}
-    unused = set(alive)
+    unused = {i for i in bits(touch) if sadj[i].bit_count() >= 2}
     while True:
         missing = [
             (u, v)
@@ -356,7 +391,7 @@ def _clique_minor_search(
                         rest_min = cnt
                 key = (
                     rest_min if rest_min is not None else g.n + 1,
-                    -min_vertex(members[w]),
+                    -w,
                     -side,
                 )
                 if best_key is None or key > best_key:
@@ -401,8 +436,14 @@ class DecompNode:
 
 @dataclass
 class Decomposition:
+    """The splitting tree, the applied separators in the labels of the root,
+    and a ``tally`` of the minor-safety checks run: ``checks``, one count
+    per verdict (``yes``, ``dont_know``, ``aborted``) and the ``steps`` they
+    used."""
+
     root: DecompNode
     applied_separators: list[int] = field(default_factory=list)
+    tally: dict[str, int] = field(default_factory=lambda: dict.fromkeys(TALLY_KEYS, 0))
 
     @property
     def parts(self) -> list[tuple[Graph, list[int]]]:
@@ -432,44 +473,48 @@ def decompose(
     vertices of ``g`` (the identity by default).  Every leaf keeps the better
     of the greedy eliminations its separator search ran.
     """
-    root = DecompNode(g, list(range(g.n)) if labels is None else labels)
-    applied: list[int] = []
-    stack = [root]
+    out = Decomposition(DecompNode(g, list(range(g.n)) if labels is None else labels))
+    stack = [out.root]
     while stack:
         node = stack.pop()
         elims = _eliminations(node.graph)
-        report = _find_safe_separator(node.graph, elims, step_budget)
-        if report is None:
+        found = _find_safe_separator(node.graph, elims, step_budget, out.tally)
+        if found is None:
             node.elimination = best_elimination(node.graph, elims)
             continue
+        report, comps_nbs = found
         node.report = report
         node.separator = vset(node.to_root[v] for v in bits(report.separator))
-        applied.append(node.separator)
-        for comp, nb in node.graph.components_with_neighborhoods(report.separator):
+        out.applied_separators.append(node.separator)
+        for comp, nb in comps_nbs:
             part, part_labels = node.graph.subgraph(comp | nb, make_clique=nb)
             child = DecompNode(part, [node.to_root[v] for v in part_labels])
             node.children.append(child)
             stack.append(child)
-    return Decomposition(root, applied)
+    return out
 
 
 def _find_safe_separator(
-    g: Graph, elims: list[tuple[list[int], list[int]]], step_budget: int
-) -> SafeSeparatorReport | None:
+    g: Graph,
+    elims: list[tuple[list[int], list[int]]],
+    step_budget: int,
+    tally: dict[str, int],
+) -> tuple[SafeSeparatorReport, list[tuple[int, int]]] | None:
+    """The first candidate found minor-safe, with its components and their
+    neighborhoods; every check is added to ``tally``."""
     if g.n <= 2:
         return None
     scored = []
-    for s in candidate_separators(g, elims):
-        sizes = [
-            (c | nb).bit_count() for c, nb in g.components_with_neighborhoods(s)
-        ]
-        reduction = g.n - max(sizes)
-        if reduction <= 0:
-            continue
-        scored.append((-reduction, s.bit_count(), s))
-    scored.sort()
-    for _, _, s in scored:
-        report = heuristic_minor_safe(g, s, step_budget)
+    for s, comps_nbs in _minimal_separators(g, elims):
+        reduction = g.n - max((c | nb).bit_count() for c, nb in comps_nbs)
+        if reduction > 0:
+            scored.append((-reduction, s.bit_count(), s, comps_nbs))
+    scored.sort(key=lambda e: e[:3])
+    for _, _, s, comps_nbs in scored:
+        report = heuristic_minor_safe(g, s, step_budget, comps_nbs)
+        tally["checks"] += 1
+        tally[report.verdict.replace("-", "_")] += 1
+        tally["steps"] += report.steps_used
         if report.verdict == YES:
-            return report
+            return report, comps_nbs
     return None

@@ -32,7 +32,12 @@ def test_exact_writes_valid_td_and_stats(tmp_graph_file, tmp_path, capsys):
         "pmcs_buildable",
         "pmcs_feasible",
     }
-    assert set(stats["safe_separators"]) == {"found", "max_part"}
+    assert set(stats["safe_separators"]) == {
+        "found", "max_part", "checks", "yes", "dont_know", "aborted", "steps",
+    }
+    checks = stats["safe_separators"]
+    assert checks["checks"] == checks["yes"] + checks["dont_know"] + checks["aborted"]
+    assert checks["yes"] == checks["found"]
     assert set(stats["parts"]) == {"total", "settled_by_bound", "levels"}
 
 

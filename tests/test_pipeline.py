@@ -27,6 +27,27 @@ def separator_rich_graphs(draw, max_n: int = 9) -> Graph:
     return random_connected_graph(n, n - 1 + extra, seed)
 
 
+@st.composite
+def bridged_blocks(draw) -> Graph:
+    """Two to four small random connected blocks, each joined to the graph
+    built so far by one bridge.  The bridge ends are cut vertices, so the
+    graph splits at several levels; n stays at most 16, within reach of the
+    brute-force oracle."""
+    count = draw(st.integers(min_value=2, max_value=4))
+    edges = []
+    n = 0
+    for _ in range(count):
+        size = draw(st.integers(min_value=3, max_value=16 // count))
+        extra = draw(st.integers(min_value=0, max_value=size))
+        seed = draw(st.integers(min_value=0, max_value=10**6))
+        block = random_connected_graph(size, size - 1 + extra, seed)
+        if n:
+            edges.append((draw(st.integers(0, n - 1)), n + draw(st.integers(0, size - 1))))
+        edges += [(u + n, v + n) for u, v in block.edge_list()]
+        n += size
+    return Graph(n, edges)
+
+
 def test_deep_decomposition_chain():
     g = triangle_chain(30)
     tw, td, report = pipeline.solve(g)
@@ -88,12 +109,15 @@ def test_parallel_jobs_agree():
     assert validate(g, td2) == []
 
 
-def test_report_shape():
+def test_report_shape(monkeypatch):
     _, _, report = pipeline.solve(complete_graph(4), instance="k4")
     d = report.as_dict()
     assert d["instance"] == "k4" and d["tw"] == 3
     assert set(d["counters"]) == {"iblocks", "oblocks", "pmcs_buildable", "pmcs_feasible"}
-    assert d["safe_separators"]["found"] == 0
+    assert d["safe_separators"] == {
+        "found": 0, "max_part": 4, "checks": 0, "yes": 0, "dont_know": 0, "aborted": 0,
+        "steps": 0,
+    }
     assert d["time_ms"] >= 0.0
     # the elimination width 3 equals the minimum degree: no level runs
     assert d["parts"] == {"total": 1, "settled_by_bound": 1, "levels": 0}
@@ -102,6 +126,27 @@ def test_report_shape():
     d = pipeline.solve(random_connected_graph(10, 25, 12), use_safe_separators=False)[2].as_dict()
     assert d["parts"] == {"total": 1, "settled_by_bound": 0, "levels": 4}
     assert d["counters"]["pmcs_feasible"] > 0
+    assert d["safe_separators"]["checks"] == 0
+    # every minor-safety check run while splitting is tallied, by verdict
+    reports = []
+    check = safesep.heuristic_minor_safe
+
+    def logged(*args):
+        reports.append(check(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(safesep, "heuristic_minor_safe", logged)
+    g = disjoint_union(random_connected_graph(40, 50, 3), random_connected_graph(12, 15, 0))
+    for budget in (10000, 2):
+        reports.clear()
+        d = pipeline.solve(g, step_budget=budget)[2].as_dict()["safe_separators"]
+        verdicts = [r.verdict for r in reports]
+        assert d["checks"] == len(reports) > d["yes"] > 0
+        assert d["yes"] == verdicts.count(safesep.YES) == d["found"]
+        assert d["dont_know"] == verdicts.count(safesep.DONT_KNOW)
+        assert d["aborted"] == verdicts.count(safesep.ABORTED)
+        assert d["steps"] == sum(r.steps_used for r in reports) > 0
+    assert d["aborted"] > 0
 
 
 def test_pipeline_matches_oracle_on_grid():
@@ -175,3 +220,13 @@ def test_parallel_jobs_agree_when_running_maximum_prunes():
         assert validate(g, td) == []
         assert report.parts == {"total": 2, "settled_by_bound": 1, "levels": 4}
     assert runs[0][2].counters == runs[1][2].counters
+
+
+@given(bridged_blocks())
+@settings(max_examples=30)
+def test_nested_splits_match_oracle(g):
+    tw, td, report = pipeline.solve(g)
+    assert report.safe_separators["found"] >= 2
+    assert tw == oracle.bf_treewidth(g)
+    assert validate(g, td) == []
+    assert td.width() == tw

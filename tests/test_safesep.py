@@ -1,3 +1,7 @@
+from collections import Counter
+
+from hypothesis import given
+
 from twsolve import oracle, safesep
 from twsolve.families import (
     complete_graph,
@@ -5,9 +9,10 @@ from twsolve.families import (
     path_graph,
     random_connected_graph,
 )
-from twsolve.graph import Graph
+from twsolve.graph import Graph, bits, min_vertex
+from twsolve.safesep import ABORTED, DONT_KNOW, YES
 
-from conftest import mask
+from conftest import connected_graphs, mask
 
 
 def two_triangles() -> Graph:
@@ -137,6 +142,21 @@ def test_decompose_soundness_against_oracle():
     assert applied >= 20
 
 
+def test_decompose_computes_components_once_per_candidate(monkeypatch):
+    calls = Counter()
+    components = Graph.components_with_neighborhoods
+
+    def counted(graph, s):
+        calls[id(graph), s] += 1
+        return components(graph, s)
+
+    monkeypatch.setattr(Graph, "components_with_neighborhoods", counted)
+    d = safesep.decompose(random_connected_graph(40, 50, 3))
+    # minimality, scoring, the check and the split share one component pass
+    assert d.applied_separators and d.tally["checks"] > d.tally["yes"]
+    assert set(calls.values()) == {1}
+
+
 def test_decompose_strictly_shrinks():
     for seed in range(20):
         g = random_connected_graph(11, 14, 12345 + seed)
@@ -164,3 +184,194 @@ def test_general_two_phase_path():
     for (comp, _), ev in zip(g.components_with_neighborhoods(s), report.evidence):
         assert ev, "the general path must record contractions"
         assert safesep.verify_minor_evidence(g, s, comp, ev)
+
+
+def reference_greedy_elimination(g: Graph, mode: str) -> tuple[list[int], list[int]]:
+    """Reference min-fill/min-degree elimination: rescans every alive vertex
+    for each step."""
+    adj = list(g.adj)
+    alive = g.full_mask
+    order = []
+    out = []
+    for _ in range(g.n):
+        best = None
+        best_key = None
+        rem = alive
+        while rem:
+            vb = rem & -rem
+            rem ^= vb
+            v = vb.bit_length() - 1
+            nb = adj[v] & alive
+            if mode == "min_degree":
+                key = nb.bit_count()
+            else:
+                fill = 0
+                m = nb
+                while m:
+                    ub = m & -m
+                    m ^= ub
+                    fill += (m & ~adj[ub.bit_length() - 1]).bit_count()
+                key = fill
+            if best_key is None or key < best_key:
+                best_key = key
+                best = v
+        nb = adj[best] & alive
+        order.append(best)
+        out.append(nb)
+        m = nb
+        while m:
+            ub = m & -m
+            m ^= ub
+            adj[ub.bit_length() - 1] |= nb & ~ub
+        alive &= ~(1 << best)
+    return order, out
+
+
+def reference_clique_minor_search(
+    g: Graph, s: int, component: int, step_budget: int
+) -> tuple[str, dict[int, int], int]:
+    """Reference two-phase search: scans every pair of alive clusters on every
+    merge and recounts the coverage of every missing pair."""
+    adj = g.adj
+    allowed = g.full_mask & ~component
+    r = allowed & ~s
+    steps = 0
+
+    missing = []
+    for u in bits(s):
+        rem = s & ~((1 << (u + 1)) - 1)
+        for v in bits(rem):
+            if not adj[u] >> v & 1:
+                missing.append((u, v))
+    if not missing:
+        return YES, {}, steps
+
+    # clusters over r: member mask -> set of adjacent separator vertices
+    members: list[int] = [1 << v for v in bits(r)]
+    sadj: list[int] = [adj[v] & s for v in bits(r)]
+    radj: list[int] = [adj[v] & r & ~(1 << v) for v in bits(r)]
+    alive = list(range(len(members)))
+
+    def pair_count(u: int, v: int) -> int:
+        uv = 1 << u | 1 << v
+        return sum(1 for i in alive if sadj[i] & uv == uv)
+
+    # phase one: grow clusters that cover missing pairs
+    while len(alive) > 1 and steps < step_budget:
+        if all(sadj[i].bit_count() >= 2 for i in alive):
+            break
+        counts = {p: pair_count(*p) for p in missing}
+        cur_min = min(counts.values())
+        best = None
+        best_key = None
+        for ai in range(len(alive)):
+            i = alive[ai]
+            for aj in range(ai + 1, len(alive)):
+                j = alive[aj]
+                if not (radj[i] & members[j]):
+                    continue
+                steps += 1
+                if steps >= step_budget:
+                    return ABORTED, {}, steps
+                merged = sadj[i] | sadj[j]
+                improves = False
+                new_min = None
+                for (u, v), cnt in counts.items():
+                    uv = 1 << u | 1 << v
+                    delta = (
+                        (1 if merged & uv == uv else 0)
+                        - (1 if sadj[i] & uv == uv else 0)
+                        - (1 if sadj[j] & uv == uv else 0)
+                    )
+                    if delta > 0:
+                        improves = True
+                    val = cnt + delta
+                    if new_min is None or val < new_min:
+                        new_min = val
+                if not improves:
+                    continue
+                key = (new_min, -min_vertex(members[i]), -min_vertex(members[j]))
+                if best_key is None or key > best_key:
+                    best_key = key
+                    best = (i, j)
+        if best is None:
+            break
+        i, j = best
+        members[i] |= members[j]
+        sadj[i] |= sadj[j]
+        radj[i] = (radj[i] | radj[j]) & ~members[i]
+        alive.remove(j)
+        steps += 1
+
+    # phase two: spend one cluster per missing edge
+    sadj_now = {u: adj[u] & s for u in bits(s)}
+    bags: dict[int, int] = {}
+    unused = set(alive)
+    while True:
+        missing = [
+            (u, v)
+            for u in bits(s)
+            for v in bits(s & ~((1 << (u + 1)) - 1))
+            if not sadj_now[u] >> v & 1
+        ]
+        if not missing:
+            return YES, dict(bags), steps
+        if steps >= step_budget:
+            return ABORTED, {}, steps
+        cands = {
+            p: [i for i in unused if sadj[i] & (1 << p[0] | 1 << p[1]) == (1 << p[0] | 1 << p[1])]
+            for p in missing
+        }
+        (u, v) = min(missing, key=lambda p: (len(cands[p]), p))
+        if not cands[(u, v)]:
+            return DONT_KNOW, {}, steps
+        best = None
+        best_key = None
+        for w in cands[(u, v)]:
+            for side, mate in ((u, v), (v, u)):
+                steps += 1
+                if steps >= step_budget:
+                    return ABORTED, {}, steps
+                rest_min = None
+                for (x, y) in missing:
+                    if (x, y) == (u, v):
+                        continue
+                    if x == side and sadj[w] >> y & 1:
+                        continue
+                    if y == side and sadj[w] >> x & 1:
+                        continue
+                    cnt = sum(1 for i in cands[(x, y)] if i != w)
+                    if rest_min is None or cnt < rest_min:
+                        rest_min = cnt
+                key = (
+                    rest_min if rest_min is not None else g.n + 1,
+                    -min_vertex(members[w]),
+                    -side,
+                )
+                if best_key is None or key > best_key:
+                    best_key = key
+                    best = (w, side)
+        w, side = best
+        bags[side] = bags.get(side, 0) | members[w]
+        unused.discard(w)
+        gained = sadj[w] & ~(1 << side)
+        sadj_now[side] |= gained
+        for x in bits(gained):
+            sadj_now[x] |= 1 << side
+        steps += 1
+
+
+@given(connected_graphs(max_n=30))
+def test_clique_minor_search_matches_reference(g):
+    for s in safesep.candidate_separators(g):
+        for comp in g.components(s):
+            for budget in (1, 3, 10, 10000):
+                assert safesep._clique_minor_search(
+                    g, s, comp, budget
+                ) == reference_clique_minor_search(g, s, comp, budget)
+
+
+@given(connected_graphs(max_n=30))
+def test_greedy_elimination_matches_reference(g):
+    for mode in ("min_fill", "min_degree"):
+        assert safesep.greedy_elimination(g, mode) == reference_greedy_elimination(g, mode)
