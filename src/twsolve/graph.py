@@ -108,9 +108,6 @@ class Graph:
             m ^= b
         return nbrs & ~u
 
-    def closed_neighborhood(self, u: int) -> int:
-        return self.open_neighborhood(u) | u
-
     def components(self, s: int) -> list[int]:
         """Connected components of the graph minus ``s``, ascending by minimum vertex."""
         return [c for c, _ in self.components_with_neighborhoods(s)]

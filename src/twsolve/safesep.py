@@ -225,7 +225,8 @@ def heuristic_minor_safe(
     The budget counts execution steps per (separator, component) pair:
     contractions plus candidate-contraction evaluations.  Phase one only
     merges clusters that touch ``s``, but every pair of adjacent clusters it
-    passes over still counts one step, as if it had been evaluated.
+    passes over still counts one step, as if it had been evaluated.  The
+    report's ``steps_used`` sums the steps of every component searched.
     ``comps_nbs`` may carry the precomputed components associated with ``s``
     and their neighborhoods.
     """
@@ -248,7 +249,8 @@ def heuristic_minor_safe(
     evidence = []
     used = 0
     for c in comps:
-        verdict, bags, used = _clique_minor_search(g, s, c, step_budget)
+        verdict, bags, steps = _clique_minor_search(g, s, c, step_budget)
+        used += steps
         if verdict != YES:
             return SafeSeparatorReport(s, verdict, None, used)
         evidence.append(bags)
@@ -448,10 +450,6 @@ class Decomposition:
     @property
     def parts(self) -> list[tuple[Graph, list[int]]]:
         return [(node.graph, node.to_root) for node in self.root.walk() if not node.children]
-
-    @property
-    def max_part(self) -> int:
-        return max(g.n for g, _ in self.parts)
 
     def applied_reports(self) -> list[tuple[Graph, int, SafeSeparatorReport]]:
         return [

@@ -33,6 +33,7 @@ leaf = Witness(
     {0b100: 0b100},
 )
 print("optimize", sys.flags.optimize)
+fires("sieve-k", lambda: SieveBank(5, 0))
 fires("sieve-store-margin", lambda: SieveBank(5, 2).store(0b1, 0b1110))
 fires("extract-root", lambda: extract(path, Witness(3, None, {}, {})))
 fires("extract-leaf-closure", lambda: extract(path, leaf))
@@ -53,6 +54,7 @@ def test_result_guards_fire_under_optimize():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == [
         "optimize 1",
+        "sieve-k fires",
         "sieve-store-margin fires",
         "extract-root fires",
         "extract-leaf-closure fires",

@@ -78,6 +78,14 @@ def test_aborts_on_tiny_budget():
         break
 
 
+def test_steps_used_sums_component_searches():
+    g = random_connected_graph(30, 40, 2)
+    s = mask(0, 5, 9)
+    steps = [safesep._clique_minor_search(g, s, c, 10000)[2] for c in g.components(s)]
+    assert steps == [22, 81, 109, 96, 116]
+    assert safesep.heuristic_minor_safe(g, s).steps_used == sum(steps) == 424
+
+
 def test_verify_rejects_bad_evidence():
     g = two_triangles()
     s = mask(0, 3)  # not adjacent in this graph
@@ -164,7 +172,7 @@ def test_decompose_strictly_shrinks():
         for pg, _ in d.parts:
             assert pg.n <= g.n
         if d.applied_separators:
-            assert d.max_part < g.n
+            assert max(pg.n for pg, _ in d.parts) < g.n
 
 
 def test_general_two_phase_path():

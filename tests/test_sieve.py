@@ -1,10 +1,17 @@
 import random
+from collections import Counter
 
+import pytest
 from hypothesis import given, strategies as st
 
+from twsolve import sieve
 from twsolve.sieve import SieveBank, linear_scan_supersets
 
 from conftest import mask
+
+# a query with more subset survivors than this takes the counter-plane path
+# even if the whole unfolded tail is among them
+WIDE = sieve._DIRECT_CHECK + sieve._FOLD_BATCH
 
 
 def _random_pair(rng: random.Random, n: int, k: int) -> tuple[int, int]:
@@ -20,6 +27,54 @@ def _random_pair(rng: random.Random, n: int, k: int) -> tuple[int, int]:
         if not u >> v & 1:
             nb |= 1 << v
     return u, nb
+
+
+def _query_near(rng: random.Random, entries: list[tuple[int, int]], n: int, k: int):
+    """A query (C, N(C)) drawn around a stored entry: C is one of its vertices
+    or a random part of it, N(C) a part of its neighborhood plus a few vertices
+    outside C, so that queries have many survivors and reach every margin.
+    N(C) may exceed the budget on its own, which no stored set fits."""
+    w, nb = rng.choice(entries)
+    members = [x for x in range(n) if w >> x & 1]
+    if rng.random() < 0.5:
+        u = 1 << rng.choice(members)
+    else:
+        u = sum(1 << x for x in rng.sample(members, rng.randint(1, len(members))))
+    n_u = sum(1 << x for x in range(n) if nb >> x & 1 and rng.random() < 0.8)
+    for _ in range(rng.randint(0, 3)):
+        n_u |= 1 << rng.randrange(n)
+    n_u &= ~u
+    while n_u.bit_count() > k + 2:
+        n_u &= n_u - 1
+    return u, n_u
+
+
+def _differential(n: int, k: int, ops: int, seed: int) -> Counter:
+    """Interleave stores and queries; every query must equal the linear scan
+    over the entries stored so far, in insertion order.  Returns a tally of
+    wide queries and of the margins of the hits."""
+    rng = random.Random(seed)
+    bank = SieveBank(n, k)
+    entries: list[tuple[int, int]] = []
+    stored = set()
+    seen: Counter = Counter()
+    for _ in range(ops):
+        if not entries or rng.random() < 0.6:
+            u, nb = _random_pair(rng, n, k)
+            bank.store(u, nb)
+            if u not in stored:
+                stored.add(u)
+                entries.append((u, nb))
+            continue
+        u, nb = _query_near(rng, entries, n, k) if rng.random() < 0.8 else _random_pair(rng, n, k)
+        got = bank.supersets(u, nb)
+        assert got == linear_scan_supersets(entries, u, nb, k)
+        seen["wide"] += sum(u & ~w == 0 for w, _ in entries) > WIDE
+        onb = dict(entries)
+        for w in got:
+            seen[f"margin {k + 1 - onb[w].bit_count()}"] += 1
+    assert bank.entries == entries
+    return seen
 
 
 def test_store_and_retrieve_roundtrip():
@@ -47,32 +102,13 @@ def test_duplicate_store_is_idempotent():
     bank = SieveBank(n=6, k=3)
     bank.store(mask(0, 1), mask(2))
     bank.store(mask(0, 1), mask(2))
-    assert len(bank) == 1
+    assert len(bank.entries) == 1
     assert bank.supersets(mask(0), mask(2)) == [mask(0, 1)]
 
 
-def test_margin_stratification():
-    bank = SieveBank(n=8, k=4)
-    # margins: k+1-|nb|
-    cases = [(mask(1), mask(0, 2, 3, 4)), (mask(2), mask(0, 1)), (mask(3), mask(4))]
-    for u, nb in cases:
-        bank.store(u, nb)
-        margin = bank.k + 1 - nb.bit_count()
-        idx = bank.sieve_index(margin)
-        homes = [i for i, s in enumerate(bank.sieves) if s.size > 0]
-        assert idx in homes
-    total = sum(s.size for s in bank.sieves)
-    assert total == len(cases)
-    assert bank.thresholds[-1] == bank.k
-    assert bank.thresholds == sorted(set(bank.thresholds))
-
-
-def test_threshold_schedule():
-    assert SieveBank(4, 1).thresholds == [1]
-    assert SieveBank(4, 2).thresholds == [2]
-    assert SieveBank(8, 3).thresholds == [2, 3]
-    assert SieveBank(16, 8).thresholds == [2, 4, 8]
-    assert SieveBank(64, 31).thresholds == [2, 4, 8, 16, 31]
+def test_width_bound_must_be_positive():
+    with pytest.raises(AssertionError):
+        SieveBank(4, 0)
 
 
 def test_empty_bank():
@@ -81,70 +117,109 @@ def test_empty_bank():
     assert linear_scan_supersets([], mask(0), mask(1), 3) == []
 
 
-def _differential(n: int, k: int, ops: int, seed: int, bucket_cap: int = 64) -> None:
-    rng = random.Random(seed)
-    bank = SieveBank(n, k, bucket_cap=bucket_cap)
-    entries: list[tuple[int, int]] = []
-    stored = set()
-    for _ in range(ops):
-        u, nb = _random_pair(rng, n, k)
-        if rng.random() < 0.7:
-            bank.store(u, nb)
-            if u not in stored:
-                stored.add(u)
-                entries.append((u, nb))
-        else:
-            got = bank.supersets(u, nb)
-            want = linear_scan_supersets(entries, u, nb, k)
-            assert sorted(got) == sorted(want)
+def _check_masks(bank: SieveBank) -> None:
+    """Bit i of P[x], Q[x] and G[r] says whether the i-th folded entry has x
+    in W, x in N(W) and margin at least r; unfolded entries have no bits."""
+    k = bank.k
+    folded = bank.entries[: bank._folded]
+    for i, (w, nb) in enumerate(folded):
+        margin = k + 1 - nb.bit_count()
+        assert [bank.P[x] >> i & 1 for x in range(bank.n)] == [w >> x & 1 for x in range(bank.n)]
+        assert [bank.Q[x] >> i & 1 for x in range(bank.n)] == [nb >> x & 1 for x in range(bank.n)]
+        assert [bank.G[r] >> i & 1 for r in range(k + 1)] == [int(margin >= r) for r in range(k + 1)]
+    everything = (1 << len(folded)) - 1
+    for m in bank.P + bank.Q + bank.G:
+        assert m & ~everything == 0
 
 
-def test_differential_small_buckets_force_splits():
-    _differential(n=30, k=6, ops=800, seed=5, bucket_cap=4)
+def test_posting_masks_match_entries():
+    rng = random.Random(17)
+    bank = SieveBank(48, 7)
+    for batch in (100, 77, 5, 40):
+        for _ in range(batch):
+            bank.store(*_random_pair(rng, 48, 7))
+        bank.supersets(mask(0), mask(1))
+        _check_masks(bank)
+        # a short tail waits for the next batch
+        assert (bank._folded < len(bank.entries)) == (batch == 5)
+
+
+def test_margin_masks_nest():
+    bank = SieveBank(8 + sieve._FOLD_BATCH, 4)
+    # margins k + 1 - |N(W)|: 1, 3, 4 and 3, then a batch of filler with 4
+    cases = [(mask(1), mask(0, 2, 3, 4)), (mask(2), mask(0, 1)), (mask(3), mask(4)),
+             (mask(5), mask(6, 7))]
+    for u, nb in cases:
+        bank.store(u, nb)
+    for v in range(sieve._FOLD_BATCH):
+        bank.store(1 << 8 + v, mask(7))
+    bank.supersets(mask(0), 0)
+    _check_masks(bank)
+    G = bank.G
+    assert G[0] == (1 << len(bank.entries)) - 1
+    assert all(G[r + 1] & ~G[r] == 0 for r in range(bank.k))
+    assert [G[r] & 0b1111 for r in range(bank.k + 1)] == [0b1111, 0b1111, 0b1110, 0b1110, 0b0100]
+
+
+def test_tail_is_scanned_until_folded():
+    bank = SieveBank(40, 5)
+    stored = [(mask(0, v), mask(v + 1)) for v in range(1, 39)]
+    for i, (u, nb) in enumerate(stored[: sieve._FOLD_BATCH - 1]):
+        bank.store(u, nb)
+        assert bank.supersets(mask(0), mask(39)) == [w for w, _ in stored[: i + 1]]
+    assert bank._folded == 0 and not any(bank.P)
+    for u, nb in stored[sieve._FOLD_BATCH - 1:]:
+        bank.store(u, nb)
+    got = bank.supersets(mask(0), mask(39))
+    assert bank._folded == len(stored)
+    assert got == [w for w, _ in stored]
+    _check_masks(bank)
+
+
+def test_differential_small_buckets_force_splits(monkeypatch):
+    # the unfolded tail plays the part of a bucket: tiny batches fold
+    # between almost every pair of queries
+    monkeypatch.setattr(sieve, "_FOLD_BATCH", 2)
+    seen = _differential(n=30, k=6, ops=800, seed=5)
+    assert seen["wide"] and seen["margin 1"] and seen["margin 6"]
 
 
 def test_differential_medium():
-    _differential(n=64, k=16, ops=1500, seed=11)
+    seen = _differential(n=64, k=16, ops=1500, seed=11)
+    assert seen["wide"] and seen["margin 1"] and seen["margin 16"]
 
 
-@given(st.integers(0, 10**6), st.sampled_from([4, 9, 15]))
-def test_differential_hypothesis(seed, k):
-    _differential(n=32, k=k, ops=220, seed=seed, bucket_cap=8)
+@given(st.integers(0, 10**6), st.sampled_from([4, 9, 15]), st.sampled_from([1, 4, 32]))
+def test_differential_hypothesis(seed, k, batch):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "_FOLD_BATCH", batch)
+        _differential(n=32, k=k, ops=400, seed=seed)
 
 
-def test_bucket_chain_when_prefixes_collide():
-    # sets identical on a long prefix force non-separating splits
-    bank = SieveBank(n=200, k=5, bucket_cap=2)
+def test_differential_hypothesis_reaches_wide_queries_and_extreme_margins():
+    # the generator behind the hypothesis test produces what it is meant to
+    total: Counter = Counter()
+    for seed in range(10):
+        for k in (4, 9, 15):
+            total += _differential(n=32, k=k, ops=400, seed=seed)
+    assert total["wide"] >= 10
+    for k in (4, 9, 15):
+        assert total[f"margin {k}"] and total["margin 1"]
+
+
+def test_differential_when_prefixes_collide():
+    # sets identical on a long prefix: every query of the prefix survives
+    # the subset test on all of them, so only the budget count separates them
+    bank = SieveBank(n=200, k=4)
     base = mask(*range(0, 150))
     entries = []
-    for i in range(150, 156):
+    for i in range(150, 200):
         u = base | 1 << i
-        nb = mask(i + 20) if i + 20 < 200 else mask(0)
-        nb &= ~u
+        nb = mask(150 + (i - 150 + 1) % 50, 150 + (i - 150 + 2) % 50)
         bank.store(u, nb)
         entries.append((u, nb))
-    got = bank.supersets(base, 0)
-    want = linear_scan_supersets(entries, base, 0, 5)
-    assert sorted(got) == sorted(want)
-
-
-def test_trie_path_labels_reconstruct_stored_sets():
-    # walking edge labels from the root must reproduce each entry's prefix
-    rng = random.Random(17)
-    bank = SieveBank(48, 7, bucket_cap=3)
-    for _ in range(300):
-        u, nb = _random_pair(rng, 48, 7)
-        bank.store(u, nb)
-
-    def walk(node, prefix):
-        if node.children is None:
-            for w, _ in node.entries:
-                below = ((1 << node.start) - 1) if node.start < 48 else (1 << 48) - 1
-                assert w & below == prefix, "edge labels disagree with entry"
-            return
-        for chunk, child in node.children.items():
-            assert chunk & ~node.interval_mask == 0
-            walk(child, prefix | chunk)
-
-    for sieve in bank.sieves:
-        walk(sieve.root, 0)
+    for query_nb in (0, mask(151), mask(151, 152, 153), mask(160, 170, 180, 190)):
+        got = bank.supersets(base, query_nb)
+        assert got == linear_scan_supersets(entries, base, query_nb, 4)
+    # four query neighbors leave room for one more: the hits share one of them
+    assert len(bank.supersets(base, mask(160, 170, 180, 190))) == 8

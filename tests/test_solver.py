@@ -8,12 +8,15 @@ from twsolve.families import (
     complete_graph,
     cycle_graph,
     grid_graph,
+    mycielski_graph,
     path_graph,
     petersen_graph,
+    queen_graph,
     random_connected_graph,
     star_graph,
 )
 from twsolve.graph import Graph
+from twsolve.sieve import SieveBank, linear_scan_supersets
 from twsolve.solver import SolverTimeout, decide, levels, lower_bound, treewidth
 from twsolve.tdbuild import extract, validate
 
@@ -185,3 +188,56 @@ def test_deadline_interrupts():
 @settings(max_examples=25)
 def test_treewidth_matches_oracle_hypothesis(g):
     assert treewidth(g)[0] == oracle.bf_treewidth(g)
+
+
+class _ScanBank:
+    """Stores what ``SieveBank`` stores and answers every superset query with
+    the linear-scan oracle, in insertion order."""
+
+    def __init__(self, n: int, k: int):
+        self.k = k
+        self.entries: list[tuple[int, int]] = []
+        self.stored: set[int] = set()
+
+    def store(self, u: int, n_u: int) -> None:
+        if u not in self.stored:
+            self.stored.add(u)
+            self.entries.append((u, n_u))
+
+    def supersets(self, u: int, n_u: int) -> list[int]:
+        return linear_scan_supersets(self.entries, u, n_u, self.k)
+
+
+def _decide_levels(g: Graph, bank) -> list[tuple]:
+    """k, answer, counters and witness of every level from the minimum degree
+    up to the first accepting one, with ``bank`` as the superset index."""
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "SieveBank", bank)
+        for k in range(max(1, g.min_degree()), g.n):
+            res = decide(g, k, exhaustive=False)
+            s = res.stats
+            out.append((k, res.answer, s.iblocks, s.oblocks, s.pmcs_buildable,
+                        s.pmcs_feasible, res.witness))
+            if res.answer:
+                return out
+    raise AssertionError("no level accepted")
+
+
+@pytest.mark.parametrize(
+    "make, tw",
+    [(lambda: queen_graph(5, 5), 18), (lambda: queen_graph(6, 6), 25),
+     (lambda: mycielski_graph(4), 10)],
+    ids=["queen5_5", "queen6_6", "myciel4"],
+)
+def test_sieve_matches_linear_scan_levels(make, tw):
+    # queen6_6 and myciel4 also take the counter-plane path of the index
+    g = make()
+    runs = _decide_levels(g, SieveBank)
+    assert runs == _decide_levels(g, _ScanBank)
+    assert [r[:2] for r in runs[-2:]] == [(tw - 1, False), (tw, True)]
+
+
+@given(connected_graphs(max_n=12))
+def test_sieve_matches_linear_scan_levels_hypothesis(g):
+    assert _decide_levels(g, SieveBank) == _decide_levels(g, _ScanBank)
