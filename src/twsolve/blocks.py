@@ -17,6 +17,9 @@ members are always inbound.
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable
+
 from .graph import Graph
 
 __all__ = [
@@ -101,19 +104,27 @@ def is_outbound(g: Graph, c: int) -> bool:
 
 
 def outlet_and_support(
-    g: Graph, k_set: int, debug: bool = False
+    g: Graph, k_set: int, debug: bool = False,
+    comps_nbs: list[tuple[int, int]] | None = None,
+    full_component: Callable[[int], int] | None = None,
 ) -> tuple[int, tuple[int, ...]]:
     """Outlet of a cliquish set together with its support components.
 
     The support is listed ascending by minimum vertex.  With an outlet S, the
     crib ``k_set - S`` plus the support is the full component of S that a
-    feasible ``k_set`` emits as an inbound block.
+    feasible ``k_set`` emits as an inbound block.  ``comps_nbs`` may carry the
+    precomputed components associated with ``k_set`` and their
+    neighborhoods, and ``full_component`` a lookup that returns
+    :func:`first_full_component` of a separator.
     """
-    comps_nbs = g.components_with_neighborhoods(k_set)
+    if comps_nbs is None:
+        comps_nbs = g.components_with_neighborhoods(k_set)
+    if full_component is None:
+        full_component = partial(first_full_component, g)
     out = 0
     for c, nb in comps_nbs:
         # outbound iff c is the first full component of its own neighborhood
-        if nb != k_set and first_full_component(g, nb) == c:
+        if nb != k_set and full_component(nb) == c:
             if debug and out:
                 assert out & ~nb == 0 or nb & ~out == 0, (
                     "outbound component neighborhoods must be nested"

@@ -447,17 +447,6 @@ class Decomposition:
     applied_separators: list[int] = field(default_factory=list)
     tally: dict[str, int] = field(default_factory=lambda: dict.fromkeys(TALLY_KEYS, 0))
 
-    @property
-    def parts(self) -> list[tuple[Graph, list[int]]]:
-        return [(node.graph, node.to_root) for node in self.root.walk() if not node.children]
-
-    def applied_reports(self) -> list[tuple[Graph, int, SafeSeparatorReport]]:
-        return [
-            (node.graph, node.report.separator, node.report)
-            for node in self.root.walk()
-            if node.report is not None
-        ]
-
 
 def decompose(
     g: Graph, step_budget: int = 10000, labels: list[int] | None = None

@@ -10,6 +10,9 @@ or spawn a new outbound block.  A potential maximal clique becomes feasible
 once all of its support components have appeared as inbound blocks, and then
 emits the crib of its outlet as a new inbound block.  The answer is yes
 exactly when some feasible potential maximal clique has an empty outlet.
+Whether a candidate has a full component or is a potential maximal clique,
+with its outlet and support, does not depend on k: the levels of one graph
+share that analysis, and only the size test is made per level.
 
 Feasible records keep witness links (which clique emitted which block), so
 an accepting run can be unfolded into an explicit tree decomposition.
@@ -21,7 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .blocks import first_full_component, is_cliquish, is_outbound, outlet_and_support
+from .blocks import is_cliquish, is_outbound, outlet_and_support
 from .graph import Graph
 from .sieve import SieveBank
 
@@ -86,68 +89,78 @@ def _trivial_witness(n: int) -> Witness:
     return Witness(n, mask, {mask: rec}, {})
 
 
+class _Analysis:
+    """Facts about the vertex sets of one graph that do not depend on the
+    width bound, shared by the decision levels run on it: ``full`` maps a set
+    to its first full component (0 if none), ``pmcs`` a potential maximal
+    clique to its record with outlet and support."""
+
+    def __init__(self, g: Graph, debug: bool):
+        self.g = g
+        self.debug = debug
+        self.full: dict[int, int] = {}
+        self.pmcs: dict[int, PmcRecord] = {}
+
+    def full_component(self, s: int) -> int:
+        """The first full component of ``s``, or 0; one component pass also
+        tells whether a set without one is a PMC, and its outlet and support."""
+        a = self.full.get(s)
+        if a is not None:
+            return a
+        g = self.g
+        comps_nbs = g.components_with_neighborhoods(s)
+        for c, nb in comps_nbs:
+            if nb == s:
+                self.full[s] = c
+                return c
+        if is_cliquish(g, s, [nb for _, nb in comps_nbs]):
+            out, sup = outlet_and_support(g, s, self.debug, comps_nbs, self.full_component)
+            self.pmcs[s] = PmcRecord(s, out, sup)
+        self.full[s] = 0
+        return 0
+
+
 class _Search:
     """One decision run for a fixed graph and width bound."""
 
-    def __init__(self, g: Graph, k: int, exhaustive: bool, deadline: float | None,
-                 debug: bool):
-        self.g = g
+    def __init__(self, analysis: _Analysis, k: int, exhaustive: bool,
+                 deadline: float | None):
+        self.analysis = analysis
+        self.g = analysis.g
         self.k = k
         self.exhaustive = exhaustive
         self.deadline = deadline
-        self.debug = debug
+        self.debug = analysis.debug
         self.iblocks: list[tuple[int, int]] = []
         self.iblock_set: set[int] = set()
         self.iblock_source: dict[int, int] = {}
-        self.bank = SieveBank(g.n, k)
+        self.bank = SieveBank(self.g.n, k)
         self.onb: dict[int, int] = {}
-        self.buildable: set[int] = set()
-        self.records: dict[int, PmcRecord] = {}
+        self.buildable: dict[int, PmcRecord] = {}
         self.feasible: dict[int, PmcRecord] = {}
         self.waiting: dict[int, list[int]] = {}
         self.missing: dict[int, int] = {}
-        self.memo: dict[int, tuple[bool, int | None]] = {}
         self.root: int | None = None
 
-    # -- candidate analysis ------------------------------------------------
+    def _candidate(self, cand: int) -> int:
+        """The first full component of a candidate set, or 0; a candidate
+        that is a potential maximal clique is registered."""
+        a = self.analysis.full_component(cand)
+        if not a and cand in self.analysis.pmcs:
+            self._register_pmc(self.analysis.pmcs[cand])
+        return a
 
-    def _analyze(self, cand: int) -> tuple[bool, int | None]:
-        """Classify a candidate set: is it a PMC, and if it has full
-        components instead, the outbound one (the first in component order)
-        usable as a new outbound block when the separator is small enough."""
-        g = self.g
-        full = 0
-        comp_nbs = []
-        for c, nb in g.components_with_neighborhoods(cand):
-            if nb == cand and not full:
-                full = c
-            comp_nbs.append(nb)
-        if not full:
-            return (is_cliquish(g, cand, comp_nbs), None)
-        if cand.bit_count() <= self.k:
-            return (False, full)
-        return (False, None)
-
-    def _candidate(self, cand: int) -> tuple[bool, int | None]:
-        res = self.memo.get(cand)
-        if res is None:
-            res = self._analyze(cand)
-            self.memo[cand] = res
-        return res
-
-    def _register_pmc(self, cand: int) -> None:
+    def _register_pmc(self, rec: PmcRecord) -> None:
         """Record a buildable PMC; mark feasible now or park it on its missing
         support components."""
+        cand = rec.vertices
         if cand in self.buildable:
             return
-        self.buildable.add(cand)
-        out, sup = outlet_and_support(self.g, cand, debug=self.debug)
-        rec = PmcRecord(cand, out, sup)
-        self.records[cand] = rec
+        self.buildable[cand] = rec
         miss = 0
         iblock_set = self.iblock_set
         waiting = self.waiting
-        for c in sup:
+        for c in rec.support:
             if c not in iblock_set:
                 waiting.setdefault(c, []).append(cand)
                 miss += 1
@@ -156,7 +169,7 @@ class _Search:
             return
         crib = self._mark_feasible(cand, rec)
         if crib:
-            self._emit_iblock(crib, out, cand)
+            self._emit_iblock(crib, rec.outlet, cand)
 
     def _mark_feasible(self, cand: int, rec: PmcRecord) -> int:
         """Mark a PMC feasible and return the crib of its outlet: the inbound
@@ -182,7 +195,7 @@ class _Search:
         iblock_set = self.iblock_set
         waiting = self.waiting
         missing = self.missing
-        records = self.records
+        buildable = self.buildable
         while work:
             comp, nb, src = work.pop()
             if comp in iblock_set:
@@ -198,7 +211,7 @@ class _Search:
                 if cnt:
                     missing[k2] = cnt
                     continue
-                rec2 = records[k2]
+                rec2 = buildable[k2]
                 crib = self._mark_feasible(k2, rec2)
                 if crib and crib not in iblock_set:
                     work.append((crib, rec2.outlet, k2))
@@ -229,9 +242,7 @@ class _Search:
                 raise SolverTimeout
             nv = adj[v] | 1 << v
             if nv.bit_count() <= size_cap:
-                pmc, _ = self._candidate(nv)
-                if pmc:
-                    self._register_pmc(nv)
+                self._candidate(nv)
 
         i = 0
         iblocks = self.iblocks
@@ -250,13 +261,11 @@ class _Search:
                 if deadline is not None and not (tick & 255) and time.monotonic() > deadline:
                     raise SolverTimeout
                 cand = nb | onb[b]
-                pmc, oblock = self._candidate(cand)
-                if pmc:
-                    self._register_pmc(cand)
-                elif oblock is not None and oblock not in onb:
-                    self._store_oblock(oblock, cand, new_obs)
+                a = self._candidate(cand)
+                if a and a not in onb and cand.bit_count() <= k:
+                    self._store_oblock(a, cand, new_obs)
             # the outbound full component of this block's separator
-            a = first_full_component(g, nb)
+            a = self.analysis.full_component(nb)
             if self.debug:
                 assert a and a != comp
             if a not in onb:
@@ -269,12 +278,10 @@ class _Search:
                     rem ^= vb
                     cand = na | (adj[vb.bit_length() - 1] & a)
                     if cand.bit_count() <= size_cap:
-                        pmc, _ = self._candidate(cand)
-                        if pmc:
-                            self._register_pmc(cand)
+                        self._candidate(cand)
 
         if self.debug:
-            assert set(self.feasible) <= self.buildable
+            assert self.feasible.keys() <= self.buildable.keys()
         return self.root is not None
 
 
@@ -285,6 +292,7 @@ def decide(
     exhaustive: bool = False,
     deadline: float | None = None,
     debug: bool = False,
+    _analysis: _Analysis | None = None,
 ) -> DecideResult:
     """Decide whether the treewidth of connected ``g`` is at most ``k``.
 
@@ -292,6 +300,8 @@ def decide(
     empty outlet plus the complete chain of records behind it.  With
     ``exhaustive`` the run continues to the fixpoint even after an accepting
     clique is found, so the final counters cover every feasible object.
+    :func:`levels` passes in the candidate analysis its levels share; a
+    call without one analyses ``g`` afresh.
     """
     n = g.n
     if n == 0:
@@ -309,7 +319,8 @@ def decide(
     if k > n - 1:
         raise ValueError(f"width bound {k} out of range for n={n}")
 
-    search = _Search(g, k, exhaustive, deadline, debug)
+    analysis = _Analysis(g, debug) if _analysis is None else _analysis
+    search = _Search(analysis, k, exhaustive, deadline)
     answer = search.run()
     stats = SolverStats(
         n,
@@ -342,14 +353,16 @@ def levels(
     stops after the first accepting level or before k reaches ``upper``.
     Every negative level k certifies that the treewidth exceeds k.  Without
     ``upper`` some level below n must accept; a run in which none does
-    raises ``RuntimeError``.
+    raises ``RuntimeError``.  The levels share one analysis of the
+    candidate sets, whose facts do not depend on k.
     """
     if g.n == 0:
         raise ValueError("levels requires a non-empty graph")
     start = max(lower, max(1, g.min_degree()) if g.n > 1 else 0)
     stop = g.n if upper is None else upper
+    analysis = _Analysis(g, debug)
     for k in range(start, stop):
-        res = decide(g, k, deadline=deadline, debug=debug)
+        res = decide(g, k, deadline=deadline, debug=debug, _analysis=analysis)
         yield res
         if res.answer:
             return

@@ -47,6 +47,19 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph(offset, edges)
 
 
+def split_parts(d) -> list[tuple[Graph, list[int]]]:
+    """The leaves of a ``safesep.decompose`` splitting tree: each part's graph
+    with the root labels of its vertices."""
+    return [(node.graph, node.to_root) for node in d.root.walk() if not node.children]
+
+
+def applied_reports(d) -> list[tuple]:
+    """(graph, separator in that graph's indices, report) of every split applied
+    in a ``safesep.decompose`` splitting tree."""
+    return [(node.graph, node.report.separator, node.report)
+            for node in d.root.walk() if node.report is not None]
+
+
 @pytest.fixture
 def decided_levels(monkeypatch) -> list[tuple[int, int]]:
     """(n, k) of every decision level run during the test, in order."""

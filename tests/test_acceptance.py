@@ -23,7 +23,7 @@ from twsolve.sieve import SieveBank, linear_scan_supersets
 from twsolve.solver import decide, treewidth
 from twsolve.tdbuild import extract, validate
 
-from conftest import INSTANCE_DIR
+from conftest import INSTANCE_DIR, applied_reports, split_parts
 
 GENERATED = {
     "myciel3": lambda: mycielski_graph(3),
@@ -201,9 +201,9 @@ def test_criterion7_safe_separator_soundness():
             continue
         hits += 1
         whole = oracle.bf_treewidth(g)
-        by_parts = max(oracle.bf_treewidth(pg) for pg, _ in d.parts)
+        by_parts = max(oracle.bf_treewidth(pg) for pg, _ in split_parts(d))
         assert whole == by_parts, f"attempt {attempts}: {whole} != {by_parts}"
-        for gg, sep, report in d.applied_reports():
+        for gg, sep, report in applied_reports(d):
             assert report.verdict == safesep.YES
             for (comp, _), ev in zip(
                 gg.components_with_neighborhoods(sep), report.evidence

@@ -12,7 +12,7 @@ from twsolve.families import (
 from twsolve.graph import Graph, bits, min_vertex
 from twsolve.safesep import ABORTED, DONT_KNOW, YES
 
-from conftest import connected_graphs, mask
+from conftest import applied_reports, connected_graphs, mask, split_parts
 
 
 def two_triangles() -> Graph:
@@ -117,7 +117,7 @@ def test_decompose_cut_vertex():
     d = safesep.decompose(g)
     assert d.applied_separators == [mask(2)]
     parts = sorted(
-        (sorted(labels) for _, labels in d.parts), key=lambda x: x[0]
+        (sorted(labels) for _, labels in split_parts(d)), key=lambda x: x[0]
     )
     assert parts == [[0, 1, 2], [2, 3, 4]]
 
@@ -126,8 +126,8 @@ def test_decompose_complete_graph_unchanged():
     g = complete_graph(4)
     d = safesep.decompose(g)
     assert d.applied_separators == []
-    assert len(d.parts) == 1
-    assert d.parts[0][0].n == 4
+    assert len(split_parts(d)) == 1
+    assert split_parts(d)[0][0].n == 4
 
 
 def test_decompose_soundness_against_oracle():
@@ -140,9 +140,9 @@ def test_decompose_soundness_against_oracle():
             continue
         applied += 1
         whole = oracle.bf_treewidth(g)
-        by_parts = max(oracle.bf_treewidth(pg) for pg, _ in d.parts)
+        by_parts = max(oracle.bf_treewidth(pg) for pg, _ in split_parts(d))
         assert whole == by_parts, f"seed {seed}"
-        for gg, sep, report in d.applied_reports():
+        for gg, sep, report in applied_reports(d):
             for (comp, _), ev in zip(
                 gg.components_with_neighborhoods(sep), report.evidence
             ):
@@ -169,10 +169,10 @@ def test_decompose_strictly_shrinks():
     for seed in range(20):
         g = random_connected_graph(11, 14, 12345 + seed)
         d = safesep.decompose(g)
-        for pg, _ in d.parts:
+        for pg, _ in split_parts(d):
             assert pg.n <= g.n
         if d.applied_separators:
-            assert max(pg.n for pg, _ in d.parts) < g.n
+            assert max(pg.n for pg, _ in split_parts(d)) < g.n
 
 
 def test_general_two_phase_path():

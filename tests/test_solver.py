@@ -3,7 +3,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twsolve import oracle, solver
+from twsolve import blocks, oracle, solver
 from twsolve.families import (
     complete_graph,
     cycle_graph,
@@ -100,9 +100,7 @@ def test_exhaustive_counters_match_recount():
         g = random_connected_graph(n, int(1.8 * n), 4200 + seed)
         tw = oracle.bf_treewidth(g)
         for k in sorted({max(1, tw - 1), tw, min(n - 1, tw + 1)}):
-            import twsolve.solver as solver_mod
-
-            search = solver_mod._Search(g, k, True, None, True)
+            search = solver._Search(solver._Analysis(g, True), k, True, None)
             search.run()
             ref = oracle.feasible_objects(g, k)
             assert set(search.iblock_set) == ref.iblocks, (seed, k)
@@ -114,12 +112,10 @@ def test_exhaustive_counters_match_recount():
 def test_every_feasible_pmc_was_buildable():
     for seed in range(6):
         g = random_connected_graph(8, 16, 77 + seed)
-        import twsolve.solver as solver_mod
-
         tw = oracle.bf_treewidth(g)
-        search = solver_mod._Search(g, tw, True, None, True)
+        search = solver._Search(solver._Analysis(g, True), tw, True, None)
         search.run()
-        assert set(search.feasible) <= search.buildable
+        assert set(search.feasible) <= set(search.buildable)
 
 
 def test_stats_counters_consistent():
@@ -241,3 +237,63 @@ def test_sieve_matches_linear_scan_levels(make, tw):
 @given(connected_graphs(max_n=12))
 def test_sieve_matches_linear_scan_levels_hypothesis(g):
     assert _decide_levels(g, SieveBank) == _decide_levels(g, _ScanBank)
+
+
+# -- the candidate analysis shared by the levels of one graph --------------
+
+
+def _level(res) -> tuple:
+    s = res.stats
+    return (s.k, res.answer, s.iblocks, s.oblocks, s.pmcs_buildable, s.pmcs_feasible,
+            res.witness)
+
+
+SHARED_ANALYSIS_GRAPHS = pytest.mark.parametrize(
+    "make", [lambda: queen_graph(5, 5), lambda: mycielski_graph(4)], ids=["queen5_5", "myciel4"])
+
+
+@given(connected_graphs(max_n=12))
+def test_levels_match_fresh_decisions_hypothesis(g):
+    for res in levels(g, debug=True):
+        assert _level(res) == _level(decide(g, res.stats.k))
+
+
+@SHARED_ANALYSIS_GRAPHS
+def test_shared_analysis_is_order_independent(make):
+    # higher levels first, so lower levels read facts cached at larger bounds
+    g = make()
+    tw = treewidth(g)[0]
+    analysis = solver._Analysis(g, True)
+    for k in range(tw + 1, g.min_degree() - 1, -1):
+        shared = decide(g, k, exhaustive=True, _analysis=analysis)
+        assert _level(shared) == _level(decide(g, k, exhaustive=True)), k
+        shared = decide(g, k, _analysis=analysis)
+        assert _level(shared) == _level(decide(g, k)), k
+
+
+@SHARED_ANALYSIS_GRAPHS
+def test_shared_analysis_entries_match_reference(make, monkeypatch):
+    g = make()
+    shared = []
+    decide_level = solver.decide
+
+    def capture(g, k, **kwargs):
+        shared.append(kwargs["_analysis"])
+        return decide_level(g, k, **kwargs)
+
+    monkeypatch.setattr(solver, "decide", capture)
+    treewidth(g)
+    first = len(shared)
+    treewidth(g)
+    # each run of the levels shares one analysis of its own among them
+    assert first > 1 and len(shared) == 2 * first
+    assert all(a is shared[0] for a in shared[:first])
+    assert all(a is shared[first] for a in shared[first:])
+    assert shared[0] is not shared[first]
+    analysis = shared[0]
+    assert analysis.pmcs and any(analysis.full.values())
+    for s, a in analysis.full.items():
+        assert a == blocks.first_full_component(g, s), s
+        assert (s in analysis.pmcs) == blocks.is_pmc(g, s), s
+    for s, rec in analysis.pmcs.items():
+        assert rec == solver.PmcRecord(s, *blocks.outlet_and_support(g, s, debug=True)), s
