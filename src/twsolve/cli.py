@@ -58,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
     p_exact.add_argument(
         "--no-safe-separators",
         action="store_true",
-        help="skip safe-separator preprocessing",
+        help="skip safe-separator preprocessing and the simplicial reduction before it",
     )
     p_exact.add_argument("--stats", help="write a JSON stats record here")
     p_exact.add_argument("--jobs", type=int, default=1, help="solve parts in parallel")

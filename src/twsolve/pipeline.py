@@ -1,11 +1,14 @@
 """End-to-end solving: split, preprocess, solve parts, glue, validate.
 
-The pipeline splits the input into connected components, optionally
-decomposes each along verified minor-safe separators, solves every part,
-and glues the part decompositions back together.  Every part comes with a
-greedy elimination decomposition of width ub; its decision levels stop below
-ub and start at the largest part width found so far, since levels outside
-that range cannot change the answer.  The split into components is a split
+The pipeline splits the input into connected components and, unless safe
+separators are off, removes simplicial and almost-simplicial vertices from
+each (:func:`safesep.simplicial_reduction`) before decomposing what is left
+along verified minor-safe separators.  It solves every part and glues the
+part decompositions back together; each removed vertex v then gets the bag
+N[v], attached in reverse removal order to a bag that already holds N(v).
+Every part comes with a greedy elimination decomposition of width ub; its
+decision levels stop below ub and start at the largest part width found so
+far, since levels outside that range cannot change the answer.  The split into components is a split
 along the empty separator, so one splitting tree covers both.  Adjacent
 parts overlap exactly on a completed separator, so each part owns a bag
 containing it and gluing those bags keeps all decomposition conditions
@@ -41,6 +44,7 @@ class SolveReport:
     counters: dict[str, int] = field(default_factory=dict)
     safe_separators: dict[str, int] = field(default_factory=dict)
     parts: dict[str, int] = field(default_factory=dict)
+    reduction: dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
         return {
@@ -52,6 +56,7 @@ class SolveReport:
             "counters": dict(self.counters),
             "safe_separators": dict(self.safe_separators),
             "parts": dict(self.parts),
+            "reduction": dict(self.reduction),
         }
 
 
@@ -119,6 +124,20 @@ def _glue(
     return done[id(preorder[0])][0], bags, edges
 
 
+def _put_back(
+    bags: list[int], edges: list[tuple[int, int]], removed: list[tuple[int, int]]
+) -> None:
+    """Give each removed vertex v, in reverse removal order, the bag N[v]
+    attached to a bag that already holds N(v)."""
+    for v, nb in reversed(removed):
+        attach = next((i for i in reversed(range(len(bags))) if nb & ~bags[i] == 0), None)
+        if attach is not None:
+            edges.append((attach, len(bags)))
+        elif bags or nb:
+            raise PipelineError(f"no bag contains the neighborhood of removed vertex {v}")
+        bags.append(nb | 1 << v)
+
+
 def solve(
     g: Graph,
     instance: str = "-",
@@ -138,9 +157,12 @@ def solve(
     largest part is solved first in this process, then the others in a pool
     with M fixed at its width.
 
-    Counters sum the accepting decision levels; a part that no level
-    accepted adds nothing.  Raises :class:`PipelineError` if the final
-    decomposition fails its own audit; the result is never silently wrong.
+    A component's width is the larger of its reduction's certified lower
+    bound and the width of its reduced graph.  Counters sum the accepting
+    decision levels; a part that no level accepted adds nothing.  Raises
+    :class:`PipelineError` if a removed vertex cannot be put back or the
+    final decomposition fails its own audit; the result is never silently
+    wrong.
     """
     started = time.monotonic()
     report = SolveReport(instance, g.n, g.edge_count)
@@ -152,6 +174,7 @@ def solve(
     }
     report.safe_separators = {"found": 0, "max_part": g.n, **dict.fromkeys(safesep.TALLY_KEYS, 0)}
     report.parts = {"total": 0, "settled_by_bound": 0, "levels": 0}
+    report.reduction = {"removed": 0, "low": 0}
     if g.n == 0:
         td = TreeDecomposition(0, [0], [])
         report.tw = -1
@@ -159,17 +182,25 @@ def solve(
         return -1, td, report
 
     components: list[safesep.DecompNode] = []
+    removed: list[tuple[int, int]] = []  # in root labels, removal order within a component
+    low = 0
     for comp in g.components(0):
         sub, labels = g.subgraph(comp)
+        if use_safe_separators and sub.n > 2:
+            sub, kept, comp_low, comp_removed = safesep.simplicial_reduction(sub)
+            low = max(low, comp_low)
+            removed += [(labels[v], vset(labels[u] for u in bits(nb))) for v, nb in comp_removed]
+            labels = [labels[v] for v in kept]
         if use_safe_separators and sub.n > 2:
             split = safesep.decompose(sub, step_budget, labels)
             components.append(split.root)
             for key, value in split.tally.items():
                 report.safe_separators[key] += value
-        else:
+        elif sub.n:
             components.append(safesep.DecompNode(sub, labels))
+    report.reduction = {"removed": len(removed), "low": low}
     root = safesep.DecompNode(g, list(range(g.n)), 0, children=components)
-    preorder = list(root.walk())
+    preorder = list(root.walk()) if components else []
     leaves = [node for node in preorder if not node.children]
     heuristic = [
         from_elimination(leaf.graph, *(leaf.elimination or safesep.best_elimination(leaf.graph)))
@@ -201,9 +232,11 @@ def solve(
         glued[id(leaves[i])] = (tw, heuristic[i] if td is None else td)
     report.parts["total"] = len(leaves)
     report.safe_separators["found"] = sum(node.report is not None for node in preorder)
-    report.safe_separators["max_part"] = max(leaf.graph.n for leaf in leaves)
+    report.safe_separators["max_part"] = max((leaf.graph.n for leaf in leaves), default=0)
 
-    overall_tw, bags, edges = _glue(preorder, glued)
+    overall_tw, bags, edges = _glue(preorder, glued) if components else (-1, [], [])
+    _put_back(bags, edges, removed)
+    overall_tw = max(overall_tw, low)
     td = TreeDecomposition(g.n, bags, edges)
     problems = validate(g, td)
     if problems:

@@ -47,6 +47,29 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph(offset, edges)
 
 
+def triangle_chain(links: int) -> Graph:
+    """Triangles glued in a path at shared cut vertices; treewidth 2."""
+    edges = []
+    for i in range(links):
+        a = 2 * i
+        edges += [(a, a + 1), (a, a + 2), (a + 1, a + 2)]
+    return Graph(2 * links + 1, edges)
+
+
+def octahedron_chain(links: int) -> Graph:
+    """Octahedra K_{2,2,2} glued in a path on shared triangles; treewidth 4.
+
+    Copy i holds vertices 3i..3i+5 with non-edges {x, x+3}.  Every vertex
+    has degree at least 4 and no neighborhood is a clique, so the simplicial
+    rules remove nothing and the chain splits only at safe separators.
+    """
+    edges = []
+    for i in range(links):
+        a = 3 * i
+        edges += [(a + x, a + y) for x in range(6) for y in range(x + 1, 6) if y - x != 3]
+    return Graph(3 * links + 3, edges)
+
+
 def split_parts(d) -> list[tuple[Graph, list[int]]]:
     """The leaves of a ``safesep.decompose`` splitting tree: each part's graph
     with the root labels of its vertices."""

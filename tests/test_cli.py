@@ -39,6 +39,8 @@ def test_exact_writes_valid_td_and_stats(tmp_graph_file, tmp_path, capsys):
     assert checks["checks"] == checks["yes"] + checks["dont_know"] + checks["aborted"]
     assert checks["yes"] == checks["found"]
     assert set(stats["parts"]) == {"total", "settled_by_bound", "levels"}
+    assert set(stats["reduction"]) == {"removed", "low"}
+    assert 0 < stats["reduction"]["low"] <= tw
 
 
 def test_exact_col_format(tmp_graph_file, capsys):

@@ -1,20 +1,13 @@
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from twsolve import oracle, pipeline, safesep
+from twsolve import cli, oracle, pipeline, safesep
 from twsolve.families import complete_graph, grid_graph, random_connected_graph
 from twsolve.graph import Graph
+from twsolve.paceio import write_gr
 from twsolve.tdbuild import validate
 
-from conftest import disjoint_union
-
-
-def triangle_chain(links: int) -> Graph:
-    """Triangles glued in a path at shared cut vertices; treewidth 2."""
-    edges = []
-    for i in range(links):
-        a = 2 * i
-        edges += [(a, a + 1), (a, a + 2), (a + 1, a + 2)]
-    return Graph(2 * links + 1, edges)
+from conftest import disjoint_union, octahedron_chain, triangle_chain
 
 
 @st.composite
@@ -29,32 +22,70 @@ def separator_rich_graphs(draw, max_n: int = 9) -> Graph:
 
 @st.composite
 def bridged_blocks(draw) -> Graph:
-    """Two to four small random connected blocks, each joined to the graph
-    built so far by one bridge.  The bridge ends are cut vertices, so the
-    graph splits at several levels; n stays at most 16, within reach of the
-    brute-force oracle."""
-    count = draw(st.integers(min_value=2, max_value=4))
+    """Two or three wheels with random chords, each joined to the graph built
+    so far by one bridge.  The bridge ends are cut vertices, so the graph
+    splits at several levels; n stays at most 16, within reach of the
+    brute-force oracle.
+
+    A wheel is a hub joined to every vertex of a rim cycle of k >= 4
+    vertices; chords join rim vertices at least three apart along the
+    rim.  Every vertex then has degree at least 3 and a neighborhood that is
+    not a clique, with or without a bridge, so the simplicial rules remove
+    nothing and every split comes from the safe-separator search.
+    """
+    count = draw(st.integers(min_value=2, max_value=3))
     edges = []
     n = 0
     for _ in range(count):
-        size = draw(st.integers(min_value=3, max_value=16 // count))
-        extra = draw(st.integers(min_value=0, max_value=size))
-        seed = draw(st.integers(min_value=0, max_value=10**6))
-        block = random_connected_graph(size, size - 1 + extra, seed)
+        k = draw(st.integers(min_value=4, max_value=16 // count - 1))
+        rim = [(i, (i + 1) % k) for i in range(k)]
+        far = [(i, j) for i in range(k) for j in range(i + 3, k) if j - i <= k - 3]
+        chords = draw(st.lists(st.sampled_from(far), unique=True) if far else st.just([]))
+        block = [(k, i) for i in range(k)] + rim + chords
         if n:
-            edges.append((draw(st.integers(0, n - 1)), n + draw(st.integers(0, size - 1))))
-        edges += [(u + n, v + n) for u, v in block.edge_list()]
-        n += size
+            edges.append((draw(st.integers(0, n - 1)), n + draw(st.integers(0, k))))
+        edges += [(u + n, v + n) for u, v in block]
+        n += k + 1
+    return Graph(n, edges)
+
+
+@st.composite
+def low_degree_graphs(draw) -> Graph:
+    """Graphs on up to 16 vertices rich in vertices of degree 1 to 3: a random
+    forest (each vertex may hang from an earlier one), so isolated vertices
+    and several components are common, plus a few random extra edges."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    edges = []
+    for v in range(1, n):
+        parent = draw(st.integers(min_value=-1, max_value=v - 1))
+        if parent >= 0:
+            edges.append((parent, v))
+    if n > 1:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges += [(u, v) for u, v in draw(st.lists(pair, max_size=n // 2)) if u != v]
     return Graph(n, edges)
 
 
 def test_deep_decomposition_chain():
+    g = octahedron_chain(30)
+    tw, td, report = pipeline.solve(g)
+    assert tw == 4
+    assert validate(g, td) == []
+    assert report.reduction == {"removed": 0, "low": 2}
+    # one split per shared triangle, down to single octahedra
+    assert report.safe_separators["found"] == 29
+    assert report.safe_separators["max_part"] == 6
+    assert report.parts["total"] == 30
+
+
+def test_reduction_removes_chains_without_splitting():
     g = triangle_chain(30)
     tw, td, report = pipeline.solve(g)
-    assert tw == 2
+    assert tw == td.width() == 2
     assert validate(g, td) == []
-    assert report.safe_separators["found"] >= 25
-    assert report.safe_separators["max_part"] <= 4
+    assert report.reduction == {"removed": 61, "low": 2}
+    assert report.safe_separators["checks"] == 0
+    assert report.parts["total"] == 0
 
 
 def test_disconnected_components_and_isolated_vertex():
@@ -102,10 +133,12 @@ def test_pipeline_larger_sparse_graph_consistency():
 
 
 def test_parallel_jobs_agree():
-    g = triangle_chain(8)
-    tw1, td1, _ = pipeline.solve(g, jobs=1)
-    tw2, td2, _ = pipeline.solve(g, jobs=2)
-    assert tw1 == tw2 == 2
+    # eight octahedra: the first is solved inline, the other seven in the pool
+    g = octahedron_chain(8)
+    tw1, td1, rep1 = pipeline.solve(g, jobs=1)
+    tw2, td2, rep2 = pipeline.solve(g, jobs=2)
+    assert tw1 == tw2 == 4
+    assert rep1.parts["total"] == rep2.parts["total"] == 8
     assert validate(g, td2) == []
 
 
@@ -114,12 +147,20 @@ def test_report_shape(monkeypatch):
     d = report.as_dict()
     assert d["instance"] == "k4" and d["tw"] == 3
     assert set(d["counters"]) == {"iblocks", "oblocks", "pmcs_buildable", "pmcs_feasible"}
+    # every vertex of K4 is simplicial: the reduction leaves no part to split or solve
+    assert d["reduction"] == {"removed": 4, "low": 3}
     assert d["safe_separators"] == {
-        "found": 0, "max_part": 4, "checks": 0, "yes": 0, "dont_know": 0, "aborted": 0,
+        "found": 0, "max_part": 0, "checks": 0, "yes": 0, "dont_know": 0, "aborted": 0,
         "steps": 0,
     }
     assert d["time_ms"] >= 0.0
-    # the elimination width 3 equals the minimum degree: no level runs
+    assert d["parts"] == {"total": 0, "settled_by_bound": 0, "levels": 0}
+    assert set(d["counters"].values()) == {0}
+    # the octahedron's elimination width 4 equals its minimum degree: no level runs
+    d = pipeline.solve(octahedron_chain(1))[2].as_dict()
+    assert d["tw"] == 4
+    assert d["reduction"] == {"removed": 0, "low": 2}
+    assert d["safe_separators"]["found"] == 0 and d["safe_separators"]["max_part"] == 6
     assert d["parts"] == {"total": 1, "settled_by_bound": 1, "levels": 0}
     assert set(d["counters"].values()) == {0}
     # levels 2 to 4 are negative, level 5 accepts below the elimination width 6
@@ -127,6 +168,7 @@ def test_report_shape(monkeypatch):
     assert d["parts"] == {"total": 1, "settled_by_bound": 0, "levels": 4}
     assert d["counters"]["pmcs_feasible"] > 0
     assert d["safe_separators"]["checks"] == 0
+    assert d["reduction"] == {"removed": 0, "low": 0}
     # every minor-safety check run while splitting is tallied, by verdict
     reports = []
     check = safesep.heuristic_minor_safe
@@ -159,14 +201,20 @@ def test_pipeline_matches_oracle_on_grid():
 
 
 def test_glue_across_components_that_split():
-    parts = [triangle_chain(4), triangle_chain(3), random_connected_graph(12, 15, 0)]
+    # the octahedron chains split untouched by the reduction; the random
+    # graph loses 7 vertices to it and its remainder still splits
+    parts = [octahedron_chain(3), octahedron_chain(2), random_connected_graph(12, 15, 0)]
     g = disjoint_union(*parts)
     tw, td, report = pipeline.solve(g)
-    assert tw == max(oracle.bf_treewidth(h) for h in parts) == 3
+    assert tw == max(oracle.bf_treewidth(h) for h in parts) == 4
     assert validate(g, td) == []
     assert td.width() == tw
-    found = [len(safesep.decompose(h).applied_separators) for h in parts]
-    assert all(found)
+    assert report.reduction == {"removed": 7, "low": 2}
+    found = [
+        len(safesep.decompose(safesep.simplicial_reduction(h)[0]).applied_separators)
+        for h in parts
+    ]
+    assert found == [2, 1, 1]
     assert report.safe_separators["found"] == sum(found)
     # solving again must not see labels mapped by the first run
     tw2, td2, _ = pipeline.solve(g)
@@ -198,7 +246,7 @@ def test_no_level_runs_on_parts_settled_by_bound(decided_levels):
     alone = pipeline.solve(grid_graph(4, 4))
     grid_levels = list(decided_levels)
     decided_levels.clear()
-    g = disjoint_union(grid_graph(4, 4), triangle_chain(5))
+    g = disjoint_union(grid_graph(4, 4), octahedron_chain(5))
     tw, td, report = pipeline.solve(g)
     assert decided_levels == grid_levels  # no level runs on the chain
     assert tw == alone[0] == 4
@@ -226,7 +274,34 @@ def test_parallel_jobs_agree_when_running_maximum_prunes():
 @settings(max_examples=30)
 def test_nested_splits_match_oracle(g):
     tw, td, report = pipeline.solve(g)
+    assert report.reduction["removed"] == 0
     assert report.safe_separators["found"] >= 2
     assert tw == oracle.bf_treewidth(g)
     assert validate(g, td) == []
     assert td.width() == tw
+
+
+@given(low_degree_graphs())
+@settings(max_examples=80)
+def test_reduction_matches_oracle(g):
+    tw, td, report = pipeline.solve(g)
+    assert tw == oracle.bf_treewidth(g)
+    assert report.reduction["low"] <= tw
+    assert validate(g, td) == []
+    assert td.width() == tw
+
+
+def test_put_back_without_a_holding_bag_raises(monkeypatch, tmp_graph_file, capsys):
+    reduce = safesep.simplicial_reduction
+
+    def corrupted(g):
+        reduced, kept, low, removed = reduce(g)
+        v, nb = removed[-2]
+        removed[-2] = (v, nb | 1 << removed[0][0])  # a vertex put back only later
+        return reduced, kept, low, removed
+
+    monkeypatch.setattr(safesep, "simplicial_reduction", corrupted)
+    with pytest.raises(pipeline.PipelineError, match="neighborhood of removed vertex"):
+        pipeline.solve(triangle_chain(3))
+    assert cli.main(["exact", tmp_graph_file("t.gr", write_gr(triangle_chain(3)))]) == 3
+    assert "neighborhood of removed vertex" in capsys.readouterr().err

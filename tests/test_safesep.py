@@ -12,7 +12,15 @@ from twsolve.families import (
 from twsolve.graph import Graph, bits, min_vertex
 from twsolve.safesep import ABORTED, DONT_KNOW, YES
 
-from conftest import applied_reports, connected_graphs, mask, split_parts
+from conftest import (
+    applied_reports,
+    connected_graphs,
+    disjoint_union,
+    mask,
+    octahedron_chain,
+    split_parts,
+    triangle_chain,
+)
 
 
 def two_triangles() -> Graph:
@@ -173,6 +181,44 @@ def test_decompose_strictly_shrinks():
             assert pg.n <= g.n
         if d.applied_separators:
             assert max(pg.n for pg, _ in split_parts(d)) < g.n
+
+
+def test_reduction_removes_triangle_chain_and_cycle():
+    for g in (triangle_chain(6), cycle_graph(7)):
+        reduced, kept, low, removed = safesep.simplicial_reduction(g)
+        assert (reduced.n, kept, low) == (0, [], 2)
+        assert sorted(v for v, _ in removed) == list(range(g.n))
+
+
+def test_reduction_keeps_almost_simplicial_vertex_above_low():
+    # vertex 12 sees the edge {0, 1} of one octahedron and vertex 6 of
+    # another: almost simplicial of degree 3, while low stays 2
+    edges = disjoint_union(octahedron_chain(1), octahedron_chain(1)).edge_list()
+    edges += [(12, 0), (12, 1), (12, 6)]
+    g = Graph(13, edges)
+    reduced, kept, low, removed = safesep.simplicial_reduction(g)
+    assert (removed, low, kept) == ([], 2, list(range(13)))
+    assert reduced is g
+    # a K4 hanging from vertex 9 has simplicial vertices of degree 3, so low
+    # rises to 3 and vertex 12 goes too
+    k4 = [(9, 13), (9, 14), (9, 15), (13, 14), (13, 15), (14, 15)]
+    reduced, kept, low, removed = safesep.simplicial_reduction(Graph(16, edges + k4))
+    assert low == 3
+    assert {13, 14, 15, 12} <= {v for v, _ in removed}
+    assert 12 not in kept
+
+
+@given(connected_graphs(max_n=10))
+def test_reduction_preserves_treewidth(g):
+    reduced, kept, low, removed = safesep.simplicial_reduction(g)
+    tw = oracle.bf_treewidth(g)
+    assert low <= tw
+    assert max(low, oracle.bf_treewidth(reduced) if reduced.n else 0) == tw
+    assert sorted(kept + [v for v, _ in removed]) == list(range(g.n))
+    index = {v: i for i, v in enumerate(kept)}
+    for u, v in g.edge_list():
+        if u in index and v in index:
+            assert reduced.has_edge(index[u], index[v])
 
 
 def test_general_two_phase_path():
