@@ -30,7 +30,8 @@ def path_graph(n: int) -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
-    assert n >= 3
+    if n < 3:
+        raise ValueError(f"cycle_graph needs n >= 3 vertices, got n={n}")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -76,7 +77,8 @@ def _mycielskian(g: Graph) -> Graph:
 def mycielski_graph(index: int) -> Graph:
     """The iterated Mycielskian matching the classic benchmark numbering:
     index 2 is the 5-cycle, each step doubles and adds an apex."""
-    assert index >= 2
+    if index < 2:
+        raise ValueError(f"mycielski_graph needs index >= 2, got index={index}")
     g = cycle_graph(5)
     for _ in range(index - 2):
         g = _mycielskian(g)

@@ -7,13 +7,17 @@ queries: given (C, N(C)), return every stored W with C a subset of W and
 Entries get ids in insertion order, and the index keeps int bitmasks over
 those ids: ``P[x]`` holds the entries whose W contains vertex x, ``Q[x]``
 those whose N(W) contains x, and ``G[r]`` those whose margin
-k + 1 - |N(W)| is at least r.  A query ANDs ``P[x]`` over x in C.  If few
-entries survive, each one's union budget is checked directly.  Otherwise,
-for each x in N(C), the survivors lacking x in N(W) are added into
-bit-sliced counter planes: an entry's count is |N(C) - N(W)|, and it is a
-hit exactly when count <= margin, that is when it lies in ``G[count]``.
-Each step is one big-int operation over all entries, so no Python loop runs
-over entries that fail the query.
+k + 1 - |N(W)| is at least r.  A query ANDs ``P[x]`` over x in C, which
+leaves the supersets of C.  An entry is a hit when |N(C) | N(W)| <= k + 1,
+that is when its count |N(C) - N(W)| is at most its margin.  When at most
+``_DIRECT_PER_NEIGHBOR`` * |N(C)| entries survive, each one's union is
+counted directly, one short operation per survivor.  Otherwise, for each x
+in N(C), the survivors lacking x in N(W) are added into bit-sliced counter
+planes, and an entry with count c is a hit exactly when it lies in
+``G[c]``.  That pass costs about |N(C)| times the plane count of big-int
+operations over the whole id space, which pays only when the survivors
+outnumber N(C) by more than the constant; with N(C) empty every survivor
+is a hit, read off ``G[0]`` without a loop.
 
 Stores wait in a tail that queries scan directly.  Once the tail holds
 ``_FOLD_BATCH`` entries, the next query folds it into the masks with one
@@ -24,8 +28,9 @@ from __future__ import annotations
 
 __all__ = ["SieveBank", "linear_scan_supersets"]
 
-# at most this many survivors of the subset test are checked one by one
-_DIRECT_CHECK = 24
+# survivors of the subset test are checked one by one when there are at most
+# this many per vertex of N(C)
+_DIRECT_PER_NEIGHBOR = 4
 # the tail is folded into the masks once it holds this many entries: a fold
 # touches every vertex of its batch, which costs more than scanning a short
 # tail when the solver queries after every store or two
@@ -159,7 +164,7 @@ class SieveBank:
             low = m & -m
             s &= P[low.bit_length() - 1]
             m ^= low
-        if s.bit_count() > _DIRECT_CHECK:
+        if s.bit_count() > _DIRECT_PER_NEIGHBOR * n_u.bit_count():
             hits = [entries[i][0] for i in _ids(self._within_budget(s, n_u))]
         else:
             hits = [w for w, n_w in map(entries.__getitem__, _ids(s))

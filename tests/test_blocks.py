@@ -1,3 +1,6 @@
+import random
+from collections import Counter
+
 from hypothesis import given, strategies as st
 
 from twsolve import blocks
@@ -5,11 +8,12 @@ from twsolve.families import (
     complete_graph,
     cycle_graph,
     path_graph,
+    random_connected_graph,
     star_graph,
 )
-from twsolve.graph import min_vertex
+from twsolve.graph import bit_list, min_vertex
 
-from conftest import connected_graphs, mask
+from conftest import connected_graphs, mask, vertex_subsets
 
 
 def full_components(g, s):
@@ -60,6 +64,53 @@ def test_is_cliquish():
     assert not blocks.is_cliquish(p3, mask(0, 1, 2))
     p5 = path_graph(5)
     assert blocks.is_cliquish(p5, mask(1, 3))
+
+
+def cliquish_by_pairs(g, k_set):
+    """The definition: every non-adjacent pair of ``k_set`` lies in the
+    neighborhood of one component of the graph minus ``k_set``."""
+    nbs = [nb for _, nb in g.components_with_neighborhoods(k_set)]
+    members = bit_list(k_set)
+    return all(
+        g.has_edge(u, v) or any(nb >> u & 1 and nb >> v & 1 for nb in nbs)
+        for i, u in enumerate(members) for v in members[i + 1:]
+    )
+
+
+def check_cliquish(g, k_set) -> tuple[str, bool]:
+    """Compare ``is_cliquish`` with the definition; return the path it takes
+    and the answer."""
+    got = blocks.is_cliquish(g, k_set)
+    assert got == cliquish_by_pairs(g, k_set)
+    comps = len(g.components(k_set))
+    return ("classes" if 1 << comps < k_set.bit_count() else "per vertex"), got
+
+
+@given(connected_graphs(max_n=12), st.data())
+def test_is_cliquish_matches_pairwise_definition(g, data):
+    check_cliquish(g, data.draw(vertex_subsets(g, min_size=1)))
+
+
+def test_is_cliquish_differential_reaches_both_paths():
+    # seeded draws like those of the test above: both paths answer both ways
+    seen = Counter()
+    rng = random.Random(3)
+    for seed in range(150):
+        n = rng.randint(2, 12)
+        g = random_connected_graph(n, n - 1 + rng.randint(0, 2 * n), seed)
+        for _ in range(10):
+            seen[check_cliquish(g, rng.randint(1, g.full_mask))] += 1
+    for path in ("classes", "per vertex"):
+        assert seen[path, True] >= 50 and seen[path, False] >= 50
+
+
+def test_is_cliquish_fixed_cases():
+    # K = all vertices leaves no component: cliquish iff a clique
+    assert check_cliquish(complete_graph(5), complete_graph(5).full_mask) == ("classes", True)
+    assert check_cliquish(cycle_graph(5), cycle_graph(5).full_mask) == ("classes", False)
+    # a single vertex is always cliquish
+    for v in range(5):
+        assert check_cliquish(cycle_graph(5), mask(v)) == ("per vertex", True)
 
 
 def test_is_pmc():

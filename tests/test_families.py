@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from twsolve.families import (
@@ -33,6 +34,16 @@ def test_basic_families():
     assert grid_graph(3, 4).edge_count == 17
     assert petersen_graph().edge_count == 15
     assert all(petersen_graph().degree(v) == 3 for v in range(10))
+
+
+@pytest.mark.parametrize("make, bad, name", [
+    (cycle_graph, 2, "n"), (cycle_graph, 0, "n"),
+    (mycielski_graph, 1, "index"), (mycielski_graph, 0, "index"),
+])
+def test_family_arguments_out_of_range_raise(make, bad, name):
+    # a real exception, so that python -O does not turn it into a 5-cycle
+    with pytest.raises(ValueError, match=f"{name}={bad}"):
+        make(bad)
 
 
 @given(

@@ -9,9 +9,9 @@ from twsolve.sieve import SieveBank, linear_scan_supersets
 
 from conftest import mask
 
-# a query with more subset survivors than this takes the counter-plane path
-# even if the whole unfolded tail is among them
-WIDE = sieve._DIRECT_CHECK + sieve._FOLD_BATCH
+# a fixed survivor cut-off that ignores N(C); the tally shows that the rule
+# sends queries with more survivors than this to the direct check too
+OLD_DIRECT_CHECK = 24
 
 
 def _random_pair(rng: random.Random, n: int, k: int) -> tuple[int, int]:
@@ -52,7 +52,10 @@ def _query_near(rng: random.Random, entries: list[tuple[int, int]], n: int, k: i
 def _differential(n: int, k: int, ops: int, seed: int) -> Counter:
     """Interleave stores and queries; every query must equal the linear scan
     over the entries stored so far, in insertion order.  Returns a tally of
-    wide queries and of the margins of the hits."""
+    the margins of the hits and of the queries whose folded survivors take
+    the counter planes ("wide"), among them those with N(C) empty, and of
+    those sent to the direct check with more than ``OLD_DIRECT_CHECK``
+    survivors."""
     rng = random.Random(seed)
     bank = SieveBank(n, k)
     entries: list[tuple[int, int]] = []
@@ -69,7 +72,13 @@ def _differential(n: int, k: int, ops: int, seed: int) -> Counter:
         u, nb = _query_near(rng, entries, n, k) if rng.random() < 0.8 else _random_pair(rng, n, k)
         got = bank.supersets(u, nb)
         assert got == linear_scan_supersets(entries, u, nb, k)
-        seen["wide"] += sum(u & ~w == 0 for w, _ in entries) > WIDE
+        # the query folded the tail first, so this counts the survivors
+        # of the masks, which the rule splits
+        survivors = sum(u & ~w == 0 for w, _ in entries[: bank._folded])
+        wide = survivors > sieve._DIRECT_PER_NEIGHBOR * nb.bit_count()
+        seen["wide"] += wide
+        seen["wide, N(C) empty"] += wide and nb == 0
+        seen["direct above old threshold"] += not wide and survivors > OLD_DIRECT_CHECK
         onb = dict(entries)
         for w in got:
             seen[f"margin {k + 1 - onb[w].bit_count()}"] += 1
@@ -203,6 +212,7 @@ def test_differential_hypothesis_reaches_wide_queries_and_extreme_margins():
         for k in (4, 9, 15):
             total += _differential(n=32, k=k, ops=400, seed=seed)
     assert total["wide"] >= 10
+    assert total["wide, N(C) empty"] and total["direct above old threshold"]
     for k in (4, 9, 15):
         assert total[f"margin {k}"] and total["margin 1"]
 
