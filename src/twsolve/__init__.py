@@ -1,7 +1,7 @@
 """Exact treewidth solving over oriented minimal separators and potential
 maximal cliques, with safe-separator preprocessing and PACE-format I/O."""
 
-from .graph import Graph, bit_list, bits, min_vertex, precedes, vset
+from .graph import Graph, bit_list, bits, vset
 from .pipeline import solve
 from .solver import DecideResult, SolverStats, Witness, decide, lower_bound, treewidth
 from .tdbuild import TreeDecomposition, extract, validate
@@ -19,8 +19,6 @@ __all__ = [
     "decide",
     "extract",
     "lower_bound",
-    "min_vertex",
-    "precedes",
     "solve",
     "treewidth",
     "validate",

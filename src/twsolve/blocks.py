@@ -133,7 +133,8 @@ def is_outbound(g: Graph, c: int) -> bool:
 
 
 def outlet_and_support(
-    g: Graph, k_set: int, debug: bool = False,
+    g: Graph,
+    k_set: int,
     comps_nbs: list[tuple[int, int]] | None = None,
     full_component: Callable[[int], int] | None = None,
 ) -> tuple[int, tuple[int, ...]]:
@@ -153,13 +154,8 @@ def outlet_and_support(
     out = 0
     for c, nb in comps_nbs:
         # outbound iff c is the first full component of its own neighborhood
-        if nb != k_set and full_component(nb) == c:
-            if debug and out:
-                assert out & ~nb == 0 or nb & ~out == 0, (
-                    "outbound component neighborhoods must be nested"
-                )
-            if nb.bit_count() > out.bit_count():
-                out = nb
+        if nb != k_set and full_component(nb) == c and nb.bit_count() > out.bit_count():
+            out = nb
     if out:
         return out, tuple(c for c, nb in comps_nbs if nb & ~out)
     return 0, tuple(c for c, _ in comps_nbs)

@@ -6,7 +6,7 @@ intersection ``&``, difference ``a & ~b``, the subset test ``a & ~b == 0``.
 Arbitrary-precision ints keep the semantics exact for any n.
 
 The total order on vertices is ascending index order; sets are compared by
-their smallest member (see :func:`precedes`).
+their smallest member.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ __all__ = [
     "Graph",
     "bits",
     "bit_list",
-    "min_vertex",
-    "precedes",
     "vset",
 ]
 
@@ -41,18 +39,6 @@ def bits(mask: int) -> Iterator[int]:
 
 def bit_list(mask: int) -> list[int]:
     return list(bits(mask))
-
-
-def min_vertex(mask: int) -> int:
-    """Smallest vertex index in a non-empty set."""
-    assert mask != 0, "min_vertex of empty set"
-    return (mask & -mask).bit_length() - 1
-
-
-def precedes(a: int, b: int) -> bool:
-    """True iff the smallest member of ``a`` is smaller than that of ``b``."""
-    assert a != 0 and b != 0, "precedes is defined on non-empty sets"
-    return (a & -a) < (b & -b)
 
 
 class Graph:
@@ -88,14 +74,8 @@ class Graph:
     def edge_list(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def min_degree(self) -> int:
         return min(self.adj[v].bit_count() for v in range(self.n))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def open_neighborhood(self, u: int) -> int:
         """Vertices outside ``u`` adjacent to some member of ``u``."""
@@ -140,7 +120,8 @@ class Graph:
 
     def is_connected(self, u: int) -> bool:
         """True iff the subgraph induced by non-empty ``u`` is connected."""
-        assert u != 0, "is_connected of empty set"
+        if not u:
+            raise ValueError("is_connected of the empty set")
         adj = self.adj
         comp = u & -u
         frontier = comp

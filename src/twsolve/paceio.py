@@ -22,7 +22,6 @@ __all__ = [
     "read_col",
     "read_gr",
     "read_td",
-    "write_col",
     "write_gr",
     "write_td",
 ]
@@ -129,12 +128,6 @@ def read_col(text: str) -> tuple[Graph, list[int]]:
 def write_gr(g: Graph) -> str:
     lines = [f"p tw {g.n} {g.edge_count}"]
     lines += [f"{u + 1} {v + 1}" for u, v in g.edge_list()]
-    return "\n".join(lines) + "\n"
-
-
-def write_col(g: Graph) -> str:
-    lines = [f"p edge {g.n} {g.edge_count}"]
-    lines += [f"e {u + 1} {v + 1}" for u, v in g.edge_list()]
     return "\n".join(lines) + "\n"
 
 

@@ -8,18 +8,18 @@ part decompositions back together; each removed vertex v then gets the bag
 N[v], attached in reverse removal order to a bag that already holds N(v).
 Every part comes with a greedy elimination decomposition of width ub; its
 decision levels stop below ub and start at the largest part width found so
-far, since levels outside that range cannot change the answer.  The split into components is a split
-along the empty separator, so one splitting tree covers both.  Adjacent
-parts overlap exactly on a completed separator, so each part owns a bag
-containing it and gluing those bags keeps all decomposition conditions
-intact.
+far, since levels outside that range cannot change the answer.  The split
+into components is a split along the empty separator, so one splitting tree
+covers both.  Adjacent parts overlap exactly on a completed separator, so
+each part owns a bag containing it and gluing those bags keeps all
+decomposition conditions intact.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
 from . import safesep
@@ -47,17 +47,7 @@ class SolveReport:
     reduction: dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "instance": self.instance,
-            "n": self.n,
-            "m": self.m,
-            "tw": self.tw,
-            "time_ms": self.time_ms,
-            "counters": dict(self.counters),
-            "safe_separators": dict(self.safe_separators),
-            "parts": dict(self.parts),
-            "reduction": dict(self.reduction),
-        }
+        return asdict(self)
 
 
 def _solve_leaf(

@@ -194,22 +194,15 @@ def best_elimination(
 
 def candidate_separators(
     g: Graph, elims: list[tuple[list[int], list[int]]] | None = None
-) -> list[int]:
-    """Minimal separators harvested from greedy elimination decompositions.
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Minimal separators harvested from greedy elimination decompositions,
+    each with its components and their neighborhoods.
 
     Uses the min-fill and min-degree eliminations (computed unless given);
     the neighborhood of each vertex at its elimination time is an
     adjacent-bag intersection of the resulting decomposition.  Deduplicated,
     filtered to minimal separators, sizes ascending.
     """
-    return [s for s, _ in _minimal_separators(g, elims)]
-
-
-def _minimal_separators(
-    g: Graph, elims: list[tuple[list[int], list[int]]] | None
-) -> list[tuple[int, list[tuple[int, int]]]]:
-    """The candidates of :func:`candidate_separators`, each with its
-    components and their neighborhoods."""
     seen: set[int] = set()
     out = []
     for _, nbs in elims or _eliminations(g):
@@ -498,13 +491,11 @@ class DecompNode:
 
 @dataclass
 class Decomposition:
-    """The splitting tree, the applied separators in the labels of the root,
-    and a ``tally`` of the minor-safety checks run: ``checks``, one count
-    per verdict (``yes``, ``dont_know``, ``aborted``) and the ``steps`` they
-    used."""
+    """The splitting tree and a ``tally`` of the minor-safety checks run:
+    ``checks``, one count per verdict (``yes``, ``dont_know``, ``aborted``)
+    and the ``steps`` they used."""
 
     root: DecompNode
-    applied_separators: list[int] = field(default_factory=list)
     tally: dict[str, int] = field(default_factory=lambda: dict.fromkeys(TALLY_KEYS, 0))
 
 
@@ -516,9 +507,9 @@ def decompose(
     Separators are tried largest impact first (greatest reduction of the
     biggest part, then size ascending); every applied part gets the separator
     completed into a clique and is then split further if possible.  Node
-    labels and applied separators are given in ``labels``, the names of the
-    vertices of ``g`` (the identity by default).  Every leaf keeps the better
-    of the greedy eliminations its separator search ran.
+    labels and separators are given in ``labels``, the names of the vertices
+    of ``g`` (the identity by default).  Every leaf keeps the better of the
+    greedy eliminations its separator search ran.
     """
     out = Decomposition(DecompNode(g, list(range(g.n)) if labels is None else labels))
     stack = [out.root]
@@ -532,7 +523,6 @@ def decompose(
         report, comps_nbs = found
         node.report = report
         node.separator = vset(node.to_root[v] for v in bits(report.separator))
-        out.applied_separators.append(node.separator)
         for comp, nb in comps_nbs:
             part, part_labels = node.graph.subgraph(comp | nb, make_clique=nb)
             child = DecompNode(part, [node.to_root[v] for v in part_labels])
@@ -552,7 +542,7 @@ def _find_safe_separator(
     if g.n <= 2:
         return None
     scored = []
-    for s, comps_nbs in _minimal_separators(g, elims):
+    for s, comps_nbs in candidate_separators(g, elims):
         reduction = g.n - max((c | nb).bit_count() for c, nb in comps_nbs)
         if reduction > 0:
             scored.append((-reduction, s.bit_count(), s, comps_nbs))

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .blocks import is_cliquish, is_outbound, outlet_and_support
+from .blocks import is_cliquish, outlet_and_support
 from .graph import Graph
 from .sieve import SieveBank
 
@@ -95,9 +95,8 @@ class _Analysis:
     to its first full component (0 if none), ``pmcs`` a potential maximal
     clique to its record with outlet and support."""
 
-    def __init__(self, g: Graph, debug: bool):
+    def __init__(self, g: Graph):
         self.g = g
-        self.debug = debug
         self.full: dict[int, int] = {}
         self.pmcs: dict[int, PmcRecord] = {}
 
@@ -114,7 +113,7 @@ class _Analysis:
                 self.full[s] = c
                 return c
         if is_cliquish(g, s, [nb for _, nb in comps_nbs]):
-            out, sup = outlet_and_support(g, s, self.debug, comps_nbs, self.full_component)
+            out, sup = outlet_and_support(g, s, comps_nbs, self.full_component)
             self.pmcs[s] = PmcRecord(s, out, sup)
         self.full[s] = 0
         return 0
@@ -130,9 +129,7 @@ class _Search:
         self.k = k
         self.exhaustive = exhaustive
         self.deadline = deadline
-        self.debug = analysis.debug
         self.iblocks: list[tuple[int, int]] = []
-        self.iblock_set: set[int] = set()
         self.iblock_source: dict[int, int] = {}
         self.bank = SieveBank(self.g.n, k)
         self.onb: dict[int, int] = {}
@@ -158,10 +155,10 @@ class _Search:
             return
         self.buildable[cand] = rec
         miss = 0
-        iblock_set = self.iblock_set
+        iblock_source = self.iblock_source
         waiting = self.waiting
         for c in rec.support:
-            if c not in iblock_set:
+            if c not in iblock_source:
                 waiting.setdefault(c, []).append(cand)
                 miss += 1
         if miss:
@@ -192,20 +189,16 @@ class _Search:
         component arrives, before the blocks it emits are worked off.
         """
         work = [(comp, nb, src)]
-        iblock_set = self.iblock_set
+        iblock_source = self.iblock_source
         waiting = self.waiting
         missing = self.missing
         buildable = self.buildable
         while work:
             comp, nb, src = work.pop()
-            if comp in iblock_set:
+            if comp in iblock_source:
                 continue
-            if self.debug:
-                assert not is_outbound(self.g, comp), "emitted block must be inbound"
-                assert self.g.open_neighborhood(comp) == nb
-            iblock_set.add(comp)
             self.iblocks.append((comp, nb))
-            self.iblock_source[comp] = src
+            iblock_source[comp] = src
             for k2 in waiting.pop(comp, ()):
                 cnt = missing.pop(k2) - 1
                 if cnt:
@@ -213,14 +206,10 @@ class _Search:
                     continue
                 rec2 = buildable[k2]
                 crib = self._mark_feasible(k2, rec2)
-                if crib and crib not in iblock_set:
+                if crib and crib not in iblock_source:
                     work.append((crib, rec2.outlet, k2))
 
     def _store_oblock(self, comp: int, nb: int, new_obs: list[tuple[int, int]]) -> None:
-        if self.debug:
-            assert is_outbound(self.g, comp), "stored block must be outbound"
-            assert nb.bit_count() <= self.k
-            assert self.g.open_neighborhood(comp) == nb
         self.onb[comp] = nb
         self.bank.store(comp, nb)
         new_obs.append((comp, nb))
@@ -266,8 +255,6 @@ class _Search:
                     self._store_oblock(a, cand, new_obs)
             # the outbound full component of this block's separator
             a = self.analysis.full_component(nb)
-            if self.debug:
-                assert a and a != comp
             if a not in onb:
                 self._store_oblock(a, nb, new_obs)
             # candidate cliques clipped out of each fresh outbound block
@@ -280,8 +267,6 @@ class _Search:
                     if cand.bit_count() <= size_cap:
                         self._candidate(cand)
 
-        if self.debug:
-            assert self.feasible.keys() <= self.buildable.keys()
         return self.root is not None
 
 
@@ -291,7 +276,6 @@ def decide(
     *,
     exhaustive: bool = False,
     deadline: float | None = None,
-    debug: bool = False,
     _analysis: _Analysis | None = None,
 ) -> DecideResult:
     """Decide whether the treewidth of connected ``g`` is at most ``k``.
@@ -319,7 +303,7 @@ def decide(
     if k > n - 1:
         raise ValueError(f"width bound {k} out of range for n={n}")
 
-    analysis = _Analysis(g, debug) if _analysis is None else _analysis
+    analysis = _Analysis(g) if _analysis is None else _analysis
     search = _Search(analysis, k, exhaustive, deadline)
     answer = search.run()
     stats = SolverStats(
@@ -344,7 +328,6 @@ def levels(
     lower: int = 0,
     upper: int | None = None,
     deadline: float | None = None,
-    debug: bool = False,
 ) -> Iterator[DecideResult]:
     """Run the decision procedure on connected ``g`` level by level.
 
@@ -360,9 +343,9 @@ def levels(
         raise ValueError("levels requires a non-empty graph")
     start = max(lower, max(1, g.min_degree()) if g.n > 1 else 0)
     stop = g.n if upper is None else upper
-    analysis = _Analysis(g, debug)
+    analysis = _Analysis(g)
     for k in range(start, stop):
-        res = decide(g, k, deadline=deadline, debug=debug, _analysis=analysis)
+        res = decide(g, k, deadline=deadline, _analysis=analysis)
         yield res
         if res.answer:
             return
@@ -376,7 +359,6 @@ def treewidth(
     lower: int = 0,
     upper: int | None = None,
     deadline: float | None = None,
-    debug: bool = False,
     stats_out: list[SolverStats] | None = None,
 ) -> tuple[int, Witness | None]:
     """Treewidth of connected ``g`` with the accepting witness.
@@ -392,7 +374,7 @@ def treewidth(
     treewidth from above.  Without ``lower`` and ``upper`` the result is exact.
     """
     res = None
-    for res in levels(g, lower=lower, upper=upper, deadline=deadline, debug=debug):
+    for res in levels(g, lower=lower, upper=upper, deadline=deadline):
         if stats_out is not None:
             stats_out.append(res.stats)
     if res is None or not res.answer:
@@ -400,9 +382,7 @@ def treewidth(
     return res.stats.k, res.witness
 
 
-def lower_bound(
-    g: Graph, time_limit: float, *, lower: int = 0, debug: bool = False
-) -> int:
+def lower_bound(g: Graph, time_limit: float, *, lower: int = 0) -> int:
     """Best certified treewidth lower bound within a time budget.
 
     Every completed negative decision at level k certifies a bound of k + 1;
@@ -413,7 +393,7 @@ def lower_bound(
     deadline = time.monotonic() + max(0.0, time_limit)
     lb = 0
     try:
-        for res in levels(g, lower=lower, deadline=deadline, debug=debug):
+        for res in levels(g, lower=lower, deadline=deadline):
             lb = res.stats.k if res.answer else res.stats.k + 1
     except SolverTimeout:
         pass

@@ -1,9 +1,11 @@
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from twsolve import blocks, solver
 from twsolve.families import random_connected_graph
 from twsolve.graph import Graph, vset
 
@@ -20,6 +22,22 @@ INSTANCE_DIR = Path(os.environ.get("TW_INSTANCES", Path(__file__).resolve().pare
 
 def mask(*vertices: int) -> int:
     return vset(vertices)
+
+
+def min_vertex(s: int) -> int:
+    """Smallest vertex of a non-empty set."""
+    return (s & -s).bit_length() - 1
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return bool(g.adj[u] >> v & 1)
+
+
+def col_text(g: Graph) -> str:
+    """``g`` as DIMACS ``.col`` text."""
+    lines = [f"p edge {g.n} {g.edge_count}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in g.edge_list()]
+    return "\n".join(lines) + "\n"
 
 
 @st.composite
@@ -76,11 +94,69 @@ def split_parts(d) -> list[tuple[Graph, list[int]]]:
     return [(node.graph, node.to_root) for node in d.root.walk() if not node.children]
 
 
+def applied_separators(d) -> list[int]:
+    """The separators applied in a ``safesep.decompose`` splitting tree, in
+    the labels of its root, in the order the splits were made."""
+    return [node.separator for node in d.root.walk() if node.report is not None]
+
+
 def applied_reports(d) -> list[tuple]:
     """(graph, separator in that graph's indices, report) of every split applied
     in a ``safesep.decompose`` splitting tree."""
     return [(node.graph, node.report.separator, node.report)
             for node in d.root.walk() if node.report is not None]
+
+
+def outlets_nest(g: Graph, k_set: int) -> bool:
+    """True iff the neighborhoods of the outbound non-full components
+    associated with ``k_set`` are nested, so the largest is the outlet."""
+    outs = [
+        nb
+        for c, nb in g.components_with_neighborhoods(k_set)
+        if nb != k_set and blocks.is_outbound(g, c)
+    ]
+    return all(a & ~b == 0 or b & ~a == 0 for a in outs for b in outs)
+
+
+def check_search(search: solver._Search) -> None:
+    """Check the invariants of a decision search after its run.
+
+    Every inbound block is a connected, inbound set with the recorded
+    neighborhood; every stored outbound block is outbound with the recorded
+    neighborhood of at most k vertices; the outbound component
+    neighborhoods of every buildable PMC nest; and every feasible PMC is
+    buildable.
+    """
+    g = search.g
+    for comp, nb in search.iblocks:
+        assert g.open_neighborhood(comp) == nb, f"inbound block {comp:#x}: wrong neighborhood"
+        assert g.is_connected(comp) and not blocks.is_outbound(g, comp), (
+            f"inbound block {comp:#x} is not inbound")
+    for comp, nb in search.onb.items():
+        assert g.open_neighborhood(comp) == nb, f"outbound block {comp:#x}: wrong neighborhood"
+        assert blocks.is_outbound(g, comp), f"outbound block {comp:#x} is not outbound"
+        assert nb.bit_count() <= search.k, f"outbound block {comp:#x}: neighborhood above k"
+    for k_set in search.buildable:
+        assert outlets_nest(g, k_set), f"PMC {k_set:#x}: outbound neighborhoods do not nest"
+    assert search.feasible.keys() <= search.buildable.keys(), "a feasible PMC is not buildable"
+
+
+@contextmanager
+def checked_searches():
+    """Run :func:`check_search` after every decision search in the block;
+    yields the list of searches checked so far."""
+    checked: list[solver._Search] = []
+    run = solver._Search.run
+
+    def run_and_check(search: solver._Search) -> bool:
+        answer = run(search)
+        check_search(search)
+        checked.append(search)
+        return answer
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver._Search, "run", run_and_check)
+        yield checked
 
 
 @pytest.fixture

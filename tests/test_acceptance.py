@@ -23,7 +23,7 @@ from twsolve.sieve import SieveBank, linear_scan_supersets
 from twsolve.solver import decide, treewidth
 from twsolve.tdbuild import extract, validate
 
-from conftest import INSTANCE_DIR, applied_reports, split_parts
+from conftest import INSTANCE_DIR, applied_reports, applied_separators, split_parts
 
 GENERATED = {
     "myciel3": lambda: mycielski_graph(3),
@@ -197,7 +197,7 @@ def test_criterion7_safe_separator_soundness():
         m = -(-5 * n // 4)
         g = random_connected_graph(n, m, 90000 + attempts)
         d = safesep.decompose(g)
-        if not d.applied_separators:
+        if not applied_separators(d):
             continue
         hits += 1
         whole = oracle.bf_treewidth(g)

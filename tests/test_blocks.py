@@ -11,9 +11,9 @@ from twsolve.families import (
     random_connected_graph,
     star_graph,
 )
-from twsolve.graph import bit_list, min_vertex
+from twsolve.graph import bit_list
 
-from conftest import connected_graphs, mask, vertex_subsets
+from conftest import connected_graphs, has_edge, mask, min_vertex, outlets_nest, vertex_subsets
 
 
 def full_components(g, s):
@@ -72,7 +72,7 @@ def cliquish_by_pairs(g, k_set):
     nbs = [nb for _, nb in g.components_with_neighborhoods(k_set)]
     members = bit_list(k_set)
     return all(
-        g.has_edge(u, v) or any(nb >> u & 1 and nb >> v & 1 for nb in nbs)
+        has_edge(g, u, v) or any(nb >> u & 1 and nb >> v & 1 for nb in nbs)
         for i, u in enumerate(members) for v in members[i + 1:]
     )
 
@@ -207,7 +207,8 @@ def test_pmc_emits_inbound_crib_of_its_outlet(g):
     for k_set in range(1, g.full_mask + 1):
         if not blocks.is_pmc(g, k_set):
             continue
-        out, sup = blocks.outlet_and_support(g, k_set, debug=True)
+        out, sup = blocks.outlet_and_support(g, k_set)
+        assert outlets_nest(g, k_set)
         if not out:
             assert sup == tuple(g.components(k_set))
             continue
@@ -222,16 +223,8 @@ def test_pmc_emits_inbound_crib_of_its_outlet(g):
 @given(connected_graphs(max_n=8))
 def test_outbound_neighborhoods_nest(g):
     for k_set in range(1, g.full_mask + 1):
-        if not blocks.is_cliquish(g, k_set):
-            continue
-        outs = [
-            nb
-            for c, nb in g.components_with_neighborhoods(k_set)
-            if nb != k_set and blocks.is_outbound(g, c)
-        ]
-        for a in outs:
-            for b in outs:
-                assert a & ~b == 0 or b & ~a == 0
+        if blocks.is_cliquish(g, k_set):
+            assert outlets_nest(g, k_set), k_set
 
 
 @given(connected_graphs(max_n=7))

@@ -4,9 +4,9 @@ from twsolve.cli import main
 from twsolve.families import mycielski_graph, random_connected_graph
 
 
-from twsolve.paceio import write_col as _col_text, write_gr as _gr_text
+from twsolve.paceio import write_gr as _gr_text
 
-from conftest import disjoint_union
+from conftest import col_text, disjoint_union
 
 
 def test_exact_single_edge(tmp_graph_file, capsys):
@@ -45,7 +45,7 @@ def test_exact_writes_valid_td_and_stats(tmp_graph_file, tmp_path, capsys):
 
 def test_exact_col_format(tmp_graph_file, capsys):
     g = mycielski_graph(3)
-    path = tmp_graph_file("m3.col", _col_text(g))
+    path = tmp_graph_file("m3.col", col_text(g))
     assert main(["exact", path]) == 0
     assert capsys.readouterr().out.strip() == "5"
 

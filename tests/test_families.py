@@ -33,7 +33,7 @@ def test_basic_families():
     assert complete_graph(6).edge_count == 15
     assert grid_graph(3, 4).edge_count == 17
     assert petersen_graph().edge_count == 15
-    assert all(petersen_graph().degree(v) == 3 for v in range(10))
+    assert all(a.bit_count() == 3 for a in petersen_graph().adj)
 
 
 @pytest.mark.parametrize("make, bad, name", [

@@ -1,5 +1,6 @@
 """Guards on reported results are explicit raises, so ``python -O`` keeps them."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,10 +18,10 @@ from twsolve.solver import PmcRecord, Witness
 from twsolve.tdbuild import extract
 
 
-def fires(name, fn):
+def fires(name, fn, error=AssertionError):
     try:
         fn()
-    except AssertionError:
+    except error:
         print(name, "fires")
     else:
         print(name, "silent")
@@ -39,6 +40,7 @@ fires("extract-root", lambda: extract(path, Witness(3, None, {}, {})))
 fires("extract-leaf-closure", lambda: extract(path, leaf))
 fires("report-evidence", lambda: _check_report(
     path, 0b010, [0b001, 0b100], SafeSeparatorReport(0b010, YES, None)))
+fires("connected-empty", lambda: path.is_connected(0), ValueError)
 """
 
 
@@ -59,5 +61,16 @@ def test_result_guards_fire_under_optimize():
         "extract-root fires",
         "extract-leaf-closure fires",
         "report-evidence fires",
+        "connected-empty fires",
         "",
     ]
+
+
+def test_package_has_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "twsolve").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -7,7 +7,7 @@ from twsolve.graph import Graph
 from twsolve.paceio import write_gr
 from twsolve.tdbuild import validate
 
-from conftest import disjoint_union, octahedron_chain, triangle_chain
+from conftest import applied_separators, disjoint_union, octahedron_chain, triangle_chain
 
 
 @st.composite
@@ -211,7 +211,7 @@ def test_glue_across_components_that_split():
     assert td.width() == tw
     assert report.reduction == {"removed": 7, "low": 2}
     found = [
-        len(safesep.decompose(safesep.simplicial_reduction(h)[0]).applied_separators)
+        len(applied_separators(safesep.decompose(safesep.simplicial_reduction(h)[0])))
         for h in parts
     ]
     assert found == [2, 1, 1]

@@ -9,14 +9,17 @@ from twsolve.families import (
     path_graph,
     random_connected_graph,
 )
-from twsolve.graph import Graph, bits, min_vertex
+from twsolve.graph import Graph, bits
 from twsolve.safesep import ABORTED, DONT_KNOW, YES
 
 from conftest import (
     applied_reports,
+    applied_separators,
     connected_graphs,
     disjoint_union,
+    has_edge,
     mask,
+    min_vertex,
     octahedron_chain,
     split_parts,
     triangle_chain,
@@ -28,7 +31,7 @@ def two_triangles() -> Graph:
 
 
 def test_candidates_path_includes_middle():
-    assert mask(1) in safesep.candidate_separators(path_graph(3))
+    assert mask(1) in [s for s, _ in safesep.candidate_separators(path_graph(3))]
 
 
 def test_candidates_complete_graph_empty():
@@ -36,7 +39,8 @@ def test_candidates_complete_graph_empty():
 
 
 def test_candidates_cut_vertex():
-    assert mask(2) in safesep.candidate_separators(two_triangles())
+    sides = [(mask(0, 1), mask(2)), (mask(3, 4), mask(2))]
+    assert (mask(2), sides) in safesep.candidate_separators(two_triangles())
 
 
 def test_is_almost_clique():
@@ -78,7 +82,7 @@ def test_dont_know_when_no_minor_exists():
 
 def test_aborts_on_tiny_budget():
     g = random_connected_graph(12, 18, 31)
-    for s in safesep.candidate_separators(g):
+    for s, _ in safesep.candidate_separators(g):
         if g.is_clique(s) or safesep.is_almost_clique(g, s) is not None:
             continue
         report = safesep.heuristic_minor_safe(g, s, step_budget=1)
@@ -123,7 +127,7 @@ def test_verify_accepts_clique_evidence():
 def test_decompose_cut_vertex():
     g = two_triangles()
     d = safesep.decompose(g)
-    assert d.applied_separators == [mask(2)]
+    assert applied_separators(d) == [mask(2)]
     parts = sorted(
         (sorted(labels) for _, labels in split_parts(d)), key=lambda x: x[0]
     )
@@ -133,7 +137,7 @@ def test_decompose_cut_vertex():
 def test_decompose_complete_graph_unchanged():
     g = complete_graph(4)
     d = safesep.decompose(g)
-    assert d.applied_separators == []
+    assert applied_separators(d) == []
     assert len(split_parts(d)) == 1
     assert split_parts(d)[0][0].n == 4
 
@@ -144,7 +148,7 @@ def test_decompose_soundness_against_oracle():
         n = 6 + seed % 8
         g = random_connected_graph(n, int(1.25 * n), 8800 + seed)
         d = safesep.decompose(g)
-        if not d.applied_separators:
+        if not applied_separators(d):
             continue
         applied += 1
         whole = oracle.bf_treewidth(g)
@@ -169,7 +173,7 @@ def test_decompose_computes_components_once_per_candidate(monkeypatch):
     monkeypatch.setattr(Graph, "components_with_neighborhoods", counted)
     d = safesep.decompose(random_connected_graph(40, 50, 3))
     # minimality, scoring, the check and the split share one component pass
-    assert d.applied_separators and d.tally["checks"] > d.tally["yes"]
+    assert applied_separators(d) and d.tally["checks"] > d.tally["yes"]
     assert set(calls.values()) == {1}
 
 
@@ -179,7 +183,7 @@ def test_decompose_strictly_shrinks():
         d = safesep.decompose(g)
         for pg, _ in split_parts(d):
             assert pg.n <= g.n
-        if d.applied_separators:
+        if applied_separators(d):
             assert max(pg.n for pg, _ in split_parts(d)) < g.n
 
 
@@ -218,7 +222,7 @@ def test_reduction_preserves_treewidth(g):
     index = {v: i for i, v in enumerate(kept)}
     for u, v in g.edge_list():
         if u in index and v in index:
-            assert reduced.has_edge(index[u], index[v])
+            assert has_edge(reduced, index[u], index[v])
 
 
 def test_general_two_phase_path():
@@ -417,8 +421,9 @@ def reference_clique_minor_search(
 
 @given(connected_graphs(max_n=30))
 def test_clique_minor_search_matches_reference(g):
-    for s in safesep.candidate_separators(g):
-        for comp in g.components(s):
+    for s, comps_nbs in safesep.candidate_separators(g):
+        assert comps_nbs == g.components_with_neighborhoods(s)
+        for comp, _ in comps_nbs:
             for budget in (1, 3, 10, 10000):
                 assert safesep._clique_minor_search(
                     g, s, comp, budget

@@ -20,7 +20,7 @@ from twsolve.sieve import SieveBank, linear_scan_supersets
 from twsolve.solver import SolverTimeout, decide, levels, lower_bound, treewidth
 from twsolve.tdbuild import extract, validate
 
-from conftest import connected_graphs
+from conftest import check_search, checked_searches, connected_graphs
 
 
 def test_decide_complete_graph():
@@ -80,7 +80,9 @@ def test_oracle_equivalence_small():
     for seed in range(40):
         n = 4 + seed % 8
         g = random_connected_graph(n, 2 * n, 900 + seed)
-        tw, wit = treewidth(g, debug=True)
+        with checked_searches() as checked:
+            tw, wit = treewidth(g)
+        assert checked
         assert tw == oracle.bf_treewidth(g), f"seed {seed}"
         td = extract(g, wit)
         assert validate(g, td) == []
@@ -100,10 +102,11 @@ def test_exhaustive_counters_match_recount():
         g = random_connected_graph(n, int(1.8 * n), 4200 + seed)
         tw = oracle.bf_treewidth(g)
         for k in sorted({max(1, tw - 1), tw, min(n - 1, tw + 1)}):
-            search = solver._Search(solver._Analysis(g, True), k, True, None)
+            search = solver._Search(solver._Analysis(g), k, True, None)
             search.run()
+            check_search(search)
             ref = oracle.feasible_objects(g, k)
-            assert set(search.iblock_set) == ref.iblocks, (seed, k)
+            assert set(search.iblock_source) == ref.iblocks, (seed, k)
             assert set(search.feasible) == ref.pmcs, (seed, k)
             # stored outbound blocks are always definition-feasible
             assert set(search.onb) <= ref.oblocks, (seed, k)
@@ -113,9 +116,43 @@ def test_every_feasible_pmc_was_buildable():
     for seed in range(6):
         g = random_connected_graph(8, 16, 77 + seed)
         tw = oracle.bf_treewidth(g)
-        search = solver._Search(solver._Analysis(g, True), tw, True, None)
+        search = solver._Search(solver._Analysis(g), tw, True, None)
         search.run()
-        assert set(search.feasible) <= set(search.buildable)
+        check_search(search)
+
+
+def _inbound_into_onb(search):
+    comp, nb = search.iblocks[0]
+    search.onb[comp] = nb
+
+
+def _wrong_iblock_neighborhood(search):
+    comp, nb = search.iblocks[0]
+    search.iblocks[0] = (comp, nb | nb << 1)
+
+
+def _feasible_not_buildable(search):
+    del search.buildable[next(iter(search.feasible))]
+
+
+def _unnested_outlets(search):
+    # {0, 2, 4} on the path: outbound {1} and {3} have neighborhoods {0, 2}, {2, 4}
+    search.buildable[0b10101] = solver.PmcRecord(0b10101, 0, ())
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_inbound_into_onb, "is not outbound"),
+    (_wrong_iblock_neighborhood, "wrong neighborhood"),
+    (_feasible_not_buildable, "not buildable"),
+    (_unnested_outlets, "do not nest"),
+], ids=["inbound-in-onb", "wrong-neighborhood", "feasible-not-buildable", "outlets-not-nested"])
+def test_check_search_catches_corruption(corrupt, message):
+    search = solver._Search(solver._Analysis(path_graph(5)), 1, True, None)
+    search.run()
+    check_search(search)
+    corrupt(search)
+    with pytest.raises(AssertionError, match=message):
+        check_search(search)
 
 
 def test_stats_counters_consistent():
@@ -254,8 +291,10 @@ SHARED_ANALYSIS_GRAPHS = pytest.mark.parametrize(
 
 @given(connected_graphs(max_n=12))
 def test_levels_match_fresh_decisions_hypothesis(g):
-    for res in levels(g, debug=True):
-        assert _level(res) == _level(decide(g, res.stats.k))
+    with checked_searches() as checked:
+        for res in levels(g):
+            assert _level(res) == _level(decide(g, res.stats.k))
+    assert len(checked) == 2 * (res.stats.k - max(1, g.min_degree()) + 1)
 
 
 @SHARED_ANALYSIS_GRAPHS
@@ -263,12 +302,13 @@ def test_shared_analysis_is_order_independent(make):
     # higher levels first, so lower levels read facts cached at larger bounds
     g = make()
     tw = treewidth(g)[0]
-    analysis = solver._Analysis(g, True)
-    for k in range(tw + 1, g.min_degree() - 1, -1):
-        shared = decide(g, k, exhaustive=True, _analysis=analysis)
-        assert _level(shared) == _level(decide(g, k, exhaustive=True)), k
-        shared = decide(g, k, _analysis=analysis)
-        assert _level(shared) == _level(decide(g, k)), k
+    analysis = solver._Analysis(g)
+    with checked_searches():
+        for k in range(tw + 1, g.min_degree() - 1, -1):
+            shared = decide(g, k, exhaustive=True, _analysis=analysis)
+            assert _level(shared) == _level(decide(g, k, exhaustive=True)), k
+            shared = decide(g, k, _analysis=analysis)
+            assert _level(shared) == _level(decide(g, k)), k
 
 
 @SHARED_ANALYSIS_GRAPHS
@@ -296,4 +336,4 @@ def test_shared_analysis_entries_match_reference(make, monkeypatch):
         assert a == blocks.first_full_component(g, s), s
         assert (s in analysis.pmcs) == blocks.is_pmc(g, s), s
     for s, rec in analysis.pmcs.items():
-        assert rec == solver.PmcRecord(s, *blocks.outlet_and_support(g, s, debug=True)), s
+        assert rec == solver.PmcRecord(s, *blocks.outlet_and_support(g, s)), s
