@@ -10,7 +10,7 @@ n * (C(ceil((2n+k+7)/3), k+2) + C(ceil((n+k+4)/2), k+1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from math import comb
 
 from . import oracle
@@ -18,23 +18,6 @@ from .graph import Graph
 from .solver import decide, treewidth
 
 __all__ = ["CensusRow", "binomial_bound", "census", "census_csv", "composite_bound"]
-
-CSV_COLUMNS = [
-    "instance",
-    "n",
-    "m",
-    "tw",
-    "minseps_all",
-    "minseps_le_tw",
-    "pmcs_all",
-    "pmcs_le_tw_plus_1",
-    "feasible_iblocks",
-    "feasible_oblocks",
-    "feasible_pmcs",
-    "bound_binomial",
-    "bound_composite",
-]
-
 
 def binomial_bound(n: int, k: int) -> int:
     return comb(n, k + 1)
@@ -98,8 +81,7 @@ def census(g: Graph, instance: str = "-", max_enum_n: int = 16) -> CensusRow:
 
 
 def census_csv(rows: list[CensusRow]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
+    lines = [",".join(f.name for f in fields(CensusRow))]
     for r in rows:
-        vals = [getattr(r, c) for c in CSV_COLUMNS]
-        lines.append(",".join("NA" if v is None else str(v) for v in vals))
+        lines.append(",".join("NA" if v is None else str(v) for v in astuple(r)))
     return "\n".join(lines) + "\n"

@@ -46,7 +46,7 @@ def _clean_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _read_edges(text: str, kind: str) -> tuple[int, list[tuple[int, int]], Graph]:
+def _read_edges(text: str, kind: str) -> Graph:
     header_tag = "tw" if kind == "gr" else "edge"
     edge_prefix = None if kind == "gr" else "e"
     n = -1
@@ -110,19 +110,19 @@ def _read_edges(text: str, kind: str) -> tuple[int, list[tuple[int, int]], Graph
             FormatWarning,
             stacklevel=3,
         )
-    return n, edges, g
+    return g
 
 
 def read_gr(text: str) -> tuple[Graph, list[int]]:
     """Parse PACE ``.gr`` text; returns the graph and original 1-based labels."""
-    n, _, g = _read_edges(text, "gr")
-    return g, list(range(1, n + 1))
+    g = _read_edges(text, "gr")
+    return g, list(range(1, g.n + 1))
 
 
 def read_col(text: str) -> tuple[Graph, list[int]]:
     """Parse DIMACS coloring ``.col`` text; returns the graph and 1-based labels."""
-    n, _, g = _read_edges(text, "col")
-    return g, list(range(1, n + 1))
+    g = _read_edges(text, "col")
+    return g, list(range(1, g.n + 1))
 
 
 def write_gr(g: Graph) -> str:

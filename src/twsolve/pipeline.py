@@ -24,10 +24,13 @@ from itertools import repeat
 
 from . import safesep
 from .graph import Graph, bits, vset
-from .solver import treewidth
+from .solver import SolverStats, treewidth
 from .tdbuild import TreeDecomposition, extract, from_elimination, validate
 
 __all__ = ["PipelineError", "SolveReport", "solve"]
+
+# the SolverStats fields that SolveReport.counters sums over accepting levels
+COUNTERS = ("iblocks", "oblocks", "pmcs_buildable", "pmcs_feasible")
 
 
 class PipelineError(RuntimeError):
@@ -52,19 +55,12 @@ class SolveReport:
 
 def _solve_leaf(
     graph: Graph, lower: int, upper: int
-) -> tuple[int, TreeDecomposition | None, tuple[int, int, int, int], int]:
+) -> tuple[int, TreeDecomposition | None, list[SolverStats]]:
     """Solve one part between the bounds: (width, decomposition or None when
-    no level accepted, counters of the accepting level, levels run)."""
-    from .solver import SolverStats  # local import keeps pool workers lean
-
+    no level accepted, stats of the levels run)."""
     stats: list[SolverStats] = []
     tw, witness = treewidth(graph, lower=lower, upper=upper, stats_out=stats)
-    if witness is None:
-        return tw, None, (0, 0, 0, 0), len(stats)
-    td = extract(graph, witness)
-    last = stats[-1]
-    counters = (last.iblocks, last.oblocks, last.pmcs_buildable, last.pmcs_feasible)
-    return tw, td, counters, len(stats)
+    return tw, None if witness is None else extract(graph, witness), stats
 
 
 def _glue(
@@ -156,12 +152,7 @@ def solve(
     """
     started = time.monotonic()
     report = SolveReport(instance, g.n, g.edge_count)
-    report.counters = {
-        "iblocks": 0,
-        "oblocks": 0,
-        "pmcs_buildable": 0,
-        "pmcs_feasible": 0,
-    }
+    report.counters = dict.fromkeys(COUNTERS, 0)
     report.safe_separators = {"found": 0, "max_part": g.n, **dict.fromkeys(safesep.TALLY_KEYS, 0)}
     report.parts = {"total": 0, "settled_by_bound": 0, "levels": 0}
     report.reduction = {"removed": 0, "low": 0}
@@ -214,10 +205,11 @@ def solve(
             )))
 
     glued: dict[int, tuple[int, TreeDecomposition]] = {}
-    for i, (tw, td, counters, ran) in solved.items():
-        for key, value in zip(report.counters, counters):
-            report.counters[key] += value
-        report.parts["levels"] += ran
+    for i, (tw, td, stats) in solved.items():
+        if td is not None:
+            for key in COUNTERS:
+                report.counters[key] += getattr(stats[-1], key)
+        report.parts["levels"] += len(stats)
         report.parts["settled_by_bound"] += td is None
         glued[id(leaves[i])] = (tw, heuristic[i] if td is None else td)
     report.parts["total"] = len(leaves)

@@ -225,10 +225,11 @@ class _Search:
         exhaustive = self.exhaustive
         onb = self.onb
 
+        # a level may have no inbound block, so poll once before seeding too
+        if deadline is not None and time.monotonic() > deadline:
+            raise SolverTimeout
         # seed with closed neighborhoods that are small PMCs
         for v in range(g.n):
-            if deadline is not None and not (v & 63) and time.monotonic() > deadline:
-                raise SolverTimeout
             nv = adj[v] | 1 << v
             if nv.bit_count() <= size_cap:
                 self._candidate(nv)
@@ -243,12 +244,7 @@ class _Search:
             comp, nb = iblocks[i]
             i += 1
             new_obs: list[tuple[int, int]] = []
-            hits = self.bank.supersets(comp, nb)
-            tick = 0
-            for b in hits:
-                tick += 1
-                if deadline is not None and not (tick & 255) and time.monotonic() > deadline:
-                    raise SolverTimeout
+            for b in self.bank.supersets(comp, nb):
                 cand = nb | onb[b]
                 a = self._candidate(cand)
                 if a and a not in onb and cand.bit_count() <= k:
@@ -364,14 +360,18 @@ def treewidth(
     """Treewidth of connected ``g`` with the accepting witness.
 
     Runs the decision procedure with the bound increasing one by one from
-    max(``lower``, minimum degree); binary search would overshoot and negative
-    levels are cheap relative to the accepting one.  ``upper`` is the width of
-    a decomposition the caller already holds: levels stop below it, and when
-    none of them accepts (or none runs) the result is ``(upper, None)``.
-    That width is the treewidth when level ``upper`` - 1 ran negative or
-    ``upper`` is the minimum degree; otherwise it is only known to be at most
-    ``lower``.  Likewise an accepting level at ``lower`` only bounds the
-    treewidth from above.  Without ``lower`` and ``upper`` the result is exact.
+    max(``lower``, minimum degree).  A certified answer needs the negative
+    level tw - 1 anyway, and binary search would add levels above tw, each
+    of which holds every feasible object of the levels below it (feasibility
+    is monotone in k).
+
+    ``upper`` is the width of a decomposition the caller already holds:
+    levels stop below it, and when none of them accepts (or none runs) the
+    result is ``(upper, None)``.  That width is the treewidth when level
+    ``upper`` - 1 ran negative or ``upper`` is the minimum degree; otherwise
+    it is only known to be at most ``lower``.  Likewise an accepting level at
+    ``lower`` only bounds the treewidth from above.  Without ``lower`` and
+    ``upper`` the result is exact.
     """
     res = None
     for res in levels(g, lower=lower, upper=upper, deadline=deadline):

@@ -94,48 +94,35 @@ def from_elimination(g: Graph, order: list[int], neighborhoods: list[int]) -> Tr
 
 
 def _contract_redundant(td: TreeDecomposition) -> TreeDecomposition:
-    """Merge bags that are subsets of an adjacent bag."""
-    bags = list(td.bags)
-    parent: dict[int, int] = {}
+    """Merge every bag into an adjacent bag that contains it.
+
+    A union-find meets each edge once and joins the classes of its ends when
+    one class's bag contains the other's; a class's root keeps its largest
+    bag, which holds all of the class's bags.  One pass is enough: in a tree
+    decomposition a bag contained in another bag is contained in every bag on
+    the path between them, so also in its neighbour on that path.
+    """
+    bags = td.bags
+    parent = list(range(len(bags)))
 
     def find(i: int) -> int:
-        while i in parent:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
             i = parent[i]
         return i
 
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(bags))}
     for a, b in td.edges:
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    changed = True
-    while changed:
-        changed = False
-        for i in list(adjacency):
-            if i in parent:
-                continue
-            for j in list(adjacency[i]):
-                if bags[j] & ~bags[i] == 0:
-                    # j folds into i
-                    parent[j] = i
-                    adjacency[i].discard(j)
-                    for other in adjacency[j]:
-                        if other != i:
-                            adjacency[other].discard(j)
-                            adjacency[other].add(i)
-                            adjacency[i].add(other)
-                    adjacency[j] = set()
-                    changed = True
-        if not changed:
-            break
-    keep = [i for i in range(len(bags)) if i not in parent]
+        a, b = find(a), find(b)
+        if bags[b] & ~bags[a] == 0:
+            parent[b] = a
+        elif bags[a] & ~bags[b] == 0:
+            parent[a] = b
+    keep = [i for i, p in enumerate(parent) if p == i]
     remap = {old: new for new, old in enumerate(keep)}
-    new_bags = [bags[i] for i in keep]
-    new_edges = sorted(
-        {tuple(sorted((remap[find(a)], remap[find(b)])))
-         for a, b in td.edges
-         if find(a) != find(b)}
+    edges = {tuple(sorted((remap[find(a)], remap[find(b)]))) for a, b in td.edges}
+    return TreeDecomposition(
+        td.n, [bags[i] for i in keep], sorted((a, b) for a, b in edges if a != b)
     )
-    return TreeDecomposition(td.n, new_bags, [(a, b) for a, b in new_edges])
 
 
 def validate(g: Graph, td: TreeDecomposition) -> list[Violation]:

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -305,3 +308,33 @@ def test_put_back_without_a_holding_bag_raises(monkeypatch, tmp_graph_file, caps
         pipeline.solve(triangle_chain(3))
     assert cli.main(["exact", tmp_graph_file("t.gr", write_gr(triangle_chain(3)))]) == 3
     assert "neighborhood of removed vertex" in capsys.readouterr().err
+
+
+def schema_keys(text: str) -> dict:
+    """Parse a ``{a, b{c, d}}`` schema into nested dicts; leaves map to None."""
+    tokens = re.findall(r"\w+|[{}]", text)
+
+    def group(i: int) -> tuple[dict, int]:
+        keys: dict = {}
+        i += 1
+        while tokens[i] != "}":
+            name = tokens[i]
+            if tokens[i + 1] == "{":
+                keys[name], i = group(i + 1)
+            else:
+                keys[name], i = None, i + 1
+        return keys, i + 1
+
+    return group(0)[0]
+
+
+def test_readme_stats_schema_matches_solve_report():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    found = re.search(r"JSON stats record\s+\(`(\{.*?\})`\)", readme, re.S)
+    assert found, "README lost its --stats schema line"
+
+    def keys(d: dict) -> dict:
+        return {k: keys(v) if isinstance(v, dict) else None for k, v in d.items()}
+
+    report = pipeline.solve(octahedron_chain(2))[2]
+    assert schema_keys(found.group(1)) == keys(report.as_dict())

@@ -215,6 +215,10 @@ def test_deadline_interrupts():
     g = petersen_graph()
     with pytest.raises(SolverTimeout):
         decide(g, 3, deadline=time.monotonic() - 1.0)
+    # no closed neighborhood fits k + 1 = 2, so this level has no seed and no
+    # inbound block: only the poll before seeding sees the deadline
+    with pytest.raises(SolverTimeout):
+        decide(cycle_graph(6), 1, deadline=time.monotonic() - 1.0)
 
 
 @given(connected_graphs(max_n=8))

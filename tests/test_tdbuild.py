@@ -6,10 +6,17 @@ from twsolve.families import (
     random_connected_graph,
     star_graph,
 )
-from twsolve.graph import Graph
+from twsolve.graph import Graph, bits
 from twsolve.safesep import greedy_elimination
 from twsolve.solver import treewidth
-from twsolve.tdbuild import TreeDecomposition, Violation, extract, from_elimination, validate
+from twsolve.tdbuild import (
+    TreeDecomposition,
+    Violation,
+    _contract_redundant,
+    extract,
+    from_elimination,
+    validate,
+)
 
 from conftest import connected_graphs, mask
 
@@ -155,3 +162,50 @@ def test_occurrence_check_matches_quadratic_reference(case):
     g, td = case
     linear = [p for p in validate(g, td) if p.kind == "occurrence-disconnected"]
     assert linear == quadratic_occurrence_violations(g, td)
+
+
+def fill_neighborhoods(g: Graph, order: list[int]) -> list[int]:
+    """Each vertex's neighborhood when it is eliminated in ``order``, fill
+    edges included."""
+    adj = list(g.adj)
+    out = []
+    for v in order:
+        nb = adj[v]
+        out.append(nb)
+        for u in range(g.n):
+            if nb >> u & 1:
+                adj[u] = (adj[u] | nb) & ~(1 << u | 1 << v)
+    return out
+
+
+def witness_bags(witness) -> list[int]:
+    """The bags ``extract`` unfolds from a witness before contraction."""
+    bags, stack = [], [witness.root]
+    while stack:
+        rec = witness.records[stack.pop()]
+        bags.append(rec.vertices)
+        stack += [witness.iblock_source[c] for c in rec.support]
+    return bags
+
+
+def assert_contracted(g: Graph, td: TreeDecomposition, input_bags: list[int]) -> None:
+    assert validate(g, td) == []
+    for a, b in td.edges:
+        assert td.bags[a] & ~td.bags[b] and td.bags[b] & ~td.bags[a]
+    maximal = {b for b in input_bags if not any(b & ~c == 0 and b != c for c in input_bags)}
+    assert sorted(td.bags) == sorted(maximal)
+
+
+@given(st.data(), connected_graphs(max_n=14))
+def test_contraction_leaves_the_distinct_maximal_bags(data, g):
+    order = data.draw(st.permutations(range(g.n)))
+    nbs = fill_neighborhoods(g, order)
+    bags = [nb | 1 << v for v, nb in zip(order, nbs)]
+    assert_contracted(g, from_elimination(g, order, nbs), bags)
+    # from_elimination lists each edge child first, and only a parent bag
+    # can lie inside its child's; the reverse listing merges the other way
+    position = {v: i for i, v in enumerate(order)}
+    edges = [(min(position[u] for u in bits(nb)), i) for i, nb in enumerate(nbs[:-1])]
+    assert_contracted(g, _contract_redundant(TreeDecomposition(g.n, bags, edges)), bags)
+    _, witness = treewidth(g)
+    assert_contracted(g, extract(g, witness), witness_bags(witness))
