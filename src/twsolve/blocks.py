@@ -33,9 +33,9 @@ __all__ = [
 
 def first_full_component(g: Graph, s: int) -> int:
     """The full component of ``s`` with the smallest minimum vertex, or 0."""
-    for c, nb in g.components_with_neighborhoods(s):
-        if nb == s:
-            return c
+    comps_nbs = g.components_with_neighborhoods(s, until_full=True)
+    if comps_nbs and comps_nbs[-1][1] == s:
+        return comps_nbs[-1][0]
     return 0
 
 
@@ -115,12 +115,10 @@ def is_cliquish(g: Graph, k_set: int, comp_nbs: list[int] | None = None) -> bool
 
 def is_pmc(g: Graph, k_set: int) -> bool:
     """Potential maximal clique test: no full component and cliquish."""
-    comp_nbs = []
-    for _, nb in g.components_with_neighborhoods(k_set):
-        if nb == k_set:
-            return False
-        comp_nbs.append(nb)
-    return is_cliquish(g, k_set, comp_nbs)
+    comps_nbs = g.components_with_neighborhoods(k_set, until_full=True)
+    if comps_nbs and comps_nbs[-1][1] == k_set:
+        return False
+    return is_cliquish(g, k_set, [nb for _, nb in comps_nbs])
 
 
 def is_outbound(g: Graph, c: int) -> bool:

@@ -92,11 +92,14 @@ class Graph:
         """Connected components of the graph minus ``s``, ascending by minimum vertex."""
         return [c for c, _ in self.components_with_neighborhoods(s)]
 
-    def components_with_neighborhoods(self, s: int) -> list[tuple[int, int]]:
+    def components_with_neighborhoods(self, s: int,
+                                      until_full: bool = False) -> list[tuple[int, int]]:
         """Components of the graph minus ``s``, each paired with its neighborhood.
 
         The neighborhood of a component associated with ``s`` is always a
-        subset of ``s``.
+        subset of ``s``.  With ``until_full`` the list stops right after the
+        first full component (neighborhood all of ``s``), so it ends with a
+        full component exactly when ``s`` has one.
         """
         adj = self.adj
         rest = self.full_mask & ~s
@@ -114,7 +117,10 @@ class Graph:
                 seen_nbrs |= nbrs
                 frontier = nbrs & rest & ~comp
                 comp |= frontier
-            out.append((comp, seen_nbrs & ~comp))
+            nb = seen_nbrs & ~comp
+            out.append((comp, nb))
+            if until_full and nb == s:
+                break
             rest &= ~comp
         return out
 

@@ -12,7 +12,15 @@ emits the crib of its outlet as a new inbound block.  The answer is yes
 exactly when some feasible potential maximal clique has an empty outlet.
 Whether a candidate has a full component or is a potential maximal clique,
 with its outlet and support, does not depend on k: the levels of one graph
-share that analysis, and only the size test is made per level.
+share one facts table, which analyses each set once and stops its component
+pass at the first full component; only the size test is made per level.
+
+Each inbound block is matched once, against the outbound blocks stored
+before it is worked off.  So which outbound blocks a level stores, and with
+them its sieve counts and now and then its buildable PMCs, depends on the
+order in which inbound blocks are processed.  The answer, the inbound
+blocks and the feasible PMCs of an exhaustive run do not: a comparison
+with last-in-first-out processing on random graphs found them equal.
 
 Feasible records keep witness links (which clique emitted which block), so
 an accepting run can be unfolded into an explicit tree decomposition.
@@ -89,34 +97,35 @@ def _trivial_witness(n: int) -> Witness:
     return Witness(n, mask, {mask: rec}, {})
 
 
-class _Analysis:
+class _Analysis(dict):
     """Facts about the vertex sets of one graph that do not depend on the
-    width bound, shared by the decision levels run on it: ``full`` maps a set
-    to its first full component (0 if none), ``pmcs`` a potential maximal
-    clique to its record with outlet and support."""
+    width bound, in one table shared by the decision levels run on it.
+
+    A set maps to its first full component (an int above 0), else to its
+    :class:`PmcRecord` if it is a potential maximal clique, else to 0.  A
+    set missing from the table is analysed on lookup: its component pass
+    stops at the first full component, and only a set without one gets all
+    its components, the cliquish test and its outlet and support.
+    """
+
+    __slots__ = ("g",)
 
     def __init__(self, g: Graph):
         self.g = g
-        self.full: dict[int, int] = {}
-        self.pmcs: dict[int, PmcRecord] = {}
 
-    def full_component(self, s: int) -> int:
-        """The first full component of ``s``, or 0; one component pass also
-        tells whether a set without one is a PMC, and its outlet and support."""
-        a = self.full.get(s)
-        if a is not None:
-            return a
+    def __missing__(self, s: int) -> int | PmcRecord:
         g = self.g
-        comps_nbs = g.components_with_neighborhoods(s)
-        for c, nb in comps_nbs:
-            if nb == s:
-                self.full[s] = c
-                return c
-        if is_cliquish(g, s, [nb for _, nb in comps_nbs]):
-            out, sup = outlet_and_support(g, s, comps_nbs, self.full_component)
-            self.pmcs[s] = PmcRecord(s, out, sup)
-        self.full[s] = 0
-        return 0
+        comps_nbs = g.components_with_neighborhoods(s, until_full=True)
+        if comps_nbs and comps_nbs[-1][1] == s:
+            fact = comps_nbs[-1][0]
+        elif is_cliquish(g, s, [nb for _, nb in comps_nbs]):
+            # a component's neighborhood has that component as a full one,
+            # so its fact is its first full component
+            fact = PmcRecord(s, *outlet_and_support(g, s, comps_nbs, self.__getitem__))
+        else:
+            fact = 0
+        self[s] = fact
+        return fact
 
 
 class _Search:
@@ -139,20 +148,10 @@ class _Search:
         self.missing: dict[int, int] = {}
         self.root: int | None = None
 
-    def _candidate(self, cand: int) -> int:
-        """The first full component of a candidate set, or 0; a candidate
-        that is a potential maximal clique is registered."""
-        a = self.analysis.full_component(cand)
-        if not a and cand in self.analysis.pmcs:
-            self._register_pmc(self.analysis.pmcs[cand])
-        return a
-
     def _register_pmc(self, rec: PmcRecord) -> None:
-        """Record a buildable PMC; mark feasible now or park it on its missing
-        support components."""
+        """Record a PMC that is not yet buildable; mark it feasible now or
+        park it on its missing support components."""
         cand = rec.vertices
-        if cand in self.buildable:
-            return
         self.buildable[cand] = rec
         miss = 0
         iblock_source = self.iblock_source
@@ -209,11 +208,6 @@ class _Search:
                 if crib and crib not in iblock_source:
                     work.append((crib, rec2.outlet, k2))
 
-    def _store_oblock(self, comp: int, nb: int, new_obs: list[tuple[int, int]]) -> None:
-        self.onb[comp] = nb
-        self.bank.store(comp, nb)
-        new_obs.append((comp, nb))
-
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> bool:
@@ -224,15 +218,20 @@ class _Search:
         deadline = self.deadline
         exhaustive = self.exhaustive
         onb = self.onb
+        bank = self.bank
+        buildable = self.buildable
+        facts = self.analysis
 
         # a level may have no inbound block, so poll once before seeding too
         if deadline is not None and time.monotonic() > deadline:
             raise SolverTimeout
         # seed with closed neighborhoods that are small PMCs
         for v in range(g.n):
-            nv = adj[v] | 1 << v
-            if nv.bit_count() <= size_cap:
-                self._candidate(nv)
+            cand = adj[v] | 1 << v
+            if cand.bit_count() <= size_cap:
+                fact = facts[cand]
+                if type(fact) is PmcRecord and cand not in buildable:
+                    self._register_pmc(fact)
 
         i = 0
         iblocks = self.iblocks
@@ -244,15 +243,22 @@ class _Search:
             comp, nb = iblocks[i]
             i += 1
             new_obs: list[tuple[int, int]] = []
-            for b in self.bank.supersets(comp, nb):
+            for b in bank.supersets(comp, nb):
                 cand = nb | onb[b]
-                a = self._candidate(cand)
-                if a and a not in onb and cand.bit_count() <= k:
-                    self._store_oblock(a, cand, new_obs)
+                fact = facts[cand]
+                if type(fact) is PmcRecord:
+                    if cand not in buildable:
+                        self._register_pmc(fact)
+                elif fact and fact not in onb and cand.bit_count() <= k:
+                    onb[fact] = cand
+                    bank.store(fact, cand)
+                    new_obs.append((fact, cand))
             # the outbound full component of this block's separator
-            a = self.analysis.full_component(nb)
+            a = facts[nb]
             if a not in onb:
-                self._store_oblock(a, nb, new_obs)
+                onb[a] = nb
+                bank.store(a, nb)
+                new_obs.append((a, nb))
             # candidate cliques clipped out of each fresh outbound block
             for a, na in new_obs:
                 rem = na
@@ -261,7 +267,9 @@ class _Search:
                     rem ^= vb
                     cand = na | (adj[vb.bit_length() - 1] & a)
                     if cand.bit_count() <= size_cap:
-                        self._candidate(cand)
+                        fact = facts[cand]
+                        if type(fact) is PmcRecord and cand not in buildable:
+                            self._register_pmc(fact)
 
         return self.root is not None
 

@@ -98,6 +98,33 @@ def test_components_with_neighborhoods_agree(g):
             assert nb == g.open_neighborhood(c)
 
 
+@given(connected_graphs(max_n=14), st.data())
+def test_components_until_full_stop_after_the_first_full_component(g, data):
+    u = data.draw(st.integers(min_value=0, max_value=g.full_mask))
+    s = data.draw(st.sampled_from([0, g.full_mask, u, g.open_neighborhood(u)]))
+    whole = g.components_with_neighborhoods(s)
+    early = g.components_with_neighborhoods(s, until_full=True)
+    assert early == whole[: len(early)]
+    full_at = [i for i, (_, nb) in enumerate(whole) if nb == s]
+    if full_at:
+        assert len(early) == full_at[0] + 1
+    else:
+        assert early == whole
+
+
+def test_components_until_full_edge_cases():
+    g = path_graph(5)
+    # the empty set's only component is full; all of V leaves no component
+    assert g.components_with_neighborhoods(0, until_full=True) == [(g.full_mask, 0)]
+    assert g.components_with_neighborhoods(g.full_mask, until_full=True) == []
+    # {2} is the first full component of {1, 3}; {4} is not listed
+    assert g.components_with_neighborhoods(mask(1, 3), until_full=True) == [
+        (mask(0), mask(1)), (mask(2), mask(1, 3))]
+    # {1, 2} has no full component, so every component is listed
+    assert g.components_with_neighborhoods(mask(1, 2), until_full=True) == [
+        (mask(0), mask(1)), (mask(3, 4), mask(2))]
+
+
 def test_bit_list_roundtrip():
     assert bit_list(vset([5, 1, 9])) == [1, 5, 9]
 

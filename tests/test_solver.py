@@ -334,10 +334,38 @@ def test_shared_analysis_entries_match_reference(make, monkeypatch):
     assert all(a is shared[0] for a in shared[:first])
     assert all(a is shared[first] for a in shared[first:])
     assert shared[0] is not shared[first]
-    analysis = shared[0]
-    assert analysis.pmcs and any(analysis.full.values())
-    for s, a in analysis.full.items():
-        assert a == blocks.first_full_component(g, s), s
-        assert (s in analysis.pmcs) == blocks.is_pmc(g, s), s
-    for s, rec in analysis.pmcs.items():
-        assert rec == solver.PmcRecord(s, *blocks.outlet_and_support(g, s)), s
+    facts = shared[0]
+    kinds = {type(fact) for fact in facts.values()}
+    assert kinds == {int, solver.PmcRecord} and 0 in facts.values()
+    for s, fact in facts.items():
+        pmc = type(fact) is solver.PmcRecord
+        assert (0 if pmc else fact) == blocks.first_full_component(g, s), s
+        assert pmc == blocks.is_pmc(g, s), s
+        if pmc:
+            assert fact == solver.PmcRecord(s, *blocks.outlet_and_support(g, s)), s
+
+
+# -- the names the benchmark tracer wraps ---------------------------------
+
+
+def test_traced_names_are_the_ones_decide_calls(monkeypatch):
+    # the benchmark's tracer wraps these names where the solver looks them up
+    calls = {}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(Graph, "components_with_neighborhoods")
+    counting(solver, "is_cliquish")
+    counting(SieveBank, "supersets")
+    counting(SieveBank, "store")
+    res = decide(mycielski_graph(4), 10)
+    assert res.answer
+    assert set(calls) == {"components_with_neighborhoods", "is_cliquish", "supersets", "store"}
+    assert calls["store"] == res.stats.oblocks
