@@ -7,14 +7,17 @@ the simplicial reduction removes about 110 of the 150 vertices and safe
 separators split the rest into a few parts.  The ``removed`` column counts
 the vertices the reduction removed and ``parts`` the parts solved after
 splitting; both are 0 and 1 where preprocessing finds nothing to do.
+Each row's time is the median of three solves in this one process, so a
+slow first call or a noisy moment on the host moves it less.
 File-based instances run when their files are under instances/ (see
 instances/README.md).  Pass --include-hard to also attempt the stretch
-rows, which are not part of the acceptance gate: queen8_8 (tens of seconds)
-runs first, then myciel6, which takes hours.  Rows are printed as they
-finish, so the queen8_8 row is there before myciel6 starts.
+rows, which are not part of the acceptance gate: queen8_8 (about 20 s for
+its three solves) runs first, then myciel6, which takes hours.  Rows are
+printed as they finish, so the queen8_8 row is there before myciel6 starts.
 """
 
 import argparse
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -68,11 +71,14 @@ def main() -> int:
         if g is None:
             print(f"{name:<12} {'-':>5} {'-':>6} {'-':>4} {'-':>7} {'-':>5} {'missing':>9}")
             continue
-        t0 = time.monotonic()
-        tw, _, report = pipeline.solve(g, instance=name)
+        times = []
+        for _ in range(3):
+            t0 = time.monotonic()
+            tw, _, report = pipeline.solve(g, instance=name)
+            times.append(time.monotonic() - t0)
         print(f"{name:<12} {g.n:>5} {g.edge_count:>6} {tw:>4} "
               f"{report.reduction['removed']:>7} {report.parts['total']:>5} "
-              f"{time.monotonic() - t0:>9.2f}", flush=True)
+              f"{statistics.median(times):>9.2f}", flush=True)
     return 0
 
 

@@ -3,7 +3,7 @@ maximal cliques, with safe-separator preprocessing and PACE-format I/O."""
 
 from .graph import Graph, bit_list, bits, vset
 from .pipeline import solve
-from .solver import DecideResult, SolverStats, Witness, decide, lower_bound, treewidth
+from .solver import DecideResult, SolverStats, Witness, decide, treewidth
 from .tdbuild import TreeDecomposition, extract, validate
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ __all__ = [
     "bits",
     "decide",
     "extract",
-    "lower_bound",
     "solve",
     "treewidth",
     "validate",

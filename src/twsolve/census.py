@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import astuple, dataclass, fields
 from math import comb
 
-from . import oracle
+from . import oracle, pipeline
 from .graph import Graph
-from .solver import decide, treewidth
+from .solver import decide
 
 __all__ = ["CensusRow", "binomial_bound", "census", "census_csv", "composite_bound"]
 
@@ -52,7 +52,7 @@ def census(g: Graph, instance: str = "-", max_enum_n: int = 16) -> CensusRow:
     Enumeration columns are None when n exceeds ``max_enum_n``; the feasible
     counts always come from an exhaustive solver run.
     """
-    tw, _ = treewidth(g)
+    tw = pipeline.solve(g)[0]
     k = max(1, tw)
     res = decide(g, k, exhaustive=True)
     minseps_all = minseps_le = pmcs_all = pmcs_le = None

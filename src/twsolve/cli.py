@@ -1,10 +1,11 @@
 """Command-line frontend.
 
-Subcommands: ``exact`` (solve and emit a .td), ``lb`` (anytime lower bound),
-``census`` (object counts as CSV), ``validate`` (audit a .td against its
-graph).  Exit codes: 0 success, 1 invalid decomposition reported by
-``validate``, 2 parse error, 3 internal validation failure.  Set TW_LOG to a
-logging level name for diagnostics on stderr.
+Subcommands: ``exact`` (solve and emit a .td), ``lb`` (the same solve
+stopped at a deadline: the exact width if it finishes, else the certified
+lower bound it reached), ``census`` (object counts as CSV), ``validate``
+(audit a .td against its graph).  Exit codes: 0 success, 1 invalid
+decomposition reported by ``validate``, 2 parse error, 3 internal validation
+failure.  Set TW_LOG to a logging level name for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import census as census_mod
-from . import paceio, pipeline, solver, tdbuild
+from . import paceio, pipeline, tdbuild
 from .graph import Graph
 
 log = logging.getLogger("twsolve")
@@ -137,16 +138,11 @@ def _cmd_exact(args: argparse.Namespace) -> int:
 
 def _cmd_lb(args: argparse.Namespace) -> int:
     g = _read_graph(args.input, args.format)
-    if g.n == 0:
-        print(-1)
-        return 0
-    best = 0
-    deadline = time.monotonic() + args.time_limit
-    # largest first; levels below the best bound so far cannot raise it
-    for comp in sorted(g.components(0), key=int.bit_count, reverse=True):
-        sub, _ = g.subgraph(comp)
-        best = max(best, solver.lower_bound(sub, deadline - time.monotonic(), lower=best))
-    print(best)
+    try:
+        tw = pipeline.solve(g, deadline=time.monotonic() + args.time_limit)[0]
+    except pipeline.SolverTimeout as exc:
+        tw = exc.bound
+    print(tw)
     return 0
 
 

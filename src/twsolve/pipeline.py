@@ -24,7 +24,7 @@ from itertools import repeat
 
 from . import safesep
 from .graph import Graph, bits, vset
-from .solver import SolverStats, treewidth
+from .solver import SolverStats, SolverTimeout, treewidth
 from .tdbuild import TreeDecomposition, extract, from_elimination, validate
 
 __all__ = ["PipelineError", "SolveReport", "solve"]
@@ -54,12 +54,18 @@ class SolveReport:
 
 
 def _solve_leaf(
-    graph: Graph, lower: int, upper: int
+    graph: Graph, lower: int, upper: int, deadline: float | None
 ) -> tuple[int, TreeDecomposition | None, list[SolverStats]]:
     """Solve one part between the bounds: (width, decomposition or None when
-    no level accepted, stats of the levels run)."""
+    no level accepted, stats of the levels run).  At the deadline it raises
+    :class:`SolverTimeout` with the part's certified bound: its minimum
+    degree or one above its last finished level, which ran negative."""
     stats: list[SolverStats] = []
-    tw, witness = treewidth(graph, lower=lower, upper=upper, stats_out=stats)
+    try:
+        tw, witness = treewidth(graph, lower=lower, upper=upper, deadline=deadline,
+                                stats_out=stats)
+    except SolverTimeout:
+        raise SolverTimeout(max([graph.min_degree()] + [s.k + 1 for s in stats])) from None
     return tw, None if witness is None else extract(graph, witness), stats
 
 
@@ -131,6 +137,7 @@ def solve(
     use_safe_separators: bool = True,
     step_budget: int = 10000,
     jobs: int = 1,
+    deadline: float | None = None,
 ) -> tuple[int, TreeDecomposition, SolveReport]:
     """Exact treewidth of an arbitrary (possibly disconnected) graph with a
     validated tree decomposition.
@@ -142,6 +149,14 @@ def solve(
     ub - 1, by its minimum degree, or by ub <= M.  With ``jobs`` > 1 the
     largest part is solved first in this process, then the others in a pool
     with M fixed at its width.
+
+    ``deadline`` is a :func:`time.monotonic` time.  The reduction and the
+    safe-separator search always run in full; the decision levels poll the
+    deadline, and the first part still running a level when it passes
+    raises :class:`SolverTimeout`.  Its ``bound`` is the largest of the
+    reduction's certified lower bound, M and the interrupted part's bound
+    (its minimum degree, or one above its last finished level).  M is
+    certified too, since a part whose width exceeds M has it exactly.
 
     A component's width is the larger of its reduction's certified lower
     bound and the width of its reduced graph.  Counters sum the accepting
@@ -193,16 +208,19 @@ def solve(
     solved: dict[int, tuple] = {}
     running_max = 0
     inline = order if jobs <= 1 else order[:1]
-    for i in inline:
-        solved[i] = _solve_leaf(leaves[i].graph, running_max, ubs[i])
-        running_max = max(running_max, solved[i][0])
-    rest = order[len(inline):]
-    if rest:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            solved.update(zip(rest, pool.map(
-                _solve_leaf, [leaves[i].graph for i in rest], repeat(running_max),
-                [ubs[i] for i in rest],
-            )))
+    try:
+        for i in inline:
+            solved[i] = _solve_leaf(leaves[i].graph, running_max, ubs[i], deadline)
+            running_max = max(running_max, solved[i][0])
+        rest = order[len(inline):]
+        if rest:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                solved.update(zip(rest, pool.map(
+                    _solve_leaf, [leaves[i].graph for i in rest], repeat(running_max),
+                    [ubs[i] for i in rest], repeat(deadline),
+                )))
+    except SolverTimeout as exc:
+        raise SolverTimeout(max(low, running_max, exc.bound)) from None
 
     glued: dict[int, tuple[int, TreeDecomposition]] = {}
     for i, (tw, td, stats) in solved.items():

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterator
 
 from .blocks import is_cliquish, outlet_and_support
 from .graph import Graph
@@ -43,14 +42,18 @@ __all__ = [
     "SolverTimeout",
     "Witness",
     "decide",
-    "levels",
-    "lower_bound",
     "treewidth",
 ]
 
 
 class SolverTimeout(Exception):
-    """Raised when a decision run exceeds its deadline."""
+    """A run passed its deadline.  :func:`twsolve.pipeline.solve` raises it
+    with ``bound``, a certified lower bound on the treewidth; a decision run
+    raises it without one."""
+
+    def __init__(self, bound: int | None = None):
+        super().__init__(bound)
+        self.bound = bound
 
 
 @dataclass(slots=True)
@@ -288,7 +291,7 @@ def decide(
     empty outlet plus the complete chain of records behind it.  With
     ``exhaustive`` the run continues to the fixpoint even after an accepting
     clique is found, so the final counters cover every feasible object.
-    :func:`levels` passes in the candidate analysis its levels share; a
+    :func:`treewidth` passes in the candidate analysis its levels share; a
     call without one analyses ``g`` afresh.
     """
     n = g.n
@@ -326,37 +329,6 @@ def decide(
     return DecideResult(answer, stats, witness)
 
 
-def levels(
-    g: Graph,
-    *,
-    lower: int = 0,
-    upper: int | None = None,
-    deadline: float | None = None,
-) -> Iterator[DecideResult]:
-    """Run the decision procedure on connected ``g`` level by level.
-
-    Yields one result per width bound k, ascending from the larger of
-    ``lower`` and max(1, minimum degree) (from 0 for a single vertex), and
-    stops after the first accepting level or before k reaches ``upper``.
-    Every negative level k certifies that the treewidth exceeds k.  Without
-    ``upper`` some level below n must accept; a run in which none does
-    raises ``RuntimeError``.  The levels share one analysis of the
-    candidate sets, whose facts do not depend on k.
-    """
-    if g.n == 0:
-        raise ValueError("levels requires a non-empty graph")
-    start = max(lower, max(1, g.min_degree()) if g.n > 1 else 0)
-    stop = g.n if upper is None else upper
-    analysis = _Analysis(g)
-    for k in range(start, stop):
-        res = decide(g, k, deadline=deadline, _analysis=analysis)
-        yield res
-        if res.answer:
-            return
-    if upper is None and start < stop:
-        raise RuntimeError("decision procedure failed to accept at the trivial bound")
-
-
 def treewidth(
     g: Graph,
     *,
@@ -367,11 +339,15 @@ def treewidth(
 ) -> tuple[int, Witness | None]:
     """Treewidth of connected ``g`` with the accepting witness.
 
-    Runs the decision procedure with the bound increasing one by one from
-    max(``lower``, minimum degree).  A certified answer needs the negative
-    level tw - 1 anyway, and binary search would add levels above tw, each
-    of which holds every feasible object of the levels below it (feasibility
-    is monotone in k).
+    Runs the decision procedure with the bound k increasing one by one from
+    max(``lower``, 1, minimum degree) (from 0 for a single vertex) up to the
+    first accepting level.  A certified answer needs the negative level
+    tw - 1 anyway, and binary search would add levels above tw, each of
+    which holds every feasible object of the levels below it (feasibility is
+    monotone in k).  The levels share one analysis of the candidate sets,
+    whose facts do not depend on k.  Each level's stats go to ``stats_out``
+    as it finishes, so after a :class:`SolverTimeout` the list holds the
+    finished levels, all negative; a negative level k certifies tw > k.
 
     ``upper`` is the width of a decomposition the caller already holds:
     levels stop below it, and when none of them accepts (or none runs) the
@@ -379,30 +355,19 @@ def treewidth(
     ``upper`` - 1 ran negative or ``upper`` is the minimum degree; otherwise
     it is only known to be at most ``lower``.  Likewise an accepting level at
     ``lower`` only bounds the treewidth from above.  Without ``lower`` and
-    ``upper`` the result is exact.
+    ``upper`` the result is exact; without ``upper`` some level below n must
+    accept, and a run in which none does raises ``RuntimeError``.
     """
-    res = None
-    for res in levels(g, lower=lower, upper=upper, deadline=deadline):
+    if g.n == 0:
+        raise ValueError("treewidth requires a non-empty graph")
+    start = max(lower, max(1, g.min_degree()) if g.n > 1 else 0)
+    analysis = _Analysis(g)
+    for k in range(start, g.n if upper is None else upper):
+        res = decide(g, k, deadline=deadline, _analysis=analysis)
         if stats_out is not None:
             stats_out.append(res.stats)
-    if res is None or not res.answer:
-        return upper, None
-    return res.stats.k, res.witness
-
-
-def lower_bound(g: Graph, time_limit: float, *, lower: int = 0) -> int:
-    """Best certified treewidth lower bound within a time budget.
-
-    Every completed negative decision at level k certifies a bound of k + 1;
-    the floor is the minimum degree.  If a level accepts, the exact treewidth
-    is returned.  Levels below ``lower`` are skipped, so a result at or below
-    ``lower`` only says that the treewidth does not exceed ``lower``.
-    """
-    deadline = time.monotonic() + max(0.0, time_limit)
-    lb = 0
-    try:
-        for res in levels(g, lower=lower, deadline=deadline):
-            lb = res.stats.k if res.answer else res.stats.k + 1
-    except SolverTimeout:
-        pass
-    return max(lb, g.min_degree())
+        if res.answer:
+            return k, res.witness
+    if upper is None:
+        raise RuntimeError("decision procedure failed to accept at the trivial bound")
+    return upper, None

@@ -1,5 +1,6 @@
 import json
 
+from twsolve import oracle, pipeline
 from twsolve.cli import main
 from twsolve.families import mycielski_graph, random_connected_graph
 
@@ -89,7 +90,17 @@ def test_lb_zero_budget_min_degree(tmp_graph_file, capsys):
     g = random_connected_graph(10, 22, 5)
     path = tmp_graph_file("g.gr", _gr_text(g))
     assert main(["lb", path, "--time-limit", "0"]) == 0
-    assert int(capsys.readouterr().out.strip()) == g.min_degree()
+    lb = int(capsys.readouterr().out.strip())
+    assert g.min_degree() <= lb <= oracle.bf_treewidth(g)
+    assert lb >= pipeline.solve(g)[2].reduction["low"]
+
+
+def test_lb_certifies_sparse_treewidth(tmp_graph_file, capsys):
+    # levels on the whole graph certified only 5 after a minute; the
+    # reduction and safe separators leave parts that solve in milliseconds
+    path = tmp_graph_file("sparse.gr", _gr_text(random_connected_graph(150, 187, 0)))
+    assert main(["lb", path, "--time-limit", "10"]) == 0
+    assert capsys.readouterr().out.strip() == "7"
 
 
 def test_lb_zero_budget_disconnected_takes_largest_floor(tmp_graph_file, capsys):
@@ -101,15 +112,22 @@ def test_lb_zero_budget_disconnected_takes_largest_floor(tmp_graph_file, capsys)
 
 
 def test_lb_starts_later_components_at_best_bound(tmp_graph_file, capsys, decided_levels):
-    from twsolve.families import cycle_graph, grid_graph
+    from twsolve.families import petersen_graph
 
-    # a 5-cycle (tw 2) listed before a 3x3 grid (tw 3)
-    g = disjoint_union(cycle_graph(5), grid_graph(3, 3))
-    path = tmp_graph_file("c5grid.gr", _gr_text(g))
+    # the simplicial rules remove nothing from either graph.  The Petersen
+    # graph (tw 4) is solved first: level 3 is negative below its elimination
+    # width 4.  The random graph leaves an 8-vertex part of minimum degree 3,
+    # whose levels start at 4, the width found so far.
+    small = random_connected_graph(10, 22, 37)
+    g = disjoint_union(small, petersen_graph())
+    path = tmp_graph_file("small_petersen.gr", _gr_text(g))
     assert main(["lb", path, "--time-limit", "60"]) == 0
-    assert capsys.readouterr().out.strip() == "3"
-    assert decided_levels[:2] == [(9, 2), (9, 3)]
-    assert decided_levels[2:] and all(k >= 3 for n, k in decided_levels if n == 5)
+    assert capsys.readouterr().out.strip() == "4"
+    assert decided_levels == [(10, 3), (8, 4)]
+    decided_levels.clear()
+    assert pipeline.solve(small)[2].reduction["removed"] == 0
+    assert decided_levels == [(8, 3), (8, 4)]  # alone its levels start at 3
+    assert pipeline.solve(petersen_graph())[2].reduction["removed"] == 0
 
 
 def test_broken_witness_chain_exit_code(tmp_graph_file, capsys, monkeypatch):

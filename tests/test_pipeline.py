@@ -1,13 +1,21 @@
 import re
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twsolve import cli, oracle, pipeline, safesep
-from twsolve.families import complete_graph, grid_graph, random_connected_graph
+from twsolve import cli, oracle, pipeline, safesep, solver
+from twsolve.families import (
+    complete_graph,
+    cycle_graph,
+    grid_graph,
+    mycielski_graph,
+    random_connected_graph,
+)
 from twsolve.graph import Graph
 from twsolve.paceio import write_gr
+from twsolve.solver import SolverTimeout
 from twsolve.tdbuild import validate
 
 from conftest import applied_separators, disjoint_union, octahedron_chain, triangle_chain
@@ -271,6 +279,74 @@ def test_parallel_jobs_agree_when_running_maximum_prunes():
         assert validate(g, td) == []
         assert report.parts == {"total": 2, "settled_by_bound": 1, "levels": 4}
     assert runs[0][2].counters == runs[1][2].counters
+
+
+def _width_by(g: Graph, deadline: float, jobs: int = 1) -> int:
+    """The width ``solve`` returns by ``deadline``, or the bound its timeout
+    carries."""
+    try:
+        return pipeline.solve(g, jobs=jobs, deadline=deadline)[0]
+    except SolverTimeout as exc:
+        return exc.bound
+
+
+@st.composite
+def seeded_graphs(draw) -> Graph:
+    """One or two seeded random connected components, 14 vertices in all at
+    most."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=14), min_size=1, max_size=2)
+                 .filter(lambda sizes: sum(sizes) <= 14))
+    graphs = []
+    for n in sizes:
+        extra = draw(st.integers(min_value=0, max_value=4 * n))
+        graphs.append(random_connected_graph(n, n - 1 + extra, draw(st.integers(0, 10**6))))
+    return disjoint_union(*graphs)
+
+
+@given(seeded_graphs())
+@settings(max_examples=80)
+def test_past_deadline_gives_exact_width_or_certified_bound(g):
+    tw = oracle.bf_treewidth(g)
+    exact, _, report = pipeline.solve(g)
+    assert exact == tw == _width_by(g, time.monotonic() + 60.0)
+    # the reduction and the safe-separator search run before any poll, so a
+    # graph whose parts they settle needs no level and finishes exactly
+    try:
+        assert pipeline.solve(g, deadline=time.monotonic() - 1.0)[0] == tw
+    except SolverTimeout as exc:
+        assert max(g.min_degree(), report.reduction["low"]) <= exc.bound <= tw
+
+
+def test_pool_carries_the_deadline():
+    # the 9-vertex part of the first graph is solved in this process and
+    # settled by its bound, width 5, without a level; only the 8-vertex part
+    # of the second graph, elimination width 6, runs a level, in the pool
+    g = disjoint_union(random_connected_graph(10, 27, 3), random_connected_graph(11, 31, 4))
+    assert pipeline.solve(g, jobs=2)[0] == 6
+    with pytest.raises(SolverTimeout) as raised:
+        pipeline.solve(g, jobs=2, deadline=time.monotonic() - 1.0)
+    assert raised.value.bound == 5  # the running maximum
+
+
+def test_generous_deadline_gives_exact_width():
+    for g, tw in [(complete_graph(5), 4), (cycle_graph(6), 2), (mycielski_graph(4), 10)]:
+        assert _width_by(g, time.monotonic() + 60.0) == tw
+    g = random_connected_graph(12, 24, 2024)
+    assert _width_by(g, time.monotonic() + 60.0) == oracle.bf_treewidth(g)
+
+
+def test_timeout_bound_is_one_above_last_finished_level(monkeypatch):
+    g = mycielski_graph(4)  # one part, minimum degree 4, levels 4 to 10
+    assert _width_by(g, time.monotonic() - 1.0) == 4  # no level finished
+    decide = solver.decide
+
+    def stop_at_level_7(g, k, **kwargs):
+        if k == 7:
+            raise SolverTimeout
+        return decide(g, k, **kwargs)
+
+    monkeypatch.setattr(solver, "decide", stop_at_level_7)
+    assert _width_by(g, time.monotonic() + 60.0) == 7  # levels 4 to 6 negative
 
 
 @given(bridged_blocks())

@@ -17,7 +17,7 @@ from twsolve.families import (
 )
 from twsolve.graph import Graph
 from twsolve.sieve import SieveBank, linear_scan_supersets
-from twsolve.solver import SolverTimeout, decide, levels, lower_bound, treewidth
+from twsolve.solver import SolverTimeout, Witness, decide, treewidth
 from twsolve.tdbuild import extract, validate
 
 from conftest import check_search, checked_searches, connected_graphs
@@ -162,53 +162,45 @@ def test_stats_counters_consistent():
     assert res.stats.k == 4 and res.stats.n == 9
 
 
-def test_lower_bound_floor_and_exactness():
-    k5 = complete_graph(5)
-    assert lower_bound(k5, 5.0) >= 4
-    c6 = cycle_graph(6)
-    assert lower_bound(c6, 5.0) == 2
-    # generous budget gives the exact treewidth
-    g = random_connected_graph(12, 24, 2024)
-    assert lower_bound(g, 60.0) == oracle.bf_treewidth(g)
-
-
-def test_lower_bound_zero_budget_is_min_degree():
-    g = random_connected_graph(10, 25, 7)
-    assert lower_bound(g, 0.0) == g.min_degree()
+def _levels(g: Graph, **bounds) -> tuple[tuple[int, Witness | None], list[tuple]]:
+    """``treewidth``'s result with the (k, answer) of every level it ran."""
+    stats: list[solver.SolverStats] = []
+    result = treewidth(g, stats_out=stats, **bounds)
+    return result, [(s.k, s.answer) for s in stats]
 
 
 def test_levels_ascend_from_min_degree_to_first_acceptance():
     graphs = [path_graph(6), cycle_graph(6), complete_graph(5), grid_graph(3, 3),
               random_connected_graph(10, 18, 3)]
     for g in graphs:
-        results = list(levels(g))
-        ks = [r.stats.k for r in results]
-        assert ks == list(range(max(1, g.min_degree()), ks[-1] + 1))
-        assert [r.answer for r in results] == [False] * (len(ks) - 1) + [True]
-        assert ks[-1] == oracle.bf_treewidth(g)
-    [single] = levels(Graph(1))
-    assert single.answer and single.stats.k == 0
+        (tw, witness), ran = _levels(g)
+        assert tw == oracle.bf_treewidth(g) and witness is not None
+        start = max(1, g.min_degree())
+        assert ran == [(k, k == tw) for k in range(start, tw + 1)]
+    assert _levels(Graph(1))[1] == [(0, True)]
 
 
 def test_levels_between_bounds():
     g = grid_graph(3, 3)  # minimum degree 2, treewidth 3
-    assert [r.stats.k for r in levels(g, lower=3)] == [3]
-    assert [r.answer for r in levels(g, upper=3)] == [False]
-    assert list(levels(g, lower=4, upper=4)) == []
-    assert treewidth(g, upper=3) == (3, None)  # level 2 negative: exact
-    assert treewidth(g, upper=2) == (2, None)  # empty range
+    (tw, witness), ran = _levels(g, lower=3)
+    assert tw == 3 and witness is not None and ran == [(3, True)]
+    assert _levels(g, upper=3) == ((3, None), [(2, False)])  # level 2 negative: exact
+    assert _levels(g, lower=4, upper=4) == ((4, None), [])
+    assert _levels(g, upper=2) == ((2, None), [])  # empty range
     tw, wit = treewidth(g, lower=2, upper=5)
     assert tw == 3 and wit is not None
-    assert list(levels(path_graph(3), lower=3)) == []  # no level below n remains
 
 
 def test_levels_raise_when_no_level_accepts(monkeypatch):
+    with pytest.raises(RuntimeError, match="failed to accept"):
+        treewidth(path_graph(3), lower=3)  # no level below n remains
+
     def reject(g, k, **kwargs):
         return solver.DecideResult(False, solver.SolverStats(g.n, k, False))
 
     monkeypatch.setattr(solver, "decide", reject)
     with pytest.raises(RuntimeError, match="failed to accept"):
-        list(levels(cycle_graph(5)))
+        treewidth(cycle_graph(5))
 
 
 def test_deadline_interrupts():
@@ -283,10 +275,12 @@ def test_sieve_matches_linear_scan_levels_hypothesis(g):
 # -- the candidate analysis shared by the levels of one graph --------------
 
 
+def _counts(s: solver.SolverStats) -> tuple:
+    return (s.k, s.answer, s.iblocks, s.oblocks, s.pmcs_buildable, s.pmcs_feasible)
+
+
 def _level(res) -> tuple:
-    s = res.stats
-    return (s.k, res.answer, s.iblocks, s.oblocks, s.pmcs_buildable, s.pmcs_feasible,
-            res.witness)
+    return (*_counts(res.stats), res.witness)
 
 
 SHARED_ANALYSIS_GRAPHS = pytest.mark.parametrize(
@@ -295,10 +289,13 @@ SHARED_ANALYSIS_GRAPHS = pytest.mark.parametrize(
 
 @given(connected_graphs(max_n=12))
 def test_levels_match_fresh_decisions_hypothesis(g):
+    stats: list[solver.SolverStats] = []
     with checked_searches() as checked:
-        for res in levels(g):
-            assert _level(res) == _level(decide(g, res.stats.k))
-    assert len(checked) == 2 * (res.stats.k - max(1, g.min_degree()) + 1)
+        tw, witness = treewidth(g, stats_out=stats)
+        fresh = [decide(g, s.k) for s in stats]
+    assert [_counts(s) for s in stats] == [_counts(res.stats) for res in fresh]
+    assert witness == fresh[-1].witness
+    assert len(checked) == 2 * (tw - max(1, g.min_degree()) + 1)
 
 
 @SHARED_ANALYSIS_GRAPHS
