@@ -48,6 +48,7 @@ class SolveReport:
     safe_separators: dict[str, int] = field(default_factory=dict)
     parts: dict[str, int] = field(default_factory=dict)
     reduction: dict[str, int] = field(default_factory=dict)
+    levels: list[dict] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -160,7 +161,9 @@ def solve(
 
     A component's width is the larger of its reduction's certified lower
     bound and the width of its reduced graph.  Counters sum the accepting
-    decision levels; a part that no level accepted adds nothing.  Raises
+    decision levels; a part that no level accepted adds nothing.  The
+    report's ``levels`` holds the stats of every level run, part by part in
+    solve order.  Raises
     :class:`PipelineError` if a removed vertex cannot be put back or the
     final decomposition fails its own audit; the result is never silently
     wrong.
@@ -223,10 +226,15 @@ def solve(
         raise SolverTimeout(max(low, running_max, exc.bound)) from None
 
     glued: dict[int, tuple[int, TreeDecomposition]] = {}
-    for i, (tw, td, stats) in solved.items():
+    for part, (i, (tw, td, stats)) in enumerate(solved.items()):
         if td is not None:
             for key in COUNTERS:
                 report.counters[key] += getattr(stats[-1], key)
+        report.levels += [
+            {"part": part, "k": s.k, "answer": s.answer,
+             **{key: getattr(s, key) for key in COUNTERS}, "ms": s.elapsed_ms}
+            for s in stats
+        ]
         report.parts["levels"] += len(stats)
         report.parts["settled_by_bound"] += td is None
         glued[id(leaves[i])] = (tw, heuristic[i] if td is None else td)

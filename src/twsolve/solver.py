@@ -1,7 +1,7 @@
 """Decide treewidth <= k by generating only positive subproblem instances.
 
 The search keeps four growing collections: feasible inbound full blocks
-(worked through a FIFO queue), feasible outbound full blocks (indexed in a
+(worked off largest first), feasible outbound full blocks (indexed in a
 :class:`~twsolve.sieve.SieveBank` for superset queries), buildable potential
 maximal cliques, and feasible potential maximal cliques.  Every new inbound
 block is matched against the stored outbound blocks; each match proposes a
@@ -15,12 +15,18 @@ with its outlet and support, does not depend on k: the levels of one graph
 share one facts table, which analyses each set once and stops its component
 pass at the first full component; only the size test is made per level.
 
-Each inbound block is matched once, against the outbound blocks stored
-before it is worked off.  So which outbound blocks a level stores, and with
-them its sieve counts and now and then its buildable PMCs, depends on the
-order in which inbound blocks are processed.  The answer, the inbound
-blocks and the feasible PMCs of an exhaustive run do not: a comparison
-with last-in-first-out processing on random graphs found them equal.
+Each step works off the largest inbound block found and not yet worked
+off, ties going to the earliest found.  The root's support components
+cover every vertex outside it, so an accepting level is built from large
+blocks, and a level that takes them first reaches its root, and stops,
+after a small part of the work that taking them in the order they were
+found would do.  Each inbound block is matched once, against the outbound
+blocks stored before it is worked off, so which outbound blocks a level
+stores, and with them its sieve counts and now and then its buildable
+PMCs, depends on this order.  The answer, the inbound blocks and the
+feasible PMCs of an exhaustive run do not: on random graphs they matched
+those of runs in the order of discovery and in its reverse.  A level that
+stops at its root counts only what it built before the root appeared.
 
 Feasible records keep witness links (which clique emitted which block), so
 an accepting run can be unfolded into an explicit tree decomposition.
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .blocks import is_cliquish, outlet_and_support
 from .graph import Graph
@@ -142,6 +149,8 @@ class _Search:
         self.exhaustive = exhaustive
         self.deadline = deadline
         self.iblocks: list[tuple[int, int]] = []
+        # the inbound blocks not yet worked off, as (-|C|, discovery index)
+        self.pending: list[tuple[int, int]] = []
         self.iblock_source: dict[int, int] = {}
         self.bank = SieveBank(self.g.n, k)
         self.onb: dict[int, int] = {}
@@ -199,6 +208,7 @@ class _Search:
             comp, nb, src = work.pop()
             if comp in iblock_source:
                 continue
+            heappush(self.pending, (-comp.bit_count(), len(self.iblocks)))
             self.iblocks.append((comp, nb))
             iblock_source[comp] = src
             for k2 in waiting.pop(comp, ()):
@@ -236,15 +246,14 @@ class _Search:
                 if type(fact) is PmcRecord and cand not in buildable:
                     self._register_pmc(fact)
 
-        i = 0
         iblocks = self.iblocks
-        while i < len(iblocks):
+        pending = self.pending
+        while pending:
             if self.root is not None and not exhaustive:
                 break
             if deadline is not None and time.monotonic() > deadline:
                 raise SolverTimeout
-            comp, nb = iblocks[i]
-            i += 1
+            comp, nb = iblocks[heappop(pending)[1]]
             new_obs: list[tuple[int, int]] = []
             for b in bank.supersets(comp, nb):
                 cand = nb | onb[b]

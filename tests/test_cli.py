@@ -44,6 +44,24 @@ def test_exact_writes_valid_td_and_stats(tmp_graph_file, tmp_path, capsys):
     assert 0 < stats["reduction"]["low"] <= tw
 
 
+def test_stats_levels_record_every_decision_level(tmp_graph_file, tmp_path, capsys):
+    path = tmp_graph_file("m4.gr", _gr_text(mycielski_graph(4)))
+    out_json = tmp_path / "m4.json"
+    assert main(["exact", path, "--stats", str(out_json)]) == 0
+    assert capsys.readouterr().out.strip() == "10"
+    stats = json.loads(out_json.read_text())
+    levels = stats["levels"]
+    assert stats["parts"]["levels"] == len(levels)
+    # one part, its levels from the minimum degree 4 up to the accepting one
+    assert [(r["part"], r["k"], r["answer"]) for r in levels] == [
+        (0, k, k == 10) for k in range(4, 11)]
+    for r in levels:
+        assert list(r) == ["part", "k", "answer", "iblocks", "oblocks", "pmcs_buildable",
+                           "pmcs_feasible", "ms"]
+        assert r["ms"] >= 0 and 0 < r["pmcs_feasible"] <= r["pmcs_buildable"]
+    assert {key: levels[-1][key] for key in stats["counters"]} == stats["counters"]
+
+
 def test_exact_col_format(tmp_graph_file, capsys):
     g = mycielski_graph(3)
     path = tmp_graph_file("m3.col", col_text(g))

@@ -1,3 +1,4 @@
+import heapq
 import time
 
 import pytest
@@ -323,7 +324,7 @@ def test_shared_analysis_entries_match_reference(make, monkeypatch):
         return decide_level(g, k, **kwargs)
 
     monkeypatch.setattr(solver, "decide", capture)
-    treewidth(g)
+    tw = treewidth(g)[0]
     first = len(shared)
     treewidth(g)
     # each run of the levels shares one analysis of its own among them
@@ -332,6 +333,9 @@ def test_shared_analysis_entries_match_reference(make, monkeypatch):
     assert all(a is shared[first] for a in shared[first:])
     assert shared[0] is not shared[first]
     facts = shared[0]
+    # an accepting level may stop before it meets a set with neither fact;
+    # the fixpoint of an exhaustive one on the same table reaches such sets
+    decide(g, tw, exhaustive=True, _analysis=facts)
     kinds = {type(fact) for fact in facts.values()}
     assert kinds == {int, solver.PmcRecord} and 0 in facts.values()
     for s, fact in facts.items():
@@ -340,6 +344,83 @@ def test_shared_analysis_entries_match_reference(make, monkeypatch):
         assert pmc == blocks.is_pmc(g, s), s
         if pmc:
             assert fact == solver.PmcRecord(s, *blocks.outlet_and_support(g, s)), s
+
+
+# -- the order in which inbound blocks are worked off ----------------------
+
+
+def _worked_off(search: solver._Search) -> list[tuple[int, int]]:
+    """Run ``search``; returns (C, inbound blocks found so far) at each
+    superset query, which the main loop makes once per block it works off."""
+    seen = []
+    supersets = search.bank.supersets
+
+    def query(comp, nb):
+        seen.append((comp, len(search.iblocks)))
+        return supersets(comp, nb)
+
+    search.bank.supersets = query
+    search.run()
+    return seen
+
+
+def _first_in_first_out(mp: pytest.MonkeyPatch) -> None:
+    """Key the pending inbound blocks on their discovery index alone."""
+    mp.setattr(solver, "heappush", lambda heap, item: heapq.heappush(heap, (0, item[1])))
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: mycielski_graph(4), lambda: random_connected_graph(16, 40, 5)],
+    ids=["myciel4", "random16"])
+def test_largest_pending_block_is_worked_off_first(make):
+    g = make()
+    tw = treewidth(g)[0]
+    for k in (tw - 1, tw):
+        for exhaustive in (False, True):
+            search = solver._Search(solver._Analysis(g), k, exhaustive, None)
+            seen = _worked_off(search)
+            done = set()
+            for comp, found in seen:
+                pending = [(-c.bit_count(), i)
+                           for i, (c, _) in enumerate(search.iblocks[:found]) if c not in done]
+                assert search.iblocks[min(pending)[1]][0] == comp, (k, exhaustive)
+                done.add(comp)
+            assert len(seen) > 1
+            if exhaustive:
+                assert len(seen) == len(search.iblocks)
+
+
+def _exhaustive_fixpoint(g: Graph, k: int) -> tuple:
+    search = solver._Search(solver._Analysis(g), k, True, None)
+    answer = search.run()
+    return answer, set(search.iblock_source), set(search.feasible)
+
+
+@given(connected_graphs(max_n=14))
+def test_order_leaves_exhaustive_fixpoint_unchanged_hypothesis(g):
+    tw = oracle.bf_treewidth(g)
+    levels = range(max(1, g.min_degree()), tw + 1)
+    largest_first = [_exhaustive_fixpoint(g, k) for k in levels]
+    with pytest.MonkeyPatch.context() as mp:
+        _first_in_first_out(mp)
+        assert [_exhaustive_fixpoint(g, k) for k in levels] == largest_first
+    assert [answer for answer, _, _ in largest_first] == [k == tw for k in levels]
+
+
+def test_accepting_level_stops_after_a_sliver_of_its_work():
+    g = queen_graph(6, 6)
+
+    def accepting_level() -> tuple[int, int]:
+        search = solver._Search(solver._Analysis(g), 25, False, None)
+        worked = len(_worked_off(search))
+        assert search.root is not None
+        return worked, len(search.iblocks)
+
+    worked, found = accepting_level()
+    with pytest.MonkeyPatch.context() as mp:
+        _first_in_first_out(mp)
+        fifo_worked, fifo_found = accepting_level()
+    assert 4 * worked < fifo_worked and 4 * found < fifo_found
 
 
 # -- the names the benchmark tracer wraps ---------------------------------
