@@ -56,19 +56,8 @@ def main(argv: list[str] | None = None) -> int:
     p_exact = sub.add_parser("exact", help="compute exact treewidth and a decomposition")
     p_exact.add_argument("input")
     p_exact.add_argument("-o", "--output", help="write the decomposition here (.td)")
-    p_exact.add_argument(
-        "--no-safe-separators",
-        action="store_true",
-        help="skip safe-separator preprocessing and the simplicial reduction before it",
-    )
     p_exact.add_argument("--stats", help="write a JSON stats record here")
     p_exact.add_argument("--jobs", type=int, default=1, help="solve parts in parallel")
-    p_exact.add_argument(
-        "--step-budget",
-        type=int,
-        default=10000,
-        help="execution steps per safe-separator check",
-    )
     _add_format(p_exact)
 
     p_lb = sub.add_parser("lb", help="best certified lower bound within a time limit")
@@ -119,13 +108,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = _read_graph(args.input, args.format)
     t0 = time.monotonic()
-    tw, td, report = pipeline.solve(
-        g,
-        instance=os.path.basename(args.input),
-        use_safe_separators=not args.no_safe_separators,
-        step_budget=args.step_budget,
-        jobs=args.jobs,
-    )
+    tw, td, report = pipeline.solve(g, instance=os.path.basename(args.input), jobs=args.jobs)
     elapsed = time.monotonic() - t0
     log.info("solved %s: tw=%d in %.3fs", args.input, tw, elapsed)
     print(tw)

@@ -1,18 +1,18 @@
-"""End-to-end solving: split, preprocess, solve parts, glue, validate.
+"""End-to-end solving: reduce, split, solve parts, glue, validate.
 
-The pipeline splits the input into connected components and, unless safe
-separators are off, removes simplicial and almost-simplicial vertices from
-each (:func:`safesep.simplicial_reduction`) before decomposing what is left
-along verified minor-safe separators.  It solves every part and glues the
-part decompositions back together; each removed vertex v then gets the bag
-N[v], attached in reverse removal order to a bag that already holds N(v).
-Every part comes with a greedy elimination decomposition of width ub; its
+The pipeline removes simplicial and almost-simplicial vertices from the
+whole input once (:func:`safesep.simplicial_reduction`), then decomposes
+what is left in one splitting tree (:func:`safesep.decompose`): first into
+its connected components, a split along the empty separator, then along
+verified minor-safe separators.  It solves every part and glues the part
+decompositions back together; each removed vertex v then gets the bag N[v],
+attached in reverse removal order to a bag that already holds N(v).  Every
+part comes with a greedy elimination decomposition of width ub; its
 decision levels stop below ub and start at the largest part width found so
-far, since levels outside that range cannot change the answer.  The split
-into components is a split along the empty separator, so one splitting tree
-covers both.  Adjacent parts overlap exactly on a completed separator, so
-each part owns a bag containing it and gluing those bags keeps all
-decomposition conditions intact.
+far, since levels outside that range cannot change the answer.  Adjacent
+parts overlap exactly on a completed separator, so each part owns a bag
+containing it and gluing those bags keeps all decomposition conditions
+intact.
 """
 
 from __future__ import annotations
@@ -135,8 +135,6 @@ def solve(
     g: Graph,
     instance: str = "-",
     *,
-    use_safe_separators: bool = True,
-    step_budget: int = 10000,
     jobs: int = 1,
     deadline: float | None = None,
 ) -> tuple[int, TreeDecomposition, SolveReport]:
@@ -159,19 +157,18 @@ def solve(
     (its minimum degree, or one above its last finished level).  M is
     certified too, since a part whose width exceeds M has it exactly.
 
-    A component's width is the larger of its reduction's certified lower
-    bound and the width of its reduced graph.  Counters sum the accepting
-    decision levels; a part that no level accepted adds nothing.  The
-    report's ``levels`` holds the stats of every level run, part by part in
-    solve order.  Raises
-    :class:`PipelineError` if a removed vertex cannot be put back or the
-    final decomposition fails its own audit; the result is never silently
-    wrong.
+    The width is the larger of the reduction's certified lower bound and
+    the width of the reduced graph.  Counters sum the accepting decision
+    levels; a part that no level accepted adds nothing.  The report's
+    ``levels`` holds the stats of every level run, part by part in solve
+    order.  Raises :class:`PipelineError` if a removed vertex cannot be put
+    back or the final decomposition fails its own audit; the result is
+    never silently wrong.
     """
     started = time.monotonic()
     report = SolveReport(instance, g.n, g.edge_count)
     report.counters = dict.fromkeys(COUNTERS, 0)
-    report.safe_separators = {"found": 0, "max_part": g.n, **dict.fromkeys(safesep.TALLY_KEYS, 0)}
+    report.safe_separators = {"max_part": 0, **dict.fromkeys(safesep.TALLY_KEYS, 0)}
     report.parts = {"total": 0, "settled_by_bound": 0, "levels": 0}
     report.reduction = {"removed": 0, "low": 0}
     if g.n == 0:
@@ -180,31 +177,15 @@ def solve(
         report.time_ms = (time.monotonic() - started) * 1000.0
         return -1, td, report
 
-    components: list[safesep.DecompNode] = []
-    removed: list[tuple[int, int]] = []  # in root labels, removal order within a component
-    low = 0
-    for comp in g.components(0):
-        sub, labels = g.subgraph(comp)
-        if use_safe_separators and sub.n > 2:
-            sub, kept, comp_low, comp_removed = safesep.simplicial_reduction(sub)
-            low = max(low, comp_low)
-            removed += [(labels[v], vset(labels[u] for u in bits(nb))) for v, nb in comp_removed]
-            labels = [labels[v] for v in kept]
-        if use_safe_separators and sub.n > 2:
-            split = safesep.decompose(sub, step_budget, labels)
-            components.append(split.root)
-            for key, value in split.tally.items():
-                report.safe_separators[key] += value
-        elif sub.n:
-            components.append(safesep.DecompNode(sub, labels))
+    sub, kept, low, removed = safesep.simplicial_reduction(g)
     report.reduction = {"removed": len(removed), "low": low}
-    root = safesep.DecompNode(g, list(range(g.n)), 0, children=components)
-    preorder = list(root.walk()) if components else []
+    preorder: list[safesep.DecompNode] = []
+    if sub.n:
+        split = safesep.decompose(sub, labels=kept)
+        report.safe_separators.update(split.tally)
+        preorder = list(split.root.walk())
     leaves = [node for node in preorder if not node.children]
-    heuristic = [
-        from_elimination(leaf.graph, *(leaf.elimination or safesep.best_elimination(leaf.graph)))
-        for leaf in leaves
-    ]
+    heuristic = [from_elimination(leaf.graph, *leaf.elimination) for leaf in leaves]
     ubs = [td.width() for td in heuristic]
     order = sorted(range(len(leaves)), key=lambda i: (-leaves[i].graph.n, -ubs[i]))
 
@@ -239,10 +220,9 @@ def solve(
         report.parts["settled_by_bound"] += td is None
         glued[id(leaves[i])] = (tw, heuristic[i] if td is None else td)
     report.parts["total"] = len(leaves)
-    report.safe_separators["found"] = sum(node.report is not None for node in preorder)
     report.safe_separators["max_part"] = max((leaf.graph.n for leaf in leaves), default=0)
 
-    overall_tw, bags, edges = _glue(preorder, glued) if components else (-1, [], [])
+    overall_tw, bags, edges = _glue(preorder, glued) if preorder else (-1, [], [])
     _put_back(bags, edges, removed)
     overall_tw = max(overall_tw, low)
     td = TreeDecomposition(g.n, bags, edges)

@@ -36,9 +36,9 @@ __all__ = [
     "YES",
     "Decomposition",
     "DecompNode",
+    "STEP_BUDGET",
     "SafeSeparatorReport",
     "TALLY_KEYS",
-    "best_elimination",
     "candidate_separators",
     "decompose",
     "greedy_elimination",
@@ -53,6 +53,8 @@ DONT_KNOW = "dont-know"
 ABORTED = "aborted"
 # keys of Decomposition.tally
 TALLY_KEYS = ("checks", "yes", "dont_know", "aborted", "steps")
+# execution steps per (separator, component) search of a minor-safety check
+STEP_BUDGET = 10000
 
 
 @dataclass
@@ -123,18 +125,19 @@ def greedy_elimination(g: Graph, mode: str) -> tuple[list[int], list[int]]:
 
 
 def simplicial_reduction(g: Graph) -> tuple[Graph, list[int], int, list[tuple[int, int]]]:
-    """Remove simplicial and almost-simplicial vertices from connected ``g``
-    with at least one edge (Bodlaender, Koster & van den Eijkhof,
-    "Pre-processing rules for triangulation of probabilistic networks",
-    Comput. Intell. 2005).
+    """Remove simplicial and almost-simplicial vertices from ``g``
+    (Bodlaender, Koster & van den Eijkhof, "Pre-processing rules for
+    triangulation of probabilistic networks", Comput. Intell. 2005).
 
-    ``low`` is a certified lower bound on the treewidth of ``g``: 2 when it
-    has a cycle, else 1, raised to the degree of every simplicial vertex
-    removed (its closed neighborhood is a clique minor of ``g``).  A
-    simplicial vertex is always removed; an almost-simplicial vertex (all
-    neighbors but one are pairwise adjacent) only when its degree is at most
-    ``low``, after its neighborhood is completed into a clique.  Either way
-    tw(g) = max(``low``, tw(reduced)).
+    ``low`` is a certified lower bound on the treewidth of ``g``, one for
+    the whole graph however many components it has: 2 when it has a cycle
+    (more edges than vertices less components), else 1 when it has an edge,
+    else 0, raised to the degree of every simplicial vertex removed (its
+    closed neighborhood is a clique minor of ``g``).  A simplicial vertex,
+    isolated ones included, is always removed; an almost-simplicial vertex
+    (all neighbors but one are pairwise adjacent) only when its degree is at
+    most ``low``, after its neighborhood is completed into a clique.  Either
+    way tw(g) = max(``low``, tw(reduced)).
 
     Returns the reduced graph with those fill edges, the labels of its
     vertices in ``g``, ``low``, and the removed (vertex, neighborhood at
@@ -145,7 +148,8 @@ def simplicial_reduction(g: Graph) -> tuple[Graph, list[int], int, list[tuple[in
     """
     adj = list(g.adj)
     alive = g.full_mask
-    low = 2 if g.edge_count >= g.n else 1
+    m = g.edge_count
+    low = 2 if m > g.n - len(g.components(0)) else min(m, 1)
     removed: list[tuple[int, int]] = []
 
     def clique(s: int) -> bool:
@@ -183,13 +187,6 @@ def simplicial_reduction(g: Graph) -> tuple[Graph, list[int], int, list[tuple[in
 def _eliminations(g: Graph) -> list[tuple[list[int], list[int]]]:
     """The min-fill and min-degree eliminations of ``g``, in that order."""
     return [greedy_elimination(g, mode) for mode in ("min_fill", "min_degree")]
-
-
-def best_elimination(
-    g: Graph, elims: list[tuple[list[int], list[int]]] | None = None
-) -> tuple[list[int], list[int]]:
-    """The elimination of least width, min-fill on a tie."""
-    return min(elims or _eliminations(g), key=lambda e: max(map(int.bit_count, e[1]), default=0))
 
 
 def candidate_separators(
@@ -269,7 +266,7 @@ def verify_minor_evidence(
 def heuristic_minor_safe(
     g: Graph,
     s: int,
-    step_budget: int = 10000,
+    step_budget: int = STEP_BUDGET,
     comps_nbs: list[tuple[int, int]] | None = None,
 ) -> SafeSeparatorReport:
     """Decide minor-safety of minimal separator ``s``: yes with verified
@@ -467,10 +464,12 @@ class DecompNode:
     """A node of the splitting tree: the graph to solve (separators already
     completed), the labels of its vertices, and the split applied here.
 
-    ``separator`` is in the same labels as ``to_root``; ``report.separator``
-    is the same set in the vertex indices of ``graph``.  A leaf of
-    :func:`decompose` keeps its better greedy ``elimination`` (order and
-    neighborhoods, in the vertex indices of ``graph``).
+    ``separator`` is in the same labels as ``to_root``; it is empty where a
+    disconnected root splits into its components, which needs no check and
+    has no ``report``.  Otherwise ``report.separator`` is the same set in the
+    vertex indices of ``graph``.  Every leaf keeps its better greedy
+    ``elimination`` (order and neighborhoods, in the vertex indices of
+    ``graph``).
     """
 
     graph: Graph
@@ -488,6 +487,15 @@ class DecompNode:
             yield node
             stack.extend(node.children)
 
+    def split(self, s: int, comps_nbs: list[tuple[int, int]]) -> list["DecompNode"]:
+        """Split along ``s`` (vertex indices of ``graph``): one child per
+        component, on it and its neighborhood completed into a clique."""
+        self.separator = vset(self.to_root[v] for v in bits(s))
+        for comp, nb in comps_nbs:
+            part, part_labels = self.graph.subgraph(comp | nb, make_clique=nb)
+            self.children.append(DecompNode(part, [self.to_root[v] for v in part_labels]))
+        return self.children
+
 
 @dataclass
 class Decomposition:
@@ -500,34 +508,31 @@ class Decomposition:
 
 
 def decompose(
-    g: Graph, step_budget: int = 10000, labels: list[int] | None = None
+    g: Graph, step_budget: int = STEP_BUDGET, labels: list[int] | None = None
 ) -> Decomposition:
     """Split ``g`` along verified minor-safe separators until none applies.
 
-    Separators are tried largest impact first (greatest reduction of the
-    biggest part, then size ascending); every applied part gets the separator
-    completed into a clique and is then split further if possible.  Node
-    labels and separators are given in ``labels``, the names of the vertices
-    of ``g`` (the identity by default).  Every leaf keeps the better of the
-    greedy eliminations its separator search ran.
+    A disconnected ``g`` first splits into its components along the empty
+    separator, a clique, so that split is safe without a check and is not
+    tallied.  Separators are then tried largest impact first (greatest
+    reduction of the biggest part, then size ascending); every applied part
+    gets the separator completed into a clique and is then split further if
+    possible.  Node labels and separators are given in ``labels``, the names
+    of the vertices of ``g`` (the identity by default).  Every leaf keeps the
+    better of the greedy eliminations its separator search ran.
     """
     out = Decomposition(DecompNode(g, list(range(g.n)) if labels is None else labels))
-    stack = [out.root]
+    comps_nbs = g.components_with_neighborhoods(0)
+    stack = list(out.root.split(0, comps_nbs)) if len(comps_nbs) > 1 else [out.root]
     while stack:
         node = stack.pop()
         elims = _eliminations(node.graph)
         found = _find_safe_separator(node.graph, elims, step_budget, out.tally)
-        if found is None:
-            node.elimination = best_elimination(node.graph, elims)
+        if found is None:  # keep the elimination of least width, min-fill on a tie
+            node.elimination = min(elims, key=lambda e: max(map(int.bit_count, e[1]), default=0))
             continue
-        report, comps_nbs = found
-        node.report = report
-        node.separator = vset(node.to_root[v] for v in bits(report.separator))
-        for comp, nb in comps_nbs:
-            part, part_labels = node.graph.subgraph(comp | nb, make_clique=nb)
-            child = DecompNode(part, [node.to_root[v] for v in part_labels])
-            node.children.append(child)
-            stack.append(child)
+        node.report, comps_nbs = found
+        stack += node.split(node.report.separator, comps_nbs)
     return out
 
 

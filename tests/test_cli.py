@@ -1,4 +1,8 @@
 import json
+import re
+from pathlib import Path
+
+import pytest
 
 from twsolve import oracle, pipeline
 from twsolve.cli import main
@@ -34,11 +38,10 @@ def test_exact_writes_valid_td_and_stats(tmp_graph_file, tmp_path, capsys):
         "pmcs_feasible",
     }
     assert set(stats["safe_separators"]) == {
-        "found", "max_part", "checks", "yes", "dont_know", "aborted", "steps",
+        "max_part", "checks", "yes", "dont_know", "aborted", "steps",
     }
     checks = stats["safe_separators"]
     assert checks["checks"] == checks["yes"] + checks["dont_know"] + checks["aborted"]
-    assert checks["yes"] == checks["found"]
     assert set(stats["parts"]) == {"total", "settled_by_bound", "levels"}
     assert set(stats["reduction"]) == {"removed", "low"}
     assert 0 < stats["reduction"]["low"] <= tw
@@ -67,15 +70,6 @@ def test_exact_col_format(tmp_graph_file, capsys):
     path = tmp_graph_file("m3.col", col_text(g))
     assert main(["exact", path]) == 0
     assert capsys.readouterr().out.strip() == "5"
-
-
-def test_safe_separator_toggle_same_answer(tmp_graph_file, capsys):
-    g = random_connected_graph(13, 17, 8)
-    path = tmp_graph_file("t.gr", _gr_text(g))
-    assert main(["exact", path]) == 0
-    plain = capsys.readouterr().out.strip()
-    assert main(["exact", path, "--no-safe-separators"]) == 0
-    assert capsys.readouterr().out.strip() == plain
 
 
 def test_exact_disconnected_input(tmp_graph_file, capsys):
@@ -152,12 +146,17 @@ def test_broken_witness_chain_exit_code(tmp_graph_file, capsys, monkeypatch):
     from twsolve import pipeline
     from twsolve.solver import PmcRecord, Witness
 
+    # the reduction removes nothing, and one part runs levels 3 and 4
+    g = mycielski_graph(3)
+    report = pipeline.solve(g)[2]
+    assert report.reduction["removed"] == 0 and report.parts["levels"] == 2
+
     def broken(graph, **kwargs):
         # the root's support component has no source clique
         return 1, Witness(graph.n, 0b11, {0b11: PmcRecord(0b11, 0, (0b100,))}, {})
 
     monkeypatch.setattr(pipeline, "treewidth", broken)
-    path = tmp_graph_file("edge.gr", "p tw 2 1\n1 2\n")
+    path = tmp_graph_file("m3.gr", _gr_text(g))
     assert main(["exact", path]) == 3
     assert "broken witness chain" in capsys.readouterr().err
 
@@ -165,7 +164,7 @@ def test_broken_witness_chain_exit_code(tmp_graph_file, capsys, monkeypatch):
 def test_lb_matches_exact_with_generous_budget(tmp_graph_file, capsys):
     g = random_connected_graph(12, 24, 63)
     path = tmp_graph_file("g.gr", _gr_text(g))
-    assert main(["exact", path, "--no-safe-separators"]) == 0
+    assert main(["exact", path]) == 0
     tw = int(capsys.readouterr().out.strip())
     assert main(["lb", path, "--time-limit", "60"]) == 0
     assert int(capsys.readouterr().out.strip()) == tw
@@ -204,3 +203,17 @@ def test_jobs_flag(tmp_graph_file, capsys):
     path = tmp_graph_file("parts.gr", text)
     assert main(["exact", path, "--jobs", "2"]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_readme_usage_matches_parser(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    found = re.search(r"^tw exact (.*?)^tw lb ", readme, re.S | re.M)
+    assert found, "README lost its tw exact usage line"
+    with pytest.raises(SystemExit):
+        main(["exact", "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]  # one option string per option
+
+    def options(text: str) -> set[str]:
+        return set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", text)) - {"-h"}
+
+    assert options(found.group(1)) == options(usage)

@@ -11,12 +11,13 @@ from twsolve.families import (
     cycle_graph,
     grid_graph,
     mycielski_graph,
+    petersen_graph,
     random_connected_graph,
 )
 from twsolve.graph import Graph
 from twsolve.paceio import write_gr
 from twsolve.solver import SolverTimeout
-from twsolve.tdbuild import validate
+from twsolve.tdbuild import extract, validate
 
 from conftest import applied_separators, disjoint_union, octahedron_chain, triangle_chain
 
@@ -84,7 +85,7 @@ def test_deep_decomposition_chain():
     assert validate(g, td) == []
     assert report.reduction == {"removed": 0, "low": 2}
     # one split per shared triangle, down to single octahedra
-    assert report.safe_separators["found"] == 29
+    assert report.safe_separators["yes"] == 29
     assert report.safe_separators["max_part"] == 6
     assert report.parts["total"] == 30
 
@@ -129,15 +130,17 @@ def test_pipeline_matches_oracle_and_toggle():
         assert validate(g, td) == []
         assert td.width() == tw
         assert tw == oracle.bf_treewidth(g)
-        tw2, td2, _ = pipeline.solve(g, use_safe_separators=False)
+        # the solver alone, without the reduction and the splitting
+        tw2, witness = solver.treewidth(g)
         assert tw2 == tw
-        assert validate(g, td2) == []
+        assert validate(g, extract(g, witness)) == []
 
 
 def test_pipeline_larger_sparse_graph_consistency():
     g = random_connected_graph(34, 40, 2718)
     tw_a, td_a, rep = pipeline.solve(g)
-    tw_b, td_b, _ = pipeline.solve(g, use_safe_separators=False)
+    tw_b, witness = solver.treewidth(g)
+    td_b = extract(g, witness)
     assert tw_a == tw_b
     assert validate(g, td_a) == [] and validate(g, td_b) == []
     assert td_a.width() == tw_a and td_b.width() == tw_b
@@ -161,8 +164,7 @@ def test_report_shape(monkeypatch):
     # every vertex of K4 is simplicial: the reduction leaves no part to split or solve
     assert d["reduction"] == {"removed": 4, "low": 3}
     assert d["safe_separators"] == {
-        "found": 0, "max_part": 0, "checks": 0, "yes": 0, "dont_know": 0, "aborted": 0,
-        "steps": 0,
+        "max_part": 0, "checks": 0, "yes": 0, "dont_know": 0, "aborted": 0, "steps": 0,
     }
     assert d["time_ms"] >= 0.0
     assert d["parts"] == {"total": 0, "settled_by_bound": 0, "levels": 0}
@@ -171,35 +173,50 @@ def test_report_shape(monkeypatch):
     d = pipeline.solve(octahedron_chain(1))[2].as_dict()
     assert d["tw"] == 4
     assert d["reduction"] == {"removed": 0, "low": 2}
-    assert d["safe_separators"]["found"] == 0 and d["safe_separators"]["max_part"] == 6
+    assert d["safe_separators"]["yes"] == 0 and d["safe_separators"]["max_part"] == 6
     assert d["parts"] == {"total": 1, "settled_by_bound": 1, "levels": 0}
     assert set(d["counters"].values()) == {0}
-    # levels 2 to 4 are negative, level 5 accepts below the elimination width 6
-    d = pipeline.solve(random_connected_graph(10, 25, 12), use_safe_separators=False)[2].as_dict()
-    assert d["parts"] == {"total": 1, "settled_by_bound": 0, "levels": 4}
+    # the reduction removes one vertex and no separator applies; on the other
+    # nine, level 4 is negative and level 5 accepts below the elimination width 6
+    d = pipeline.solve(random_connected_graph(10, 25, 12))[2].as_dict()
+    assert d["parts"] == {"total": 1, "settled_by_bound": 0, "levels": 2}
     assert d["counters"]["pmcs_feasible"] > 0
-    assert d["safe_separators"]["checks"] == 0
-    assert d["reduction"] == {"removed": 0, "low": 0}
-    # every minor-safety check run while splitting is tallied, by verdict
+    assert d["safe_separators"]["yes"] == 0 and d["safe_separators"]["max_part"] == 9
+    assert d["reduction"] == {"removed": 1, "low": 2}
+    # every minor-safety check run while splitting is tallied, by verdict, and
+    # the report's tally is that of the one splitting tree solve builds
     reports = []
+    splits = []
     check = safesep.heuristic_minor_safe
+    decompose = safesep.decompose
 
     def logged(*args):
         reports.append(check(*args))
         return reports[-1]
 
-    monkeypatch.setattr(safesep, "heuristic_minor_safe", logged)
-    g = disjoint_union(random_connected_graph(40, 50, 3), random_connected_graph(12, 15, 0))
-    for budget in (10000, 2):
-        reports.clear()
-        d = pipeline.solve(g, step_budget=budget)[2].as_dict()["safe_separators"]
+    def recorded(*args, **kwargs):
+        splits.append(decompose(*args, **kwargs))
+        return splits[-1]
+
+    def assert_tallies(tally):
         verdicts = [r.verdict for r in reports]
-        assert d["checks"] == len(reports) > d["yes"] > 0
-        assert d["yes"] == verdicts.count(safesep.YES) == d["found"]
-        assert d["dont_know"] == verdicts.count(safesep.DONT_KNOW)
-        assert d["aborted"] == verdicts.count(safesep.ABORTED)
-        assert d["steps"] == sum(r.steps_used for r in reports) > 0
-    assert d["aborted"] > 0
+        assert tally["checks"] == len(reports) > tally["yes"] > 0
+        assert tally["yes"] == verdicts.count(safesep.YES)
+        assert tally["dont_know"] == verdicts.count(safesep.DONT_KNOW)
+        assert tally["aborted"] == verdicts.count(safesep.ABORTED)
+        assert tally["steps"] == sum(r.steps_used for r in reports) > 0
+        reports.clear()
+
+    monkeypatch.setattr(safesep, "heuristic_minor_safe", logged)
+    monkeypatch.setattr(safesep, "decompose", recorded)
+    g = disjoint_union(random_connected_graph(40, 50, 3), random_connected_graph(12, 15, 0))
+    d = pipeline.solve(g)[2].as_dict()["safe_separators"]
+    assert len(splits) == 1
+    assert d == {"max_part": d["max_part"], **splits[0].tally}
+    assert_tallies(d)
+    tally = safesep.decompose(g, step_budget=2).tally
+    assert_tallies(tally)
+    assert tally["aborted"] > 0
 
 
 def test_pipeline_matches_oracle_on_grid():
@@ -226,10 +243,45 @@ def test_glue_across_components_that_split():
         for h in parts
     ]
     assert found == [2, 1, 1]
-    assert report.safe_separators["found"] == sum(found)
+    assert report.safe_separators["yes"] == sum(found)
     # solving again must not see labels mapped by the first run
     tw2, td2, _ = pipeline.solve(g)
     assert (tw2, td2.bags, td2.edges) == (tw, td.bags, td.edges)
+
+
+def test_component_split_adds_no_checks():
+    # the split into components is along the empty separator, a clique, so
+    # the tally is that of splitting each component on its own
+    parts = [octahedron_chain(3), octahedron_chain(2)]
+    report = pipeline.solve(disjoint_union(*parts))[2]
+    tallies = [safesep.decompose(h).tally for h in parts]
+    assert report.reduction["removed"] == 0
+    assert {key: report.safe_separators[key] for key in safesep.TALLY_KEYS} == {
+        key: sum(t[key] for t in tallies) for key in safesep.TALLY_KEYS}
+
+
+def test_reduction_bound_is_shared_across_components(monkeypatch):
+    # vertex 12 sees the edge {0, 1} of one octahedron and vertex 6 of
+    # another: almost simplicial of degree 3, above the bound 2 of its own
+    # component.  A separate K4 has simplicial vertices of degree 3, so the
+    # bound of the whole graph is 3 and vertex 12 goes too.
+    edges = disjoint_union(octahedron_chain(1), octahedron_chain(1)).edge_list()
+    edges += [(12, 0), (12, 1), (12, 6)]
+    g = disjoint_union(Graph(13, edges), complete_graph(4))
+    removed = []
+    reduce = safesep.simplicial_reduction
+
+    def recorded(h):
+        out = reduce(h)
+        removed.extend(v for v, _ in out[3])
+        return out
+
+    monkeypatch.setattr(safesep, "simplicial_reduction", recorded)
+    tw, td, report = pipeline.solve(g)
+    assert sorted(removed) == [12, 13, 14, 15, 16]  # the K4 and vertex 12
+    assert report.reduction == {"removed": 5, "low": 3}
+    assert tw == td.width() == oracle.bf_treewidth(g) == 4
+    assert validate(g, td) == []
 
 
 @given(separator_rich_graphs(), separator_rich_graphs())
@@ -243,14 +295,15 @@ def test_glued_components_match_oracle(a, b):
 
 
 def test_negative_level_below_elimination_width_settles(decided_levels):
-    g = grid_graph(4, 4)
-    assert g.min_degree() == 2
+    g = petersen_graph()
+    assert g.min_degree() == 3
     assert max(nb.bit_count() for nb in safesep.greedy_elimination(g, "min_fill")[1]) == 4
-    tw, td, report = pipeline.solve(g, use_safe_separators=False)
-    assert decided_levels == [(16, 2), (16, 3)]
+    tw, td, report = pipeline.solve(g)
+    assert report.reduction["removed"] == 0
+    assert decided_levels == [(10, 3)]
     assert tw == td.width() == 4
     assert validate(g, td) == []
-    assert report.parts == {"total": 1, "settled_by_bound": 1, "levels": 2}
+    assert report.parts == {"total": 1, "settled_by_bound": 1, "levels": 1}
 
 
 def test_no_level_runs_on_parts_settled_by_bound(decided_levels):
@@ -266,18 +319,20 @@ def test_no_level_runs_on_parts_settled_by_bound(decided_levels):
 
 
 def test_parallel_jobs_agree_when_running_maximum_prunes():
-    # the 5x5 grid is solved first: levels 2 to 4 are negative below its
-    # elimination width 5.  The smaller part has minimum degree 3 and
-    # elimination width 6, so it runs level 5 alone, which accepts; starting
-    # it one level higher would report width 6.
-    small = random_connected_graph(10, 25, 3)
-    assert small.min_degree() == 3 and oracle.bf_treewidth(small) == 5
-    g = disjoint_union(grid_graph(5, 5), small)
-    runs = [pipeline.solve(g, use_safe_separators=False, jobs=jobs) for jobs in (1, 2)]
+    # the Petersen graph is solved first: level 3 is negative below its
+    # elimination width 4.  The random graph splits into two parts of
+    # elimination width 4 and one 8-vertex part of minimum degree 3 and
+    # elimination width 5, which runs level 4 alone, which accepts; starting
+    # it one level higher would report width 5.
+    small = random_connected_graph(10, 22, 37)
+    assert small.min_degree() == 3 and oracle.bf_treewidth(small) == 4
+    g = disjoint_union(petersen_graph(), small)
+    runs = [pipeline.solve(g, jobs=jobs) for jobs in (1, 2)]
     for tw, td, report in runs:
-        assert tw == td.width() == 5
+        assert report.reduction["removed"] == 0
+        assert tw == td.width() == 4
         assert validate(g, td) == []
-        assert report.parts == {"total": 2, "settled_by_bound": 1, "levels": 4}
+        assert report.parts == {"total": 4, "settled_by_bound": 3, "levels": 2}
     assert runs[0][2].counters == runs[1][2].counters
 
 
@@ -354,7 +409,7 @@ def test_timeout_bound_is_one_above_last_finished_level(monkeypatch):
 def test_nested_splits_match_oracle(g):
     tw, td, report = pipeline.solve(g)
     assert report.reduction["removed"] == 0
-    assert report.safe_separators["found"] >= 2
+    assert report.safe_separators["yes"] >= 2
     assert tw == oracle.bf_treewidth(g)
     assert validate(g, td) == []
     assert td.width() == tw

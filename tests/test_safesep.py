@@ -1,6 +1,6 @@
 from collections import Counter
 
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from twsolve import oracle, safesep
 from twsolve.families import (
@@ -212,7 +212,28 @@ def test_reduction_keeps_almost_simplicial_vertex_above_low():
     assert 12 not in kept
 
 
-@given(connected_graphs(max_n=10))
+@st.composite
+def small_unions(draw, max_n: int = 12) -> Graph:
+    """Disjoint unions of one to three graphs, ``max_n`` vertices in all at
+    most: connected graphs, single vertices and edgeless graphs."""
+    parts: list[Graph] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        room = max_n - sum(h.n for h in parts)
+        if room >= 2 and draw(st.booleans()):
+            parts.append(draw(connected_graphs(max_n=min(room, 10))))
+        elif room:
+            parts.append(Graph(draw(st.integers(min_value=1, max_value=min(room, 3)))))
+    return disjoint_union(*parts)
+
+
+def test_reduction_bound_on_edgeless_and_forest():
+    for g, low in [(Graph(1), 0), (Graph(3), 0), (disjoint_union(path_graph(3), Graph(2)), 1),
+                   (disjoint_union(cycle_graph(4), Graph(2)), 2)]:
+        reduced, _, bound, removed = safesep.simplicial_reduction(g)
+        assert (reduced.n, bound, len(removed)) == (0, low, g.n)
+
+
+@given(small_unions())
 def test_reduction_preserves_treewidth(g):
     reduced, kept, low, removed = safesep.simplicial_reduction(g)
     tw = oracle.bf_treewidth(g)
