@@ -1,18 +1,20 @@
 """End-to-end solving: reduce, split, solve parts, glue, validate.
 
 The pipeline removes simplicial and almost-simplicial vertices from the
-whole input once (:func:`safesep.simplicial_reduction`), then decomposes
-what is left in one splitting tree (:func:`safesep.decompose`): first into
-its connected components, a split along the empty separator, then along
-verified minor-safe separators.  It solves every part and glues the part
-decompositions back together; each removed vertex v then gets the bag N[v],
-attached in reverse removal order to a bag that already holds N(v).  Every
-part comes with a greedy elimination decomposition of width ub; its
-decision levels stop below ub and start at the largest part width found so
-far, since levels outside that range cannot change the answer.  Adjacent
-parts overlap exactly on a completed separator, so each part owns a bag
-containing it and gluing those bags keeps all decomposition conditions
-intact.
+whole input once (:func:`safesep.simplicial_reduction`), then splits what
+is left (:func:`safesep.decompose`): first into its connected components, a
+split along the empty separator, then along verified minor-safe
+separators.  Every part comes with a greedy elimination decomposition of
+width ub; its decision levels stop below ub and start at the largest part
+width found so far, since levels outside that range cannot change the
+answer.
+
+One rule glues the answer's decomposition: a piece joins the bags placed
+so far by an edge between a placed bag and a bag of the piece that both
+hold the clique it shares with them.  The parts join in the glue order
+:func:`safesep.decompose` returns, each sharing its ``attach`` set; then
+each removed vertex v, in reverse removal order, joins as the piece N[v]
+sharing N(v), which is a clique of the graph it was removed from.
 """
 
 from __future__ import annotations
@@ -70,65 +72,22 @@ def _solve_leaf(
     return tw, None if witness is None else extract(graph, witness), stats
 
 
-def _glue(
-    preorder: list[safesep.DecompNode], solved: dict[int, tuple[int, TreeDecomposition]]
-) -> tuple[int, list[int], list[tuple[int, int]]]:
-    """Glue the part decompositions of a splitting tree bottom-up; returns
-    (width, bags, edges) in the labels of the tree.
-
-    Each part's decomposition holds a bag containing the part's completed
-    neighborhood of the split component; those bags attach to a hub bag
-    containing the full separator (one exists in a full component's part,
-    since the separator is a clique there).
-    """
-    bags: list[int] = []
-    edges: list[tuple[int, int]] = []
-    # node id -> (width, first bag, end of bags) of its subtree
-    done: dict[int, tuple[int, int, int]] = {}
-    for node in reversed(preorder):
-        if not node.children:
-            tw, td = solved[id(node)]
-            lo = len(bags)
-            bags.extend(vset(node.to_root[v] for v in bits(b)) for b in td.bags)
-            edges.extend((a + lo, b + lo) for a, b in td.edges)
-            done[id(node)] = (tw, lo, len(bags))
-            continue
-        sep = node.separator
-        spans = [done[id(child)] for child in node.children]
-        hub = next(
-            (i for _, lo, hi in spans for i in range(lo, hi) if sep & ~bags[i] == 0), None
-        )
-        if hub is None:
-            hub = len(bags)
-            bags.append(sep)
-        for child, (_, lo, hi) in zip(node.children, spans):
-            if lo <= hub < hi:
-                continue
-            target = sep & vset(child.to_root)
-            attach = next((i for i in range(lo, hi) if target & ~bags[i] == 0), None)
-            if attach is None:
-                raise PipelineError("no part bag contains its completed separator")
-            edges.append((hub, attach))
-        done[id(node)] = (
-            max(tw for tw, _, _ in spans),
-            min(lo for _, lo, _ in spans),
-            len(bags),
-        )
-    return done[id(preorder[0])][0], bags, edges
-
-
-def _put_back(
-    bags: list[int], edges: list[tuple[int, int]], removed: list[tuple[int, int]]
+def _attach(
+    bags: list[int], edges: list[tuple[int, int]], piece: list[int],
+    piece_edges: list[tuple[int, int]], shared: int, name: str,
 ) -> None:
-    """Give each removed vertex v, in reverse removal order, the bag N[v]
-    attached to a bag that already holds N(v)."""
-    for v, nb in reversed(removed):
-        attach = next((i for i in reversed(range(len(bags))) if nb & ~bags[i] == 0), None)
-        if attach is not None:
-            edges.append((attach, len(bags)))
-        elif bags or nb:
-            raise PipelineError(f"no bag contains the neighborhood of removed vertex {v}")
-        bags.append(nb | 1 << v)
+    """Join a piece (its bags and edges) to the decomposition built so far,
+    by an edge between a bag of each side that holds ``shared``, the
+    vertices they have in common; ``name`` says what is joined."""
+    placed = next((i for i in reversed(range(len(bags))) if shared & ~bags[i] == 0), None)
+    held = next((i for i, b in enumerate(piece) if shared & ~b == 0), None)
+    lo = len(bags)
+    if placed is not None and held is not None:
+        edges.append((placed, lo + held))
+    elif bags or shared:
+        raise PipelineError(f"no bag contains the {name}")
+    bags.extend(piece)
+    edges.extend((a + lo, b + lo) for a, b in piece_edges)
 
 
 def solve(
@@ -161,9 +120,9 @@ def solve(
     the width of the reduced graph.  Counters sum the accepting decision
     levels; a part that no level accepted adds nothing.  The report's
     ``levels`` holds the stats of every level run, part by part in solve
-    order.  Raises :class:`PipelineError` if a removed vertex cannot be put
-    back or the final decomposition fails its own audit; the result is
-    never silently wrong.
+    order.  Raises :class:`PipelineError` if no placed bag holds what a part
+    or a removed vertex shares, or the final decomposition fails its own
+    audit; the result is never silently wrong.
     """
     started = time.monotonic()
     report = SolveReport(instance, g.n, g.edge_count)
@@ -179,52 +138,53 @@ def solve(
 
     sub, kept, low, removed = safesep.simplicial_reduction(g)
     report.reduction = {"removed": len(removed), "low": low}
-    preorder: list[safesep.DecompNode] = []
-    if sub.n:
-        split = safesep.decompose(sub, labels=kept)
-        report.safe_separators.update(split.tally)
-        preorder = list(split.root.walk())
-    leaves = [node for node in preorder if not node.children]
-    heuristic = [from_elimination(leaf.graph, *leaf.elimination) for leaf in leaves]
+    split = safesep.decompose(sub, labels=kept)
+    report.safe_separators.update(split.tally)
+    parts = split.parts
+    heuristic = [from_elimination(part.graph, *part.elimination) for part in parts]
     ubs = [td.width() for td in heuristic]
-    order = sorted(range(len(leaves)), key=lambda i: (-leaves[i].graph.n, -ubs[i]))
+    order = sorted(range(len(parts)), key=lambda i: (-parts[i].graph.n, -ubs[i]))
 
     solved: dict[int, tuple] = {}
     running_max = 0
     inline = order if jobs <= 1 else order[:1]
     try:
         for i in inline:
-            solved[i] = _solve_leaf(leaves[i].graph, running_max, ubs[i], deadline)
+            solved[i] = _solve_leaf(parts[i].graph, running_max, ubs[i], deadline)
             running_max = max(running_max, solved[i][0])
         rest = order[len(inline):]
         if rest:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 solved.update(zip(rest, pool.map(
-                    _solve_leaf, [leaves[i].graph for i in rest], repeat(running_max),
+                    _solve_leaf, [parts[i].graph for i in rest], repeat(running_max),
                     [ubs[i] for i in rest], repeat(deadline),
                 )))
     except SolverTimeout as exc:
         raise SolverTimeout(max(low, running_max, exc.bound)) from None
 
-    glued: dict[int, tuple[int, TreeDecomposition]] = {}
-    for part, (i, (tw, td, stats)) in enumerate(solved.items()):
+    for number, (i, (tw, td, stats)) in enumerate(solved.items()):
         if td is not None:
             for key in COUNTERS:
                 report.counters[key] += getattr(stats[-1], key)
         report.levels += [
-            {"part": part, "k": s.k, "answer": s.answer,
+            {"part": number, "k": s.k, "answer": s.answer,
              **{key: getattr(s, key) for key in COUNTERS}, "ms": s.elapsed_ms}
             for s in stats
         ]
         report.parts["levels"] += len(stats)
         report.parts["settled_by_bound"] += td is None
-        glued[id(leaves[i])] = (tw, heuristic[i] if td is None else td)
-    report.parts["total"] = len(leaves)
-    report.safe_separators["max_part"] = max((leaf.graph.n for leaf in leaves), default=0)
+    report.parts["total"] = len(parts)
+    report.safe_separators["max_part"] = max((part.graph.n for part in parts), default=0)
 
-    overall_tw, bags, edges = _glue(preorder, glued) if preorder else (-1, [], [])
-    _put_back(bags, edges, removed)
-    overall_tw = max(overall_tw, low)
+    bags: list[int] = []
+    edges: list[tuple[int, int]] = []
+    for i, part in enumerate(parts):
+        td = heuristic[i] if solved[i][1] is None else solved[i][1]
+        _attach(bags, edges, [vset(part.to_root[v] for v in bits(b)) for b in td.bags],
+                td.edges, part.attach, f"vertices part {i} shares with the parts before it")
+    for v, nb in reversed(removed):
+        _attach(bags, edges, [nb | 1 << v], [], nb, f"neighborhood of removed vertex {v}")
+    overall_tw = max([low] + [tw for tw, _, _ in solved.values()])
     td = TreeDecomposition(g.n, bags, edges)
     problems = validate(g, td)
     if problems:

@@ -6,6 +6,8 @@ A separator is *minor-safe* when, for every component C associated with it,
 the rest of the graph contains the separator as a labelled clique minor;
 completing such a separator into a clique cannot raise the treewidth, so the
 instance splits into one independent subproblem per component.
+:func:`decompose` returns the parts in glue order, each with the clique it
+shares with the parts before it.
 
 Candidates come from greedy elimination decompositions (min-fill and
 min-degree); each candidate's components are computed once and shared by
@@ -25,7 +27,6 @@ before it is trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .blocks import is_minimal_separator
 from .graph import Graph, bit_list, bits, vset
@@ -35,7 +36,7 @@ __all__ = [
     "DONT_KNOW",
     "YES",
     "Decomposition",
-    "DecompNode",
+    "Part",
     "STEP_BUDGET",
     "SafeSeparatorReport",
     "TALLY_KEYS",
@@ -178,10 +179,8 @@ def simplicial_reduction(g: Graph) -> tuple[Graph, list[int], int, list[tuple[in
         removed.append((v, nb))
     if not removed:
         return g, list(range(g.n)), low, removed
-    labels = bit_list(alive)
-    index = {v: i for i, v in enumerate(labels)}
-    edges = [(index[u], index[w]) for u in labels for w in bits(adj[u]) if u < w]
-    return Graph(len(labels), edges), labels, low, removed
+    filled = Graph(g.n, [(u, w) for u in bits(alive) for w in bits(adj[u]) if u < w])
+    return (*filled.subgraph(alive), low, removed)
 
 
 def _eliminations(g: Graph) -> list[tuple[list[int], list[int]]]:
@@ -460,56 +459,29 @@ def _clique_minor_search(
 
 
 @dataclass
-class DecompNode:
-    """A node of the splitting tree: the graph to solve (separators already
-    completed), the labels of its vertices, and the split applied here.
-
-    ``separator`` is in the same labels as ``to_root``; it is empty where a
-    disconnected root splits into its components, which needs no check and
-    has no ``report``.  Otherwise ``report.separator`` is the same set in the
-    vertex indices of ``graph``.  Every leaf keeps its better greedy
-    ``elimination`` (order and neighborhoods, in the vertex indices of
-    ``graph``).
-    """
+class Part:
+    """A part to solve: its graph (separators already completed), the root
+    labels of its vertices, ``attach``, the root labels it shares with the
+    parts before it, and its better greedy ``elimination`` (order and
+    neighborhoods, in the vertex indices of ``graph``)."""
 
     graph: Graph
     to_root: list[int]
-    separator: int | None = None
-    report: SafeSeparatorReport | None = None
-    children: list["DecompNode"] = field(default_factory=list)
-    elimination: tuple[list[int], list[int]] | None = None
-
-    def walk(self) -> Iterator["DecompNode"]:
-        """This node and every node below it, each before its children."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(node.children)
-
-    def split(self, s: int, comps_nbs: list[tuple[int, int]]) -> list["DecompNode"]:
-        """Split along ``s`` (vertex indices of ``graph``): one child per
-        component, on it and its neighborhood completed into a clique."""
-        self.separator = vset(self.to_root[v] for v in bits(s))
-        for comp, nb in comps_nbs:
-            part, part_labels = self.graph.subgraph(comp | nb, make_clique=nb)
-            self.children.append(DecompNode(part, [self.to_root[v] for v in part_labels]))
-        return self.children
+    attach: int
+    elimination: tuple[list[int], list[int]]
 
 
 @dataclass
 class Decomposition:
-    """The splitting tree and a ``tally`` of the minor-safety checks run:
-    ``checks``, one count per verdict (``yes``, ``dont_know``, ``aborted``)
-    and the ``steps`` they used."""
+    """The parts in glue order and a ``tally`` of the minor-safety checks
+    run: ``checks``, one count per verdict (``yes``, ``dont_know``,
+    ``aborted``) and the ``steps`` they used."""
 
-    root: DecompNode
+    parts: list[Part] = field(default_factory=list)
     tally: dict[str, int] = field(default_factory=lambda: dict.fromkeys(TALLY_KEYS, 0))
 
 
-def decompose(
-    g: Graph, step_budget: int = STEP_BUDGET, labels: list[int] | None = None
-) -> Decomposition:
+def decompose(g: Graph, labels: list[int] | None = None) -> Decomposition:
     """Split ``g`` along verified minor-safe separators until none applies.
 
     A disconnected ``g`` first splits into its components along the empty
@@ -517,31 +489,62 @@ def decompose(
     tallied.  Separators are then tried largest impact first (greatest
     reduction of the biggest part, then size ascending); every applied part
     gets the separator completed into a clique and is then split further if
-    possible.  Node labels and separators are given in ``labels``, the names
-    of the vertices of ``g`` (the identity by default).  Every leaf keeps the
-    better of the greedy eliminations its separator search ran.
+    possible.  Parts are labelled in ``labels``, the names of the vertices of
+    ``g`` (the identity by default).  Every part keeps the better of the
+    greedy eliminations its separator search ran.
+
+    The parts come in glue order: each part's ``attach``, its vertices that
+    the parts before it hold, is a clique of the part that a bag of those
+    parts' decompositions holds, so joining every part at such a bag builds
+    a decomposition of ``g``.  By induction over the splits: a part split
+    along S with ``attach`` A is replaced in place by its children, one per
+    component C, on C and its neighborhood N(C) (a subset of S completed
+    into a clique).  A is a clique, so it meets at most one component C and
+    then lies within C and N(C); that child goes first, or a full child
+    (N(C) = S) when none does, and a full child goes no later than second.
+    So the first child shares A, which a bag already placed holds; a full
+    child after a non-full first child shares N(C) of the first child; and
+    every later child shares its own N(C), held by the full child placed
+    before it.  Each of these is a clique of the child, and any clique of a
+    placed part lies in one of its bags.
     """
-    out = Decomposition(DecompNode(g, list(range(g.n)) if labels is None else labels))
+    out = Decomposition()
+    root = (g, list(range(g.n)) if labels is None else labels, 0)
     comps_nbs = g.components_with_neighborhoods(0)
-    stack = list(out.root.split(0, comps_nbs)) if len(comps_nbs) > 1 else [out.root]
+    stack = [root] if len(comps_nbs) == 1 else _children(*root, 0, comps_nbs)[::-1]
     while stack:
-        node = stack.pop()
-        elims = _eliminations(node.graph)
-        found = _find_safe_separator(node.graph, elims, step_budget, out.tally)
+        graph, to_root, attach = stack.pop()
+        elims = _eliminations(graph)
+        found = _find_safe_separator(graph, elims, out.tally)
         if found is None:  # keep the elimination of least width, min-fill on a tie
-            node.elimination = min(elims, key=lambda e: max(map(int.bit_count, e[1]), default=0))
-            continue
-        node.report, comps_nbs = found
-        stack += node.split(node.report.separator, comps_nbs)
+            best = min(elims, key=lambda e: max(map(int.bit_count, e[1]), default=0))
+            out.parts.append(Part(graph, to_root, attach, best))
+        else:
+            stack += _children(graph, to_root, attach, *found)[::-1]
+    return out
+
+
+def _children(
+    graph: Graph, to_root: list[int], attach: int, s: int, comps_nbs: list[tuple[int, int]]
+) -> list[tuple[Graph, list[int], int]]:
+    """Split along ``s`` (vertex indices of ``graph``): one child per
+    component, on it and its neighborhood completed into a clique, in glue
+    order, each with the root labels it shares with ``attach`` and the
+    children before it."""
+    held = vset(v for v, label in enumerate(to_root) if attach >> label & 1)
+    out = []
+    # the child that meets attach, then the full children, then the rest
+    for comp, nb in sorted(comps_nbs, key=lambda e: (not e[0] & held, e[1] != s)):
+        part, part_labels = graph.subgraph(comp | nb, make_clique=nb)
+        shared = vset(to_root[v] for v in bits((comp | nb) & held))
+        out.append((part, [to_root[v] for v in part_labels], shared))
+        held |= comp | nb
     return out
 
 
 def _find_safe_separator(
-    g: Graph,
-    elims: list[tuple[list[int], list[int]]],
-    step_budget: int,
-    tally: dict[str, int],
-) -> tuple[SafeSeparatorReport, list[tuple[int, int]]] | None:
+    g: Graph, elims: list[tuple[list[int], list[int]]], tally: dict[str, int]
+) -> tuple[int, list[tuple[int, int]]] | None:
     """The first candidate found minor-safe, with its components and their
     neighborhoods; every check is added to ``tally``."""
     if g.n <= 2:
@@ -553,10 +556,10 @@ def _find_safe_separator(
             scored.append((-reduction, s.bit_count(), s, comps_nbs))
     scored.sort(key=lambda e: e[:3])
     for _, _, s, comps_nbs in scored:
-        report = heuristic_minor_safe(g, s, step_budget, comps_nbs)
+        report = heuristic_minor_safe(g, s, comps_nbs=comps_nbs)
         tally["checks"] += 1
         tally[report.verdict.replace("-", "_")] += 1
         tally["steps"] += report.steps_used
         if report.verdict == YES:
-            return report, comps_nbs
+            return s, comps_nbs
     return None

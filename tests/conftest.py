@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from twsolve import blocks, solver
+from twsolve import blocks, safesep, solver
 from twsolve.families import random_connected_graph
 from twsolve.graph import Graph, vset
 
@@ -89,22 +89,27 @@ def octahedron_chain(links: int) -> Graph:
 
 
 def split_parts(d) -> list[tuple[Graph, list[int]]]:
-    """The leaves of a ``safesep.decompose`` splitting tree: each part's graph
-    with the root labels of its vertices."""
-    return [(node.graph, node.to_root) for node in d.root.walk() if not node.children]
+    """The parts of a ``safesep.decompose`` result: each part's graph with
+    the root labels of its vertices."""
+    return [(part.graph, part.to_root) for part in d.parts]
 
 
-def applied_separators(d) -> list[int]:
-    """The separators applied in a ``safesep.decompose`` splitting tree, in
-    the labels of its root, in the order the splits were made."""
-    return [node.separator for node in d.root.walk() if node.report is not None]
+def decompose_with_splits(g: Graph, **kwargs) -> tuple:
+    """``safesep.decompose(g, **kwargs)`` and the splits it applied, in the
+    order made: (graph, separator in that graph's indices, report).  Every
+    yes verdict is applied, so the splits are the checks that said yes."""
+    splits = []
+    check = safesep.heuristic_minor_safe
 
+    def recorded(graph, s, *args, **kw):
+        report = check(graph, s, *args, **kw)
+        if report.verdict == safesep.YES:
+            splits.append((graph, s, report))
+        return report
 
-def applied_reports(d) -> list[tuple]:
-    """(graph, separator in that graph's indices, report) of every split applied
-    in a ``safesep.decompose`` splitting tree."""
-    return [(node.graph, node.report.separator, node.report)
-            for node in d.root.walk() if node.report is not None]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(safesep, "heuristic_minor_safe", recorded)
+        return safesep.decompose(g, **kwargs), splits
 
 
 def outlets_nest(g: Graph, k_set: int) -> bool:

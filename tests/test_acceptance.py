@@ -23,7 +23,7 @@ from twsolve.sieve import SieveBank, linear_scan_supersets
 from twsolve.solver import decide, treewidth
 from twsolve.tdbuild import extract, validate
 
-from conftest import INSTANCE_DIR, applied_reports, applied_separators, split_parts
+from conftest import INSTANCE_DIR, decompose_with_splits, split_parts
 
 GENERATED = {
     "myciel3": lambda: mycielski_graph(3),
@@ -196,14 +196,14 @@ def test_criterion7_safe_separator_soundness():
         n = rng.randint(6, 13)
         m = -(-5 * n // 4)
         g = random_connected_graph(n, m, 90000 + attempts)
-        d = safesep.decompose(g)
-        if not applied_separators(d):
+        d, splits = decompose_with_splits(g)
+        if not splits:
             continue
         hits += 1
         whole = oracle.bf_treewidth(g)
         by_parts = max(oracle.bf_treewidth(pg) for pg, _ in split_parts(d))
         assert whole == by_parts, f"attempt {attempts}: {whole} != {by_parts}"
-        for gg, sep, report in applied_reports(d):
+        for gg, sep, report in splits:
             assert report.verdict == safesep.YES
             for (comp, _), ev in zip(
                 gg.components_with_neighborhoods(sep), report.evidence

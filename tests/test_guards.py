@@ -1,6 +1,7 @@
 """Guards on reported results are explicit raises, so ``python -O`` keeps them."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -74,3 +75,11 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_exported_name_resolves():
+    for path in sorted((SRC / "twsolve").glob("*.py")):
+        name = "twsolve" if path.stem == "__init__" else f"twsolve.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [x for x in getattr(module, "__all__", []) if not hasattr(module, x)]
+        assert missing == [], f"{name}.__all__ names what it lacks: {missing}"

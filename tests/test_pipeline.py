@@ -14,12 +14,12 @@ from twsolve.families import (
     petersen_graph,
     random_connected_graph,
 )
-from twsolve.graph import Graph
+from twsolve.graph import Graph, vset
 from twsolve.paceio import write_gr
 from twsolve.solver import SolverTimeout
 from twsolve.tdbuild import extract, validate
 
-from conftest import applied_separators, disjoint_union, octahedron_chain, triangle_chain
+from conftest import decompose_with_splits, disjoint_union, octahedron_chain, triangle_chain
 
 
 @st.composite
@@ -184,14 +184,15 @@ def test_report_shape(monkeypatch):
     assert d["safe_separators"]["yes"] == 0 and d["safe_separators"]["max_part"] == 9
     assert d["reduction"] == {"removed": 1, "low": 2}
     # every minor-safety check run while splitting is tallied, by verdict, and
-    # the report's tally is that of the one splitting tree solve builds
+    # the report's tally is that of the one decompose call solve makes
     reports = []
     splits = []
+    budget = safesep.STEP_BUDGET
     check = safesep.heuristic_minor_safe
     decompose = safesep.decompose
 
-    def logged(*args):
-        reports.append(check(*args))
+    def logged(graph, s, comps_nbs=None):
+        reports.append(check(graph, s, budget, comps_nbs))
         return reports[-1]
 
     def recorded(*args, **kwargs):
@@ -214,7 +215,8 @@ def test_report_shape(monkeypatch):
     assert len(splits) == 1
     assert d == {"max_part": d["max_part"], **splits[0].tally}
     assert_tallies(d)
-    tally = safesep.decompose(g, step_budget=2).tally
+    budget = 2  # from here on the checks search with 2 steps, so some abort
+    tally = safesep.decompose(g).tally
     assert_tallies(tally)
     assert tally["aborted"] > 0
 
@@ -239,7 +241,7 @@ def test_glue_across_components_that_split():
     assert td.width() == tw
     assert report.reduction == {"removed": 7, "low": 2}
     found = [
-        len(applied_separators(safesep.decompose(safesep.simplicial_reduction(h)[0])))
+        len(decompose_with_splits(safesep.simplicial_reduction(h)[0])[1])
         for h in parts
     ]
     assert found == [2, 1, 1]
@@ -413,6 +415,43 @@ def test_nested_splits_match_oracle(g):
     assert tw == oracle.bf_treewidth(g)
     assert validate(g, td) == []
     assert td.width() == tw
+
+
+@given(st.lists(st.one_of(bridged_blocks(), st.integers(1, 4).map(octahedron_chain)),
+                min_size=1, max_size=3).map(lambda gs: disjoint_union(*gs)))
+@settings(max_examples=40)
+def test_parts_attach_where_the_parts_before_them_meet(g):
+    def holds_clique(part, s):  # s in root labels
+        local = vset(i for i, v in enumerate(part.to_root) if s >> v & 1)
+        return local.bit_count() == s.bit_count() and part.graph.is_clique(local)
+
+    parts = safesep.decompose(g).parts
+    assert parts[0].attach == 0
+    placed = 0
+    for j, part in enumerate(parts):
+        assert part.attach == vset(part.to_root) & placed
+        assert holds_clique(part, part.attach)
+        # so every decomposition of an earlier part has a bag holding it
+        assert not part.attach or any(holds_clique(p, part.attach) for p in parts[:j])
+        placed |= vset(part.to_root)
+    assert placed == g.full_mask
+
+
+def test_part_attached_before_what_it_shares_raises(monkeypatch, tmp_graph_file, capsys):
+    decompose = safesep.decompose
+
+    def last_first(*args, **kwargs):
+        d = decompose(*args, **kwargs)
+        d.parts.insert(0, d.parts.pop())
+        return d
+
+    g = octahedron_chain(3)
+    assert decompose(g).parts[-1].attach
+    monkeypatch.setattr(safesep, "decompose", last_first)
+    with pytest.raises(pipeline.PipelineError, match="part 0 shares with the parts before it"):
+        pipeline.solve(g)
+    assert cli.main(["exact", tmp_graph_file("o.gr", write_gr(g))]) == 3
+    assert "part 0 shares with the parts before it" in capsys.readouterr().err
 
 
 @given(low_degree_graphs())

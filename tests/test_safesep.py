@@ -13,9 +13,8 @@ from twsolve.graph import Graph, bits
 from twsolve.safesep import ABORTED, DONT_KNOW, YES
 
 from conftest import (
-    applied_reports,
-    applied_separators,
     connected_graphs,
+    decompose_with_splits,
     disjoint_union,
     has_edge,
     mask,
@@ -126,8 +125,8 @@ def test_verify_accepts_clique_evidence():
 
 def test_decompose_cut_vertex():
     g = two_triangles()
-    d = safesep.decompose(g)
-    assert applied_separators(d) == [mask(2)]
+    d, splits = decompose_with_splits(g)
+    assert [s for _, s, _ in splits] == [mask(2)]
     parts = sorted(
         (sorted(labels) for _, labels in split_parts(d)), key=lambda x: x[0]
     )
@@ -136,8 +135,8 @@ def test_decompose_cut_vertex():
 
 def test_decompose_complete_graph_unchanged():
     g = complete_graph(4)
-    d = safesep.decompose(g)
-    assert applied_separators(d) == []
+    d, splits = decompose_with_splits(g)
+    assert splits == []
     assert len(split_parts(d)) == 1
     assert split_parts(d)[0][0].n == 4
 
@@ -147,14 +146,14 @@ def test_decompose_soundness_against_oracle():
     for seed in range(60):
         n = 6 + seed % 8
         g = random_connected_graph(n, int(1.25 * n), 8800 + seed)
-        d = safesep.decompose(g)
-        if not applied_separators(d):
+        d, splits = decompose_with_splits(g)
+        if not splits:
             continue
         applied += 1
         whole = oracle.bf_treewidth(g)
         by_parts = max(oracle.bf_treewidth(pg) for pg, _ in split_parts(d))
         assert whole == by_parts, f"seed {seed}"
-        for gg, sep, report in applied_reports(d):
+        for gg, sep, report in splits:
             for (comp, _), ev in zip(
                 gg.components_with_neighborhoods(sep), report.evidence
             ):
@@ -171,19 +170,19 @@ def test_decompose_computes_components_once_per_candidate(monkeypatch):
         return components(graph, s)
 
     monkeypatch.setattr(Graph, "components_with_neighborhoods", counted)
-    d = safesep.decompose(random_connected_graph(40, 50, 3))
+    d, splits = decompose_with_splits(random_connected_graph(40, 50, 3))
     # minimality, scoring, the check and the split share one component pass
-    assert applied_separators(d) and d.tally["checks"] > d.tally["yes"]
+    assert splits and d.tally["checks"] > d.tally["yes"]
     assert set(calls.values()) == {1}
 
 
 def test_decompose_strictly_shrinks():
     for seed in range(20):
         g = random_connected_graph(11, 14, 12345 + seed)
-        d = safesep.decompose(g)
+        d, splits = decompose_with_splits(g)
         for pg, _ in split_parts(d):
             assert pg.n <= g.n
-        if applied_separators(d):
+        if splits:
             assert max(pg.n for pg, _ in split_parts(d)) < g.n
 
 
