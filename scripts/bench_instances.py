@@ -50,10 +50,10 @@ FILES = [
 
 
 def load_file(name: str):
-    for ext, reader in ((".col", paceio.read_col), (".gr", paceio.read_gr)):
+    for ext in (".col", ".gr"):
         path = INSTANCE_DIR / f"{name}{ext}"
         if path.exists():
-            return reader(path.read_text())[0]
+            return paceio.read_gr(path.read_text())[0]
     return None
 
 

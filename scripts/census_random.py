@@ -2,7 +2,8 @@
 """Count the principal combinatorial objects on random instances.
 
 Prints one CSV row per (n, m) pair: minimal separators and potential maximal
-cliques (exhaustive for n <= --max-enum), the feasible objects of an
+cliques (exhaustive up to n = 16, the limit of the enumerations in
+``twsolve.oracle``, and NA above it), the feasible objects of an
 exhaustive solver run at k = treewidth, and the two theoretical bounds on
 relevant potential maximal cliques.  Larger n values show how far the actual
 counts sit below the bounds; expect minutes per row beyond n = 30.
@@ -23,14 +24,13 @@ def main() -> int:
     parser.add_argument("--sizes", default="20,30", help="comma-separated n values")
     parser.add_argument("--densities", default="2,3", help="m = d*n multipliers")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--max-enum", type=int, default=16)
     args = parser.parse_args()
 
     rows = []
     for n in (int(s) for s in args.sizes.split(",")):
         for d in (int(s) for s in args.densities.split(",")):
             g = random_connected_graph(n, d * n, args.seed)
-            rows.append(census(g, f"rand-n{n}-m{d * n}", args.max_enum))
+            rows.append(census(g, f"rand-n{n}-m{d * n}"))
             sys.stderr.write(f"done n={n} m={d * n}\n")
     sys.stdout.write(census_csv(rows))
     return 0

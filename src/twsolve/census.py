@@ -46,17 +46,18 @@ class CensusRow:
     bound_composite: int
 
 
-def census(g: Graph, instance: str = "-", max_enum_n: int = 16) -> CensusRow:
+def census(g: Graph, instance: str = "-") -> CensusRow:
     """Count principal objects at k equal to the treewidth.
 
-    Enumeration columns are None when n exceeds ``max_enum_n``; the feasible
-    counts always come from an exhaustive solver run.
+    Enumeration columns are None when n exceeds :data:`oracle.ENUM_LIMIT`,
+    the largest n the exhaustive enumerations take; the feasible counts
+    always come from an exhaustive solver run.
     """
     tw = pipeline.solve(g)[0]
     k = max(1, tw)
     res = decide(g, k, exhaustive=True)
     minseps_all = minseps_le = pmcs_all = pmcs_le = None
-    if 0 < g.n <= max_enum_n:
+    if 0 < g.n <= oracle.ENUM_LIMIT:
         seps = oracle.enumerate_minimal_separators(g)
         pmcs = oracle.enumerate_pmcs(g)
         minseps_all = len(seps)

@@ -30,22 +30,8 @@ def _setup_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
-def _read_graph(path: str, fmt: str) -> Graph:
-    text = Path(path).read_text()
-    if fmt == "auto":
-        fmt = "col" if path.endswith(".col") else "gr"
-    reader = paceio.read_col if fmt == "col" else paceio.read_gr
-    g, _ = reader(text)
-    return g
-
-
-def _add_format(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format",
-        choices=["auto", "gr", "col"],
-        default="auto",
-        help="input format (auto: by file extension, default gr)",
-    )
+def _read_graph(path: str) -> Graph:
+    return paceio.read_gr(Path(path).read_text())[0]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -58,27 +44,17 @@ def main(argv: list[str] | None = None) -> int:
     p_exact.add_argument("-o", "--output", help="write the decomposition here (.td)")
     p_exact.add_argument("--stats", help="write a JSON stats record here")
     p_exact.add_argument("--jobs", type=int, default=1, help="solve parts in parallel")
-    _add_format(p_exact)
 
     p_lb = sub.add_parser("lb", help="best certified lower bound within a time limit")
     p_lb.add_argument("input")
     p_lb.add_argument("--time-limit", type=float, required=True, help="seconds")
-    _add_format(p_lb)
 
     p_census = sub.add_parser("census", help="count principal combinatorial objects")
     p_census.add_argument("input")
-    p_census.add_argument(
-        "--max-n",
-        type=int,
-        default=16,
-        help="largest n for exhaustive enumeration columns",
-    )
-    _add_format(p_census)
 
     p_val = sub.add_parser("validate", help="audit a decomposition against its graph")
     p_val.add_argument("graph")
     p_val.add_argument("td")
-    _add_format(p_val)
 
     args = parser.parse_args(argv)
     try:
@@ -106,21 +82,21 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     t0 = time.monotonic()
     tw, td, report = pipeline.solve(g, instance=os.path.basename(args.input), jobs=args.jobs)
     elapsed = time.monotonic() - t0
     log.info("solved %s: tw=%d in %.3fs", args.input, tw, elapsed)
     print(tw)
     if args.output:
-        Path(args.output).write_text(paceio.write_td(td, g.n))
+        Path(args.output).write_text(paceio.write_td(td))
     if args.stats:
         Path(args.stats).write_text(json.dumps(report.as_dict(), indent=2) + "\n")
     return 0
 
 
 def _cmd_lb(args: argparse.Namespace) -> int:
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     try:
         tw = pipeline.solve(g, deadline=time.monotonic() + args.time_limit)[0]
     except pipeline.SolverTimeout as exc:
@@ -130,18 +106,18 @@ def _cmd_lb(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    g = _read_graph(args.input, args.format)
+    g = _read_graph(args.input)
     comps = g.components(0)
     if len(comps) != 1:
         print("census requires a connected graph", file=sys.stderr)
         return 2
-    row = census_mod.census(g, os.path.basename(args.input), args.max_n)
+    row = census_mod.census(g, os.path.basename(args.input))
     sys.stdout.write(census_mod.census_csv([row]))
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph, args.format)
+    g = _read_graph(args.graph)
     td = paceio.read_td(Path(args.td).read_text())
     problems = list(tdbuild.validate(g, td))
     if td.n != g.n:

@@ -18,6 +18,7 @@ from . import blocks
 from .graph import Graph
 
 __all__ = [
+    "ENUM_LIMIT",
     "FeasibleObjects",
     "bf_treewidth",
     "enumerate_minimal_separators",
@@ -28,7 +29,7 @@ __all__ = [
 ]
 
 _BF_LIMIT = 20
-_ENUM_LIMIT = 16
+ENUM_LIMIT = 16  # the largest n the exhaustive enumerations take
 
 
 def bf_treewidth(g: Graph) -> int:
@@ -83,8 +84,8 @@ def bf_treewidth(g: Graph) -> int:
 def enumerate_minimal_separators(g: Graph) -> set[int]:
     """All vertex sets with at least two full components, as bitmasks."""
     n = g.n
-    if n > _ENUM_LIMIT:
-        raise ValueError(f"enumeration is limited to n<={_ENUM_LIMIT}, got {n}")
+    if n > ENUM_LIMIT:
+        raise ValueError(f"enumeration is limited to n<={ENUM_LIMIT}, got {n}")
     out = set()
     for s in range(1, g.full_mask):
         count = 0
@@ -100,8 +101,8 @@ def enumerate_minimal_separators(g: Graph) -> set[int]:
 def enumerate_pmcs(g: Graph) -> set[int]:
     """All potential maximal cliques, as bitmasks."""
     n = g.n
-    if n > _ENUM_LIMIT:
-        raise ValueError(f"enumeration is limited to n<={_ENUM_LIMIT}, got {n}")
+    if n > ENUM_LIMIT:
+        raise ValueError(f"enumeration is limited to n<={ENUM_LIMIT}, got {n}")
     return {s for s in range(1, g.full_mask + 1) if blocks.is_pmc(g, s)}
 
 

@@ -2,11 +2,12 @@
 
 Graphs arrive as ``.gr`` text (header ``p tw <n> <m>``, one ``u v`` line per
 edge, 1-indexed) or as DIMACS coloring ``.col`` text (header ``p edge n m``,
-edge lines ``e u v``).  Tree decompositions use ``.td`` text (header
-``s td <bags> <max-bag-size> <n>``, bag lines ``b <id> <v...>``, then one
-line per tree edge).  Vertices are renumbered to 0..n-1 on ingestion, in
-input order.  Blank lines and trailing whitespace are tolerated, CRLF is
-accepted, LF is emitted; anything else is a located parse error.
+edge lines ``e u v``); the problem line's tag, not the file name, says which.
+Tree decompositions use ``.td`` text (header ``s td <bags> <max-bag-size>
+<n>``, bag lines ``b <id> <v...>``, then one line per tree edge).  Vertices
+are renumbered to 0..n-1 on ingestion, in input order.  Blank lines and
+trailing whitespace are tolerated, CRLF is accepted, LF is emitted; anything
+else is a located parse error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .tdbuild import TreeDecomposition
 __all__ = [
     "FormatWarning",
     "ParseError",
-    "read_col",
     "read_gr",
     "read_td",
     "write_gr",
@@ -46,9 +46,10 @@ def _clean_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _read_edges(text: str, kind: str) -> Graph:
-    header_tag = "tw" if kind == "gr" else "edge"
-    edge_prefix = None if kind == "gr" else "e"
+def read_gr(text: str) -> tuple[Graph, list[int]]:
+    """Parse PACE ``.gr`` or DIMACS coloring ``.col`` text, as its problem
+    line says; returns the graph and original 1-based labels."""
+    edge_prefix = None
     n = -1
     m_declared = -1
     edges: list[tuple[int, int]] = []
@@ -60,8 +61,9 @@ def _read_edges(text: str, kind: str) -> Graph:
         if parts[0] == "p":
             if n >= 0:
                 raise ParseError("duplicate problem header", lineno)
-            if len(parts) != 4 or parts[1] != header_tag:
-                raise ParseError(f"expected header 'p {header_tag} <n> <m>'", lineno)
+            if len(parts) != 4 or parts[1] not in ("tw", "edge"):
+                raise ParseError("expected header 'p tw <n> <m>' or 'p edge <n> <m>'", lineno)
+            edge_prefix = "e" if parts[1] == "edge" else None
             try:
                 n = int(parts[2])
                 m_declared = int(parts[3])
@@ -103,25 +105,13 @@ def _read_edges(text: str, kind: str) -> Graph:
     edges = [e for e in edges if e[0] >= 0]
     g = Graph(n, edges)
     if dropped:
-        warnings.warn(f"dropped {dropped} self-loop line(s)", FormatWarning, stacklevel=3)
+        warnings.warn(f"dropped {dropped} self-loop line(s)", FormatWarning, stacklevel=2)
     if g.edge_count < len(edges):
         warnings.warn(
             f"dropped {len(edges) - g.edge_count} duplicate edge(s)",
             FormatWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-    return g
-
-
-def read_gr(text: str) -> tuple[Graph, list[int]]:
-    """Parse PACE ``.gr`` text; returns the graph and original 1-based labels."""
-    g = _read_edges(text, "gr")
-    return g, list(range(1, g.n + 1))
-
-
-def read_col(text: str) -> tuple[Graph, list[int]]:
-    """Parse DIMACS coloring ``.col`` text; returns the graph and 1-based labels."""
-    g = _read_edges(text, "col")
     return g, list(range(1, g.n + 1))
 
 
@@ -131,11 +121,11 @@ def write_gr(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_td(td: TreeDecomposition, n: int) -> str:
-    """Serialize a tree decomposition; the header carries the original vertex count."""
+def write_td(td: TreeDecomposition) -> str:
+    """Serialize a tree decomposition; the header carries its vertex count ``td.n``."""
     bags = td.bags if td.bags else [0]
     max_bag = max((b.bit_count() for b in bags), default=0)
-    lines = [f"s td {len(bags)} {max_bag} {n}"]
+    lines = [f"s td {len(bags)} {max_bag} {td.n}"]
     for i, bag in enumerate(bags, start=1):
         inner = " ".join(str(v + 1) for v in bit_list(bag))
         lines.append(f"b {i} {inner}".rstrip())

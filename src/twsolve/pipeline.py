@@ -14,7 +14,9 @@ so far by an edge between a placed bag and a bag of the piece that both
 hold the clique it shares with them.  The parts join in the glue order
 :func:`safesep.decompose` returns, each sharing its ``attach`` set; then
 each removed vertex v, in reverse removal order, joins as the piece N[v]
-sharing N(v), which is a clique of the graph it was removed from.
+sharing N(v), which is a clique of the graph it was removed from.  A
+joined bag can lie inside its neighbour, so the glued decomposition is
+contracted before its audit.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from itertools import repeat
 from . import safesep
 from .graph import Graph, bits, vset
 from .solver import SolverStats, SolverTimeout, treewidth
-from .tdbuild import TreeDecomposition, extract, from_elimination, validate
+from .tdbuild import TreeDecomposition, contract, extract, from_elimination, validate
 
 __all__ = ["PipelineError", "SolveReport", "solve"]
 
@@ -185,7 +187,7 @@ def solve(
     for v, nb in reversed(removed):
         _attach(bags, edges, [nb | 1 << v], [], nb, f"neighborhood of removed vertex {v}")
     overall_tw = max([low] + [tw for tw, _, _ in solved.values()])
-    td = TreeDecomposition(g.n, bags, edges)
+    td = contract(TreeDecomposition(g.n, bags, edges))
     problems = validate(g, td)
     if problems:
         raise PipelineError(f"produced decomposition failed validation: {problems[:3]}")

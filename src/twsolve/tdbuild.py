@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from .graph import Graph, bit_list, bits
 from .solver import Witness
 
-__all__ = ["TreeDecomposition", "Violation", "from_elimination", "extract", "validate"]
+__all__ = ["TreeDecomposition", "Violation", "contract", "from_elimination", "extract", "validate"]
 
 
 @dataclass
@@ -70,7 +70,7 @@ def extract(g: Graph, witness: Witness) -> TreeDecomposition:
                 raise RuntimeError("broken witness chain: component without source")
             stack.append((child, idx, comp))
     td = TreeDecomposition(g.n, bags, edges)
-    return _contract_redundant(td)
+    return contract(td)
 
 
 def from_elimination(g: Graph, order: list[int], neighborhoods: list[int]) -> TreeDecomposition:
@@ -90,10 +90,10 @@ def from_elimination(g: Graph, order: list[int], neighborhoods: list[int]) -> Tr
         (i, min(position[u] for u in bits(nb)) if nb else last)
         for i, nb in enumerate(neighborhoods[:last])
     ]
-    return _contract_redundant(TreeDecomposition(g.n, bags, edges))
+    return contract(TreeDecomposition(g.n, bags, edges))
 
 
-def _contract_redundant(td: TreeDecomposition) -> TreeDecomposition:
+def contract(td: TreeDecomposition) -> TreeDecomposition:
     """Merge every bag into an adjacent bag that contains it.
 
     A union-find meets each edge once and joins the classes of its ends when

@@ -66,10 +66,10 @@ validated_runs: list[tuple[str, bool]] = []
 def _load(name: str) -> Graph:
     if name in GENERATED:
         return GENERATED[name]()
-    for ext, reader in ((".col", paceio.read_col), (".gr", paceio.read_gr)):
+    for ext in (".col", ".gr"):
         path = INSTANCE_DIR / f"{name}{ext}"
         if path.exists():
-            return reader(path.read_text())[0]
+            return paceio.read_gr(path.read_text())[0]
     pytest.fail(
         f"instance file {name}.col/.gr not found under {INSTANCE_DIR} "
         "(set TW_INSTANCES to override). This build environment has no "

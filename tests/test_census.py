@@ -1,5 +1,6 @@
+from twsolve import oracle
 from twsolve.census import binomial_bound, census, census_csv, composite_bound
-from twsolve.families import complete_graph, cycle_graph, random_connected_graph
+from twsolve.families import complete_graph, cycle_graph, path_graph, random_connected_graph
 
 
 def test_bound_values_at_n20_k6():
@@ -30,9 +31,18 @@ def test_census_cycle():
 
 def test_census_skips_enumeration_when_large():
     g = random_connected_graph(18, 30, 4)
-    row = census(g, "big", max_enum_n=16)
+    row = census(g, "big")
     assert row.minseps_all is None and row.pmcs_all is None
     assert row.feasible_iblocks >= 0 and row.feasible_pmcs >= 1
+
+
+def test_census_enumerates_up_to_the_oracle_limit():
+    # a path's minimal separators are its inner vertices, its PMCs its edges
+    n = oracle.ENUM_LIMIT
+    row = census(path_graph(n), "at-limit")
+    assert (row.minseps_all, row.pmcs_all, row.pmcs_le_tw_plus_1) == (n - 2, n - 1, n - 1)
+    row = census(path_graph(18), "p18")
+    assert census_csv([row]).split("\n")[1].startswith("p18,18,17,1,NA,NA,NA,NA,")
 
 
 def test_census_csv_shape():

@@ -53,10 +53,19 @@ def test_read_gr_drops_duplicates_and_loops_with_warning():
 
 
 def test_read_col():
-    g, _ = paceio.read_col("c x\np edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n")
+    g, _ = paceio.read_gr("c x\np edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n")
     assert g.n == 4 and g.edge_count == 4
     with pytest.raises(paceio.ParseError):
-        paceio.read_col("p edge 2 1\n1 2\n")  # missing 'e' prefix
+        paceio.read_gr("p edge 2 1\n1 2\n")  # missing 'e' prefix
+
+
+def test_problem_line_tag_errors_are_located():
+    with pytest.raises(paceio.ParseError) as exc:
+        paceio.read_gr("p foo 3 2\n1 2\n2 3\n")
+    assert exc.value.line == 1
+    with pytest.raises(paceio.ParseError) as exc:
+        paceio.read_gr("c x\np tw 3 2\ne 1 2\ne 2 3\n")  # 'e' lines under a .gr header
+    assert exc.value.line == 3
 
 
 def test_crlf_and_blank_lines_tolerated():
@@ -66,12 +75,12 @@ def test_crlf_and_blank_lines_tolerated():
 
 def test_write_td_single_bag():
     td = TreeDecomposition(3, [mask(0, 1, 2)], [])
-    assert paceio.write_td(td, 3) == "s td 1 3 3\nb 1 1 2 3\n"
+    assert paceio.write_td(td) == "s td 1 3 3\nb 1 1 2 3\n"
 
 
 def test_td_roundtrip_simple():
     td = TreeDecomposition(4, [mask(0, 1), mask(1, 2), mask(2, 3)], [(0, 1), (1, 2)])
-    back = paceio.read_td(paceio.write_td(td, 4))
+    back = paceio.read_td(paceio.write_td(td))
     assert back.n == 4
     assert back.bags == td.bags
     assert sorted(back.edges) == sorted(td.edges)
@@ -100,14 +109,14 @@ def test_td_roundtrip_randomized():
         ]
         edges = [(rng.randrange(nbags), rng.randrange(nbags)) for _ in range(nbags - 1)]
         td = TreeDecomposition(n, bags, edges)
-        back = paceio.read_td(paceio.write_td(td, n))
+        back = paceio.read_td(paceio.write_td(td))
         assert back.bags == bags
         assert sorted(back.edges) == sorted(edges)
 
 
 @given(st.text(alphabet="ptwbsedc 0123456789-\n\r", max_size=200))
 def test_parser_total_on_fuzz(text):
-    for reader in (paceio.read_gr, paceio.read_col, paceio.read_td):
+    for reader in (paceio.read_gr, paceio.read_td):
         try:
             reader(text)
         except paceio.ParseError:
@@ -136,5 +145,5 @@ def test_gr_roundtrip_randomized():
         back, _ = paceio.read_gr(paceio.write_gr(g))
         assert back.n == g.n
         assert back.adj == g.adj
-        col_back, _ = paceio.read_col(col_text(g))
+        col_back, _ = paceio.read_gr(col_text(g))
         assert col_back.adj == g.adj

@@ -3,7 +3,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twsolve import cli, oracle, pipeline, safesep, solver
 from twsolve.families import (
@@ -462,6 +462,15 @@ def test_reduction_matches_oracle(g):
     assert report.reduction["low"] <= tw
     assert validate(g, td) == []
     assert td.width() == tw
+
+
+@given(st.one_of(low_degree_graphs(), separator_rich_graphs(), bridged_blocks()))
+@example(random_connected_graph(8, 8, 0))
+@settings(max_examples=80)
+def test_no_tree_edge_joins_a_bag_to_a_subset_or_superset(g):
+    td = pipeline.solve(g)[1]
+    for a, b in td.edges:
+        assert td.bags[a] & ~td.bags[b] and td.bags[b] & ~td.bags[a]
 
 
 def test_put_back_without_a_holding_bag_raises(monkeypatch, tmp_graph_file, capsys):

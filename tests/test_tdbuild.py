@@ -12,7 +12,7 @@ from twsolve.solver import treewidth
 from twsolve.tdbuild import (
     TreeDecomposition,
     Violation,
-    _contract_redundant,
+    contract,
     extract,
     from_elimination,
     validate,
@@ -206,6 +206,6 @@ def test_contraction_leaves_the_distinct_maximal_bags(data, g):
     # can lie inside its child's; the reverse listing merges the other way
     position = {v: i for i, v in enumerate(order)}
     edges = [(min(position[u] for u in bits(nb)), i) for i, nb in enumerate(nbs[:-1])]
-    assert_contracted(g, _contract_redundant(TreeDecomposition(g.n, bags, edges)), bags)
+    assert_contracted(g, contract(TreeDecomposition(g.n, bags, edges)), bags)
     _, witness = treewidth(g)
     assert_contracted(g, extract(g, witness), witness_bags(witness))
