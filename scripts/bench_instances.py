@@ -11,9 +11,9 @@ Each row's time is the median of three solves in this one process, so a
 slow first call or a noisy moment on the host moves it less.
 File-based instances run when their files are under instances/ (see
 instances/README.md).  Pass --include-hard to also attempt the stretch
-rows, which are not part of the acceptance gate: queen8_8 (about 10 s for
-its three solves) runs first, then myciel6, which takes hours.  Rows are
-printed as they finish, so the queen8_8 row is there before myciel6 starts.
+rows, which are not part of the acceptance gate: queen8_8 (10-15 s for
+its three solves) and myciel6 (about 5 s).  Rows are printed as they
+finish.
 """
 
 import argparse

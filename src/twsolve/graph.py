@@ -68,6 +68,17 @@ class Graph:
         self.edge_count = m
         self.full_mask = (1 << n) - 1
 
+    @classmethod
+    def from_adjacency(cls, adj: list[int]) -> "Graph":
+        """The graph with neighborhood bitmasks ``adj``, taken as they are:
+        they must be symmetric and without self-loops."""
+        g = cls.__new__(cls)
+        g.n = len(adj)
+        g.adj = adj
+        g.edge_count = sum(a.bit_count() for a in adj) // 2
+        g.full_mask = (1 << g.n) - 1
+        return g
+
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
@@ -159,9 +170,7 @@ class Graph:
         """
         labels = bit_list(u)
         index = {v: i for i, v in enumerate(labels)}
-        sub = Graph.__new__(Graph)
-        n = len(labels)
-        adj = [0] * n
+        adj = [0] * len(labels)
         for i, v in enumerate(labels):
             mask = self.adj[v] & u
             acc = 0
@@ -177,8 +186,4 @@ class Graph:
                 cmask |= 1 << index[v]
             for i in bits(cmask):
                 adj[i] |= cmask & ~(1 << i)
-        sub.n = n
-        sub.adj = adj
-        sub.edge_count = sum(a.bit_count() for a in adj) // 2
-        sub.full_mask = (1 << n) - 1
-        return sub, labels
+        return Graph.from_adjacency(adj), labels

@@ -64,13 +64,15 @@ def _solve_leaf(
     """Solve one part between the bounds: (width, decomposition or None when
     no level accepted, stats of the levels run).  At the deadline it raises
     :class:`SolverTimeout` with the part's certified bound: its minimum
-    degree or one above its last finished level, which ran negative."""
+    degree or one above its last level that finished negative, on the part
+    or on an audited minor of it."""
     stats: list[SolverStats] = []
     try:
         tw, witness = treewidth(graph, lower=lower, upper=upper, deadline=deadline,
                                 stats_out=stats)
     except SolverTimeout:
-        raise SolverTimeout(max([graph.min_degree()] + [s.k + 1 for s in stats])) from None
+        raise SolverTimeout(max([graph.min_degree()]
+                                + [s.k + 1 for s in stats if not s.answer])) from None
     return tw, None if witness is None else extract(graph, witness), stats
 
 
@@ -115,16 +117,17 @@ def solve(
     deadline, and the first part still running a level when it passes
     raises :class:`SolverTimeout`.  Its ``bound`` is the largest of the
     reduction's certified lower bound, M and the interrupted part's bound
-    (its minimum degree, or one above its last finished level).  M is
+    (its minimum degree, or one above its last negative level).  M is
     certified too, since a part whose width exceeds M has it exactly.
 
     The width is the larger of the reduction's certified lower bound and
     the width of the reduced graph.  Counters sum the accepting decision
     levels; a part that no level accepted adds nothing.  The report's
     ``levels`` holds the stats of every level run, part by part in solve
-    order.  Raises :class:`PipelineError` if no placed bag holds what a part
-    or a removed vertex shares, or the final decomposition fails its own
-    audit; the result is never silently wrong.
+    order, with the n of the graph it ran on: below the part's size for a
+    level tried on a minor.  Raises :class:`PipelineError` if no placed bag
+    holds what a part or a removed vertex shares, or the final decomposition
+    fails its own audit; the result is never silently wrong.
     """
     started = time.monotonic()
     report = SolveReport(instance, g.n, g.edge_count)
@@ -169,7 +172,7 @@ def solve(
             for key in COUNTERS:
                 report.counters[key] += getattr(stats[-1], key)
         report.levels += [
-            {"part": number, "k": s.k, "answer": s.answer,
+            {"part": number, "n": s.n, "k": s.k, "answer": s.answer,
              **{key: getattr(s, key) for key in COUNTERS}, "ms": s.elapsed_ms}
             for s in stats
         ]

@@ -30,6 +30,15 @@ stops at its root counts only what it built before the root appeared.
 
 Feasible records keep witness links (which clique emitted which block), so
 an accepting run can be unfolded into an explicit tree decomposition.
+
+:func:`treewidth` runs each level on contracted minors of the graph first
+(:mod:`twsolve.minors`).  Treewidth does not grow under contraction, so a
+no on a minor whose branch sets pass their audit certifies the level, and a
+small minor reaches its fixpoint far sooner than the graph.  A level that
+no minor up to ``MINOR_SHARE`` of the graph answers no runs on the whole
+graph, as does every level above it; accepting levels, and so witnesses,
+come from the whole graph only.  A graph whose largest minor has lost its
+top levels to contraction tries no minors.
 """
 
 from __future__ import annotations
@@ -38,6 +47,7 @@ import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
+from . import minors
 from .blocks import is_cliquish, outlet_and_support
 from .graph import Graph
 from .sieve import SieveBank
@@ -51,6 +61,12 @@ __all__ = [
     "decide",
     "treewidth",
 ]
+
+# Levels try minors of at most this share of the graph's vertices.  A level
+# that no smaller minor answers no runs on the whole graph, and a minor near
+# the graph's size would cost about as much as the graph while certifying
+# the level rarely, since the greedy contractions lose width early.
+MINOR_SHARE = 0.85
 
 
 class SolverTimeout(Exception):
@@ -353,10 +369,21 @@ def treewidth(
     first accepting level.  A certified answer needs the negative level
     tw - 1 anyway, and binary search would add levels above tw, each of
     which holds every feasible object of the levels below it (feasibility is
-    monotone in k).  The levels share one analysis of the candidate sets,
-    whose facts do not depend on k.  Each level's stats go to ``stats_out``
-    as it finishes, so after a :class:`SolverTimeout` the list holds the
-    finished levels, all negative; a negative level k certifies tw > k.
+    monotone in k).
+
+    Each level first tries minors of ``g`` from one contraction chain
+    (:mod:`twsolve.minors`), since a no on a minor, once audited, certifies
+    tw > k as well: from the size that certified the previous level (at
+    least k + 2) it tries sizes s, s + 1, s + 3, s + 7, ... up to
+    ``MINOR_SHARE`` of n.  When none answers no, the level runs on ``g``,
+    and so does every level above it.  No level tries minors when the
+    largest one's min-degree width is below ``upper`` - 1: contraction lost
+    the top levels, and the low ones cost little on ``g``.  The levels run
+    on one graph share one analysis of its candidate sets, whose facts do
+    not depend on k.  Each level's stats go to ``stats_out`` as it
+    finishes, with the n of the graph it ran on; after a
+    :class:`SolverTimeout` each negative level k in it certifies tw > k,
+    while a yes on a minor certifies nothing.
 
     ``upper`` is the width of a decomposition the caller already holds:
     levels stop below it, and when none of them accepts (or none runs) the
@@ -370,8 +397,21 @@ def treewidth(
     if g.n == 0:
         raise ValueError("treewidth requires a non-empty graph")
     start = max(lower, max(1, g.min_degree()) if g.n > 1 else 0)
+    chain = minors.contraction_chain(g, start + 2, int(MINOR_SHARE * g.n))
+    if chain and upper is not None and minors.greedy_width(chain[0][0]) < upper - 1:
+        # the largest minor certifies no level above upper - 3, so none of
+        # the top levels, where the cost lies; the levels it can reach are
+        # cheap on g itself
+        chain = []
+    chain = {h.n: (_Analysis(h), branch) for h, branch in chain}
     analysis = _Analysis(g)
+    size = 0
     for k in range(start, g.n if upper is None else upper):
+        size = _certify_on_minor(g, k, chain, max(size, k + 2), deadline, stats_out)
+        if size:
+            continue
+        # no minor up to the cap answers no at k, so none answers no above k
+        chain = {}
         res = decide(g, k, deadline=deadline, _analysis=analysis)
         if stats_out is not None:
             stats_out.append(res.stats)
@@ -380,3 +420,30 @@ def treewidth(
     if upper is None:
         raise RuntimeError("decision procedure failed to accept at the trivial bound")
     return upper, None
+
+
+def _certify_on_minor(
+    g: Graph,
+    k: int,
+    chain: dict[int, tuple[_Analysis, list[int]]],
+    size: int,
+    deadline: float | None,
+    stats_out: list[SolverStats] | None,
+) -> int:
+    """Run level k on the minors of ``chain`` (keyed by size, each with its
+    analysis and branch sets) of sizes ``size``, ``size`` + 1, ``size`` + 3,
+    ... while the chain has them.  Returns the size of the first minor that
+    answers no, once its branch sets pass the audit against ``g``, or 0
+    when none does."""
+    step = 1
+    while size in chain:
+        facts, branch = chain[size]
+        res = decide(facts.g, k, deadline=deadline, _analysis=facts)
+        if not res.answer:
+            minors.audit(g, facts.g, branch)
+        if stats_out is not None:
+            stats_out.append(res.stats)
+        if not res.answer:
+            return size
+        size, step = size + step, 2 * step
+    return 0

@@ -119,10 +119,13 @@ def contract(td: TreeDecomposition) -> TreeDecomposition:
             parent[a] = b
     keep = [i for i, p in enumerate(parent) if p == i]
     remap = {old: new for new, old in enumerate(keep)}
-    edges = {tuple(sorted((remap[find(a)], remap[find(b)]))) for a, b in td.edges}
-    return TreeDecomposition(
-        td.n, [bags[i] for i in keep], sorted((a, b) for a, b in edges if a != b)
-    )
+    # the classes are subtrees, so each edge between two of them is met once
+    edges = []
+    for a, b in td.edges:
+        a, b = remap[find(a)], remap[find(b)]
+        if a != b:
+            edges.append((a, b))
+    return TreeDecomposition(td.n, [bags[i] for i in keep], edges)
 
 
 def validate(g: Graph, td: TreeDecomposition) -> list[Violation]:

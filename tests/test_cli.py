@@ -55,13 +55,21 @@ def test_stats_levels_record_every_decision_level(tmp_graph_file, tmp_path, caps
     stats = json.loads(out_json.read_text())
     levels = stats["levels"]
     assert stats["parts"]["levels"] == len(levels)
-    # one part, its levels from the minimum degree 4 up to the accepting one
-    assert [(r["part"], r["k"], r["answer"]) for r in levels] == [
-        (0, k, k == 10) for k in range(4, 11)]
+    # one part of 23 vertices: each level from the minimum degree 4 up to 9
+    # answers no once, on the part or on a minor of it, and level 10 accepts
+    # on the part, last
+    assert {r["part"] for r in levels} == {0}
+    assert [r["k"] for r in levels if not r["answer"]] == list(range(4, 10))
+    assert [r["k"] for r in levels] == sorted(r["k"] for r in levels)
+    assert (levels[-1]["n"], levels[-1]["k"], levels[-1]["answer"]) == (23, 10, True)
+    assert any(r["n"] < 23 and not r["answer"] for r in levels)
     for r in levels:
-        assert list(r) == ["part", "k", "answer", "iblocks", "oblocks", "pmcs_buildable",
+        assert list(r) == ["part", "n", "k", "answer", "iblocks", "oblocks", "pmcs_buildable",
                            "pmcs_feasible", "ms"]
-        assert r["ms"] >= 0 and 0 < r["pmcs_feasible"] <= r["pmcs_buildable"]
+        assert r["ms"] >= 0 and 0 <= r["pmcs_feasible"] <= r["pmcs_buildable"]
+        assert r["k"] + 2 <= r["n"] <= 23
+        if r["n"] == 23:
+            assert r["pmcs_feasible"] > 0
     assert {key: levels[-1][key] for key in stats["counters"]} == stats["counters"]
 
 
@@ -128,17 +136,22 @@ def test_lb_starts_later_components_at_best_bound(tmp_graph_file, capsys, decide
 
     # the simplicial rules remove nothing from either graph.  The Petersen
     # graph (tw 4) is solved first: level 3 is negative below its elimination
-    # width 4.  The random graph leaves an 8-vertex part of minimum degree 3,
-    # whose levels start at 4, the width found so far.
+    # width 4, on the whole graph after its minors answer yes.  The random
+    # graph leaves an 8-vertex part of minimum degree 3, whose levels start at
+    # 4, the width found so far.
     small = random_connected_graph(10, 22, 37)
     g = disjoint_union(small, petersen_graph())
     path = tmp_graph_file("small_petersen.gr", _gr_text(g))
     assert main(["lb", path, "--time-limit", "60"]) == 0
     assert capsys.readouterr().out.strip() == "4"
-    assert decided_levels == [(10, 3), (8, 4)]
+    petersen = decided_levels.index((10, 3)) + 1
+    assert {k for _, k in decided_levels[:petersen]} == {3}
+    assert {k for _, k in decided_levels[petersen:]} == {4}
+    assert decided_levels[-1] == (8, 4)
     decided_levels.clear()
     assert pipeline.solve(small)[2].reduction["removed"] == 0
-    assert decided_levels == [(8, 3), (8, 4)]  # alone its levels start at 3
+    # alone its levels start at 3, on a minor, and end at 4 on the part
+    assert decided_levels[0][1] == 3 and decided_levels[-1] == (8, 4)
     assert pipeline.solve(petersen_graph())[2].reduction["removed"] == 0
 
 
@@ -149,7 +162,8 @@ def test_broken_witness_chain_exit_code(tmp_graph_file, capsys, monkeypatch):
     # the reduction removes nothing, and one part runs levels 3 and 4
     g = mycielski_graph(3)
     report = pipeline.solve(g)[2]
-    assert report.reduction["removed"] == 0 and report.parts["levels"] == 2
+    assert report.reduction["removed"] == 0 and report.parts["total"] == 1
+    assert {r["k"] for r in report.levels} == {3, 4}
 
     def broken(graph, **kwargs):
         # the root's support component has no source clique

@@ -177,9 +177,12 @@ def test_report_shape(monkeypatch):
     assert d["parts"] == {"total": 1, "settled_by_bound": 1, "levels": 0}
     assert set(d["counters"].values()) == {0}
     # the reduction removes one vertex and no separator applies; on the other
-    # nine, level 4 is negative and level 5 accepts below the elimination width 6
+    # nine, level 4 is negative (on a minor) and level 5 accepts on the part,
+    # below the elimination width 6
     d = pipeline.solve(random_connected_graph(10, 25, 12))[2].as_dict()
-    assert d["parts"] == {"total": 1, "settled_by_bound": 0, "levels": 2}
+    assert d["parts"] == {"total": 1, "settled_by_bound": 0, "levels": len(d["levels"])}
+    assert [(r["k"], r["answer"]) for r in d["levels"] if not r["answer"] or r["n"] == 9] == [
+        (4, False), (5, True)]
     assert d["counters"]["pmcs_feasible"] > 0
     assert d["safe_separators"]["yes"] == 0 and d["safe_separators"]["max_part"] == 9
     assert d["reduction"] == {"removed": 1, "low": 2}
@@ -302,10 +305,13 @@ def test_negative_level_below_elimination_width_settles(decided_levels):
     assert max(nb.bit_count() for nb in safesep.greedy_elimination(g, "min_fill")[1]) == 4
     tw, td, report = pipeline.solve(g)
     assert report.reduction["removed"] == 0
-    assert decided_levels == [(10, 3)]
+    # only level 3 runs: its minors answer yes, the whole graph no
+    assert {k for _, k in decided_levels} == {3}
+    assert [(r["n"], r["answer"]) for r in report.levels][-1] == (10, False)
+    assert all(r["answer"] for r in report.levels[:-1])
     assert tw == td.width() == 4
     assert validate(g, td) == []
-    assert report.parts == {"total": 1, "settled_by_bound": 1, "levels": 1}
+    assert report.parts == {"total": 1, "settled_by_bound": 1, "levels": len(decided_levels)}
 
 
 def test_no_level_runs_on_parts_settled_by_bound(decided_levels):
@@ -334,7 +340,12 @@ def test_parallel_jobs_agree_when_running_maximum_prunes():
         assert report.reduction["removed"] == 0
         assert tw == td.width() == 4
         assert validate(g, td) == []
-        assert report.parts == {"total": 4, "settled_by_bound": 3, "levels": 2}
+        assert report.parts == {"total": 4, "settled_by_bound": 3,
+                                "levels": len(report.levels)}
+        assert {(r["part"], r["k"]) for r in report.levels} == {(0, 3), (1, 4)}
+        assert [(r["part"], r["n"], r["k"]) for r in report.levels if not r["answer"]] == [
+            (0, 10, 3)]
+        assert (report.levels[-1]["n"], report.levels[-1]["answer"]) == (8, True)
     assert runs[0][2].counters == runs[1][2].counters
 
 
@@ -404,6 +415,46 @@ def test_timeout_bound_is_one_above_last_finished_level(monkeypatch):
 
     monkeypatch.setattr(solver, "decide", stop_at_level_7)
     assert _width_by(g, time.monotonic() + 60.0) == 7  # levels 4 to 6 negative
+
+
+def test_timeout_bound_ignores_a_yes_on_a_minor(monkeypatch):
+    # myciel4's levels 4 to 7 answer no on minors, then a minor answers yes
+    # at level 8, which certifies nothing, and the next level times out
+    g = mycielski_graph(4)
+    ran: list[solver.SolverStats] = []
+    decide = solver.decide
+
+    def stop_after_a_yes(h, k, **kwargs):
+        if ran and ran[-1].answer:
+            raise SolverTimeout
+        res = decide(h, k, **kwargs)
+        ran.append(res.stats)
+        return res
+
+    monkeypatch.setattr(solver, "decide", stop_after_a_yes)
+    bound = _width_by(g, time.monotonic() + 60.0)
+    assert ran[-1].answer and ran[-1].n < g.n
+    last_negative = max(s.k for s in ran if not s.answer)
+    assert bound == last_negative + 1 <= ran[-1].k
+
+
+def test_levels_record_the_n_of_the_graph_they_ran_on():
+    g = mycielski_graph(5)  # one part of 47 vertices, tw 19
+    tw, td, report = pipeline.solve(g)
+    assert tw == 19 and report.parts["total"] == 1
+    assert any(r["n"] < 47 and not r["answer"] for r in report.levels)
+    assert (report.levels[-1]["n"], report.levels[-1]["k"], report.levels[-1]["answer"]) == (
+        47, 19, True)
+    assert all(r["k"] + 2 <= r["n"] <= 47 for r in report.levels)
+
+
+def test_myciel6_is_solved_through_minors():
+    # level 34 answers no on a minor, so the elimination width 35 is exact
+    g = mycielski_graph(6)
+    tw, td, report = pipeline.solve(g)
+    assert tw == td.width() == 35
+    assert validate(g, td) == []
+    assert not report.levels[-1]["answer"] and report.levels[-1]["n"] < g.n
 
 
 @given(bridged_blocks())

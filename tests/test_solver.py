@@ -4,7 +4,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twsolve import blocks, oracle, solver
+from twsolve import blocks, minors, oracle, solver
 from twsolve.families import (
     complete_graph,
     cycle_graph,
@@ -164,28 +164,40 @@ def test_stats_counters_consistent():
 
 
 def _levels(g: Graph, **bounds) -> tuple[tuple[int, Witness | None], list[tuple]]:
-    """``treewidth``'s result with the (k, answer) of every level it ran."""
+    """``treewidth``'s result with the (n, k, answer) of every level it ran."""
     stats: list[solver.SolverStats] = []
     result = treewidth(g, stats_out=stats, **bounds)
-    return result, [(s.k, s.answer) for s in stats]
+    return result, [(s.n, s.k, s.answer) for s in stats]
 
 
 def test_levels_ascend_from_min_degree_to_first_acceptance():
     graphs = [path_graph(6), cycle_graph(6), complete_graph(5), grid_graph(3, 3),
-              random_connected_graph(10, 18, 3)]
+              random_connected_graph(10, 18, 3), mycielski_graph(4)]
     for g in graphs:
         (tw, witness), ran = _levels(g)
-        assert tw == oracle.bf_treewidth(g) and witness is not None
+        assert tw == (10 if g.n == 23 else oracle.bf_treewidth(g)) and witness is not None
         start = max(1, g.min_degree())
-        assert ran == [(k, k == tw) for k in range(start, tw + 1)]
-    assert _levels(Graph(1))[1] == [(0, True)]
+        # each level below tw answers no once, on g or on a minor of it, and
+        # level tw accepts on g, last
+        assert [k for _, k, answer in ran if not answer] == list(range(start, tw))
+        assert [k for _, k, _ in ran] == sorted(k for _, k, _ in ran)
+        assert ran[-1] == (g.n, tw, True)
+        # minors lie between k + 2 vertices and the cap; once a level runs on
+        # g, every level after it does
+        on_g = [n == g.n for n, _, _ in ran]
+        assert on_g == sorted(on_g)
+        assert all(k + 2 <= n <= solver.MINOR_SHARE * g.n for n, k, _ in ran if n < g.n)
+    assert any(n < 23 and not answer for n, _, answer in ran)  # myciel4
+    assert _levels(Graph(1))[1] == [(1, 0, True)]
 
 
 def test_levels_between_bounds():
     g = grid_graph(3, 3)  # minimum degree 2, treewidth 3
     (tw, witness), ran = _levels(g, lower=3)
-    assert tw == 3 and witness is not None and ran == [(3, True)]
-    assert _levels(g, upper=3) == ((3, None), [(2, False)])  # level 2 negative: exact
+    assert tw == 3 and witness is not None and {k for _, k, _ in ran} == {3}
+    assert ran[-1] == (9, 3, True)
+    # level 2 negative, on a minor: exact
+    assert _levels(g, upper=3) == ((3, None), [(4, 2, False)])
     assert _levels(g, lower=4, upper=4) == ((4, None), [])
     assert _levels(g, upper=2) == ((2, None), [])  # empty range
     tw, wit = treewidth(g, lower=2, upper=5)
@@ -290,13 +302,16 @@ SHARED_ANALYSIS_GRAPHS = pytest.mark.parametrize(
 
 @given(connected_graphs(max_n=12))
 def test_levels_match_fresh_decisions_hypothesis(g):
+    # levels on a minor are matched against fresh decisions on that minor
+    graphs = {h.n: h for h, _ in minors.contraction_chain(g, 2, g.n - 1)}
+    graphs[g.n] = g
     stats: list[solver.SolverStats] = []
     with checked_searches() as checked:
         tw, witness = treewidth(g, stats_out=stats)
-        fresh = [decide(g, s.k) for s in stats]
+        fresh = [decide(graphs[s.n], s.k) for s in stats]
     assert [_counts(s) for s in stats] == [_counts(res.stats) for res in fresh]
-    assert witness == fresh[-1].witness
-    assert len(checked) == 2 * (tw - max(1, g.min_degree()) + 1)
+    assert witness == fresh[-1].witness and stats[-1].n == g.n
+    assert len(checked) == 2 * len(stats)
 
 
 @SHARED_ANALYSIS_GRAPHS
@@ -319,20 +334,26 @@ def test_shared_analysis_entries_match_reference(make, monkeypatch):
     shared = []
     decide_level = solver.decide
 
-    def capture(g, k, **kwargs):
-        shared.append(kwargs["_analysis"])
-        return decide_level(g, k, **kwargs)
+    def capture(h, k, **kwargs):
+        shared.append((h, kwargs["_analysis"]))
+        return decide_level(h, k, **kwargs)
 
     monkeypatch.setattr(solver, "decide", capture)
     tw = treewidth(g)[0]
     first = len(shared)
     treewidth(g)
-    # each run of the levels shares one analysis of its own among them
-    assert first > 1 and len(shared) == 2 * first
-    assert all(a is shared[0] for a in shared[:first])
-    assert all(a is shared[first] for a in shared[first:])
-    assert shared[0] is not shared[first]
-    facts = shared[0]
+    assert len(shared) == 2 * first
+    # in each run of the levels, the levels on one graph (g, or one minor of
+    # it) share one analysis of that graph, which no other graph shares
+    runs = [shared[:first], shared[first:]]
+    for run in runs:
+        assert all(a.g is h for h, a in run)
+        assert len({id(a) for _, a in run}) == len({id(h) for h, _ in run})
+    on_g = [[a for h, a in run if h is g] for run in runs]
+    assert len(on_g[0]) > 1 and all(a is on_g[0][0] for a in on_g[0])
+    assert all(a is on_g[1][0] for a in on_g[1])
+    assert on_g[0][0] is not on_g[1][0]
+    facts = on_g[0][0]
     # an accepting level may stop before it meets a set with neither fact;
     # the fixpoint of an exhaustive one on the same table reaches such sets
     decide(g, tw, exhaustive=True, _analysis=facts)
@@ -447,3 +468,16 @@ def test_traced_names_are_the_ones_decide_calls(monkeypatch):
     assert res.answer
     assert set(calls) == {"components_with_neighborhoods", "is_cliquish", "supersets", "store"}
     assert calls["store"] == res.stats.oblocks
+
+
+def test_no_level_tries_minors_when_the_largest_loses_the_top_levels():
+    g = queen_graph(6, 6)  # tw 25; its pipeline bound is 26
+    largest = minors.contraction_chain(g, 30, 30)[0][0]  # MINOR_SHARE of 36
+    assert minors.greedy_width(largest) == 22 < 26 - 1
+    (tw, witness), ran = _levels(g, upper=26)
+    assert tw == 25 and {n for n, _, _ in ran} == {36}
+    # without a bound to compare with, the levels try minors
+    assert any(n < 36 for n, _, _ in _levels(g)[1])
+    # the gate is open where the largest minor keeps the part's width
+    m5 = mycielski_graph(5)
+    assert any(n < 47 and not answer for n, _, answer in _levels(m5, upper=20)[1])

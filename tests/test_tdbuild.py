@@ -209,3 +209,22 @@ def test_contraction_leaves_the_distinct_maximal_bags(data, g):
     assert_contracted(g, contract(TreeDecomposition(g.n, bags, edges)), bags)
     _, witness = treewidth(g)
     assert_contracted(g, extract(g, witness), witness_bags(witness))
+
+
+@given(st.data(), connected_graphs(max_n=14))
+def test_contraction_keeps_each_remaining_edge_once(data, g):
+    # an elimination decomposition before contraction, its bags shuffled and
+    # its edges listed in random order and orientation
+    order = data.draw(st.permutations(range(g.n)))
+    nbs = fill_neighborhoods(g, order)
+    position = {v: i for i, v in enumerate(order)}
+    edges = [(i, min(position[u] for u in bits(nb))) for i, nb in enumerate(nbs[:-1])]
+    place = data.draw(st.permutations(range(g.n)))
+    bags = [0] * g.n
+    for i, (v, nb) in enumerate(zip(order, nbs)):
+        bags[place[i]] = nb | 1 << v
+    edges = [(place[a], place[b]) if data.draw(st.booleans()) else (place[b], place[a])
+             for a, b in data.draw(st.permutations(edges))]
+    td = contract(TreeDecomposition(g.n, bags, edges))
+    assert validate(g, td) == []
+    assert len({frozenset(e) for e in td.edges}) == len(td.edges) == len(td.bags) - 1
