@@ -9,14 +9,15 @@ fewest neighbours: the "least-c" rule of MMD+ (Bodlaender, Koster and
 Wolle, "Contraction and treewidth lower bounds", JGAA 2006).  Each H_s
 keeps its branch sets, the vertex sets of G contracted into its vertices,
 so :func:`audit` can check it against G without trusting the chain.
+The same audit checks the labelled clique minors that certify safe
+separators (:func:`twsolve.safesep.audit_evidence`).
 """
 
 from __future__ import annotations
 
 from .graph import Graph, bits
-from .safesep import greedy_elimination
 
-__all__ = ["MinorError", "audit", "contraction_chain", "greedy_width"]
+__all__ = ["MinorError", "audit", "contraction_chain"]
 
 
 class MinorError(RuntimeError):
@@ -55,23 +56,19 @@ def contraction_chain(g: Graph, smallest: int, largest: int) -> list[tuple[Graph
     return out
 
 
-def greedy_width(g: Graph) -> int:
-    """The width of the min-degree elimination of ``g``, an upper bound on
-    its treewidth."""
-    return max(nb.bit_count() for nb in greedy_elimination(g, "min_degree")[1])
-
-
-def audit(g: Graph, h: Graph, branch: list[int]) -> None:
-    """Check that ``branch`` realizes ``h`` as a minor of ``g``: its sets
-    are non-empty, pairwise disjoint and connected in ``g``, one per vertex
-    of ``h``, and every edge of ``h`` joins two sets adjacent in ``g``.
-    Raises :class:`MinorError` naming the first failure."""
+def audit(g: Graph, h: Graph, branch: list[int], within: int | None = None) -> None:
+    """Check that ``branch`` realizes ``h`` as a minor of ``g`` on the
+    vertices ``within`` (all of ``g`` by default): its sets are non-empty,
+    inside ``within``, pairwise disjoint and connected in ``g``, one per
+    vertex of ``h``, and every edge of ``h`` joins two sets adjacent in
+    ``g``.  Raises :class:`MinorError` naming the first failure."""
     if len(branch) != h.n:
         raise MinorError(f"{len(branch)} branch sets for a minor on {h.n} vertices")
+    allowed = g.full_mask if within is None else within & g.full_mask
     union = 0
     for i, b in enumerate(branch):
-        if not b or b & ~g.full_mask:
-            raise MinorError(f"branch set {i} is empty or leaves the graph")
+        if not b or b & ~allowed:
+            raise MinorError(f"branch set {i} is empty or leaves the allowed vertices")
         if b & union:
             raise MinorError(f"branch set {i} overlaps another")
         if not g.is_connected(b):

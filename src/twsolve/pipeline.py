@@ -62,17 +62,11 @@ def _solve_leaf(
     graph: Graph, lower: int, upper: int, deadline: float | None
 ) -> tuple[int, TreeDecomposition | None, list[SolverStats]]:
     """Solve one part between the bounds: (width, decomposition or None when
-    no level accepted, stats of the levels run).  At the deadline it raises
-    :class:`SolverTimeout` with the part's certified bound: its minimum
-    degree or one above its last level that finished negative, on the part
-    or on an audited minor of it."""
+    no level accepted, stats of the levels run).  At the deadline
+    :func:`treewidth` raises :class:`SolverTimeout` with the part's
+    certified bound."""
     stats: list[SolverStats] = []
-    try:
-        tw, witness = treewidth(graph, lower=lower, upper=upper, deadline=deadline,
-                                stats_out=stats)
-    except SolverTimeout:
-        raise SolverTimeout(max([graph.min_degree()]
-                                + [s.k + 1 for s in stats if not s.answer])) from None
+    tw, witness = treewidth(graph, lower=lower, upper=upper, deadline=deadline, stats_out=stats)
     return tw, None if witness is None else extract(graph, witness), stats
 
 

@@ -20,16 +20,20 @@ edges.  It only merges clusters adjacent to the separator, since no other
 merge can cover a missing edge, but every adjacent pair of clusters it
 passes over still counts one step against the budget.  Phase two spends
 those clusters, one per missing edge, contracting each into an endpoint.
-Every yes verdict carries explicit contraction evidence and is re-verified
-before it is trusted.
+Every yes verdict carries, for each component C, the vertices contracted
+onto each separator vertex, and :func:`audit_evidence` checks that they
+realize the separator as a clique minor of the graph minus C
+(:func:`twsolve.minors.audit`) before the verdict is returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .blocks import is_minimal_separator
 from .graph import Graph, bit_list, bits, vset
+from .minors import audit
 
 __all__ = [
     "ABORTED",
@@ -40,13 +44,13 @@ __all__ = [
     "STEP_BUDGET",
     "SafeSeparatorReport",
     "TALLY_KEYS",
+    "audit_evidence",
     "candidate_separators",
     "decompose",
     "greedy_elimination",
     "heuristic_minor_safe",
     "is_almost_clique",
     "simplicial_reduction",
-    "verify_minor_evidence",
 ]
 
 YES = "yes"
@@ -62,16 +66,14 @@ STEP_BUDGET = 10000
 class SafeSeparatorReport:
     """Outcome of a minor-safety check.
 
-    ``evidence`` is present only for a yes verdict: one contraction map per
-    component associated with the separator (in component order), sending a
-    separator vertex to the outside vertices contracted onto it (the bag is
-    that set plus the vertex itself).  Vertices missing from a map sit in
-    singleton bags.
+    ``evidence`` is present only for a yes verdict: for each component
+    associated with the separator (in component order), one set per
+    separator vertex (in :func:`~twsolve.graph.bits` order) of the vertices
+    outside the separator contracted onto it.
     """
 
-    separator: int
     verdict: str
-    evidence: list[dict[int, int]] | None = None
+    evidence: list[list[int]] | None = None
     steps_used: int = 0
 
 
@@ -220,110 +222,60 @@ def is_almost_clique(g: Graph, s: int) -> int | None:
     return None
 
 
-def verify_minor_evidence(
-    g: Graph,
-    s: int,
-    component: int,
-    evidence: dict[int, int],
-    errors: list[str] | None = None,
-) -> bool:
-    """Check that a contraction map realizes ``s`` as a labelled clique minor
-    of the graph minus ``component``."""
-
-    def fail(msg: str) -> bool:
-        if errors is not None:
-            errors.append(msg)
-        return False
-
-    allowed = g.full_mask & ~component
-    if s & ~allowed:
-        return fail("separator overlaps the excluded component")
-    # maps may or may not include the label vertex; the bag always does
-    bags = {u: evidence.get(u, 0) | 1 << u for u in bits(s)}
-    claimed = [u for u in evidence if s >> u & 1 == 0]
-    if claimed:
-        return fail(f"evidence labels {claimed} are not separator vertices")
-    union = 0
-    for u, bag in bags.items():
-        if bag & ~allowed:
-            return fail(f"bag of {u} overlaps the excluded component")
-        if bag & union:
-            return fail(f"bag of {u} overlaps another bag")
-        union |= bag
-        if not g.is_connected(bag):
-            return fail(f"bag of {u} is not connected")
-    for u in bits(s):
-        rem = s & ~((1 << u) - 1) & ~(1 << u)
-        for v in bits(rem):
-            if g.adj[u] >> v & 1:
-                continue
-            if not (g.open_neighborhood(bags[u]) & bags[v]):
-                return fail(f"bags of missing edge ({u},{v}) are not adjacent")
-    return True
-
-
 def heuristic_minor_safe(
-    g: Graph,
-    s: int,
-    step_budget: int = STEP_BUDGET,
-    comps_nbs: list[tuple[int, int]] | None = None,
+    g: Graph, s: int, comps_nbs: list[tuple[int, int]] | None = None
 ) -> SafeSeparatorReport:
-    """Decide minor-safety of minimal separator ``s``: yes with verified
+    """Decide minor-safety of minimal separator ``s``: yes with audited
     evidence, don't-know, or aborted on budget exhaustion.
 
-    The budget counts execution steps per (separator, component) pair:
-    contractions plus candidate-contraction evaluations.  Phase one only
-    merges clusters that touch ``s``, but every pair of adjacent clusters it
-    passes over still counts one step, as if it had been evaluated.  The
-    report's ``steps_used`` sums the steps of every component searched.
-    ``comps_nbs`` may carry the precomputed components associated with ``s``
-    and their neighborhoods.
+    The budget, ``STEP_BUDGET``, counts execution steps per (separator,
+    component) pair: contractions plus candidate-contraction evaluations.
+    Phase one only merges clusters that touch ``s``, but every pair of
+    adjacent clusters it passes over still counts one step, as if it had
+    been evaluated.  The report's ``steps_used`` sums the steps of every
+    component searched.  ``comps_nbs`` may carry the precomputed components
+    associated with ``s`` and their neighborhoods.
     """
     if comps_nbs is None:
         comps_nbs = g.components_with_neighborhoods(s)
     comps = [c for c, _ in comps_nbs]
-    if g.is_clique(s):
-        return SafeSeparatorReport(s, YES, [{} for _ in comps])
     apex = is_almost_clique(g, s)
-    if apex is not None:
-        fulls = [c for c, nb in comps_nbs if nb == s]
-        if len(fulls) >= 2:
-            evidence = []
-            for c in comps:
-                other = next(f for f in fulls if f != c)
-                evidence.append({apex: 1 << apex | other})
-            report = SafeSeparatorReport(s, YES, evidence)
-            _check_report(g, s, comps, report)
-            return report
+    fulls = [c for c, nb in comps_nbs if nb == s]
     evidence = []
     used = 0
-    for c in comps:
-        verdict, bags, steps = _clique_minor_search(g, s, c, step_budget)
-        used += steps
-        if verdict != YES:
-            return SafeSeparatorReport(s, verdict, None, used)
-        evidence.append(bags)
-    report = SafeSeparatorReport(s, YES, evidence, used)
-    _check_report(g, s, comps, report)
-    return report
+    # an apex that misses none of s makes s a clique, which the search
+    # settles in no steps
+    if apex is not None and s & ~g.adj[apex] != 1 << apex and len(fulls) >= 2:
+        for c in comps:  # contract another full component onto the apex
+            other = next(f for f in fulls if f != c)
+            evidence.append([other if u == apex else 0 for u in bits(s)])
+    else:
+        for c in comps:
+            verdict, bags, steps = _clique_minor_search(g, s, c)
+            used += steps
+            if verdict != YES:
+                return SafeSeparatorReport(verdict, None, used)
+            evidence.append([bags.get(u, 0) for u in bits(s)])
+    audit_evidence(g, s, comps, evidence)
+    return SafeSeparatorReport(YES, evidence, used)
 
 
-def _check_report(g: Graph, s: int, comps: list[int], report: SafeSeparatorReport) -> None:
-    if report.evidence is None:
-        raise AssertionError(f"safe-separator verdict for {bit_list(s)} carries no evidence")
-    for c, ev in zip(comps, report.evidence):
-        errors: list[str] = []
-        if not verify_minor_evidence(g, s, c, ev, errors):
-            raise AssertionError(
-                f"unverifiable safe-separator evidence for {bit_list(s)}: {errors}"
-            )
+def audit_evidence(g: Graph, s: int, comps: list[int], evidence: list[list[int]]) -> None:
+    """Check that each component's evidence realizes ``s`` as a labelled
+    clique minor of ``g`` minus that component: separator vertex u joined
+    with the set contracted onto it is the branch set of u.  Raises
+    :class:`~twsolve.minors.MinorError` naming the first failure."""
+    labels = bit_list(s)
+    clique = Graph(len(labels), combinations(range(len(labels)), 2))
+    for c, extra in zip(comps, evidence, strict=True):
+        branch = [x | 1 << u for x, u in zip(extra, labels)]
+        audit(g, clique, branch, within=g.full_mask & ~c)
 
 
-def _clique_minor_search(
-    g: Graph, s: int, component: int, step_budget: int
-) -> tuple[str, dict[int, int], int]:
+def _clique_minor_search(g: Graph, s: int, component: int) -> tuple[str, dict[int, int], int]:
     """Two-phase contraction search for a labelled clique minor of ``s`` in
-    the graph minus ``component``."""
+    the graph minus ``component``, within ``STEP_BUDGET`` steps."""
+    step_budget = STEP_BUDGET
     adj = g.adj
     r = g.full_mask & ~component & ~s
     steps = 0

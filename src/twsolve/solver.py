@@ -50,6 +50,7 @@ from heapq import heappop, heappush
 from . import minors
 from .blocks import is_cliquish, outlet_and_support
 from .graph import Graph
+from .safesep import greedy_elimination
 from .sieve import SieveBank
 
 __all__ = [
@@ -70,9 +71,10 @@ MINOR_SHARE = 0.85
 
 
 class SolverTimeout(Exception):
-    """A run passed its deadline.  :func:`twsolve.pipeline.solve` raises it
-    with ``bound``, a certified lower bound on the treewidth; a decision run
-    raises it without one."""
+    """A run passed its deadline.  A decision run (:func:`decide`) raises it
+    without ``bound``; :func:`treewidth` raises it with ``bound``, a
+    certified lower bound on the treewidth of its graph, and
+    :func:`twsolve.pipeline.solve` with one on the treewidth of its input."""
 
     def __init__(self, bound: int | None = None):
         super().__init__(bound)
@@ -381,9 +383,11 @@ def treewidth(
     the top levels, and the low ones cost little on ``g``.  The levels run
     on one graph share one analysis of its candidate sets, whose facts do
     not depend on k.  Each level's stats go to ``stats_out`` as it
-    finishes, with the n of the graph it ran on; after a
-    :class:`SolverTimeout` each negative level k in it certifies tw > k,
-    while a yes on a minor certifies nothing.
+    finishes, with the n of the graph it ran on.  At the deadline it raises
+    :class:`SolverTimeout` with the bound that the levels run certify: one
+    above the last level that answered no, on ``g`` or on an audited minor,
+    or the minimum degree of ``g`` when none did.  A yes on a minor
+    certifies nothing.
 
     ``upper`` is the width of a decomposition the caller already holds:
     levels stop below it, and when none of them accepts (or none runs) the
@@ -398,7 +402,8 @@ def treewidth(
         raise ValueError("treewidth requires a non-empty graph")
     start = max(lower, max(1, g.min_degree()) if g.n > 1 else 0)
     chain = minors.contraction_chain(g, start + 2, int(MINOR_SHARE * g.n))
-    if chain and upper is not None and minors.greedy_width(chain[0][0]) < upper - 1:
+    if chain and upper is not None and max(
+            map(int.bit_count, greedy_elimination(chain[0][0], "min_degree")[1])) < upper - 1:
         # the largest minor certifies no level above upper - 3, so none of
         # the top levels, where the cost lies; the levels it can reach are
         # cheap on g itself
@@ -406,17 +411,21 @@ def treewidth(
     chain = {h.n: (_Analysis(h), branch) for h, branch in chain}
     analysis = _Analysis(g)
     size = 0
-    for k in range(start, g.n if upper is None else upper):
-        size = _certify_on_minor(g, k, chain, max(size, k + 2), deadline, stats_out)
-        if size:
-            continue
-        # no minor up to the cap answers no at k, so none answers no above k
-        chain = {}
-        res = decide(g, k, deadline=deadline, _analysis=analysis)
-        if stats_out is not None:
-            stats_out.append(res.stats)
-        if res.answer:
-            return k, res.witness
+    bound = g.min_degree()
+    try:
+        for k in range(start, g.n if upper is None else upper):
+            size = _certify_on_minor(g, k, chain, max(size, k + 2), deadline, stats_out)
+            if not size:
+                # no minor up to the cap answers no at k, so none answers no above k
+                chain = {}
+                res = decide(g, k, deadline=deadline, _analysis=analysis)
+                if stats_out is not None:
+                    stats_out.append(res.stats)
+                if res.answer:
+                    return k, res.witness
+            bound = k + 1
+    except SolverTimeout:
+        raise SolverTimeout(bound) from None
     if upper is None:
         raise RuntimeError("decision procedure failed to accept at the trivial bound")
     return upper, None

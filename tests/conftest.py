@@ -41,8 +41,8 @@ def col_text(g: Graph) -> str:
 
 
 @st.composite
-def connected_graphs(draw, max_n: int = 9) -> Graph:
-    n = draw(st.integers(min_value=2, max_value=max_n))
+def connected_graphs(draw, max_n: int = 9, min_n: int = 2) -> Graph:
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     extra = draw(st.integers(min_value=0, max_value=2 * n))
     seed = draw(st.integers(min_value=0, max_value=10**6))
     return random_connected_graph(n, n - 1 + extra, seed)

@@ -175,6 +175,23 @@ def test_broken_witness_chain_exit_code(tmp_graph_file, capsys, monkeypatch):
     assert "broken witness chain" in capsys.readouterr().err
 
 
+def test_corrupt_separator_evidence_exit_code(tmp_graph_file, capsys, monkeypatch):
+    from twsolve import safesep
+
+    search = safesep._clique_minor_search
+
+    def corrupt(g, s, component):
+        # the first separator vertex takes a vertex of the excluded component
+        verdict, bags, steps = search(g, s, component)
+        u = (s & -s).bit_length() - 1
+        return verdict, {**bags, u: bags.get(u, 0) | (component & -component)}, steps
+
+    monkeypatch.setattr(safesep, "_clique_minor_search", corrupt)
+    path = tmp_graph_file("g.gr", _gr_text(random_connected_graph(40, 50, 3)))
+    assert main(["exact", path]) == 3
+    assert "leaves the allowed vertices" in capsys.readouterr().err
+
+
 def test_lb_matches_exact_with_generous_budget(tmp_graph_file, capsys):
     g = random_connected_graph(12, 24, 63)
     path = tmp_graph_file("g.gr", _gr_text(g))

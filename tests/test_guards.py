@@ -13,7 +13,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = r"""
 import sys
 from twsolve.graph import Graph
-from twsolve.safesep import YES, SafeSeparatorReport, _check_report
+from twsolve.minors import MinorError
+from twsolve.safesep import audit_evidence
 from twsolve.sieve import SieveBank
 from twsolve.solver import PmcRecord, Witness
 from twsolve.tdbuild import extract
@@ -39,8 +40,9 @@ fires("sieve-k", lambda: SieveBank(5, 0))
 fires("sieve-store-margin", lambda: SieveBank(5, 2).store(0b1, 0b1110))
 fires("extract-root", lambda: extract(path, Witness(3, None, {}, {})))
 fires("extract-leaf-closure", lambda: extract(path, leaf))
-fires("report-evidence", lambda: _check_report(
-    path, 0b010, [0b001, 0b100], SafeSeparatorReport(0b010, YES, None)))
+# vertex 0 is the component that the first set must avoid
+fires("report-evidence", lambda: audit_evidence(
+    path, 0b010, [0b001, 0b100], [[0b001], [0]]), MinorError)
 fires("connected-empty", lambda: path.is_connected(0), ValueError)
 """
 

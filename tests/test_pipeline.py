@@ -190,12 +190,11 @@ def test_report_shape(monkeypatch):
     # the report's tally is that of the one decompose call solve makes
     reports = []
     splits = []
-    budget = safesep.STEP_BUDGET
     check = safesep.heuristic_minor_safe
     decompose = safesep.decompose
 
     def logged(graph, s, comps_nbs=None):
-        reports.append(check(graph, s, budget, comps_nbs))
+        reports.append(check(graph, s, comps_nbs))
         return reports[-1]
 
     def recorded(*args, **kwargs):
@@ -218,7 +217,8 @@ def test_report_shape(monkeypatch):
     assert len(splits) == 1
     assert d == {"max_part": d["max_part"], **splits[0].tally}
     assert_tallies(d)
-    budget = 2  # from here on the checks search with 2 steps, so some abort
+    # from here on the checks search with 2 steps, so some abort
+    monkeypatch.setattr(safesep, "STEP_BUDGET", 2)
     tally = safesep.decompose(g).tally
     assert_tallies(tally)
     assert tally["aborted"] > 0

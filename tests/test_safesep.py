@@ -1,5 +1,6 @@
 from collections import Counter
 
+import pytest
 from hypothesis import given, strategies as st
 
 from twsolve import oracle, safesep
@@ -10,6 +11,7 @@ from twsolve.families import (
     random_connected_graph,
 )
 from twsolve.graph import Graph, bits
+from twsolve.minors import MinorError
 from twsolve.safesep import ABORTED, DONT_KNOW, YES
 
 from conftest import (
@@ -55,17 +57,15 @@ def test_clique_separator_yes_with_empty_evidence():
     g = two_triangles()
     report = safesep.heuristic_minor_safe(g, mask(2))
     assert report.verdict == safesep.YES
-    assert report.evidence == [{}, {}]
+    assert report.evidence == [[0], [0]]
+    assert report.steps_used == 0
 
 
 def test_almost_clique_separator_yes_and_verifiable():
     c4 = cycle_graph(4)
     report = safesep.heuristic_minor_safe(c4, mask(0, 2))
     assert report.verdict == safesep.YES
-    for (comp, _), ev in zip(
-        c4.components_with_neighborhoods(mask(0, 2)), report.evidence
-    ):
-        assert safesep.verify_minor_evidence(c4, mask(0, 2), comp, ev)
+    safesep.audit_evidence(c4, mask(0, 2), c4.components(mask(0, 2)), report.evidence)
 
 
 def test_dont_know_when_no_minor_exists():
@@ -79,20 +79,22 @@ def test_dont_know_when_no_minor_exists():
     assert report.verdict == safesep.DONT_KNOW
 
 
-def test_aborts_on_tiny_budget():
+def test_aborts_on_tiny_budget(monkeypatch):
+    monkeypatch.setattr(safesep, "STEP_BUDGET", 1)
     g = random_connected_graph(12, 18, 31)
     for s, _ in safesep.candidate_separators(g):
         if g.is_clique(s) or safesep.is_almost_clique(g, s) is not None:
             continue
-        report = safesep.heuristic_minor_safe(g, s, step_budget=1)
+        report = safesep.heuristic_minor_safe(g, s)
         assert report.verdict in (safesep.ABORTED, safesep.DONT_KNOW)
         break
 
 
-def test_steps_used_sums_component_searches():
+def test_steps_used_sums_component_searches(monkeypatch):
+    monkeypatch.setattr(safesep, "STEP_BUDGET", 10000)
     g = random_connected_graph(30, 40, 2)
     s = mask(0, 5, 9)
-    steps = [safesep._clique_minor_search(g, s, c, 10000)[2] for c in g.components(s)]
+    steps = [safesep._clique_minor_search(g, s, c)[2] for c in g.components(s)]
     assert steps == [22, 81, 109, 96, 116]
     assert safesep.heuristic_minor_safe(g, s).steps_used == sum(steps) == 424
 
@@ -100,27 +102,67 @@ def test_steps_used_sums_component_searches():
 def test_verify_rejects_bad_evidence():
     g = two_triangles()
     s = mask(0, 3)  # not adjacent in this graph
-    comp = mask(4)
-    errors: list[str] = []
-    # disconnected bag: 0 and 3 are not adjacent
-    assert not safesep.verify_minor_evidence(g, s, comp, {0: mask(0, 3)}, errors)
-    # overlapping bags
-    assert not safesep.verify_minor_evidence(
-        g, s, comp, {0: mask(0, 1, 2), 3: mask(2, 3)}, errors
-    )
-    # bag touching the excluded component
-    assert not safesep.verify_minor_evidence(g, s, comp, {0: mask(0, 4)}, errors)
-    # missing required adjacency: singleton bags, 0-3 not adjacent
-    assert not safesep.verify_minor_evidence(g, s, comp, {}, errors)
-    # label outside the separator
-    assert not safesep.verify_minor_evidence(g, s, comp, {1: mask(1)}, errors)
-    assert len(errors) == 5
+    comps = [mask(1)]
+    # contracting 2 onto 0 joins 0 to 3
+    safesep.audit_evidence(g, s, comps, [[mask(2), 0]])
+    for extra, message in [
+        ([mask(4), 0], "not connected"),  # 0 and 4 are not adjacent
+        ([mask(2), mask(2)], "overlaps another"),
+        ([mask(1), 0], "leaves the allowed vertices"),  # 1 is in the component
+        ([0, 0], "not adjacent"),  # singleton sets, 0-3 not adjacent
+    ]:
+        with pytest.raises(MinorError, match=message):
+            safesep.audit_evidence(g, s, comps, [extra])
 
 
 def test_verify_accepts_clique_evidence():
     g = two_triangles()
-    assert safesep.verify_minor_evidence(g, mask(2), mask(0, 1), {})
-    assert safesep.verify_minor_evidence(g, mask(2), mask(3, 4), {})
+    safesep.audit_evidence(g, mask(2), [mask(0, 1), mask(3, 4)], [[0], [0]])
+
+
+def _sets_with_a_foreign_vertex(g, s, c, extra):
+    # a vertex of the excluded component joins the first set
+    return [extra[0] | (c & -c)] + extra[1:]
+
+
+def _overlapping_sets(g, s, c, extra):
+    # the second set takes the first separator vertex, whose set holds it
+    return [extra[0], extra[1] | (s & -s)] + extra[2:] if len(extra) > 1 else None
+
+
+def _disconnected_set(g, s, c, extra):
+    # a vertex that no set holds and the first set does not see joins it
+    free = g.full_mask & ~(sum(extra) | s | c) & ~g.open_neighborhood(extra[0] | (s & -s))
+    return [extra[0] | (free & -free)] + extra[1:] if free else None
+
+
+def _missing_adjacency(g, s, c, extra):
+    # nothing contracted: a pair of s that g misses stays apart
+    return [0] * len(extra) if not g.is_clique(s) else None
+
+
+@given(connected_graphs(min_n=6, max_n=20))
+def test_every_yes_passes_its_audit_and_corruptions_fail_it(g):
+    for s, comps_nbs in safesep.candidate_separators(g):
+        report = safesep.heuristic_minor_safe(g, s, comps_nbs=comps_nbs)
+        if report.verdict != YES:
+            continue
+        comps = [c for c, _ in comps_nbs]
+        safesep.audit_evidence(g, s, comps, report.evidence)
+        for i, (c, extra) in enumerate(zip(comps, report.evidence)):
+            for corrupt, message in [
+                (_sets_with_a_foreign_vertex, "leaves the allowed vertices"),
+                (_overlapping_sets, "overlaps another"),
+                (_disconnected_set, "not connected"),
+                (_missing_adjacency, "not adjacent"),
+            ]:
+                bad = corrupt(g, s, c, list(extra))
+                if bad is None:
+                    continue
+                evidence = list(report.evidence)
+                evidence[i] = bad
+                with pytest.raises(MinorError, match=message):
+                    safesep.audit_evidence(g, s, comps, evidence)
 
 
 def test_decompose_cut_vertex():
@@ -154,10 +196,7 @@ def test_decompose_soundness_against_oracle():
         by_parts = max(oracle.bf_treewidth(pg) for pg, _ in split_parts(d))
         assert whole == by_parts, f"seed {seed}"
         for gg, sep, report in splits:
-            for (comp, _), ev in zip(
-                gg.components_with_neighborhoods(sep), report.evidence
-            ):
-                assert safesep.verify_minor_evidence(gg, sep, comp, ev)
+            safesep.audit_evidence(gg, sep, gg.components(sep), report.evidence)
     assert applied >= 20
 
 
@@ -259,9 +298,9 @@ def test_general_two_phase_path():
     assert safesep.is_almost_clique(g, s) is None
     report = safesep.heuristic_minor_safe(g, s)
     assert report.verdict == safesep.YES
-    for (comp, _), ev in zip(g.components_with_neighborhoods(s), report.evidence):
-        assert ev, "the general path must record contractions"
-        assert safesep.verify_minor_evidence(g, s, comp, ev)
+    for ev in report.evidence:
+        assert any(ev), "the general path must record contractions"
+    safesep.audit_evidence(g, s, g.components(s), report.evidence)
 
 
 def reference_greedy_elimination(g: Graph, mode: str) -> tuple[list[int], list[int]]:
@@ -445,9 +484,11 @@ def test_clique_minor_search_matches_reference(g):
         assert comps_nbs == g.components_with_neighborhoods(s)
         for comp, _ in comps_nbs:
             for budget in (1, 3, 10, 10000):
-                assert safesep._clique_minor_search(
-                    g, s, comp, budget
-                ) == reference_clique_minor_search(g, s, comp, budget)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(safesep, "STEP_BUDGET", budget)
+                    assert safesep._clique_minor_search(
+                        g, s, comp
+                    ) == reference_clique_minor_search(g, s, comp, budget)
 
 
 @given(connected_graphs(max_n=30))

@@ -17,6 +17,7 @@ from twsolve.families import (
     star_graph,
 )
 from twsolve.graph import Graph
+from twsolve.safesep import greedy_elimination
 from twsolve.sieve import SieveBank, linear_scan_supersets
 from twsolve.solver import SolverTimeout, Witness, decide, treewidth
 from twsolve.tdbuild import extract, validate
@@ -224,6 +225,29 @@ def test_deadline_interrupts():
     # inbound block: only the poll before seeding sees the deadline
     with pytest.raises(SolverTimeout):
         decide(cycle_graph(6), 1, deadline=time.monotonic() - 1.0)
+
+
+def test_timeout_carries_the_certified_bound(monkeypatch):
+    g = mycielski_graph(4)  # minimum degree 4, treewidth 10
+    for lower in (0, 6):  # a start above the minimum degree certifies nothing
+        with pytest.raises(SolverTimeout) as exc:
+            treewidth(g, lower=lower, deadline=time.monotonic() - 1.0)
+        assert exc.value.bound == g.min_degree() == 4
+    ran: list[solver.SolverStats] = []
+    decide = solver.decide
+
+    def stop_at_level_7(h, k, **kwargs):
+        if k == 7:
+            raise SolverTimeout
+        res = decide(h, k, **kwargs)
+        ran.append(res.stats)
+        return res
+
+    monkeypatch.setattr(solver, "decide", stop_at_level_7)
+    with pytest.raises(SolverTimeout) as exc:
+        treewidth(g)
+    assert max(s.k for s in ran if not s.answer) == 6
+    assert exc.value.bound == 7
 
 
 @given(connected_graphs(max_n=8))
@@ -473,7 +497,8 @@ def test_traced_names_are_the_ones_decide_calls(monkeypatch):
 def test_no_level_tries_minors_when_the_largest_loses_the_top_levels():
     g = queen_graph(6, 6)  # tw 25; its pipeline bound is 26
     largest = minors.contraction_chain(g, 30, 30)[0][0]  # MINOR_SHARE of 36
-    assert minors.greedy_width(largest) == 22 < 26 - 1
+    width = max(nb.bit_count() for nb in greedy_elimination(largest, "min_degree")[1])
+    assert width == 22 < 26 - 1
     (tw, witness), ran = _levels(g, upper=26)
     assert tw == 25 and {n for n, _, _ in ran} == {36}
     # without a bound to compare with, the levels try minors
