@@ -4,8 +4,10 @@ Subcommands: ``exact`` (solve and emit a .td), ``lb`` (the same solve
 stopped at a deadline: the exact width if it finishes, else the certified
 lower bound it reached), ``census`` (object counts as CSV), ``validate``
 (audit a .td against its graph).  Exit codes: 0 success, 1 invalid
-decomposition reported by ``validate``, 2 parse error, 3 internal validation
-failure.  Set TW_LOG to a logging level name for diagnostics on stderr.
+decomposition reported by ``validate``, 2 parse error, 3 a failed audit of a
+result about to be reported (:class:`~twsolve.graph.AuditError`); any other
+exception propagates with its traceback.  Set TW_LOG to a logging level name
+for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 from . import census as census_mod
 from . import paceio, pipeline, tdbuild
-from .graph import Graph
+from .graph import AuditError, Graph
 
 log = logging.getLogger("twsolve")
 
@@ -62,8 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     except paceio.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, AssertionError) as exc:
-        # PipelineError is a RuntimeError, as are extract's broken-witness errors
+    except AuditError as exc:
         print(f"internal validation failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -14,11 +14,17 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 __all__ = [
+    "AuditError",
     "Graph",
     "bits",
     "bit_list",
     "vset",
 ]
+
+
+class AuditError(RuntimeError):
+    """A check on a result about to be reported failed: the answer is not
+    certified, so it is not reported."""
 
 
 def vset(vertices: Iterable[int]) -> int:

@@ -10,18 +10,15 @@ Wolle, "Contraction and treewidth lower bounds", JGAA 2006).  Each H_s
 keeps its branch sets, the vertex sets of G contracted into its vertices,
 so :func:`audit` can check it against G without trusting the chain.
 The same audit checks the labelled clique minors that certify safe
-separators (:func:`twsolve.safesep.audit_evidence`).
+separators (:func:`twsolve.safesep.audit_evidence`); a failure raises
+:class:`~twsolve.graph.AuditError`.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, bits
+from .graph import AuditError, Graph, bits
 
-__all__ = ["MinorError", "audit", "contraction_chain"]
-
-
-class MinorError(RuntimeError):
-    """Branch sets that do not realize the claimed minor."""
+__all__ = ["audit", "contraction_chain"]
 
 
 def contraction_chain(g: Graph, smallest: int, largest: int) -> list[tuple[Graph, list[int]]]:
@@ -61,21 +58,21 @@ def audit(g: Graph, h: Graph, branch: list[int], within: int | None = None) -> N
     vertices ``within`` (all of ``g`` by default): its sets are non-empty,
     inside ``within``, pairwise disjoint and connected in ``g``, one per
     vertex of ``h``, and every edge of ``h`` joins two sets adjacent in
-    ``g``.  Raises :class:`MinorError` naming the first failure."""
+    ``g``.  Raises :class:`AuditError` naming the first failure."""
     if len(branch) != h.n:
-        raise MinorError(f"{len(branch)} branch sets for a minor on {h.n} vertices")
+        raise AuditError(f"{len(branch)} branch sets for a minor on {h.n} vertices")
     allowed = g.full_mask if within is None else within & g.full_mask
     union = 0
     for i, b in enumerate(branch):
         if not b or b & ~allowed:
-            raise MinorError(f"branch set {i} is empty or leaves the allowed vertices")
+            raise AuditError(f"branch set {i} is empty or leaves the allowed vertices")
         if b & union:
-            raise MinorError(f"branch set {i} overlaps another")
+            raise AuditError(f"branch set {i} overlaps another")
         if not g.is_connected(b):
-            raise MinorError(f"branch set {i} is not connected")
+            raise AuditError(f"branch set {i} is not connected")
         union |= b
     for u in range(h.n):
         reach = g.open_neighborhood(branch[u])
         for v in bits(h.adj[u]):
             if not reach & branch[v]:
-                raise MinorError(f"edge ({u},{v}) joins branch sets that are not adjacent")
+                raise AuditError(f"edge ({u},{v}) joins branch sets that are not adjacent")

@@ -27,18 +27,14 @@ from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
 from . import safesep
-from .graph import Graph, bits, vset
+from .graph import AuditError, Graph, bits, vset
 from .solver import SolverStats, SolverTimeout, treewidth
 from .tdbuild import TreeDecomposition, contract, extract, from_elimination, validate
 
-__all__ = ["PipelineError", "SolveReport", "solve"]
+__all__ = ["SolveReport", "solve"]
 
 # the SolverStats fields that SolveReport.counters sums over accepting levels
 COUNTERS = ("iblocks", "oblocks", "pmcs_buildable", "pmcs_feasible")
-
-
-class PipelineError(RuntimeError):
-    """Internal consistency failure: the produced decomposition did not validate."""
 
 
 @dataclass
@@ -83,7 +79,7 @@ def _attach(
     if placed is not None and held is not None:
         edges.append((placed, lo + held))
     elif bags or shared:
-        raise PipelineError(f"no bag contains the {name}")
+        raise AuditError(f"no bag contains the {name}")
     bags.extend(piece)
     edges.extend((a + lo, b + lo) for a, b in piece_edges)
 
@@ -119,7 +115,7 @@ def solve(
     levels; a part that no level accepted adds nothing.  The report's
     ``levels`` holds the stats of every level run, part by part in solve
     order, with the n of the graph it ran on: below the part's size for a
-    level tried on a minor.  Raises :class:`PipelineError` if no placed bag
+    level tried on a minor.  Raises :class:`AuditError` if no placed bag
     holds what a part or a removed vertex shares, or the final decomposition
     fails its own audit; the result is never silently wrong.
     """
@@ -165,11 +161,7 @@ def solve(
         if td is not None:
             for key in COUNTERS:
                 report.counters[key] += getattr(stats[-1], key)
-        report.levels += [
-            {"part": number, "n": s.n, "k": s.k, "answer": s.answer,
-             **{key: getattr(s, key) for key in COUNTERS}, "ms": s.elapsed_ms}
-            for s in stats
-        ]
+        report.levels += [{"part": number, **asdict(s)} for s in stats]
         report.parts["levels"] += len(stats)
         report.parts["settled_by_bound"] += td is None
     report.parts["total"] = len(parts)
@@ -187,9 +179,9 @@ def solve(
     td = contract(TreeDecomposition(g.n, bags, edges))
     problems = validate(g, td)
     if problems:
-        raise PipelineError(f"produced decomposition failed validation: {problems[:3]}")
+        raise AuditError(f"produced decomposition failed validation: {problems[:3]}")
     if td.width() != overall_tw:
-        raise PipelineError(
+        raise AuditError(
             f"decomposition width {td.width()} disagrees with the answer {overall_tw}"
         )
     report.tw = overall_tw

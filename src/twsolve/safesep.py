@@ -264,7 +264,7 @@ def audit_evidence(g: Graph, s: int, comps: list[int], evidence: list[list[int]]
     """Check that each component's evidence realizes ``s`` as a labelled
     clique minor of ``g`` minus that component: separator vertex u joined
     with the set contracted onto it is the branch set of u.  Raises
-    :class:`~twsolve.minors.MinorError` naming the first failure."""
+    :class:`~twsolve.graph.AuditError` naming the first failure."""
     labels = bit_list(s)
     clique = Graph(len(labels), combinations(range(len(labels)), 2))
     for c, extra in zip(comps, evidence, strict=True):

@@ -26,6 +26,8 @@ shifted OR per touched vertex.
 
 from __future__ import annotations
 
+from .graph import AuditError
+
 __all__ = ["SieveBank", "linear_scan_supersets"]
 
 # survivors of the subset test are checked one by one when there are at most
@@ -67,7 +69,7 @@ class SieveBank:
 
     def __init__(self, n: int, k: int):
         if k < 1:
-            raise AssertionError(f"sieve width bound must be at least 1, got {k}")
+            raise ValueError(f"sieve width bound must be at least 1, got {k}")
         self.n = n
         self.k = k
         self.entries: list[tuple[int, int]] = []
@@ -80,7 +82,7 @@ class SieveBank:
     def store(self, u: int, n_u: int) -> None:
         margin = self.k + 1 - n_u.bit_count()
         if not 1 <= margin <= self.k:
-            raise AssertionError("stored sets must have neighborhood size between 1 and k")
+            raise AuditError("stored sets must have neighborhood size between 1 and k")
         if u in self._stored:
             return
         self._stored.add(u)

@@ -49,7 +49,7 @@ from heapq import heappop, heappush
 
 from . import minors
 from .blocks import is_cliquish, outlet_and_support
-from .graph import Graph
+from .graph import AuditError, Graph
 from .safesep import greedy_elimination
 from .sieve import SieveBank
 
@@ -94,7 +94,6 @@ class PmcRecord:
 class Witness:
     """Provenance links of an accepting run, enough to rebuild a decomposition."""
 
-    n: int
     root: int | None
     records: dict[int, PmcRecord]
     iblock_source: dict[int, int]
@@ -109,7 +108,7 @@ class SolverStats:
     oblocks: int = 0
     pmcs_buildable: int = 0
     pmcs_feasible: int = 0
-    elapsed_ms: float = 0.0
+    ms: float = 0.0
 
 
 @dataclass(slots=True)
@@ -117,12 +116,6 @@ class DecideResult:
     answer: bool
     stats: SolverStats
     witness: Witness | None = None
-
-
-def _trivial_witness(n: int) -> Witness:
-    mask = (1 << n) - 1
-    rec = PmcRecord(mask, 0, ())
-    return Witness(n, mask, {mask: rec}, {})
 
 
 class _Analysis(dict):
@@ -328,8 +321,9 @@ def decide(
         raise ValueError(f"invalid width bound {k}")
     start = time.monotonic()
     if n == 1:
-        stats = SolverStats(n, k, True, elapsed_ms=0.0)
-        return DecideResult(True, stats, _trivial_witness(1))
+        # the one vertex is the one PMC, with empty outlet and no support
+        stats = SolverStats(n, k, True, pmcs_buildable=1, pmcs_feasible=1)
+        return DecideResult(True, stats, Witness(1, {1: PmcRecord(1, 0, ())}, {}))
     if not g.is_connected(g.full_mask):
         raise ValueError("decide requires a connected graph")
     if k == 0:
@@ -348,11 +342,11 @@ def decide(
         oblocks=len(search.onb),
         pmcs_buildable=len(search.buildable),
         pmcs_feasible=len(search.feasible),
-        elapsed_ms=(time.monotonic() - start) * 1000.0,
+        ms=(time.monotonic() - start) * 1000.0,
     )
     witness = None
     if answer:
-        witness = Witness(n, search.root, search.feasible, search.iblock_source)
+        witness = Witness(search.root, search.feasible, search.iblock_source)
     return DecideResult(answer, stats, witness)
 
 
@@ -396,7 +390,7 @@ def treewidth(
     it is only known to be at most ``lower``.  Likewise an accepting level at
     ``lower`` only bounds the treewidth from above.  Without ``lower`` and
     ``upper`` the result is exact; without ``upper`` some level below n must
-    accept, and a run in which none does raises ``RuntimeError``.
+    accept, and a run in which none does raises :class:`AuditError`.
     """
     if g.n == 0:
         raise ValueError("treewidth requires a non-empty graph")
@@ -427,7 +421,7 @@ def treewidth(
     except SolverTimeout:
         raise SolverTimeout(bound) from None
     if upper is None:
-        raise RuntimeError("decision procedure failed to accept at the trivial bound")
+        raise AuditError("decision procedure failed to accept at the trivial bound")
     return upper, None
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, bit_list, bits
+from .graph import AuditError, Graph, bit_list, bits
 from .solver import Witness
 
 __all__ = ["TreeDecomposition", "Violation", "contract", "from_elimination", "extract", "validate"]
@@ -44,7 +44,7 @@ def extract(g: Graph, witness: Witness) -> TreeDecomposition:
     connected.  Bags contained in their parent are contracted afterwards.
     """
     if witness.root is None:
-        raise AssertionError("extract requires an accepting witness")
+        raise AuditError("extract requires an accepting witness")
     records = witness.records
     source = witness.iblock_source
     bags: list[int] = []
@@ -54,7 +54,7 @@ def extract(g: Graph, witness: Witness) -> TreeDecomposition:
         pmc, parent, for_comp = stack.pop()
         rec = records.get(pmc)
         if rec is None:
-            raise RuntimeError("broken witness chain: unregistered clique")
+            raise AuditError("broken witness chain: unregistered clique")
         idx = len(bags)
         bags.append(rec.vertices)
         if parent >= 0:
@@ -63,11 +63,11 @@ def extract(g: Graph, witness: Witness) -> TreeDecomposition:
             # leaf: the bag must close over the component it stands for
             closed = for_comp | g.open_neighborhood(for_comp)
             if closed & ~rec.vertices:
-                raise AssertionError("leaf bag does not close over its component")
+                raise AuditError("leaf bag does not close over its component")
         for comp in rec.support:
             child = source.get(comp)
             if child is None:
-                raise RuntimeError("broken witness chain: component without source")
+                raise AuditError("broken witness chain: component without source")
             stack.append((child, idx, comp))
     td = TreeDecomposition(g.n, bags, edges)
     return contract(td)

@@ -14,11 +14,12 @@ def test_bound_values_second_row():
 
 
 def test_census_complete_graph():
-    row = census(complete_graph(4), "k4")
-    assert row.tw == 3
-    assert row.pmcs_all == 1
-    assert row.minseps_all == 0
-    assert row.feasible_pmcs == 1
+    for n in (4, 1):
+        row = census(complete_graph(n), f"k{n}")
+        assert row.tw == n - 1
+        assert row.pmcs_all == 1
+        assert row.minseps_all == 0
+        assert row.feasible_pmcs == 1
 
 
 def test_census_cycle():

@@ -167,7 +167,7 @@ def test_broken_witness_chain_exit_code(tmp_graph_file, capsys, monkeypatch):
 
     def broken(graph, **kwargs):
         # the root's support component has no source clique
-        return 1, Witness(graph.n, 0b11, {0b11: PmcRecord(0b11, 0, (0b100,))}, {})
+        return 1, Witness(0b11, {0b11: PmcRecord(0b11, 0, (0b100,))}, {})
 
     monkeypatch.setattr(pipeline, "treewidth", broken)
     path = tmp_graph_file("m3.gr", _gr_text(g))
@@ -190,6 +190,15 @@ def test_corrupt_separator_evidence_exit_code(tmp_graph_file, capsys, monkeypatc
     path = tmp_graph_file("g.gr", _gr_text(random_connected_graph(40, 50, 3)))
     assert main(["exact", path]) == 3
     assert "leaves the allowed vertices" in capsys.readouterr().err
+
+
+def test_other_errors_are_not_audit_failures(tmp_graph_file, monkeypatch):
+    def buggy(g, **kwargs):
+        raise RuntimeError("a bug, not an audit")
+
+    monkeypatch.setattr(pipeline, "solve", buggy)
+    with pytest.raises(RuntimeError, match="a bug, not an audit"):
+        main(["exact", tmp_graph_file("e.gr", "p tw 2 1\n1 2\n")])
 
 
 def test_lb_matches_exact_with_generous_budget(tmp_graph_file, capsys):

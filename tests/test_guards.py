@@ -1,4 +1,5 @@
-"""Guards on reported results are explicit raises, so ``python -O`` keeps them."""
+"""Guards on reported results are explicit raises of one type, ``AuditError``,
+so ``python -O`` keeps them and ``tw exact`` exits 3 on exactly these."""
 
 import ast
 import importlib
@@ -12,15 +13,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Runs under -O, where its own asserts would vanish: it prints instead.
 SCRIPT = r"""
 import sys
-from twsolve.graph import Graph
-from twsolve.minors import MinorError
+from twsolve.graph import AuditError, Graph
 from twsolve.safesep import audit_evidence
 from twsolve.sieve import SieveBank
 from twsolve.solver import PmcRecord, Witness
 from twsolve.tdbuild import extract
 
 
-def fires(name, fn, error=AssertionError):
+def fires(name, fn, error=AuditError):
     try:
         fn()
     except error:
@@ -32,17 +32,17 @@ def fires(name, fn, error=AssertionError):
 path = Graph(3, [(0, 1), (1, 2)])
 # the leaf clique {2} stands for component {2} but misses its neighbor 1
 leaf = Witness(
-    3, 0b011, {0b011: PmcRecord(0b011, 0, (0b100,)), 0b100: PmcRecord(0b100, 0b010, ())},
+    0b011, {0b011: PmcRecord(0b011, 0, (0b100,)), 0b100: PmcRecord(0b100, 0b010, ())},
     {0b100: 0b100},
 )
 print("optimize", sys.flags.optimize)
-fires("sieve-k", lambda: SieveBank(5, 0))
+fires("sieve-k", lambda: SieveBank(5, 0), ValueError)
 fires("sieve-store-margin", lambda: SieveBank(5, 2).store(0b1, 0b1110))
-fires("extract-root", lambda: extract(path, Witness(3, None, {}, {})))
+fires("extract-root", lambda: extract(path, Witness(None, {}, {})))
 fires("extract-leaf-closure", lambda: extract(path, leaf))
 # vertex 0 is the component that the first set must avoid
 fires("report-evidence", lambda: audit_evidence(
-    path, 0b010, [0b001, 0b100], [[0b001], [0]]), MinorError)
+    path, 0b010, [0b001, 0b100], [[0b001], [0]]))
 fires("connected-empty", lambda: path.is_connected(0), ValueError)
 """
 
@@ -69,11 +69,40 @@ def test_result_guards_fire_under_optimize():
     ]
 
 
+def _modules():
+    return [(path, ast.parse(path.read_text(), str(path)))
+            for path in sorted((SRC / "twsolve").glob("*.py"))]
+
+
+def _name(node):
+    """The name an exception class expression ends in: ``X`` of ``a.b.X(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def test_package_raises_four_error_types():
+    nodes = [(path, node) for path, tree in _modules() for node in ast.walk(tree)]
+    raised = {
+        f"{path.name}:{node.lineno}": _name(node.exc)
+        for path, node in nodes
+        if isinstance(node, ast.Raise)
+    }
+    allowed = {"AuditError", "ValueError", "ParseError", "SolverTimeout"}
+    assert {at: name for at, name in raised.items() if name not in allowed} == {}
+    subclasses = [
+        node.name
+        for _, node in nodes
+        if isinstance(node, ast.ClassDef) and "RuntimeError" in map(_name, node.bases)
+    ]
+    assert subclasses == ["AuditError"]
+
+
 def test_package_has_no_assert_statements():
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted((SRC / "twsolve").glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        for path, tree in _modules()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert found == []

@@ -3,8 +3,8 @@ from hypothesis import given
 
 from twsolve import minors, oracle, solver
 from twsolve.families import mycielski_graph
-from twsolve.graph import Graph, bits
-from twsolve.minors import MinorError, audit, contraction_chain
+from twsolve.graph import AuditError, Graph, bits
+from twsolve.minors import audit, contraction_chain
 
 from conftest import connected_graphs
 
@@ -97,16 +97,16 @@ def test_audit_catches_corrupt_minors(corrupt, message):
     g = mycielski_graph(4)
     for h, branch in contraction_chain(g, 12, 16):
         audit(g, h, branch)
-        with pytest.raises(MinorError, match=message):
+        with pytest.raises(AuditError, match=message):
             audit(g, *corrupt(g, h, list(branch)))
 
 
 def test_audit_rejects_a_wrong_number_of_sets():
     g = mycielski_graph(3)
     h, branch = contraction_chain(g, 6, 6)[0]
-    with pytest.raises(MinorError):
+    with pytest.raises(AuditError):
         audit(g, h, branch[:-1])
-    with pytest.raises(MinorError, match="empty"):
+    with pytest.raises(AuditError, match="empty"):
         audit(g, h, [0] + branch[1:])
 
 
@@ -119,5 +119,5 @@ def test_a_no_on_a_minor_counts_only_after_its_audit(monkeypatch):
         return [(h, branch[1:] + branch[:1]) for h, branch in chain(g, smallest, largest)]
 
     monkeypatch.setattr(minors, "contraction_chain", rotated)
-    with pytest.raises(MinorError, match="not adjacent"):
+    with pytest.raises(AuditError, match="not adjacent"):
         solver.treewidth(mycielski_graph(4))

@@ -14,7 +14,7 @@ from twsolve.families import (
     petersen_graph,
     random_connected_graph,
 )
-from twsolve.graph import Graph, vset
+from twsolve.graph import AuditError, Graph, vset
 from twsolve.paceio import write_gr
 from twsolve.solver import SolverTimeout
 from twsolve.tdbuild import extract, validate
@@ -499,7 +499,7 @@ def test_part_attached_before_what_it_shares_raises(monkeypatch, tmp_graph_file,
     g = octahedron_chain(3)
     assert decompose(g).parts[-1].attach
     monkeypatch.setattr(safesep, "decompose", last_first)
-    with pytest.raises(pipeline.PipelineError, match="part 0 shares with the parts before it"):
+    with pytest.raises(AuditError, match="part 0 shares with the parts before it"):
         pipeline.solve(g)
     assert cli.main(["exact", tmp_graph_file("o.gr", write_gr(g))]) == 3
     assert "part 0 shares with the parts before it" in capsys.readouterr().err
@@ -534,7 +534,7 @@ def test_put_back_without_a_holding_bag_raises(monkeypatch, tmp_graph_file, caps
         return reduced, kept, low, removed
 
     monkeypatch.setattr(safesep, "simplicial_reduction", corrupted)
-    with pytest.raises(pipeline.PipelineError, match="neighborhood of removed vertex"):
+    with pytest.raises(AuditError, match="neighborhood of removed vertex"):
         pipeline.solve(triangle_chain(3))
     assert cli.main(["exact", tmp_graph_file("t.gr", write_gr(triangle_chain(3)))]) == 3
     assert "neighborhood of removed vertex" in capsys.readouterr().err

@@ -10,8 +10,7 @@ from twsolve.families import (
     path_graph,
     random_connected_graph,
 )
-from twsolve.graph import Graph, bits
-from twsolve.minors import MinorError
+from twsolve.graph import AuditError, Graph, bits
 from twsolve.safesep import ABORTED, DONT_KNOW, YES
 
 from conftest import (
@@ -111,7 +110,7 @@ def test_verify_rejects_bad_evidence():
         ([mask(1), 0], "leaves the allowed vertices"),  # 1 is in the component
         ([0, 0], "not adjacent"),  # singleton sets, 0-3 not adjacent
     ]:
-        with pytest.raises(MinorError, match=message):
+        with pytest.raises(AuditError, match=message):
             safesep.audit_evidence(g, s, comps, [extra])
 
 
@@ -161,7 +160,7 @@ def test_every_yes_passes_its_audit_and_corruptions_fail_it(g):
                     continue
                 evidence = list(report.evidence)
                 evidence[i] = bad
-                with pytest.raises(MinorError, match=message):
+                with pytest.raises(AuditError, match=message):
                     safesep.audit_evidence(g, s, comps, evidence)
 
 

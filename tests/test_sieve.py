@@ -116,7 +116,7 @@ def test_duplicate_store_is_idempotent():
 
 
 def test_width_bound_must_be_positive():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="at least 1"):
         SieveBank(4, 0)
 
 

@@ -16,7 +16,7 @@ from twsolve.families import (
     random_connected_graph,
     star_graph,
 )
-from twsolve.graph import Graph
+from twsolve.graph import AuditError, Graph
 from twsolve.safesep import greedy_elimination
 from twsolve.sieve import SieveBank, linear_scan_supersets
 from twsolve.solver import SolverTimeout, Witness, decide, treewidth
@@ -53,6 +53,13 @@ def test_decide_rejects_bad_input():
     with pytest.raises(ValueError):
         decide(path_graph(3), 5)  # k > n-1
     assert not decide(path_graph(2), 0).answer  # width 0 needs a single vertex
+
+
+def test_decide_single_vertex_counts_its_pmc():
+    for k in (0, 1):
+        res = decide(Graph(1), k)
+        assert res.answer and res.witness.root == 1
+        assert res.stats.pmcs_feasible == res.stats.pmcs_buildable == len(res.witness.records) == 1
 
 
 def test_treewidth_known_values():
@@ -206,14 +213,14 @@ def test_levels_between_bounds():
 
 
 def test_levels_raise_when_no_level_accepts(monkeypatch):
-    with pytest.raises(RuntimeError, match="failed to accept"):
+    with pytest.raises(AuditError, match="failed to accept"):
         treewidth(path_graph(3), lower=3)  # no level below n remains
 
     def reject(g, k, **kwargs):
         return solver.DecideResult(False, solver.SolverStats(g.n, k, False))
 
     monkeypatch.setattr(solver, "decide", reject)
-    with pytest.raises(RuntimeError, match="failed to accept"):
+    with pytest.raises(AuditError, match="failed to accept"):
         treewidth(cycle_graph(5))
 
 
