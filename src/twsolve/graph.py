@@ -18,6 +18,7 @@ __all__ = [
     "Graph",
     "bits",
     "bit_list",
+    "is_clique_in",
     "vset",
 ]
 
@@ -45,6 +46,16 @@ def bits(mask: int) -> Iterator[int]:
 
 def bit_list(mask: int) -> list[int]:
     return list(bits(mask))
+
+
+def is_clique_in(adj: list[int], s: int) -> bool:
+    """Whether ``s`` is a clique of the graph with neighbourhoods ``adj``."""
+    while s:
+        low = s & -s
+        s ^= low
+        if s & ~adj[low.bit_length() - 1]:
+            return False
+    return True
 
 
 class Graph:
@@ -159,14 +170,7 @@ class Graph:
         return comp == u
 
     def is_clique(self, u: int) -> bool:
-        adj = self.adj
-        m = u
-        while m:
-            b = m & -m
-            m ^= b
-            if u & ~adj[b.bit_length() - 1] & ~b:
-                return False
-        return True
+        return is_clique_in(self.adj, u)
 
     def subgraph(self, u: int, make_clique: int = 0) -> tuple["Graph", list[int]]:
         """Induced subgraph on ``u``, optionally completing ``make_clique & u``.

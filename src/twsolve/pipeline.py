@@ -29,7 +29,8 @@ from itertools import repeat
 from . import safesep
 from .graph import AuditError, Graph, bits, vset
 from .solver import SolverStats, SolverTimeout, treewidth
-from .tdbuild import TreeDecomposition, contract, extract, from_elimination, validate
+# extract is not called here; perfbench/tracer.py wraps it under this name
+from .tdbuild import TreeDecomposition, contract, extract, from_elimination, validate  # noqa: F401
 
 __all__ = ["SolveReport", "solve"]
 
@@ -58,12 +59,12 @@ def _solve_leaf(
     graph: Graph, lower: int, upper: int, deadline: float | None
 ) -> tuple[int, TreeDecomposition | None, list[SolverStats]]:
     """Solve one part between the bounds: (width, decomposition or None when
-    no level accepted, stats of the levels run).  At the deadline
-    :func:`treewidth` raises :class:`SolverTimeout` with the part's
+    no level accepted and none was lifted, stats of the levels run).  At the
+    deadline :func:`treewidth` raises :class:`SolverTimeout` with the part's
     certified bound."""
     stats: list[SolverStats] = []
-    tw, witness = treewidth(graph, lower=lower, upper=upper, deadline=deadline, stats_out=stats)
-    return tw, None if witness is None else extract(graph, witness), stats
+    tw, td = treewidth(graph, lower=lower, upper=upper, deadline=deadline, stats_out=stats)
+    return tw, td, stats
 
 
 def _attach(
@@ -112,7 +113,8 @@ def solve(
 
     The width is the larger of the reduction's certified lower bound and
     the width of the reduced graph.  Counters sum the accepting decision
-    levels; a part that no level accepted adds nothing.  The report's
+    levels run on the parts themselves; a part that no level accepted, or
+    whose decomposition was lifted from a minor, adds nothing.  The report's
     ``levels`` holds the stats of every level run, part by part in solve
     order, with the n of the graph it ran on: below the part's size for a
     level tried on a minor.  Raises :class:`AuditError` if no placed bag
@@ -123,7 +125,7 @@ def solve(
     report = SolveReport(instance, g.n, g.edge_count)
     report.counters = dict.fromkeys(COUNTERS, 0)
     report.safe_separators = {"max_part": 0, **dict.fromkeys(safesep.TALLY_KEYS, 0)}
-    report.parts = {"total": 0, "settled_by_bound": 0, "levels": 0}
+    report.parts = {"total": 0, "settled_by_bound": 0, "lifted": 0, "levels": 0}
     report.reduction = {"removed": 0, "low": 0}
     if g.n == 0:
         td = TreeDecomposition(0, [0], [])
@@ -158,12 +160,15 @@ def solve(
         raise SolverTimeout(max(low, running_max, exc.bound)) from None
 
     for number, (i, (tw, td, stats)) in enumerate(solved.items()):
-        if td is not None:
+        # a level that accepted on the part itself ends its stats
+        accepted = stats and stats[-1].answer and stats[-1].n == parts[i].graph.n
+        if accepted:
             for key in COUNTERS:
                 report.counters[key] += getattr(stats[-1], key)
         report.levels += [{"part": number, **asdict(s)} for s in stats]
         report.parts["levels"] += len(stats)
         report.parts["settled_by_bound"] += td is None
+        report.parts["lifted"] += td is not None and not accepted
     report.parts["total"] = len(parts)
     report.safe_separators["max_part"] = max((part.graph.n for part in parts), default=0)
 

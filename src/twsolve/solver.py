@@ -36,9 +36,14 @@ an accepting run can be unfolded into an explicit tree decomposition.
 no on a minor whose branch sets pass their audit certifies the level, and a
 small minor reaches its fixpoint far sooner than the graph.  A level that
 no minor up to ``MINOR_SHARE`` of the graph answers no runs on the whole
-graph, as does every level above it; accepting levels, and so witnesses,
-come from the whole graph only.  A graph whose largest minor has lost its
-top levels to contraction tries no minors.
+graph, as does every level above it.  A yes on a minor certifies nothing
+by itself, but its witness unfolds into a decomposition of the minor, which
+the branch sets lift to the graph.  So at the level where the minors run
+out, the largest minor's yes is lifted, narrowed to a minimal
+triangulation and validated: if it is no wider than the level, the level
+accepts with it and never runs on the graph.  This happens at most once per
+graph, since the minors are dropped there.  A graph whose largest minor has
+lost its top levels to contraction tries no minors.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .blocks import is_cliquish, outlet_and_support
 from .graph import AuditError, Graph
 from .safesep import greedy_elimination
 from .sieve import SieveBank
+from .tdbuild import TreeDecomposition, extract, lift, narrow, validate
 
 __all__ = [
     "DecideResult",
@@ -357,8 +363,8 @@ def treewidth(
     upper: int | None = None,
     deadline: float | None = None,
     stats_out: list[SolverStats] | None = None,
-) -> tuple[int, Witness | None]:
-    """Treewidth of connected ``g`` with the accepting witness.
+) -> tuple[int, TreeDecomposition | None]:
+    """Treewidth of connected ``g`` with a tree decomposition of that width.
 
     Runs the decision procedure with the bound k increasing one by one from
     max(``lower``, 1, minimum degree) (from 0 for a single vertex) up to the
@@ -371,30 +377,39 @@ def treewidth(
     (:mod:`twsolve.minors`), since a no on a minor, once audited, certifies
     tw > k as well: from the size that certified the previous level (at
     least k + 2) it tries sizes s, s + 1, s + 3, s + 7, ... up to
-    ``MINOR_SHARE`` of n.  When none answers no, the level runs on ``g``,
-    and so does every level above it.  No level tries minors when the
-    largest one's min-degree width is below ``upper`` - 1: contraction lost
-    the top levels, and the low ones cost little on ``g``.  The levels run
-    on one graph share one analysis of its candidate sets, whose facts do
-    not depend on k.  Each level's stats go to ``stats_out`` as it
+    ``MINOR_SHARE`` of n.  When none answers no, the chain is dropped and
+    the level runs on ``g``, and so does every level above it.  If minors
+    answered yes at that level, the largest one's decomposition is lifted to
+    ``g`` through its branch sets, narrowed (:func:`~twsolve.tdbuild.narrow`)
+    and validated against ``g``, which raises :class:`AuditError` on
+    failure: the level accepts with it, without running on ``g``, if its
+    width is at most k, and otherwise it becomes the bound and decomposition
+    of ``g`` if it is narrower than ``upper``.  No level tries minors when
+    the largest one's min-degree width is below ``upper`` - 1: contraction
+    lost the top levels, and the low ones cost little on ``g``.  The levels
+    run on one graph share one analysis of its candidate sets, whose facts
+    do not depend on k.  Each level's stats go to ``stats_out`` as it
     finishes, with the n of the graph it ran on.  At the deadline it raises
     :class:`SolverTimeout` with the bound that the levels run certify: one
     above the last level that answered no, on ``g`` or on an audited minor,
-    or the minimum degree of ``g`` when none did.  A yes on a minor
-    certifies nothing.
+    or the minimum degree of ``g`` when none did.
 
     ``upper`` is the width of a decomposition the caller already holds:
     levels stop below it, and when none of them accepts (or none runs) the
-    result is ``(upper, None)``.  That width is the treewidth when level
-    ``upper`` - 1 ran negative or ``upper`` is the minimum degree; otherwise
-    it is only known to be at most ``lower``.  Likewise an accepting level at
-    ``lower`` only bounds the treewidth from above.  Without ``lower`` and
-    ``upper`` the result is exact; without ``upper`` some level below n must
-    accept, and a run in which none does raises :class:`AuditError`.
+    result is ``(upper, None)``, or the narrower lifted decomposition with
+    its width.  That width is the treewidth when the level below it ran
+    negative or it is the minimum degree; otherwise it is only known to be
+    at most ``lower``.  Likewise an accepting level at ``lower`` only bounds
+    the treewidth from above.  Without ``lower`` and ``upper`` the result
+    is exact.  Without ``upper``, ``lower`` must leave a level below n, and
+    a run that neither accepts a level nor lifts a decomposition raises
+    :class:`AuditError`.
     """
     if g.n == 0:
         raise ValueError("treewidth requires a non-empty graph")
     start = max(lower, max(1, g.min_degree()) if g.n > 1 else 0)
+    if upper is None and start >= g.n:
+        raise ValueError(f"no width bound from {start} lies below n={g.n}")
     chain = minors.contraction_chain(g, start + 2, int(MINOR_SHARE * g.n))
     if chain and upper is not None and max(
             map(int.bit_count, greedy_elimination(chain[0][0], "min_degree")[1])) < upper - 1:
@@ -404,25 +419,34 @@ def treewidth(
         chain = []
     chain = {h.n: (_Analysis(h), branch) for h, branch in chain}
     analysis = _Analysis(g)
+    top = g.n if upper is None else upper
+    best = None
     size = 0
     bound = g.min_degree()
+    k = start
     try:
-        for k in range(start, g.n if upper is None else upper):
-            size = _certify_on_minor(g, k, chain, max(size, k + 2), deadline, stats_out)
+        while k < top:
+            size, yes = _certify_on_minor(g, k, chain, max(size, k + 2), deadline, stats_out)
             if not size:
                 # no minor up to the cap answers no at k, so none answers no above k
                 chain = {}
+                if yes is not None:
+                    td = _lift(g, *yes)
+                    if td.width() <= k:
+                        return k, td
+                    if td.width() < top:
+                        top, best = td.width(), td
                 res = decide(g, k, deadline=deadline, _analysis=analysis)
                 if stats_out is not None:
                     stats_out.append(res.stats)
                 if res.answer:
-                    return k, res.witness
-            bound = k + 1
+                    return k, extract(g, res.witness)
+            bound = k = k + 1
     except SolverTimeout:
         raise SolverTimeout(bound) from None
-    if upper is None:
+    if upper is None and best is None:
         raise AuditError("decision procedure failed to accept at the trivial bound")
-    return upper, None
+    return top, best
 
 
 def _certify_on_minor(
@@ -432,13 +456,15 @@ def _certify_on_minor(
     size: int,
     deadline: float | None,
     stats_out: list[SolverStats] | None,
-) -> int:
+) -> tuple[int, tuple[Graph, list[int], Witness] | None]:
     """Run level k on the minors of ``chain`` (keyed by size, each with its
     analysis and branch sets) of sizes ``size``, ``size`` + 1, ``size`` + 3,
     ... while the chain has them.  Returns the size of the first minor that
-    answers no, once its branch sets pass the audit against ``g``, or 0
-    when none does."""
+    answers no, once its branch sets pass the audit against ``g``, with
+    None; or 0 when none does, with the largest minor that answered yes,
+    its branch sets and its witness (None when no minor ran)."""
     step = 1
+    yes = None
     while size in chain:
         facts, branch = chain[size]
         res = decide(facts.g, k, deadline=deadline, _analysis=facts)
@@ -447,6 +473,18 @@ def _certify_on_minor(
         if stats_out is not None:
             stats_out.append(res.stats)
         if not res.answer:
-            return size
+            return size, None
+        yes = facts.g, branch, res.witness
         size, step = size + step, 2 * step
-    return 0
+    return 0, yes
+
+
+def _lift(g: Graph, h: Graph, branch: list[int], witness: Witness) -> TreeDecomposition:
+    """The decomposition of ``g`` from a yes on its minor ``h``: the minor's
+    decomposition lifted through the branch sets and narrowed, returned only
+    once it passes :func:`~twsolve.tdbuild.validate` against ``g``."""
+    td = narrow(g, lift(extract(h, witness), branch, g.n))
+    problems = validate(g, td)
+    if problems:
+        raise AuditError(f"lifted decomposition failed validation: {problems[:3]}")
+    return td

@@ -1,5 +1,5 @@
 """Tree decompositions: extraction from accepting witnesses, construction
-from elimination orders, and validation.
+from elimination orders, lifting from a minor, narrowing, and validation.
 
 The validator shares only the graph layer with the solver, so it can audit
 decompositions produced elsewhere.
@@ -8,11 +8,15 @@ decompositions produced elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .graph import AuditError, Graph, bit_list, bits
-from .solver import Witness
+from .graph import AuditError, Graph, bit_list, bits, is_clique_in
 
-__all__ = ["TreeDecomposition", "Violation", "contract", "from_elimination", "extract", "validate"]
+if TYPE_CHECKING:
+    from .solver import Witness
+
+__all__ = ["TreeDecomposition", "Violation", "contract", "extract", "from_elimination", "lift",
+           "narrow", "validate"]
 
 
 @dataclass
@@ -91,6 +95,77 @@ def from_elimination(g: Graph, order: list[int], neighborhoods: list[int]) -> Tr
         for i, nb in enumerate(neighborhoods[:last])
     ]
     return contract(TreeDecomposition(g.n, bags, edges))
+
+
+def lift(td: TreeDecomposition, branch: list[int], n: int) -> TreeDecomposition:
+    """The decomposition ``td`` of a minor with each of its vertices replaced
+    by its branch set: a decomposition of the graph on ``n`` vertices whose
+    minor the branch sets realize.  An edge of that graph lies inside a
+    branch set or joins two whose vertices are adjacent in the minor, and the
+    bags holding a vertex are those holding the minor vertex it went into."""
+    bags = []
+    for b in td.bags:
+        lifted = 0
+        for v in bits(b):
+            lifted |= branch[v]
+        bags.append(lifted)
+    return TreeDecomposition(n, bags, list(td.edges))
+
+
+def narrow(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
+    """A decomposition of ``g`` from a minimal triangulation inside the one
+    that ``td`` defines, so never wider than ``td``.
+
+    Making every bag a clique gives a chordal supergraph H of ``g``.  A fill
+    edge uv (an edge of H that ``g`` lacks) leaves H chordal when removed
+    exactly when the common neighbours of u and v in H form a clique; such
+    edges go until none is left, which makes H a minimal triangulation
+    (Blair, Heggernes & Telle, "A practical algorithm for making filled
+    graphs minimal", TCS 2001).  ``g`` is then eliminated along a perfect
+    elimination order of H, found by maximum cardinality search, whose
+    neighbourhoods give the decomposition.
+    """
+    n = g.n
+    adj = list(g.adj)
+    for b in td.bags:
+        for v in bits(b):
+            adj[v] |= b & ~(1 << v)
+    fill = [(u, v) for u in range(n) for v in bits(adj[u] & ~g.adj[u] & -(2 << u))]
+    # removing uv changes only the common neighbourhoods of edges at u or v,
+    # so a pass rechecks only the edges at a vertex the pass before changed
+    changed = g.full_mask
+    while changed:
+        touched, changed, kept = changed, 0, []
+        for u, v in fill:
+            if (touched >> u | touched >> v) & 1 and is_clique_in(adj, adj[u] & adj[v]):
+                adj[u] &= ~(1 << v)
+                adj[v] &= ~(1 << u)
+                changed |= 1 << u | 1 << v
+            else:
+                kept.append((u, v))
+        fill = kept
+    # maximum cardinality search visits a chordal graph in the reverse of a
+    # perfect elimination order
+    weight = [0] * n
+    unvisited = g.full_mask
+    order = []
+    for _ in range(n):
+        v = max(bits(unvisited), key=weight.__getitem__)
+        order.append(v)
+        unvisited &= ~(1 << v)
+        for w in bits(adj[v] & unvisited):
+            weight[w] += 1
+    order.reverse()
+    adj = list(g.adj)
+    alive = g.full_mask
+    neighborhoods = []
+    for v in order:
+        nb = adj[v] & alive
+        for w in bits(nb):
+            adj[w] |= nb & ~(1 << w)
+        alive &= ~(1 << v)
+        neighborhoods.append(nb)
+    return from_elimination(g, order, neighborhoods)
 
 
 def contract(td: TreeDecomposition) -> TreeDecomposition:

@@ -21,7 +21,7 @@ from twsolve.families import mycielski_graph, queen_graph, random_connected_grap
 from twsolve.graph import Graph
 from twsolve.sieve import SieveBank, linear_scan_supersets
 from twsolve.solver import decide, treewidth
-from twsolve.tdbuild import extract, validate
+from twsolve.tdbuild import validate
 
 from conftest import INSTANCE_DIR, decompose_with_splits, split_parts
 
@@ -112,10 +112,9 @@ def test_criterion3_oracle_equivalence_300():
             for rep in range(10):
                 seed = n * 1000 + mult_num * 100 + rep
                 g = random_connected_graph(n, m, seed)
-                tw, witness = treewidth(g)
+                tw, td = treewidth(g)
                 bf = oracle.bf_treewidth(g)
                 assert tw == bf, f"n={n} m={m} rep={rep}: solver {tw} oracle {bf}"
-                td = extract(g, witness)
                 ok = validate(g, td) == [] and td.width() == tw
                 validated_runs.append((f"rand-{seed}", ok))
                 assert ok

@@ -42,7 +42,7 @@ def test_exact_writes_valid_td_and_stats(tmp_graph_file, tmp_path, capsys):
     }
     checks = stats["safe_separators"]
     assert checks["checks"] == checks["yes"] + checks["dont_know"] + checks["aborted"]
-    assert set(stats["parts"]) == {"total", "settled_by_bound", "levels"}
+    assert set(stats["parts"]) == {"total", "settled_by_bound", "lifted", "levels"}
     assert set(stats["reduction"]) == {"removed", "low"}
     assert 0 < stats["reduction"]["low"] <= tw
 
@@ -156,8 +156,8 @@ def test_lb_starts_later_components_at_best_bound(tmp_graph_file, capsys, decide
 
 
 def test_broken_witness_chain_exit_code(tmp_graph_file, capsys, monkeypatch):
-    from twsolve import pipeline
-    from twsolve.solver import PmcRecord, Witness
+    from twsolve import pipeline, solver
+    from twsolve.solver import DecideResult, PmcRecord, SolverStats, Witness
 
     # the reduction removes nothing, and one part runs levels 3 and 4
     g = mycielski_graph(3)
@@ -165,11 +165,14 @@ def test_broken_witness_chain_exit_code(tmp_graph_file, capsys, monkeypatch):
     assert report.reduction["removed"] == 0 and report.parts["total"] == 1
     assert {r["k"] for r in report.levels} == {3, 4}
 
-    def broken(graph, **kwargs):
-        # the root's support component has no source clique
-        return 1, Witness(0b11, {0b11: PmcRecord(0b11, 0, (0b100,))}, {})
+    def broken(h, k, **kwargs):
+        # every level accepts, but the root's support component has no
+        # source clique, whether the witness is extracted for the part or
+        # for a minor whose decomposition is lifted
+        witness = Witness(0b11, {0b11: PmcRecord(0b11, 0, (0b100,))}, {})
+        return DecideResult(True, SolverStats(h.n, k, True), witness)
 
-    monkeypatch.setattr(pipeline, "treewidth", broken)
+    monkeypatch.setattr(solver, "decide", broken)
     path = tmp_graph_file("m3.gr", _gr_text(g))
     assert main(["exact", path]) == 3
     assert "broken witness chain" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from twsolve.families import (
 from twsolve.graph import AuditError, Graph, vset
 from twsolve.paceio import write_gr
 from twsolve.solver import SolverTimeout
-from twsolve.tdbuild import extract, validate
+from twsolve.tdbuild import validate
 
 from conftest import decompose_with_splits, disjoint_union, octahedron_chain, triangle_chain
 
@@ -131,16 +131,15 @@ def test_pipeline_matches_oracle_and_toggle():
         assert td.width() == tw
         assert tw == oracle.bf_treewidth(g)
         # the solver alone, without the reduction and the splitting
-        tw2, witness = solver.treewidth(g)
+        tw2, td2 = solver.treewidth(g)
         assert tw2 == tw
-        assert validate(g, extract(g, witness)) == []
+        assert validate(g, td2) == []
 
 
 def test_pipeline_larger_sparse_graph_consistency():
     g = random_connected_graph(34, 40, 2718)
     tw_a, td_a, rep = pipeline.solve(g)
-    tw_b, witness = solver.treewidth(g)
-    td_b = extract(g, witness)
+    tw_b, td_b = solver.treewidth(g)
     assert tw_a == tw_b
     assert validate(g, td_a) == [] and validate(g, td_b) == []
     assert td_a.width() == tw_a and td_b.width() == tw_b
@@ -167,20 +166,21 @@ def test_report_shape(monkeypatch):
         "max_part": 0, "checks": 0, "yes": 0, "dont_know": 0, "aborted": 0, "steps": 0,
     }
     assert d["time_ms"] >= 0.0
-    assert d["parts"] == {"total": 0, "settled_by_bound": 0, "levels": 0}
+    assert d["parts"] == {"total": 0, "settled_by_bound": 0, "lifted": 0, "levels": 0}
     assert set(d["counters"].values()) == {0}
     # the octahedron's elimination width 4 equals its minimum degree: no level runs
     d = pipeline.solve(octahedron_chain(1))[2].as_dict()
     assert d["tw"] == 4
     assert d["reduction"] == {"removed": 0, "low": 2}
     assert d["safe_separators"]["yes"] == 0 and d["safe_separators"]["max_part"] == 6
-    assert d["parts"] == {"total": 1, "settled_by_bound": 1, "levels": 0}
+    assert d["parts"] == {"total": 1, "settled_by_bound": 1, "lifted": 0, "levels": 0}
     assert set(d["counters"].values()) == {0}
     # the reduction removes one vertex and no separator applies; on the other
     # nine, level 4 is negative (on a minor) and level 5 accepts on the part,
     # below the elimination width 6
     d = pipeline.solve(random_connected_graph(10, 25, 12))[2].as_dict()
-    assert d["parts"] == {"total": 1, "settled_by_bound": 0, "levels": len(d["levels"])}
+    assert d["parts"] == {"total": 1, "settled_by_bound": 0, "lifted": 0,
+                          "levels": len(d["levels"])}
     assert [(r["k"], r["answer"]) for r in d["levels"] if not r["answer"] or r["n"] == 9] == [
         (4, False), (5, True)]
     assert d["counters"]["pmcs_feasible"] > 0
@@ -311,7 +311,8 @@ def test_negative_level_below_elimination_width_settles(decided_levels):
     assert all(r["answer"] for r in report.levels[:-1])
     assert tw == td.width() == 4
     assert validate(g, td) == []
-    assert report.parts == {"total": 1, "settled_by_bound": 1, "levels": len(decided_levels)}
+    assert report.parts == {"total": 1, "settled_by_bound": 1, "lifted": 0,
+                            "levels": len(decided_levels)}
 
 
 def test_no_level_runs_on_parts_settled_by_bound(decided_levels):
@@ -340,7 +341,7 @@ def test_parallel_jobs_agree_when_running_maximum_prunes():
         assert report.reduction["removed"] == 0
         assert tw == td.width() == 4
         assert validate(g, td) == []
-        assert report.parts == {"total": 4, "settled_by_bound": 3,
+        assert report.parts == {"total": 4, "settled_by_bound": 3, "lifted": 0,
                                 "levels": len(report.levels)}
         assert {(r["part"], r["k"]) for r in report.levels} == {(0, 3), (1, 4)}
         assert [(r["part"], r["n"], r["k"]) for r in report.levels if not r["answer"]] == [
@@ -443,8 +444,13 @@ def test_levels_record_the_n_of_the_graph_they_ran_on():
     tw, td, report = pipeline.solve(g)
     assert tw == 19 and report.parts["total"] == 1
     assert any(r["n"] < 47 and not r["answer"] for r in report.levels)
+    # level 19 accepts on the 36-vertex minor, whose decomposition, lifted
+    # to the part and narrowed, has width 19: the part runs no level 19
     assert (report.levels[-1]["n"], report.levels[-1]["k"], report.levels[-1]["answer"]) == (
-        47, 19, True)
+        36, 19, True)
+    assert not any(r["n"] == 47 and r["k"] == 19 for r in report.levels)
+    assert report.parts["lifted"] == 1 and set(report.counters.values()) == {0}
+    assert td.width() == 19 and validate(g, td) == []
     assert all(r["k"] + 2 <= r["n"] <= 47 for r in report.levels)
 
 

@@ -19,8 +19,8 @@ from twsolve.families import (
 from twsolve.graph import AuditError, Graph
 from twsolve.safesep import greedy_elimination
 from twsolve.sieve import SieveBank, linear_scan_supersets
-from twsolve.solver import SolverTimeout, Witness, decide, treewidth
-from twsolve.tdbuild import extract, validate
+from twsolve.solver import SolverTimeout, decide, treewidth
+from twsolve.tdbuild import TreeDecomposition, extract, validate
 
 from conftest import check_search, checked_searches, connected_graphs
 
@@ -79,8 +79,7 @@ def test_treewidth_complete_bipartite():
 
 def test_witness_yields_valid_decomposition():
     g = cycle_graph(4)
-    tw, wit = treewidth(g)
-    td = extract(g, wit)
+    tw, td = treewidth(g)
     assert validate(g, td) == []
     assert td.width() == tw == 2
 
@@ -90,10 +89,9 @@ def test_oracle_equivalence_small():
         n = 4 + seed % 8
         g = random_connected_graph(n, 2 * n, 900 + seed)
         with checked_searches() as checked:
-            tw, wit = treewidth(g)
+            tw, td = treewidth(g)
         assert checked
         assert tw == oracle.bf_treewidth(g), f"seed {seed}"
-        td = extract(g, wit)
         assert validate(g, td) == []
         assert td.width() == tw
 
@@ -171,7 +169,7 @@ def test_stats_counters_consistent():
     assert res.stats.k == 4 and res.stats.n == 9
 
 
-def _levels(g: Graph, **bounds) -> tuple[tuple[int, Witness | None], list[tuple]]:
+def _levels(g: Graph, **bounds) -> tuple[tuple[int, TreeDecomposition | None], list[tuple]]:
     """``treewidth``'s result with the (n, k, answer) of every level it ran."""
     stats: list[solver.SolverStats] = []
     result = treewidth(g, stats_out=stats, **bounds)
@@ -182,14 +180,16 @@ def test_levels_ascend_from_min_degree_to_first_acceptance():
     graphs = [path_graph(6), cycle_graph(6), complete_graph(5), grid_graph(3, 3),
               random_connected_graph(10, 18, 3), mycielski_graph(4)]
     for g in graphs:
-        (tw, witness), ran = _levels(g)
-        assert tw == (10 if g.n == 23 else oracle.bf_treewidth(g)) and witness is not None
+        (tw, td), ran = _levels(g)
+        assert tw == (10 if g.n == 23 else oracle.bf_treewidth(g))
+        assert validate(g, td) == [] and td.width() == tw
         start = max(1, g.min_degree())
         # each level below tw answers no once, on g or on a minor of it, and
-        # level tw accepts on g, last
+        # level tw accepts last: on g, or on the largest minor that ran it
+        # when that minor's lifted decomposition has width tw
         assert [k for _, k, answer in ran if not answer] == list(range(start, tw))
         assert [k for _, k, _ in ran] == sorted(k for _, k, _ in ran)
-        assert ran[-1] == (g.n, tw, True)
+        assert ran[-1][1:] == (tw, True)
         # minors lie between k + 2 vertices and the cap; once a level runs on
         # g, every level after it does
         on_g = [n == g.n for n, _, _ in ran]
@@ -201,20 +201,34 @@ def test_levels_ascend_from_min_degree_to_first_acceptance():
 
 def test_levels_between_bounds():
     g = grid_graph(3, 3)  # minimum degree 2, treewidth 3
-    (tw, witness), ran = _levels(g, lower=3)
-    assert tw == 3 and witness is not None and {k for _, k, _ in ran} == {3}
-    assert ran[-1] == (9, 3, True)
+    (tw, td), ran = _levels(g, lower=3)
+    assert tw == td.width() == 3 and {k for _, k, _ in ran} == {3}
+    # the 6-vertex minor accepts level 3, and its lifted decomposition has
+    # width 3, so level 3 does not run on g
+    assert ran[-1] == (6, 3, True) and all(n < 9 for n, _, _ in ran)
+    assert validate(g, td) == []
     # level 2 negative, on a minor: exact
     assert _levels(g, upper=3) == ((3, None), [(4, 2, False)])
     assert _levels(g, lower=4, upper=4) == ((4, None), [])
     assert _levels(g, upper=2) == ((2, None), [])  # empty range
-    tw, wit = treewidth(g, lower=2, upper=5)
-    assert tw == 3 and wit is not None
+    tw, td = treewidth(g, lower=2, upper=5)
+    assert tw == td.width() == 3
+
+
+def test_myciel5_accepts_level_19_through_a_lifted_minor():
+    g = mycielski_graph(5)
+    stats: list[solver.SolverStats] = []
+    tw, td = treewidth(g, stats_out=stats)
+    assert tw == td.width() == 19 and validate(g, td) == []
+    # every minor tried at level 19 answers yes; the largest one's
+    # decomposition, lifted and narrowed, has width 19, so g runs no level 19
+    assert (stats[-1].n, stats[-1].k, stats[-1].answer) == (36, 19, True)
+    assert not any(s.n == g.n and s.k == 19 for s in stats)
 
 
 def test_levels_raise_when_no_level_accepts(monkeypatch):
-    with pytest.raises(AuditError, match="failed to accept"):
-        treewidth(path_graph(3), lower=3)  # no level below n remains
+    with pytest.raises(ValueError, match="below n=3"):
+        treewidth(path_graph(3), lower=3)  # a bad bound: no level below n remains
 
     def reject(g, k, **kwargs):
         return solver.DecideResult(False, solver.SolverStats(g.n, k, False))
@@ -338,10 +352,17 @@ def test_levels_match_fresh_decisions_hypothesis(g):
     graphs[g.n] = g
     stats: list[solver.SolverStats] = []
     with checked_searches() as checked:
-        tw, witness = treewidth(g, stats_out=stats)
+        tw, td = treewidth(g, stats_out=stats)
         fresh = [decide(graphs[s.n], s.k) for s in stats]
     assert [_counts(s) for s in stats] == [_counts(res.stats) for res in fresh]
-    assert witness == fresh[-1].witness and stats[-1].n == g.n
+    last = stats[-1]
+    if last.answer and last.n == g.n:
+        assert last.k == tw and td == extract(g, fresh[-1].witness)
+    else:
+        # a decomposition lifted from a minor: level tw accepted on that
+        # minor, or the lift set the bound tw and level tw - 1 answered no
+        assert validate(g, td) == [] and td.width() == tw
+        assert last.k == (tw if last.answer else tw - 1)
     assert len(checked) == 2 * len(stats)
 
 

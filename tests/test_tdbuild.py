@@ -7,23 +7,32 @@ from twsolve.families import (
     star_graph,
 )
 from twsolve.graph import Graph, bits
+from twsolve.minors import contraction_chain
 from twsolve.safesep import greedy_elimination
-from twsolve.solver import treewidth
+from twsolve.solver import decide, treewidth
 from twsolve.tdbuild import (
     TreeDecomposition,
     Violation,
     contract,
     extract,
     from_elimination,
+    lift,
+    narrow,
     validate,
 )
 
 from conftest import connected_graphs, mask
 
 
+def accepting_witness(g: Graph):
+    """The treewidth of ``g`` with the witness of level tw run on ``g``."""
+    tw = treewidth(g)[0]
+    return tw, decide(g, tw).witness
+
+
 def test_extract_triangle_single_bag():
     g = complete_graph(3)
-    tw, wit = treewidth(g)
+    tw, wit = accepting_witness(g)
     td = extract(g, wit)
     assert tw == 2
     assert td.bags == [mask(0, 1, 2)]
@@ -32,7 +41,7 @@ def test_extract_triangle_single_bag():
 
 def test_extract_cycle():
     g = cycle_graph(4)
-    tw, wit = treewidth(g)
+    tw, wit = accepting_witness(g)
     td = extract(g, wit)
     assert td.width() == 2
     assert len(td.bags) == 2
@@ -41,7 +50,7 @@ def test_extract_cycle():
 
 def test_extract_star():
     g = star_graph(3)
-    tw, wit = treewidth(g)
+    tw, wit = accepting_witness(g)
     td = extract(g, wit)
     assert tw == 1
     assert sorted(b.bit_count() for b in td.bags) == [2, 2, 2]
@@ -53,7 +62,7 @@ def test_extraction_pipeline_property():
     for seed in range(100):
         n = 4 + seed % 9
         g = random_connected_graph(n, int(1.6 * n) + seed % 3, 5000 + seed)
-        tw, wit = treewidth(g)
+        tw, wit = accepting_witness(g)
         td = extract(g, wit)
         assert validate(g, td) == []
         assert td.width() == tw
@@ -207,7 +216,7 @@ def test_contraction_leaves_the_distinct_maximal_bags(data, g):
     position = {v: i for i, v in enumerate(order)}
     edges = [(min(position[u] for u in bits(nb)), i) for i, nb in enumerate(nbs[:-1])]
     assert_contracted(g, contract(TreeDecomposition(g.n, bags, edges)), bags)
-    _, witness = treewidth(g)
+    _, witness = accepting_witness(g)
     assert_contracted(g, extract(g, witness), witness_bags(witness))
 
 
@@ -228,3 +237,59 @@ def test_contraction_keeps_each_remaining_edge_once(data, g):
     td = contract(TreeDecomposition(g.n, bags, edges))
     assert validate(g, td) == []
     assert len({frozenset(e) for e in td.edges}) == len(td.edges) == len(td.bags) - 1
+
+
+# -- lifting a minor's decomposition and narrowing it -----------------------
+
+
+def is_chordal(adj: list[int], alive: int) -> bool:
+    """Whether the graph on ``alive`` is chordal: it is exactly when a
+    simplicial vertex can be removed again and again until none is left."""
+    while alive:
+        for v in bits(alive):
+            nb = adj[v] & alive
+            if all(nb & ~adj[u] == 1 << u for u in bits(nb)):
+                alive &= ~(1 << v)
+                break
+        else:
+            return False
+    return True
+
+
+def assert_minimal_triangulation(g: Graph, td: TreeDecomposition) -> None:
+    """``g`` with every bag of ``td`` made a clique is chordal, and removing
+    any of its fill edges breaks that: it is a minimal triangulation."""
+    adj = list(g.adj)
+    for b in td.bags:
+        for v in bits(b):
+            adj[v] |= b & ~(1 << v)
+    assert is_chordal(adj, g.full_mask)
+    for u in range(g.n):
+        for v in bits(adj[u] & ~g.adj[u] & -(2 << u)):
+            without = list(adj)
+            without[u] &= ~(1 << v)
+            without[v] &= ~(1 << u)
+            assert not is_chordal(without, g.full_mask), (u, v)
+
+
+@given(st.data(), connected_graphs(max_n=12, min_n=4))
+def test_lifted_minor_decomposition_validates(data, g):
+    size = data.draw(st.integers(2, g.n - 1))
+    h, branch = contraction_chain(g, size, size)[0]
+    tw_h = treewidth(h)[0]
+    lifted = lift(extract(h, decide(h, tw_h).witness), branch, g.n)
+    assert validate(g, lifted) == []
+    narrowed = narrow(g, lifted)
+    assert validate(g, narrowed) == []
+    assert narrowed.width() <= lifted.width()
+    assert_minimal_triangulation(g, narrowed)
+
+
+@given(st.data(), connected_graphs(max_n=12))
+def test_narrow_leaves_no_removable_fill_edge(data, g):
+    order = data.draw(st.permutations(range(g.n)))
+    td = from_elimination(g, order, fill_neighborhoods(g, order))
+    narrowed = narrow(g, td)
+    assert validate(g, narrowed) == []
+    assert narrowed.width() <= td.width()
+    assert_minimal_triangulation(g, narrowed)
