@@ -17,7 +17,6 @@ members are always inbound.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable
 
 from .graph import Graph
@@ -25,32 +24,16 @@ from .graph import Graph
 __all__ = [
     "is_cliquish",
     "is_minimal_separator",
-    "is_outbound",
     "is_pmc",
     "outlet_and_support",
 ]
 
 
-def first_full_component(g: Graph, s: int) -> int:
-    """The full component of ``s`` with the smallest minimum vertex, or 0."""
-    comps_nbs = g.components_with_neighborhoods(s, until_full=True)
-    if comps_nbs and comps_nbs[-1][1] == s:
-        return comps_nbs[-1][0]
-    return 0
-
-
-def is_minimal_separator(
-    g: Graph, s: int, comps_nbs: list[tuple[int, int]] | None = None
-) -> bool:
-    """True iff at least two full components are associated with ``s``.
-
-    ``comps_nbs`` may carry the precomputed components associated with ``s``
-    and their neighborhoods.
-    """
-    if comps_nbs is None:
-        comps_nbs = g.components_with_neighborhoods(s)
+def is_minimal_separator(s: int, comps_nbs: list[tuple[int, int]]) -> bool:
+    """True iff at least two full components are associated with ``s``,
+    given the components associated with ``s`` and their neighborhoods."""
     count = 0
-    for c, nb in comps_nbs:
+    for _, nb in comps_nbs:
         if nb == s:
             count += 1
             if count == 2:
@@ -58,22 +41,19 @@ def is_minimal_separator(
     return False
 
 
-def is_cliquish(g: Graph, k_set: int, comp_nbs: list[int] | None = None) -> bool:
+def is_cliquish(g: Graph, k_set: int, comp_nbs: list[int]) -> bool:
     """True iff every non-adjacent pair in ``k_set`` lies in some component neighborhood.
 
-    ``comp_nbs`` may carry precomputed neighborhoods of the components
-    associated with ``k_set``.  A vertex u of K is fine when it is adjacent
-    to every other vertex of K outside ``cov``, the union of the
-    neighborhoods that contain u.  Vertices that lie in exactly the same
-    neighborhoods share ``cov``, so with fewer such classes (at most 2^c for
-    c components) than vertices, each class V is checked at once: every
-    vertex of V must be adjacent to every other vertex of R = K - cov, which
-    is symmetric, so the smaller of V and R is scanned.  With many
-    components the classes cost more than they save, and each vertex of K
-    collects its ``cov`` instead.
+    ``comp_nbs`` holds the neighborhoods of the components associated with
+    ``k_set``.  A vertex u of K is fine when it is adjacent to every other
+    vertex of K outside ``cov``, the union of the neighborhoods that contain
+    u.  Vertices that lie in exactly the same neighborhoods share ``cov``, so
+    with fewer such classes (at most 2^c for c components) than vertices,
+    each class V is checked at once: every vertex of V must be adjacent to
+    every other vertex of R = K - cov, which is symmetric, so the smaller of
+    V and R is scanned.  With many components the classes cost more than
+    they save, and each vertex of K collects its ``cov`` instead.
     """
-    if comp_nbs is None:
-        comp_nbs = [nb for _, nb in g.components_with_neighborhoods(k_set)]
     adj = g.adj
     if 1 << len(comp_nbs) < k_set.bit_count():
         classes = [(k_set, 0)]
@@ -121,34 +101,18 @@ def is_pmc(g: Graph, k_set: int) -> bool:
     return is_cliquish(g, k_set, [nb for _, nb in comps_nbs])
 
 
-def is_outbound(g: Graph, c: int) -> bool:
-    """True iff no full component associated with N(c) precedes ``c``.
-
-    Equivalently ``c`` is the first full component of its own neighborhood;
-    if N(c) is not a minimal separator this holds vacuously.
-    """
-    return first_full_component(g, g.open_neighborhood(c)) == c
-
-
 def outlet_and_support(
-    g: Graph,
-    k_set: int,
-    comps_nbs: list[tuple[int, int]] | None = None,
-    full_component: Callable[[int], int] | None = None,
+    k_set: int, comps_nbs: list[tuple[int, int]], full_component: Callable[[int], int]
 ) -> tuple[int, tuple[int, ...]]:
     """Outlet of a cliquish set together with its support components.
 
     The support is listed ascending by minimum vertex.  With an outlet S, the
     crib ``k_set - S`` plus the support is the full component of S that a
-    feasible ``k_set`` emits as an inbound block.  ``comps_nbs`` may carry the
-    precomputed components associated with ``k_set`` and their
-    neighborhoods, and ``full_component`` a lookup that returns
-    :func:`first_full_component` of a separator.
+    feasible ``k_set`` emits as an inbound block.  ``comps_nbs`` holds the
+    components associated with ``k_set`` and their neighborhoods, and
+    ``full_component`` is a lookup that returns the full component of a
+    separator with the smallest minimum vertex, or 0 when it has none.
     """
-    if comps_nbs is None:
-        comps_nbs = g.components_with_neighborhoods(k_set)
-    if full_component is None:
-        full_component = partial(first_full_component, g)
     out = 0
     for c, nb in comps_nbs:
         # outbound iff c is the first full component of its own neighborhood

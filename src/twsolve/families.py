@@ -1,9 +1,10 @@
-"""Deterministic graph constructions used by tests, benchmarks, and scripts.
+"""Deterministic graph families for the benchmarks, scripts and tests.
 
 The Mycielski and queen families coincide with the classic coloring
 benchmark instances of the same names (vertex and edge counts match the
 published ones), so the solver can be exercised on them without instance
-files.
+files.  The random connected graphs make the seeded sparse workloads.
+Small textbook graphs that only the tests use are in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -13,53 +14,17 @@ import random
 from .graph import Graph
 
 __all__ = [
-    "complete_graph",
     "cycle_graph",
-    "grid_graph",
     "mycielski_graph",
-    "path_graph",
-    "petersen_graph",
     "queen_graph",
     "random_connected_graph",
-    "star_graph",
 ]
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle_graph needs n >= 3 vertices, got n={n}")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
-def star_graph(leaves: int) -> Graph:
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def grid_graph(rows: int, cols: int) -> Graph:
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return Graph(rows * cols, edges)
-
-
-def petersen_graph() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return Graph(10, outer + inner + spokes)
 
 
 def _mycielskian(g: Graph) -> Graph:

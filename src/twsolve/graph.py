@@ -169,9 +169,6 @@ class Graph:
             comp |= frontier
         return comp == u
 
-    def is_clique(self, u: int) -> bool:
-        return is_clique_in(self.adj, u)
-
     def subgraph(self, u: int, make_clique: int = 0) -> tuple["Graph", list[int]]:
         """Induced subgraph on ``u``, optionally completing ``make_clique & u``.
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .blocks import is_minimal_separator
-from .graph import Graph, bit_list, bits, vset
+from .graph import Graph, bit_list, bits, is_clique_in, vset
 from .minors import audit
 
 __all__ = [
@@ -154,21 +154,17 @@ def simplicial_reduction(g: Graph) -> tuple[Graph, list[int], int, list[tuple[in
     m = g.edge_count
     low = 2 if m > g.n - len(g.components(0)) else min(m, 1)
     removed: list[tuple[int, int]] = []
-
-    def clique(s: int) -> bool:
-        return all(s & ~adj[u] == 1 << u for u in bits(s))
-
     todo = alive
     while todo:
         v = (todo & -todo).bit_length() - 1
         todo ^= 1 << v
         nb = adj[v]
         d = nb.bit_count()
-        if clique(nb):
+        if is_clique_in(adj, nb):
             if d > low:
                 low = d
                 todo |= alive  # almost-simplicial vertices of degree up to d now qualify
-        elif d <= low and any(clique(nb & ~(1 << u)) for u in bits(nb)):
+        elif d <= low and any(is_clique_in(adj, nb & ~(1 << u)) for u in bits(nb)):
             for u in bits(nb):
                 adj[u] |= nb & ~(1 << u)
                 todo |= adj[u]  # the fill edges lie in the neighborhoods of these
@@ -191,24 +187,25 @@ def _eliminations(g: Graph) -> list[tuple[list[int], list[int]]]:
 
 
 def candidate_separators(
-    g: Graph, elims: list[tuple[list[int], list[int]]] | None = None
+    g: Graph, elims: list[tuple[list[int], list[int]]]
 ) -> list[tuple[int, list[tuple[int, int]]]]:
     """Minimal separators harvested from greedy elimination decompositions,
     each with its components and their neighborhoods.
 
-    Uses the min-fill and min-degree eliminations (computed unless given);
-    the neighborhood of each vertex at its elimination time is an
-    adjacent-bag intersection of the resulting decomposition.  Deduplicated,
-    filtered to minimal separators, sizes ascending.
+    ``elims`` holds eliminations of ``g`` (order and neighborhoods, as
+    :func:`greedy_elimination` returns them); the neighborhood of each vertex
+    at its elimination time is an adjacent-bag intersection of the resulting
+    decomposition.  Deduplicated, filtered to minimal separators, sizes
+    ascending.
     """
     seen: set[int] = set()
     out = []
-    for _, nbs in elims or _eliminations(g):
+    for _, nbs in elims:
         for s in nbs:
             if s and s not in seen:
                 seen.add(s)
                 comps_nbs = g.components_with_neighborhoods(s)
-                if is_minimal_separator(g, s, comps_nbs):
+                if is_minimal_separator(s, comps_nbs):
                     out.append((s, comps_nbs))
     out.sort(key=lambda e: (e[0].bit_count(), e[0]))
     return out
@@ -217,13 +214,13 @@ def candidate_separators(
 def is_almost_clique(g: Graph, s: int) -> int | None:
     """First vertex whose removal turns ``s`` into a clique, if any."""
     for v in bits(s):
-        if g.is_clique(s & ~(1 << v)):
+        if is_clique_in(g.adj, s & ~(1 << v)):
             return v
     return None
 
 
 def heuristic_minor_safe(
-    g: Graph, s: int, comps_nbs: list[tuple[int, int]] | None = None
+    g: Graph, s: int, comps_nbs: list[tuple[int, int]]
 ) -> SafeSeparatorReport:
     """Decide minor-safety of minimal separator ``s``: yes with audited
     evidence, don't-know, or aborted on budget exhaustion.
@@ -233,11 +230,9 @@ def heuristic_minor_safe(
     Phase one only merges clusters that touch ``s``, but every pair of
     adjacent clusters it passes over still counts one step, as if it had
     been evaluated.  The report's ``steps_used`` sums the steps of every
-    component searched.  ``comps_nbs`` may carry the precomputed components
-    associated with ``s`` and their neighborhoods.
+    component searched.  ``comps_nbs`` holds the components associated
+    with ``s`` and their neighborhoods.
     """
-    if comps_nbs is None:
-        comps_nbs = g.components_with_neighborhoods(s)
     comps = [c for c, _ in comps_nbs]
     apex = is_almost_clique(g, s)
     fulls = [c for c, nb in comps_nbs if nb == s]

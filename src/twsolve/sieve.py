@@ -77,15 +77,12 @@ class SieveBank:
         self.Q = [0] * n
         self.G = [0] * (k + 1)
         self._folded = 0
-        self._stored: set[int] = set()
 
     def store(self, u: int, n_u: int) -> None:
+        """Add ``u`` with its neighborhood ``n_u``; callers store a set once."""
         margin = self.k + 1 - n_u.bit_count()
         if not 1 <= margin <= self.k:
             raise AuditError("stored sets must have neighborhood size between 1 and k")
-        if u in self._stored:
-            return
-        self._stored.add(u)
         self.entries.append((u, n_u))
 
     def _fold(self) -> None:

@@ -148,7 +148,7 @@ class _Analysis(dict):
         elif is_cliquish(g, s, [nb for _, nb in comps_nbs]):
             # a component's neighborhood has that component as a full one,
             # so its fact is its first full component
-            fact = PmcRecord(s, *outlet_and_support(g, s, comps_nbs, self.__getitem__))
+            fact = PmcRecord(s, *outlet_and_support(s, comps_nbs, self.__getitem__))
         else:
             fact = 0
         self[s] = fact

@@ -121,9 +121,10 @@ def narrow(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     exactly when the common neighbours of u and v in H form a clique; such
     edges go until none is left, which makes H a minimal triangulation
     (Blair, Heggernes & Telle, "A practical algorithm for making filled
-    graphs minimal", TCS 2001).  ``g`` is then eliminated along a perfect
-    elimination order of H, found by maximum cardinality search, whose
-    neighbourhoods give the decomposition.
+    graphs minimal", TCS 2001).  The decomposition is read off H along a
+    perfect elimination order, found by maximum cardinality search: each
+    vertex with its later neighbours in H.  Eliminating ``g`` along that
+    order would fill in exactly H, since H is a minimal triangulation.
     """
     n = g.n
     adj = list(g.adj)
@@ -156,15 +157,11 @@ def narrow(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
         for w in bits(adj[v] & unvisited):
             weight[w] += 1
     order.reverse()
-    adj = list(g.adj)
-    alive = g.full_mask
+    later = g.full_mask
     neighborhoods = []
     for v in order:
-        nb = adj[v] & alive
-        for w in bits(nb):
-            adj[w] |= nb & ~(1 << w)
-        alive &= ~(1 << v)
-        neighborhoods.append(nb)
+        later &= ~(1 << v)
+        neighborhoods.append(adj[v] & later)
     return from_elimination(g, order, neighborhoods)
 
 

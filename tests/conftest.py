@@ -5,9 +5,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
-from twsolve import blocks, safesep, solver
+from twsolve import safesep, solver
 from twsolve.families import random_connected_graph
 from twsolve.graph import Graph, vset
+
+from reference import is_outbound
 
 settings.register_profile(
     "suite",
@@ -118,7 +120,7 @@ def outlets_nest(g: Graph, k_set: int) -> bool:
     outs = [
         nb
         for c, nb in g.components_with_neighborhoods(k_set)
-        if nb != k_set and blocks.is_outbound(g, c)
+        if nb != k_set and is_outbound(g, c)
     ]
     return all(a & ~b == 0 or b & ~a == 0 for a in outs for b in outs)
 
@@ -130,20 +132,21 @@ def check_search(search: solver._Search) -> None:
     neighborhood; every stored outbound block is outbound with the recorded
     neighborhood of at most k vertices; the outbound component
     neighborhoods of every buildable PMC nest; and every feasible PMC is
-    buildable.
+    buildable.  The sieve holds each outbound block once.
     """
     g = search.g
     for comp, nb in search.iblocks:
         assert g.open_neighborhood(comp) == nb, f"inbound block {comp:#x}: wrong neighborhood"
-        assert g.is_connected(comp) and not blocks.is_outbound(g, comp), (
+        assert g.is_connected(comp) and not is_outbound(g, comp), (
             f"inbound block {comp:#x} is not inbound")
     for comp, nb in search.onb.items():
         assert g.open_neighborhood(comp) == nb, f"outbound block {comp:#x}: wrong neighborhood"
-        assert blocks.is_outbound(g, comp), f"outbound block {comp:#x} is not outbound"
+        assert is_outbound(g, comp), f"outbound block {comp:#x} is not outbound"
         assert nb.bit_count() <= search.k, f"outbound block {comp:#x}: neighborhood above k"
     for k_set in search.buildable:
         assert outlets_nest(g, k_set), f"PMC {k_set:#x}: outbound neighborhoods do not nest"
     assert search.feasible.keys() <= search.buildable.keys(), "a feasible PMC is not buildable"
+    assert len(search.bank.entries) == len(search.onb), "an outbound block was stored twice"
 
 
 @contextmanager

@@ -24,6 +24,7 @@ from twsolve.solver import decide, treewidth
 from twsolve.tdbuild import validate
 
 from conftest import INSTANCE_DIR, decompose_with_splits, split_parts
+from reference import enumerate_minimal_separators_naive, enumerate_pmcs_naive
 
 GENERATED = {
     "myciel3": lambda: mycielski_graph(3),
@@ -167,9 +168,9 @@ def _sieve_workload(k: int, ops: int) -> int:
             if not u >> v & 1:
                 nb |= 1 << v
         if rng.random() < 0.7:
-            bank.store(u, nb)
-            if u not in stored:
+            if u not in stored:  # the bank's callers store each set once
                 stored.add(u)
+                bank.store(u, nb)
                 entries.append((u, nb))
         else:
             queries += 1
@@ -225,11 +226,11 @@ def test_criterion8_census_correctness():
         edges = g.edge_list()
         naive_seps = {
             sum(1 << v for v in fs)
-            for fs in oracle.enumerate_minimal_separators_naive(n, edges)
+            for fs in enumerate_minimal_separators_naive(n, edges)
         }
         naive_pmcs = {
             sum(1 << v for v in fs)
-            for fs in oracle.enumerate_pmcs_naive(n, edges)
+            for fs in enumerate_pmcs_naive(n, edges)
         }
         assert oracle.enumerate_minimal_separators(g) == naive_seps
         assert oracle.enumerate_pmcs(g) == naive_pmcs

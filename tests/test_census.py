@@ -1,6 +1,8 @@
 from twsolve import oracle
 from twsolve.census import binomial_bound, census, census_csv, composite_bound
-from twsolve.families import complete_graph, cycle_graph, path_graph, random_connected_graph
+from twsolve.families import cycle_graph, random_connected_graph
+
+from reference import complete_graph, path_graph
 
 
 def test_bound_values_at_n20_k6():

@@ -12,6 +12,7 @@ from twsolve.families import mycielski_graph, random_connected_graph
 from twsolve.paceio import write_gr as _gr_text
 
 from conftest import col_text, disjoint_union
+from reference import complete_graph, petersen_graph
 
 
 def test_exact_single_edge(tmp_graph_file, capsys):
@@ -99,8 +100,6 @@ def test_missing_file_exit_code(capsys):
 
 
 def test_lb_command(tmp_graph_file, capsys):
-    from twsolve.families import complete_graph
-
     path = tmp_graph_file("k6.gr", _gr_text(complete_graph(6)))
     assert main(["lb", path, "--time-limit", "5"]) == 0
     assert int(capsys.readouterr().out.strip()) >= 5
@@ -132,8 +131,6 @@ def test_lb_zero_budget_disconnected_takes_largest_floor(tmp_graph_file, capsys)
 
 
 def test_lb_starts_later_components_at_best_bound(tmp_graph_file, capsys, decided_levels):
-    from twsolve.families import petersen_graph
-
     # the simplicial rules remove nothing from either graph.  The Petersen
     # graph (tw 4) is solved first: level 3 is negative below its elimination
     # width 4, on the whole graph after its minors answer yes.  The random

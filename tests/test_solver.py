@@ -5,17 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twsolve import blocks, minors, oracle, solver
-from twsolve.families import (
-    complete_graph,
-    cycle_graph,
-    grid_graph,
-    mycielski_graph,
-    path_graph,
-    petersen_graph,
-    queen_graph,
-    random_connected_graph,
-    star_graph,
-)
+from twsolve.families import cycle_graph, mycielski_graph, queen_graph, random_connected_graph
 from twsolve.graph import AuditError, Graph
 from twsolve.safesep import greedy_elimination
 from twsolve.sieve import SieveBank, linear_scan_supersets
@@ -23,6 +13,16 @@ from twsolve.solver import SolverTimeout, decide, treewidth
 from twsolve.tdbuild import TreeDecomposition, extract, validate
 
 from conftest import check_search, checked_searches, connected_graphs
+from reference import (
+    complete_graph,
+    feasible_objects,
+    first_full_component,
+    grid_graph,
+    outlet_and_support,
+    path_graph,
+    petersen_graph,
+    star_graph,
+)
 
 
 def test_decide_complete_graph():
@@ -112,7 +112,7 @@ def test_exhaustive_counters_match_recount():
             search = solver._Search(solver._Analysis(g), k, True, None)
             search.run()
             check_search(search)
-            ref = oracle.feasible_objects(g, k)
+            ref = feasible_objects(g, k)
             assert set(search.iblock_source) == ref.iblocks, (seed, k)
             assert set(search.feasible) == ref.pmcs, (seed, k)
             # stored outbound blocks are always definition-feasible
@@ -413,10 +413,10 @@ def test_shared_analysis_entries_match_reference(make, monkeypatch):
     assert kinds == {int, solver.PmcRecord} and 0 in facts.values()
     for s, fact in facts.items():
         pmc = type(fact) is solver.PmcRecord
-        assert (0 if pmc else fact) == blocks.first_full_component(g, s), s
+        assert (0 if pmc else fact) == first_full_component(g, s), s
         assert pmc == blocks.is_pmc(g, s), s
         if pmc:
-            assert fact == solver.PmcRecord(s, *blocks.outlet_and_support(g, s)), s
+            assert fact == solver.PmcRecord(s, *outlet_and_support(g, s)), s
 
 
 # -- the order in which inbound blocks are worked off ----------------------

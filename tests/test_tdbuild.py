@@ -1,11 +1,6 @@
 from hypothesis import given, strategies as st
 
-from twsolve.families import (
-    complete_graph,
-    cycle_graph,
-    random_connected_graph,
-    star_graph,
-)
+from twsolve.families import cycle_graph, random_connected_graph
 from twsolve.graph import Graph, bits
 from twsolve.minors import contraction_chain
 from twsolve.safesep import greedy_elimination
@@ -22,6 +17,7 @@ from twsolve.tdbuild import (
 )
 
 from conftest import connected_graphs, mask
+from reference import complete_graph, star_graph
 
 
 def accepting_witness(g: Graph):
