@@ -1,13 +1,14 @@
 """Command-line frontend.
 
-Subcommands: ``exact`` (solve and emit a .td), ``lb`` (the same solve
-stopped at a deadline: the exact width if it finishes, else the certified
-lower bound it reached), ``census`` (object counts as CSV), ``validate``
-(audit a .td against its graph).  Exit codes: 0 success, 1 invalid
-decomposition reported by ``validate``, 2 parse error, 3 a failed audit of a
-result about to be reported (:class:`~twsolve.graph.AuditError`); any other
-exception propagates with its traceback.  Set TW_LOG to a logging level name
-for diagnostics on stderr.
+Subcommands: ``exact`` (solve and emit a .td; with ``--time-limit`` a run
+stopped at the deadline prints its certified lower bound and the width of
+the audited decomposition it emits), ``census`` (object counts as CSV),
+``validate`` (audit a .td against its graph).  Exit codes: 0 success, 1
+invalid decomposition reported by ``validate``, 2 parse error or bad
+argument, 3 a failed audit of a result about to be reported
+(:class:`~twsolve.graph.AuditError`); any other exception propagates with
+its traceback.  Set TW_LOG to a logging level name for diagnostics on
+stderr.
 """
 
 from __future__ import annotations
@@ -36,6 +37,15 @@ def _read_graph(path: str) -> Graph:
     return paceio.read_gr(Path(path).read_text())[0]
 
 
+def seconds(text: str) -> float:
+    """A time limit: a number of seconds, not negative and not NaN.  argparse
+    turns the ValueError into a usage error naming this function."""
+    value = float(text)
+    if not value >= 0:  # NaN compares false
+        raise ValueError(f"not a number of seconds: {text!r}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
     parser = argparse.ArgumentParser(prog="tw", description="exact treewidth toolkit")
@@ -46,10 +56,8 @@ def main(argv: list[str] | None = None) -> int:
     p_exact.add_argument("-o", "--output", help="write the decomposition here (.td)")
     p_exact.add_argument("--stats", help="write a JSON stats record here")
     p_exact.add_argument("--jobs", type=int, default=1, help="solve parts in parallel")
-
-    p_lb = sub.add_parser("lb", help="best certified lower bound within a time limit")
-    p_lb.add_argument("input")
-    p_lb.add_argument("--time-limit", type=float, required=True, help="seconds")
+    p_exact.add_argument("--time-limit", type=seconds,
+                         help="seconds; a run stopped then prints lower bound and width")
 
     p_census = sub.add_parser("census", help="count principal combinatorial objects")
     p_census.add_argument("input")
@@ -75,8 +83,6 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "exact":
         return _cmd_exact(args)
-    if args.command == "lb":
-        return _cmd_lb(args)
     if args.command == "census":
         return _cmd_census(args)
     return _cmd_validate(args)
@@ -85,24 +91,16 @@ def _dispatch(args: argparse.Namespace) -> int:
 def _cmd_exact(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
     t0 = time.monotonic()
-    tw, td, report = pipeline.solve(g, instance=os.path.basename(args.input), jobs=args.jobs)
+    deadline = None if args.time_limit is None else t0 + args.time_limit
+    tw, td, report = pipeline.solve(
+        g, instance=os.path.basename(args.input), jobs=args.jobs, deadline=deadline)
     elapsed = time.monotonic() - t0
-    log.info("solved %s: tw=%d in %.3fs", args.input, tw, elapsed)
-    print(tw)
+    log.info("solved %s: lower bound %d, width %d in %.3fs", args.input, report.lower, tw, elapsed)
+    print(tw if report.lower == tw else f"{report.lower} {tw}")
     if args.output:
         Path(args.output).write_text(paceio.write_td(td))
     if args.stats:
         Path(args.stats).write_text(json.dumps(report.as_dict(), indent=2) + "\n")
-    return 0
-
-
-def _cmd_lb(args: argparse.Namespace) -> int:
-    g = _read_graph(args.input)
-    try:
-        tw = pipeline.solve(g, deadline=time.monotonic() + args.time_limit)[0]
-    except pipeline.SolverTimeout as exc:
-        tw = exc.bound
-    print(tw)
     return 0
 
 

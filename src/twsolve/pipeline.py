@@ -5,9 +5,9 @@ whole input once (:func:`safesep.simplicial_reduction`), then splits what
 is left (:func:`safesep.decompose`): first into its connected components, a
 split along the empty separator, then along verified minor-safe
 separators.  Every part comes with a greedy elimination decomposition of
-width ub; its decision levels stop below ub and start at the largest part
-width found so far, since levels outside that range cannot change the
-answer.
+width ub; its decision levels stop below ub and start at the largest bound
+found so far, since levels outside that range cannot change the answer.
+A part stopped at a deadline keeps its bound and the decomposition it holds.
 
 One rule glues the answer's decomposition: a piece joins the bags placed
 so far by an edge between a placed bag and a bag of the piece that both
@@ -27,10 +27,11 @@ from dataclasses import asdict, dataclass, field
 from itertools import repeat
 
 from . import safesep
-from .graph import AuditError, Graph, bits, vset
-from .solver import SolverStats, SolverTimeout, treewidth
-# extract is not called here; perfbench/tracer.py wraps it under this name
-from .tdbuild import TreeDecomposition, contract, extract, from_elimination, validate  # noqa: F401
+from .graph import AuditError, Graph
+from .solver import treewidth
+from .tdbuild import TreeDecomposition, contract, from_elimination, lift, validate
+# not called here; perfbench/tracer.py wraps it under this name
+from .tdbuild import extract  # noqa: F401
 
 __all__ = ["SolveReport", "solve"]
 
@@ -44,6 +45,7 @@ class SolveReport:
     n: int
     m: int
     tw: int = -1
+    lower: int = -1
     time_ms: float = 0.0
     counters: dict[str, int] = field(default_factory=dict)
     safe_separators: dict[str, int] = field(default_factory=dict)
@@ -53,18 +55,6 @@ class SolveReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def _solve_leaf(
-    graph: Graph, lower: int, upper: int, deadline: float | None
-) -> tuple[int, TreeDecomposition | None, list[SolverStats]]:
-    """Solve one part between the bounds: (width, decomposition or None when
-    no level accepted and none was lifted, stats of the levels run).  At the
-    deadline :func:`treewidth` raises :class:`SolverTimeout` with the part's
-    certified bound."""
-    stats: list[SolverStats] = []
-    tw, td = treewidth(graph, lower=lower, upper=upper, deadline=deadline, stats_out=stats)
-    return tw, td, stats
 
 
 def _attach(
@@ -92,44 +82,46 @@ def solve(
     jobs: int = 1,
     deadline: float | None = None,
 ) -> tuple[int, TreeDecomposition, SolveReport]:
-    """Exact treewidth of an arbitrary (possibly disconnected) graph with a
-    validated tree decomposition.
+    """A validated tree decomposition of an arbitrary (possibly disconnected)
+    graph with its width, the treewidth unless a part stopped at the
+    deadline, and a report.
 
     Parts are solved largest first (ties: larger elimination width ub first).
-    Each part runs its decision levels from the largest part width M found so
-    far up to its own ub - 1, and keeps its elimination decomposition when no
+    Each part runs its decision levels from the largest bound M found so far
+    up to its own ub - 1, and keeps its elimination decomposition when no
     level accepts; its width ub is then certified by its negative level
     ub - 1, by its minimum degree, or by ub <= M.  With ``jobs`` > 1 the
     largest part is solved first in this process, then the others in a pool
-    with M fixed at its width.
+    with M fixed at its bound.
 
     ``deadline`` is a :func:`time.monotonic` time.  The reduction and the
     safe-separator search always run in full; the decision levels poll the
-    deadline, and the first part still running a level when it passes
-    raises :class:`SolverTimeout`.  Its ``bound`` is the largest of the
-    reduction's certified lower bound, M and the interrupted part's bound
-    (its minimum degree, or one above its last negative level).  M is
-    certified too, since a part whose width exceeds M has it exactly.
+    deadline, and a part still running a level when it passes stops with
+    the bound its finished levels certify and the narrowest decomposition
+    it holds.
 
-    The width is the larger of the reduction's certified lower bound and
-    the width of the reduced graph.  Counters sum the accepting decision
-    levels run on the parts themselves; a part that no level accepted, or
-    whose decomposition was lifted from a minor, adds nothing.  The report's
-    ``levels`` holds the stats of every level run, part by part in solve
-    order, with the n of the graph it ran on: below the part's size for a
-    level tried on a minor.  Raises :class:`AuditError` if no placed bag
-    holds what a part or a removed vertex shares, or the final decomposition
-    fails its own audit; the result is never silently wrong.
+    The report's ``lower`` is the largest of the reduction's certified lower
+    bound and the parts' bounds, and ``tw`` the width of the glued
+    decomposition.  ``parts.stopped`` counts the parts wider than ``lower``,
+    so ``tw`` equals ``lower`` exactly when it is 0.  Counters sum the
+    accepting decision levels run on the parts themselves; a part that no
+    level accepted, or whose decomposition was lifted from a minor, adds
+    nothing.  The report's ``levels`` holds the stats of every level that
+    finished, part by part in solve order, with the n of the graph it ran
+    on: below the part's size for a level tried on a minor.  Raises
+    :class:`AuditError` if no placed bag holds what a part or a removed
+    vertex shares, if the final decomposition fails its own audit, or if its
+    width is below ``lower`` or, without a deadline or a stopped part,
+    above it; the result is never silently wrong.
     """
     started = time.monotonic()
     report = SolveReport(instance, g.n, g.edge_count)
     report.counters = dict.fromkeys(COUNTERS, 0)
     report.safe_separators = {"max_part": 0, **dict.fromkeys(safesep.TALLY_KEYS, 0)}
-    report.parts = {"total": 0, "settled_by_bound": 0, "lifted": 0, "levels": 0}
+    report.parts = {"total": 0, "settled_by_bound": 0, "lifted": 0, "stopped": 0, "levels": 0}
     report.reduction = {"removed": 0, "low": 0}
     if g.n == 0:
         td = TreeDecomposition(0, [0], [])
-        report.tw = -1
         report.time_ms = (time.monotonic() - started) * 1000.0
         return -1, td, report
 
@@ -138,57 +130,56 @@ def solve(
     split = safesep.decompose(sub, labels=kept)
     report.safe_separators.update(split.tally)
     parts = split.parts
-    heuristic = [from_elimination(part.graph, *part.elimination) for part in parts]
-    ubs = [td.width() for td in heuristic]
-    order = sorted(range(len(parts)), key=lambda i: (-parts[i].graph.n, -ubs[i]))
+    held = [from_elimination(part.graph, *part.elimination) for part in parts]
+    order = sorted(range(len(parts)), key=lambda i: (-parts[i].graph.n, -held[i].width()))
 
     solved: dict[int, tuple] = {}
     running_max = 0
     inline = order if jobs <= 1 else order[:1]
-    try:
-        for i in inline:
-            solved[i] = _solve_leaf(parts[i].graph, running_max, ubs[i], deadline)
-            running_max = max(running_max, solved[i][0])
-        rest = order[len(inline):]
-        if rest:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                solved.update(zip(rest, pool.map(
-                    _solve_leaf, [parts[i].graph for i in rest], repeat(running_max),
-                    [ubs[i] for i in rest], repeat(deadline),
-                )))
-    except SolverTimeout as exc:
-        raise SolverTimeout(max(low, running_max, exc.bound)) from None
+    for i in inline:
+        solved[i] = treewidth(parts[i].graph, held[i], running_max, deadline)
+        running_max = max(running_max, solved[i][0])
+    rest = order[len(inline):]
+    if rest:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            solved.update(zip(rest, pool.map(
+                treewidth, [parts[i].graph for i in rest], [held[i] for i in rest],
+                repeat(running_max), repeat(deadline),
+            )))
 
-    for number, (i, (tw, td, stats)) in enumerate(solved.items()):
-        # a level that accepted on the part itself ends its stats
-        accepted = stats and stats[-1].answer and stats[-1].n == parts[i].graph.n
-        if accepted:
-            for key in COUNTERS:
-                report.counters[key] += getattr(stats[-1], key)
+    lower = max([low] + [bound for bound, _, _ in solved.values()])
+    for number, (i, (_, td, stats)) in enumerate(solved.items()):
         report.levels += [{"part": number, **asdict(s)} for s in stats]
         report.parts["levels"] += len(stats)
-        report.parts["settled_by_bound"] += td is None
-        report.parts["lifted"] += td is not None and not accepted
+        if td.width() > lower:
+            report.parts["stopped"] += 1
+        # a level that accepted on the part itself ends its stats
+        elif stats and stats[-1].answer and stats[-1].n == parts[i].graph.n:
+            for key in COUNTERS:
+                report.counters[key] += getattr(stats[-1], key)
+        elif td.width() < held[i].width():
+            report.parts["lifted"] += 1
+        else:
+            report.parts["settled_by_bound"] += 1
     report.parts["total"] = len(parts)
     report.safe_separators["max_part"] = max((part.graph.n for part in parts), default=0)
 
     bags: list[int] = []
     edges: list[tuple[int, int]] = []
     for i, part in enumerate(parts):
-        td = heuristic[i] if solved[i][1] is None else solved[i][1]
-        _attach(bags, edges, [vset(part.to_root[v] for v in bits(b)) for b in td.bags],
-                td.edges, part.attach, f"vertices part {i} shares with the parts before it")
+        td = lift(solved[i][1], [1 << r for r in part.to_root], g.n)
+        _attach(bags, edges, td.bags, td.edges, part.attach,
+                f"vertices part {i} shares with the parts before it")
     for v, nb in reversed(removed):
         _attach(bags, edges, [nb | 1 << v], [], nb, f"neighborhood of removed vertex {v}")
-    overall_tw = max([low] + [tw for tw, _, _ in solved.values()])
     td = contract(TreeDecomposition(g.n, bags, edges))
     problems = validate(g, td)
     if problems:
         raise AuditError(f"produced decomposition failed validation: {problems[:3]}")
-    if td.width() != overall_tw:
-        raise AuditError(
-            f"decomposition width {td.width()} disagrees with the answer {overall_tw}"
-        )
-    report.tw = overall_tw
+    tw = td.width()
+    exact = deadline is None or not report.parts["stopped"]
+    if tw < lower or exact and tw != lower:
+        raise AuditError(f"decomposition width {tw} disagrees with the certified bound {lower}")
+    report.tw, report.lower = tw, lower
     report.time_ms = (time.monotonic() - started) * 1000.0
-    return overall_tw, td, report
+    return tw, td, report

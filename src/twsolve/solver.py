@@ -77,14 +77,8 @@ MINOR_SHARE = 0.85
 
 
 class SolverTimeout(Exception):
-    """A run passed its deadline.  A decision run (:func:`decide`) raises it
-    without ``bound``; :func:`treewidth` raises it with ``bound``, a
-    certified lower bound on the treewidth of its graph, and
-    :func:`twsolve.pipeline.solve` with one on the treewidth of its input."""
-
-    def __init__(self, bound: int | None = None):
-        super().__init__(bound)
-        self.bound = bound
+    """A decision run (:func:`decide`) passed its deadline.  :func:`treewidth`
+    catches it and returns the bound that its finished levels certify."""
 
 
 @dataclass(slots=True)
@@ -358,19 +352,20 @@ def decide(
 
 def treewidth(
     g: Graph,
-    *,
+    held: TreeDecomposition,
     lower: int = 0,
-    upper: int | None = None,
     deadline: float | None = None,
-    stats_out: list[SolverStats] | None = None,
-) -> tuple[int, TreeDecomposition | None]:
-    """Treewidth of connected ``g`` with a tree decomposition of that width.
+) -> tuple[int, TreeDecomposition, list[SolverStats]]:
+    """A bound on the treewidth of connected ``g``, a decomposition of ``g``
+    and the stats of the levels run, each with the n of the graph it ran on.
 
-    Runs the decision procedure with the bound k increasing one by one from
-    max(``lower``, 1, minimum degree) (from 0 for a single vertex) up to the
-    first accepting level.  A certified answer needs the negative level
-    tw - 1 anyway, and binary search would add levels above tw, each of
-    which holds every feasible object of the levels below it (feasibility is
+    ``held`` is a decomposition of ``g`` the caller already holds.  The
+    decision levels run with the bound k increasing one by one from
+    max(``lower``, 1, minimum degree) (from 0 for a single vertex) and stop
+    at the first accepting level or below the width of the narrowest
+    decomposition held.  A certified answer needs the negative level tw - 1
+    anyway, and binary search would add levels above tw, each of which
+    holds every feasible object of the levels below it (feasibility is
     monotone in k).
 
     Each level first tries minors of ``g`` from one contraction chain
@@ -383,70 +378,58 @@ def treewidth(
     ``g`` through its branch sets, narrowed (:func:`~twsolve.tdbuild.narrow`)
     and validated against ``g``, which raises :class:`AuditError` on
     failure: the level accepts with it, without running on ``g``, if its
-    width is at most k, and otherwise it becomes the bound and decomposition
-    of ``g`` if it is narrower than ``upper``.  No level tries minors when
-    the largest one's min-degree width is below ``upper`` - 1: contraction
-    lost the top levels, and the low ones cost little on ``g``.  The levels
-    run on one graph share one analysis of its candidate sets, whose facts
-    do not depend on k.  Each level's stats go to ``stats_out`` as it
-    finishes, with the n of the graph it ran on.  At the deadline it raises
-    :class:`SolverTimeout` with the bound that the levels run certify: one
-    above the last level that answered no, on ``g`` or on an audited minor,
-    or the minimum degree of ``g`` when none did.
+    width is at most k, and otherwise it is held in place of a wider one.
+    No level tries minors when the largest one's min-degree width is below
+    the width of ``held`` - 1: contraction lost the top levels, and the low
+    ones cost little on ``g``.  The levels run on one graph share one
+    analysis of its candidate sets, whose facts do not depend on k.
 
-    ``upper`` is the width of a decomposition the caller already holds:
-    levels stop below it, and when none of them accepts (or none runs) the
-    result is ``(upper, None)``, or the narrower lifted decomposition with
-    its width.  That width is the treewidth when the level below it ran
-    negative or it is the minimum degree; otherwise it is only known to be
-    at most ``lower``.  Likewise an accepting level at ``lower`` only bounds
-    the treewidth from above.  Without ``lower`` and ``upper`` the result
-    is exact.  Without ``upper``, ``lower`` must leave a level below n, and
-    a run that neither accepts a level nor lifts a decomposition raises
-    :class:`AuditError`.
+    A finished run returns the accepting level k with its decomposition, of
+    width at most k, or the width of the narrowest decomposition held with
+    it.  That bound is the treewidth of ``g`` when ``lower`` is at most the
+    treewidth, and at most ``lower`` otherwise.  A run stopped at the
+    deadline returns the bound its levels certify, one above the last level
+    that answered no, on ``g`` or on an audited minor, or the minimum degree
+    of ``g`` when none did, with the narrowest decomposition held, which is
+    wider.
     """
     if g.n == 0:
         raise ValueError("treewidth requires a non-empty graph")
     start = max(lower, max(1, g.min_degree()) if g.n > 1 else 0)
-    if upper is None and start >= g.n:
-        raise ValueError(f"no width bound from {start} lies below n={g.n}")
+    top = held.width()
     chain = minors.contraction_chain(g, start + 2, int(MINOR_SHARE * g.n))
-    if chain and upper is not None and max(
-            map(int.bit_count, greedy_elimination(chain[0][0], "min_degree")[1])) < upper - 1:
-        # the largest minor certifies no level above upper - 3, so none of
+    if chain and max(
+            map(int.bit_count, greedy_elimination(chain[0][0], "min_degree")[1])) < top - 1:
+        # the largest minor certifies no level above top - 3, so none of
         # the top levels, where the cost lies; the levels it can reach are
         # cheap on g itself
         chain = []
     chain = {h.n: (_Analysis(h), branch) for h, branch in chain}
     analysis = _Analysis(g)
-    top = g.n if upper is None else upper
-    best = None
+    levels: list[SolverStats] = []
     size = 0
     bound = g.min_degree()
     k = start
     try:
         while k < top:
-            size, yes = _certify_on_minor(g, k, chain, max(size, k + 2), deadline, stats_out)
+            size, yes = _certify_on_minor(g, k, chain, max(size, k + 2), deadline, levels)
             if not size:
                 # no minor up to the cap answers no at k, so none answers no above k
                 chain = {}
                 if yes is not None:
                     td = _lift(g, *yes)
                     if td.width() <= k:
-                        return k, td
+                        return k, td, levels
                     if td.width() < top:
-                        top, best = td.width(), td
+                        top, held = td.width(), td
                 res = decide(g, k, deadline=deadline, _analysis=analysis)
-                if stats_out is not None:
-                    stats_out.append(res.stats)
+                levels.append(res.stats)
                 if res.answer:
-                    return k, extract(g, res.witness)
+                    return k, extract(g, res.witness), levels
             bound = k = k + 1
     except SolverTimeout:
-        raise SolverTimeout(bound) from None
-    if upper is None and best is None:
-        raise AuditError("decision procedure failed to accept at the trivial bound")
-    return top, best
+        return bound, held, levels
+    return top, held, levels
 
 
 def _certify_on_minor(
@@ -455,14 +438,15 @@ def _certify_on_minor(
     chain: dict[int, tuple[_Analysis, list[int]]],
     size: int,
     deadline: float | None,
-    stats_out: list[SolverStats] | None,
+    levels: list[SolverStats],
 ) -> tuple[int, tuple[Graph, list[int], Witness] | None]:
     """Run level k on the minors of ``chain`` (keyed by size, each with its
     analysis and branch sets) of sizes ``size``, ``size`` + 1, ``size`` + 3,
-    ... while the chain has them.  Returns the size of the first minor that
-    answers no, once its branch sets pass the audit against ``g``, with
-    None; or 0 when none does, with the largest minor that answered yes,
-    its branch sets and its witness (None when no minor ran)."""
+    ... while the chain has them, adding each run's stats to ``levels``.
+    Returns the size of the first minor that answers no, once its branch
+    sets pass the audit against ``g``, with None; or 0 when none does, with
+    the largest minor that answered yes, its branch sets and its witness
+    (None when no minor ran)."""
     step = 1
     yes = None
     while size in chain:
@@ -470,8 +454,7 @@ def _certify_on_minor(
         res = decide(facts.g, k, deadline=deadline, _analysis=facts)
         if not res.answer:
             minors.audit(g, facts.g, branch)
-        if stats_out is not None:
-            stats_out.append(res.stats)
+        levels.append(res.stats)
         if not res.answer:
             return size, None
         yes = facts.g, branch, res.witness

