@@ -156,18 +156,7 @@ class Graph:
         """True iff the subgraph induced by non-empty ``u`` is connected."""
         if not u:
             raise ValueError("is_connected of the empty set")
-        adj = self.adj
-        comp = u & -u
-        frontier = comp
-        while frontier:
-            nbrs = 0
-            while frontier:
-                b = frontier & -frontier
-                nbrs |= adj[b.bit_length() - 1]
-                frontier ^= b
-            frontier = nbrs & u & ~comp
-            comp |= frontier
-        return comp == u
+        return self.components_with_neighborhoods(self.full_mask & ~u)[0][0] == u
 
     def subgraph(self, u: int, make_clique: int = 0) -> tuple["Graph", list[int]]:
         """Induced subgraph on ``u``, optionally completing ``make_clique & u``.

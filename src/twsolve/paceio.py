@@ -53,7 +53,7 @@ def read_gr(text: str) -> tuple[Graph, list[int]]:
     n = -1
     m_declared = -1
     edges: list[tuple[int, int]] = []
-    dropped = 0
+    lines = 0  # edge lines, self-loops included
     for lineno, line in _clean_lines(text):
         parts = line.split()
         if parts[0] == "c":
@@ -86,26 +86,25 @@ def read_gr(text: str) -> tuple[Graph, list[int]]:
             raise ParseError("non-integer vertex token", lineno) from None
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(f"vertex out of range 1..{n}", lineno)
-        if len(edges) == m_declared:
+        if lines == m_declared:
             raise ParseError(
                 f"more edge lines than the declared {m_declared}", lineno
             )
-        if u == v:
-            dropped += 1
-            edges.append((-1, -1))
-            continue
-        edges.append((u - 1, v - 1))
+        lines += 1
+        if u != v:
+            edges.append((u - 1, v - 1))
     if n < 0:
         raise ParseError("missing problem header", 1 + text.count("\n"))
-    if len(edges) != m_declared:
+    if lines != m_declared:
         raise ParseError(
-            f"declared {m_declared} edges but found {len(edges)}",
+            f"declared {m_declared} edges but found {lines}",
             1 + text.count("\n"),
         )
-    edges = [e for e in edges if e[0] >= 0]
     g = Graph(n, edges)
-    if dropped:
-        warnings.warn(f"dropped {dropped} self-loop line(s)", FormatWarning, stacklevel=2)
+    if lines > len(edges):
+        warnings.warn(
+            f"dropped {lines - len(edges)} self-loop line(s)", FormatWarning, stacklevel=2
+        )
     if g.edge_count < len(edges):
         warnings.warn(
             f"dropped {len(edges) - g.edge_count} duplicate edge(s)",

@@ -20,6 +20,10 @@ edges.  It only merges clusters adjacent to the separator, since no other
 merge can cover a missing edge, but every adjacent pair of clusters it
 passes over still counts one step against the budget.  Phase two spends
 those clusters, one per missing edge, contracting each into an endpoint.
+Both phases read one map, ``see``, from each separator vertex to the live
+clusters adjacent to it, so the clusters that cover a missing edge uv are
+``see[u] & see[v]``.  Each search returns its verdict, the vertices
+contracted onto each separator vertex and the steps it used.
 Every yes verdict carries, for each component C, the vertices contracted
 onto each separator vertex, and :func:`audit_evidence` checks that they
 realize the separator as a clique minor of the graph minus C
@@ -181,11 +185,6 @@ def simplicial_reduction(g: Graph) -> tuple[Graph, list[int], int, list[tuple[in
     return (*filled.subgraph(alive), low, removed)
 
 
-def _eliminations(g: Graph) -> list[tuple[list[int], list[int]]]:
-    """The min-fill and min-degree eliminations of ``g``, in that order."""
-    return [greedy_elimination(g, mode) for mode in ("min_fill", "min_degree")]
-
-
 def candidate_separators(
     g: Graph, elims: list[tuple[list[int], list[int]]]
 ) -> list[tuple[int, list[tuple[int, int]]]]:
@@ -269,38 +268,40 @@ def audit_evidence(g: Graph, s: int, comps: list[int], evidence: list[list[int]]
 
 def _clique_minor_search(g: Graph, s: int, component: int) -> tuple[str, dict[int, int], int]:
     """Two-phase contraction search for a labelled clique minor of ``s`` in
-    the graph minus ``component``, within ``STEP_BUDGET`` steps."""
+    the graph minus ``component``, within ``STEP_BUDGET`` steps.
+
+    Returns the verdict, for a yes the vertices contracted onto each
+    separator vertex that takes any, and the steps used.  Clusters of the
+    vertices outside ``s`` are named by their smallest vertex; ``see[u]`` is
+    the set of live clusters adjacent to separator vertex u, so
+    ``see[u] & see[v]`` are the clusters that cover the missing pair uv.
+    Phase one scores its merges on ``see`` and keeps it up to date; phase
+    two picks and spends its clusters from it.
+    """
     step_budget = STEP_BUDGET
     adj = g.adj
     r = g.full_mask & ~component & ~s
     steps = 0
-
-    missing = []
-    for u in bits(s):
-        rem = s & ~((1 << (u + 1)) - 1)
-        for v in bits(rem):
-            if not adj[u] >> v & 1:
-                missing.append((u, v))
+    missing = [(u, v) for u in bits(s) for v in bits(s & ~adj[u] & -(2 << u))]
     if not missing:
         return YES, {}, steps
 
-    # clusters of r, named by their smallest vertex.  A merge can only cover
-    # a missing pair when both clusters touch s, so only those clusters are
-    # kept and merged; every other vertex of r stays a singleton whose
-    # adjacent pairs are still counted, one step each, in ``pairs``.
+    # A merge can only cover a missing pair when both clusters touch s, so
+    # only those clusters are kept and merged; every other vertex of r stays
+    # a singleton whose adjacent pairs are still counted, one step each, in
+    # ``pairs``.
     touch = g.open_neighborhood(s) & r
     members = {v: 1 << v for v in bits(touch)}
-    sadj = {v: adj[v] & s for v in bits(touch)}
+    sadj = {v: adj[v] & s for v in bits(touch)}  # separator vertices each cluster sees
     cadj = {v: adj[v] & r for v in bits(touch)}  # names of adjacent clusters
+    see = {u: adj[u] & r for u in bits(s)}
     alive = r.bit_count()
     low = alive - sum(1 for a in sadj.values() if a.bit_count() >= 2)  # see fewer than two of s
 
-    # phase one: grow clusters that cover missing pairs; its set-up is
-    # skipped when no round will run, as when every cluster sees two of s
+    # phase one: grow clusters that cover missing pairs; ``pairs`` is
+    # counted only when a round will run
     if alive > 1 and low:
         pairs = sum((adj[v] & r).bit_count() for v in bits(r)) // 2  # adjacent cluster pairs
-        uvs = [1 << u | 1 << v for u, v in missing]
-        counts = [sum(1 for a in sadj.values() if a & uv == uv) for uv in uvs]
     while alive > 1 and steps < step_budget and low:
         if steps + pairs >= step_budget:
             return ABORTED, {}, step_budget
@@ -309,21 +310,15 @@ def _clique_minor_search(g: Graph, s: int, component: int) -> tuple[str, dict[in
         best_key = None
         for i in bits(touch):  # adjacent pairs i < j that both touch s
             si = sadj[i]
-            for j in bits(cadj[i] & touch & ~((2 << i) - 1)):
+            for j in bits(cadj[i] & touch & -(2 << i)):
                 sj = sadj[j]
-                merged = si | sj
-                improves = False
-                new_min = None
-                for uv, cnt in zip(uvs, counts):
-                    delta = (merged & uv == uv) - (si & uv == uv) - (sj & uv == uv)
-                    if delta > 0:
-                        improves = True
-                    val = cnt + delta
-                    if new_min is None or val < new_min:
-                        new_min = val
-                if not improves:
+                # the merge helps iff it covers a missing pair that neither covers alone
+                if not any(sj & ~si & ~adj[u] for u in bits(si & ~sj)):
                     continue
-                key = (new_min, -i, -j)
+                merged = si | sj
+                others = ~(1 << i | 1 << j)
+                key = (min((see[u] & see[v] & others).bit_count() + (merged >> u & merged >> v & 1)
+                           for u, v in missing), -i, -j)
                 if best_key is None or key > best_key:
                     best_key = key
                     best = (i, j)
@@ -332,10 +327,8 @@ def _clique_minor_search(g: Graph, s: int, component: int) -> tuple[str, dict[in
         i, j = best
         si, sj = sadj[i], sadj.pop(j)
         merged = sadj[i] = si | sj
-        counts = [
-            cnt + (merged & uv == uv) - (si & uv == uv) - (sj & uv == uv)
-            for uv, cnt in zip(uvs, counts)
-        ]
+        for x in bits(sj):
+            see[x] = see[x] & ~(1 << j) | 1 << i
         low += (merged.bit_count() < 2) - (si.bit_count() < 2) - (sj.bit_count() < 2)
         ci, cj = cadj[i], cadj.pop(j)
         cadj[i] = (ci | cj) & ~(1 << i | 1 << j)
@@ -347,62 +340,36 @@ def _clique_minor_search(g: Graph, s: int, component: int) -> tuple[str, dict[in
         alive -= 1
         steps += 1
 
-    # phase two: spend one cluster per missing edge
-    sadj_now = {u: adj[u] & s for u in bits(s)}
+    # phase two: spend one cluster on the pair with fewest, contracting it
+    # onto the end that leaves the pairs still missing best covered
     bags: dict[int, int] = {}
-    unused = {i for i in bits(touch) if sadj[i].bit_count() >= 2}
-    while True:
-        missing = [
-            (u, v)
-            for u in bits(s)
-            for v in bits(s & ~((1 << (u + 1)) - 1))
-            if not sadj_now[u] >> v & 1
-        ]
-        if not missing:
-            return YES, dict(bags), steps
+    while missing:
         if steps >= step_budget:
             return ABORTED, {}, steps
-        cands = {
-            p: [i for i in unused if sadj[i] & (1 << p[0] | 1 << p[1]) == (1 << p[0] | 1 << p[1])]
-            for p in missing
-        }
-        (u, v) = min(missing, key=lambda p: (len(cands[p]), p))
-        if not cands[(u, v)]:
+        u, v = min(missing, key=lambda p: (see[p[0]] & see[p[1]]).bit_count())
+        if not see[u] & see[v]:
             return DONT_KNOW, {}, steps
-        best = None
         best_key = None
-        for w in cands[(u, v)]:
-            for side, mate in ((u, v), (v, u)):
+        for w in bits(see[u] & see[v]):
+            sw = sadj[w]
+            for side in (u, v):
                 steps += 1
                 if steps >= step_budget:
                     return ABORTED, {}, steps
-                rest_min = None
-                for (x, y) in missing:
-                    if (x, y) == (u, v):
-                        continue
-                    if x == side and sadj[w] >> y & 1:
-                        continue
-                    if y == side and sadj[w] >> x & 1:
-                        continue
-                    cnt = sum(1 for i in cands[(x, y)] if i != w)
-                    if rest_min is None or cnt < rest_min:
-                        rest_min = cnt
-                key = (
-                    rest_min if rest_min is not None else g.n + 1,
-                    -w,
-                    -side,
-                )
+                # w onto side covers xy iff side is x or y and w sees both
+                left = [(x, y) for x, y in missing
+                        if not (side in (x, y) and sw >> x & sw >> y & 1)]
+                key = (min(((see[x] & see[y] & ~(1 << w)).bit_count() for x, y in left),
+                           default=g.n + 1), -w, -side)
                 if best_key is None or key > best_key:
                     best_key = key
-                    best = (w, side)
-        w, side = best
+                    best = (w, side, left)
+        w, side, missing = best
         bags[side] = bags.get(side, 0) | members[w]
-        unused.discard(w)
-        gained = sadj[w] & ~(1 << side)
-        sadj_now[side] |= gained
-        for x in bits(gained):
-            sadj_now[x] |= 1 << side
+        for x in bits(sadj[w]):
+            see[x] &= ~(1 << w)
         steps += 1
+    return YES, bags, steps
 
 
 @dataclass
@@ -461,7 +428,7 @@ def decompose(g: Graph, labels: list[int] | None = None) -> Decomposition:
     stack = [root] if len(comps_nbs) == 1 else _children(*root, 0, comps_nbs)[::-1]
     while stack:
         graph, to_root, attach = stack.pop()
-        elims = _eliminations(graph)
+        elims = [greedy_elimination(graph, mode) for mode in ("min_fill", "min_degree")]
         found = _find_safe_separator(graph, elims, out.tally)
         if found is None:  # keep the elimination of least width, min-fill on a tie
             best = min(elims, key=lambda e: max(map(int.bit_count, e[1]), default=0))

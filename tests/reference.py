@@ -98,7 +98,8 @@ def heuristic_minor_safe(g: Graph, s: int) -> safesep.SafeSeparatorReport:
 
 
 def candidate_separators(g: Graph) -> list[tuple[int, list[tuple[int, int]]]]:
-    return safesep.candidate_separators(g, safesep._eliminations(g))
+    elims = [safesep.greedy_elimination(g, mode) for mode in ("min_fill", "min_degree")]
+    return safesep.candidate_separators(g, elims)
 
 
 # -- independent enumerators on dicts and frozensets -----------------------

@@ -1,10 +1,10 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from twsolve import oracle, safesep
-from twsolve.families import cycle_graph, random_connected_graph
+from twsolve.families import cycle_graph, mycielski_graph, queen_graph, random_connected_graph
 from twsolve.graph import AuditError, Graph, bits, is_clique_in
 from twsolve.safesep import ABORTED, DONT_KNOW, YES
 
@@ -198,12 +198,24 @@ def test_decompose_soundness_against_oracle():
 def test_decompose_computes_components_once_per_candidate(monkeypatch):
     calls = Counter()
     components = Graph.components_with_neighborhoods
+    audit = safesep.audit_evidence
+    auditing = False
 
     def counted(graph, s):
-        calls[id(graph), s] += 1
+        if not auditing:  # the audit's connectivity tests are no candidate's pass
+            calls[id(graph), s] += 1
         return components(graph, s)
 
+    def audited(*args):
+        nonlocal auditing
+        auditing = True
+        try:
+            audit(*args)
+        finally:
+            auditing = False
+
     monkeypatch.setattr(Graph, "components_with_neighborhoods", counted)
+    monkeypatch.setattr(safesep, "audit_evidence", audited)
     d, splits = decompose_with_splits(random_connected_graph(40, 50, 3))
     # minimality, scoring, the check and the split share one component pass
     assert splits and d.tally["checks"] > d.tally["yes"]
@@ -473,7 +485,14 @@ def reference_clique_minor_search(
         steps += 1
 
 
+# The drawn graphs rarely give separators with dozens of missing pairs, where
+# phase two's bookkeeping matters: myciel5 (139 searches) and queen6_6 (28)
+# do, and the random graph's searches include yes answers whose clusters
+# phase one merged from several vertices.
 @given(connected_graphs(max_n=30))
+@example(mycielski_graph(5))
+@example(queen_graph(6, 6))
+@example(random_connected_graph(50, 80, 0))
 def test_clique_minor_search_matches_reference(g):
     for s, comps_nbs in candidate_separators(g):
         assert comps_nbs == g.components_with_neighborhoods(s)
