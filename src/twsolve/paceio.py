@@ -4,10 +4,11 @@ Graphs arrive as ``.gr`` text (header ``p tw <n> <m>``, one ``u v`` line per
 edge, 1-indexed) or as DIMACS coloring ``.col`` text (header ``p edge n m``,
 edge lines ``e u v``); the problem line's tag, not the file name, says which.
 Tree decompositions use ``.td`` text (header ``s td <bags> <max-bag-size>
-<n>``, bag lines ``b <id> <v...>``, then one line per tree edge).  Vertices
-are renumbered to 0..n-1 on ingestion, in input order.  Blank lines and
-trailing whitespace are tolerated, CRLF is accepted, LF is emitted; anything
-else is a located parse error.
+<n>``, bag lines ``b <id> <v...>``, then one line per tree edge); every
+declared bag must appear, and the largest must have the declared size.
+Vertices are renumbered to 0..n-1 on ingestion, in input order.  Blank lines
+and trailing whitespace are tolerated, CRLF is accepted, LF is emitted;
+anything else is a located parse error.
 """
 
 from __future__ import annotations
@@ -37,6 +38,13 @@ class FormatWarning(UserWarning):
     """Tolerated irregularities: duplicate edges, self-loops."""
 
 
+def _ints(tokens: list[str], what: str, lineno: int) -> list[int]:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        raise ParseError(f"non-integer {what}", lineno) from None
+
+
 def _clean_lines(text: str) -> list[tuple[int, str]]:
     out = []
     for i, raw in enumerate(text.splitlines(), start=1):
@@ -64,11 +72,7 @@ def read_gr(text: str) -> tuple[Graph, list[int]]:
             if len(parts) != 4 or parts[1] not in ("tw", "edge"):
                 raise ParseError("expected header 'p tw <n> <m>' or 'p edge <n> <m>'", lineno)
             edge_prefix = "e" if parts[1] == "edge" else None
-            try:
-                n = int(parts[2])
-                m_declared = int(parts[3])
-            except ValueError:
-                raise ParseError("non-integer header fields", lineno) from None
+            n, m_declared = _ints(parts[2:], "header fields", lineno)
             if n < 0 or m_declared < 0:
                 raise ParseError("negative header fields", lineno)
             continue
@@ -80,10 +84,7 @@ def read_gr(text: str) -> tuple[Graph, list[int]]:
             parts = parts[1:]
         if len(parts) != 2:
             raise ParseError("expected two vertex tokens", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("non-integer vertex token", lineno) from None
+        u, v = _ints(parts, "vertex token", lineno)
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(f"vertex out of range 1..{n}", lineno)
         if lines == m_declared:
@@ -147,10 +148,7 @@ def read_td(text: str) -> TreeDecomposition:
                 raise ParseError("duplicate solution header", lineno)
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError("expected header 's td <bags> <max-bag> <n>'", lineno)
-            try:
-                header = (int(parts[2]), int(parts[3]), int(parts[4]))
-            except ValueError:
-                raise ParseError("non-integer header fields", lineno) from None
+            header, header_line = _ints(parts[2:], "header fields", lineno), lineno
             continue
         if header is None:
             raise ParseError("content before solution header", lineno)
@@ -158,11 +156,7 @@ def read_td(text: str) -> TreeDecomposition:
         if parts[0] == "b":
             if len(parts) < 2:
                 raise ParseError("bag line without id", lineno)
-            try:
-                idx = int(parts[1])
-                members = [int(t) for t in parts[2:]]
-            except ValueError:
-                raise ParseError("non-integer bag token", lineno) from None
+            idx, *members = _ints(parts[1:], "bag token", lineno)
             if not (1 <= idx <= bag_count):
                 raise ParseError(f"bag id out of range 1..{bag_count}", lineno)
             if idx in bags:
@@ -173,21 +167,23 @@ def read_td(text: str) -> TreeDecomposition:
             continue
         if len(parts) != 2:
             raise ParseError("expected tree edge '<i> <j>'", lineno)
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("non-integer bag id", lineno) from None
+        a, b = _ints(parts, "bag id", lineno)
         if not (1 <= a <= bag_count and 1 <= b <= bag_count):
             raise ParseError(f"bag id out of range 1..{bag_count}", lineno)
         edges.append((a - 1, b - 1))
     if header is None:
         raise ParseError("missing solution header", 1 + text.count("\n"))
-    bag_count, _, n = header
-    bag_list = [bags.get(i, 0) for i in range(1, bag_count + 1)]
+    bag_count, max_bag, n = header
     missing = [i for i in range(1, bag_count + 1) if i not in bags]
     if missing:
         raise ParseError(
             f"declared {bag_count} bags but bag {missing[0]} is missing",
             1 + text.count("\n"),
+        )
+    bag_list = [bags[i] for i in range(1, bag_count + 1)]
+    largest = max((b.bit_count() for b in bag_list), default=0)
+    if largest != max_bag:
+        raise ParseError(
+            f"declared max bag size {max_bag} but the largest bag has {largest}", header_line
         )
     return TreeDecomposition(n, bag_list, edges)

@@ -29,7 +29,7 @@ from itertools import repeat
 from . import safesep
 from .graph import AuditError, Graph
 from .solver import treewidth
-from .tdbuild import TreeDecomposition, contract, from_elimination, lift, validate
+from .tdbuild import TreeDecomposition, contract, lift, validate
 # not called here; perfbench/tracer.py wraps it under this name
 from .tdbuild import extract  # noqa: F401
 
@@ -130,20 +130,19 @@ def solve(
     split = safesep.decompose(sub, labels=kept)
     report.safe_separators.update(split.tally)
     parts = split.parts
-    held = [from_elimination(part.graph, *part.elimination) for part in parts]
-    order = sorted(range(len(parts)), key=lambda i: (-parts[i].graph.n, -held[i].width()))
+    order = sorted(range(len(parts)), key=lambda i: (-parts[i].graph.n, -parts[i].held.width()))
 
     solved: dict[int, tuple] = {}
     running_max = 0
     inline = order if jobs <= 1 else order[:1]
     for i in inline:
-        solved[i] = treewidth(parts[i].graph, held[i], running_max, deadline)
+        solved[i] = treewidth(parts[i].graph, parts[i].held, running_max, deadline)
         running_max = max(running_max, solved[i][0])
     rest = order[len(inline):]
     if rest:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             solved.update(zip(rest, pool.map(
-                treewidth, [parts[i].graph for i in rest], [held[i] for i in rest],
+                treewidth, [parts[i].graph for i in rest], [parts[i].held for i in rest],
                 repeat(running_max), repeat(deadline),
             )))
 
@@ -157,7 +156,7 @@ def solve(
         elif stats and stats[-1].answer and stats[-1].n == parts[i].graph.n:
             for key in COUNTERS:
                 report.counters[key] += getattr(stats[-1], key)
-        elif td.width() < held[i].width():
+        elif td.width() < parts[i].held.width():
             report.parts["lifted"] += 1
         else:
             report.parts["settled_by_bound"] += 1

@@ -38,6 +38,7 @@ from itertools import combinations
 from .blocks import is_minimal_separator
 from .graph import Graph, bit_list, bits, is_clique_in, vset
 from .minors import audit
+from .tdbuild import TreeDecomposition, from_elimination
 
 __all__ = [
     "ABORTED",
@@ -376,13 +377,13 @@ def _clique_minor_search(g: Graph, s: int, component: int) -> tuple[str, dict[in
 class Part:
     """A part to solve: its graph (separators already completed), the root
     labels of its vertices, ``attach``, the root labels it shares with the
-    parts before it, and its better greedy ``elimination`` (order and
-    neighborhoods, in the vertex indices of ``graph``)."""
+    parts before it, and ``held``, the decomposition of its better greedy
+    elimination, in the vertex indices of ``graph``."""
 
     graph: Graph
     to_root: list[int]
     attach: int
-    elimination: tuple[list[int], list[int]]
+    held: TreeDecomposition
 
 
 @dataclass
@@ -404,8 +405,8 @@ def decompose(g: Graph, labels: list[int] | None = None) -> Decomposition:
     reduction of the biggest part, then size ascending); every applied part
     gets the separator completed into a clique and is then split further if
     possible.  Parts are labelled in ``labels``, the names of the vertices of
-    ``g`` (the identity by default).  Every part keeps the better of the
-    greedy eliminations its separator search ran.
+    ``g`` (the identity by default).  Every part holds the decomposition of
+    the better of the greedy eliminations its separator search ran.
 
     The parts come in glue order: each part's ``attach``, its vertices that
     the parts before it hold, is a clique of the part that a bag of those
@@ -432,7 +433,7 @@ def decompose(g: Graph, labels: list[int] | None = None) -> Decomposition:
         found = _find_safe_separator(graph, elims, out.tally)
         if found is None:  # keep the elimination of least width, min-fill on a tie
             best = min(elims, key=lambda e: max(map(int.bit_count, e[1]), default=0))
-            out.parts.append(Part(graph, to_root, attach, best))
+            out.parts.append(Part(graph, to_root, attach, from_elimination(graph, *best)))
         else:
             stack += _children(graph, to_root, attach, *found)[::-1]
     return out

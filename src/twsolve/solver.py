@@ -31,19 +31,24 @@ stops at its root counts only what it built before the root appeared.
 Feasible records keep witness links (which clique emitted which block), so
 an accepting run can be unfolded into an explicit tree decomposition.
 
-:func:`treewidth` runs each level on contracted minors of the graph first
-(:mod:`twsolve.minors`).  Treewidth does not grow under contraction, so a
-no on a minor whose branch sets pass their audit certifies the level, and a
-small minor reaches its fixpoint far sooner than the graph.  A level that
-no minor up to ``MINOR_SHARE`` of the graph answers no runs on the whole
-graph, as does every level above it.  A yes on a minor certifies nothing
-by itself, but its witness unfolds into a decomposition of the minor, which
-the branch sets lift to the graph.  So at the level where the minors run
-out, the largest minor's yes is lifted, narrowed to a minimal
-triangulation and validated: if it is no wider than the level, the level
-accepts with it and never runs on the graph.  This happens at most once per
-graph, since the minors are dropped there.  A graph whose largest minor has
-lost its top levels to contraction tries no minors.
+:func:`treewidth` runs each level on contracted minors of the graph first,
+all from one contraction chain (:mod:`twsolve.minors`).  Treewidth does not
+grow under contraction, so a no on a minor whose branch sets pass their
+audit certifies the level, and a small minor reaches its fixpoint far sooner
+than the graph.  Level k tries the minors of sizes s, s + 1, s + 3, s + 7,
+... up to ``MINOR_SHARE`` of the graph, where s is the size that answered
+no at the level below, or k + 2 if that is larger; the levels share one
+analysis per minor.  A level that no minor answers no runs on the whole
+graph, as does every level above it.  A yes on a minor certifies nothing by
+itself, but its witness unfolds into a decomposition of the minor, which the
+branch sets lift to the graph.  So at the level where the minors run out,
+the largest minor's yes is lifted, narrowed to a minimal triangulation
+(:func:`~twsolve.tdbuild.narrow`) and validated: if it is no wider than the
+level, the level accepts with it and never runs on the graph, and otherwise
+it is held in place of a wider decomposition.  This happens at most once
+per graph, since the minors are dropped there.  A graph whose largest
+minor's min-degree width is below the width of the decomposition it holds,
+less one, has lost its top levels to contraction and tries no minors.
 """
 
 from __future__ import annotations
@@ -361,28 +366,14 @@ def treewidth(
 
     ``held`` is a decomposition of ``g`` the caller already holds.  The
     decision levels run with the bound k increasing one by one from
-    max(``lower``, 1, minimum degree) (from 0 for a single vertex) and stop
-    at the first accepting level or below the width of the narrowest
-    decomposition held.  A certified answer needs the negative level tw - 1
-    anyway, and binary search would add levels above tw, each of which
-    holds every feasible object of the levels below it (feasibility is
-    monotone in k).
-
-    Each level first tries minors of ``g`` from one contraction chain
-    (:mod:`twsolve.minors`), since a no on a minor, once audited, certifies
-    tw > k as well: from the size that certified the previous level (at
-    least k + 2) it tries sizes s, s + 1, s + 3, s + 7, ... up to
-    ``MINOR_SHARE`` of n.  When none answers no, the chain is dropped and
-    the level runs on ``g``, and so does every level above it.  If minors
-    answered yes at that level, the largest one's decomposition is lifted to
-    ``g`` through its branch sets, narrowed (:func:`~twsolve.tdbuild.narrow`)
-    and validated against ``g``, which raises :class:`AuditError` on
-    failure: the level accepts with it, without running on ``g``, if its
-    width is at most k, and otherwise it is held in place of a wider one.
-    No level tries minors when the largest one's min-degree width is below
-    the width of ``held`` - 1: contraction lost the top levels, and the low
-    ones cost little on ``g``.  The levels run on one graph share one
-    analysis of its candidate sets, whose facts do not depend on k.
+    max(``lower``, 1, minimum degree) (from 0 for a single vertex), each on
+    minors first as the module docstring describes, and stop at the first
+    accepting level or below the width of the narrowest decomposition held.
+    A certified answer needs the negative level tw - 1 anyway, and binary
+    search would add levels above tw, each of which holds every feasible
+    object of the levels below it (feasibility is monotone in k).  A
+    decomposition lifted from a minor is validated against ``g``, which
+    raises :class:`AuditError` on failure.
 
     A finished run returns the accepting level k with its decomposition, of
     width at most k, or the width of the narrowest decomposition held with
@@ -412,8 +403,18 @@ def treewidth(
     k = start
     try:
         while k < top:
-            size, yes = _certify_on_minor(g, k, chain, max(size, k + 2), deadline, levels)
-            if not size:
+            size, step, yes = max(size, k + 2), 1, None
+            while size in chain:
+                facts, branch = chain[size]
+                res = decide(facts.g, k, deadline=deadline, _analysis=facts)
+                if not res.answer:
+                    minors.audit(g, facts.g, branch)
+                levels.append(res.stats)
+                if not res.answer:
+                    break
+                yes = facts.g, branch, res.witness
+                size, step = size + step, 2 * step
+            else:
                 # no minor up to the cap answers no at k, so none answers no above k
                 chain = {}
                 if yes is not None:
@@ -430,36 +431,6 @@ def treewidth(
     except SolverTimeout:
         return bound, held, levels
     return top, held, levels
-
-
-def _certify_on_minor(
-    g: Graph,
-    k: int,
-    chain: dict[int, tuple[_Analysis, list[int]]],
-    size: int,
-    deadline: float | None,
-    levels: list[SolverStats],
-) -> tuple[int, tuple[Graph, list[int], Witness] | None]:
-    """Run level k on the minors of ``chain`` (keyed by size, each with its
-    analysis and branch sets) of sizes ``size``, ``size`` + 1, ``size`` + 3,
-    ... while the chain has them, adding each run's stats to ``levels``.
-    Returns the size of the first minor that answers no, once its branch
-    sets pass the audit against ``g``, with None; or 0 when none does, with
-    the largest minor that answered yes, its branch sets and its witness
-    (None when no minor ran)."""
-    step = 1
-    yes = None
-    while size in chain:
-        facts, branch = chain[size]
-        res = decide(facts.g, k, deadline=deadline, _analysis=facts)
-        if not res.answer:
-            minors.audit(g, facts.g, branch)
-        levels.append(res.stats)
-        if not res.answer:
-            return size, None
-        yes = facts.g, branch, res.witness
-        size, step = size + step, 2 * step
-    return 0, yes
 
 
 def _lift(g: Graph, h: Graph, branch: list[int], witness: Witness) -> TreeDecomposition:

@@ -263,6 +263,14 @@ def test_validate_mismatched_vertex_count(tmp_graph_file, capsys):
     assert "vertex-count-mismatch" in capsys.readouterr().out
 
 
+def test_validate_rejects_a_wrong_declared_bag_size(tmp_graph_file, capsys):
+    gpath = tmp_graph_file("p3.gr", "p tw 3 2\n1 2\n2 3\n")
+    # a valid decomposition of width 1 whose header claims bags of size 7
+    tdpath = tmp_graph_file("p3.td", "s td 2 7 3\nb 1 1 2\nb 2 2 3\n1 2\n")
+    assert main(["validate", gpath, tdpath]) == 2
+    assert "parse error: line 1: declared max bag size 7" in capsys.readouterr().err
+
+
 def test_jobs_flag(tmp_graph_file, capsys):
     # a graph with cut vertices so several parts exist
     text = "p tw 7 8\n1 2\n2 3\n1 3\n3 4\n4 5\n5 6\n6 7\n5 7\n"

@@ -15,12 +15,13 @@ SRC = ROOT / "src"
 # Runs under -O, where its own asserts would vanish: it prints instead.
 SCRIPT = r"""
 import sys
-from twsolve import pipeline
+from twsolve import pipeline, solver
+from twsolve.families import mycielski_graph
 from twsolve.graph import AuditError, Graph
 from twsolve.safesep import audit_evidence
 from twsolve.sieve import SieveBank
 from twsolve.solver import PmcRecord, Witness
-from twsolve.tdbuild import extract
+from twsolve.tdbuild import TreeDecomposition, extract
 
 
 def fires(name, fn, error=AuditError):
@@ -68,6 +69,19 @@ fires("lower-below-width-without-deadline", lambda: pipeline.solve(octahedron))
 fires("lower-below-width-with-deadline", lambda: pipeline.solve(
     octahedron, deadline=float("inf")))
 pipeline.treewidth = treewidth
+
+narrow = solver.narrow
+
+
+def drop_a_vertex(g, td):
+    td = narrow(g, td)
+    return TreeDecomposition(td.n, [td.bags[0] & td.bags[0] - 1] + td.bags[1:], td.edges)
+
+
+# myciel4 lifts its 16-vertex minor's yes at level 9
+solver.narrow = drop_a_vertex
+fires("lifted-decomposition", lambda: pipeline.solve(mycielski_graph(4)))
+solver.narrow = narrow
 """
 
 
@@ -92,6 +106,7 @@ def test_result_guards_fire_under_optimize():
         "part-bound-above-width fires",
         "lower-below-width-without-deadline fires",
         "lower-below-width-with-deadline silent",
+        "lifted-decomposition fires",
         "",
     ]
 

@@ -97,6 +97,17 @@ def test_read_td_errors():
         paceio.read_td("s td 2 1 2\nb 1 1\n1 2\n")  # declared bag missing
     with pytest.raises(paceio.ParseError):
         paceio.read_td("s td 1 1 1\nb 1 7\n")  # vertex out of range
+    with pytest.raises(paceio.ParseError, match="line 1: declared max bag size 7 but"):
+        paceio.read_td("s td 2 7 3\nb 1 1 2\nb 2 2 3\n1 2\n")  # bags of size 2
+    with pytest.raises(paceio.ParseError, match="declared max bag size 1 but the largest"):
+        paceio.read_td("s td 1 1 2\nb 1 1 2\n")
+
+
+def test_td_roundtrip_empty_decomposition():
+    # the one bag written for an empty decomposition is empty, of size 0
+    empty = TreeDecomposition(0, [], [])
+    assert paceio.write_td(empty) == "s td 1 0 0\nb 1\n"
+    assert paceio.read_td(paceio.write_td(empty)).bags == [0]
 
 
 def test_td_roundtrip_randomized():

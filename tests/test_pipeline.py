@@ -139,6 +139,28 @@ def test_pipeline_larger_sparse_graph_consistency():
     assert td_a.width() == tw_a and td_b.width() == tw_b
 
 
+@pytest.mark.parametrize("make, schedule", [
+    # level 8 answers no on the 13-vertex minor, and level 9 starts there;
+    # after 13, 14 and 16 the next size, 20, passes the cap of 19, so the
+    # 16-vertex minor's yes is lifted, is wider than 9, and the level runs
+    # on the graph
+    (lambda: mycielski_graph(4), [
+        (6, 4, 0), (7, 5, 0), (8, 6, 0), (9, 7, 0), (10, 8, 1), (11, 8, 1), (13, 8, 0),
+        (13, 9, 1), (14, 9, 1), (16, 9, 1), (23, 9, 0), (23, 10, 1)]),
+    # the one part that runs levels has 33 vertices and a cap of 28: level 5
+    # steps 7, 8, 10, 14 to its no, and level 6 from 14 to 21, whose next
+    # size, 29, passes the cap
+    (lambda: random_connected_graph(150, 187, 3), [
+        (5, 3, 0), (6, 4, 0), (7, 5, 1), (8, 5, 1), (10, 5, 1), (14, 5, 0), (14, 6, 1),
+        (15, 6, 1), (17, 6, 1), (21, 6, 1), (33, 6, 0), (33, 7, 1)]),
+])
+def test_level_schedule_is_pinned(make, schedule):
+    # the (n, k, answer) of every level, minors included, in the order run
+    _, _, report = pipeline.solve(make())
+    assert [(r["part"], r["n"], r["k"], r["answer"]) for r in report.levels] == [
+        (0, *level) for level in schedule]
+
+
 def test_parallel_jobs_agree():
     # eight octahedra: the first is solved inline, the other seven in the pool
     g = octahedron_chain(8)

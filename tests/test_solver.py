@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from twsolve import blocks, minors, oracle, solver
 from twsolve.families import cycle_graph, mycielski_graph, queen_graph, random_connected_graph
-from twsolve.graph import Graph, vset
+from twsolve.graph import AuditError, Graph, vset
 from twsolve.safesep import greedy_elimination
 from twsolve.sieve import SieveBank, linear_scan_supersets
 from twsolve.solver import SolverTimeout, decide
@@ -250,6 +250,21 @@ def test_myciel5_accepts_level_19_through_a_lifted_minor():
     # decomposition, lifted and narrowed, has width 19, so g runs no level 19
     assert (stats[-1].n, stats[-1].k, stats[-1].answer) == (36, 19, True)
     assert not any(s.n == g.n and s.k == 19 for s in stats)
+
+
+def test_lifted_decomposition_is_audited(monkeypatch):
+    narrow = solver.narrow
+
+    def drop_a_vertex(g, td):
+        td = narrow(g, td)
+        bags = list(td.bags)
+        bags[0] &= bags[0] - 1  # its lowest vertex
+        return TreeDecomposition(td.n, bags, td.edges)
+
+    monkeypatch.setattr(solver, "narrow", drop_a_vertex)
+    # myciel4 lifts its 16-vertex minor's yes at level 9
+    with pytest.raises(AuditError, match="lifted decomposition failed validation"):
+        treewidth(mycielski_graph(4))
 
 
 def test_no_accepting_level_returns_the_held_decomposition(monkeypatch):
