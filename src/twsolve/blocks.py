@@ -48,48 +48,30 @@ def is_cliquish(g: Graph, k_set: int, comp_nbs: list[int]) -> bool:
     ``k_set``.  A vertex u of K is fine when it is adjacent to every other
     vertex of K outside ``cov``, the union of the neighborhoods that contain
     u.  Vertices that lie in exactly the same neighborhoods share ``cov``, so
-    with fewer such classes (at most 2^c for c components) than vertices,
-    each class V is checked at once: every vertex of V must be adjacent to
-    every other vertex of R = K - cov, which is symmetric, so the smaller of
-    V and R is scanned.  With many components the classes cost more than
-    they save, and each vertex of K collects its ``cov`` instead.
+    each such class V is checked at once: every vertex of V must be adjacent
+    to every other vertex of R = K - cov, which is symmetric, so the smaller
+    of V and R is scanned.
     """
     adj = g.adj
-    if 1 << len(comp_nbs) < k_set.bit_count():
-        classes = [(k_set, 0)]
-        for nb in comp_nbs:
-            split = []
-            for part, cov in classes:
-                inside = part & nb
-                if inside:
-                    split.append((inside, cov | nb))
-                if part != inside:
-                    split.append((part ^ inside, cov))
-            classes = split
+    classes = [(k_set, 0)]
+    for nb in comp_nbs:
+        split = []
         for part, cov in classes:
-            rest = k_set & ~cov
-            if part.bit_count() > rest.bit_count():
-                part, rest = rest, part
-            while part:
-                b = part & -part
-                part ^= b
-                if rest & ~adj[b.bit_length() - 1] & ~b:
-                    return False
-        return True
-    rem = k_set
-    while rem:
-        b = rem & -rem
-        rem ^= b
-        u = b.bit_length() - 1
-        need = k_set & ~adj[u] & ~b
-        if not need:
-            continue
-        covered = 0
-        for nb in comp_nbs:
-            if nb & b:
-                covered |= nb
-        if need & ~covered:
-            return False
+            inside = part & nb
+            if inside:
+                split.append((inside, cov | nb))
+            if part != inside:
+                split.append((part ^ inside, cov))
+        classes = split
+    for part, cov in classes:
+        rest = k_set & ~cov
+        if part.bit_count() > rest.bit_count():
+            part, rest = rest, part
+        while part:
+            b = part & -part
+            part ^= b
+            if rest & ~adj[b.bit_length() - 1] & ~b:
+                return False
     return True
 
 

@@ -149,6 +149,8 @@ def read_td(text: str) -> TreeDecomposition:
             if len(parts) != 5 or parts[1] != "td":
                 raise ParseError("expected header 's td <bags> <max-bag> <n>'", lineno)
             header, header_line = _ints(parts[2:], "header fields", lineno), lineno
+            if min(header) < 0:
+                raise ParseError("negative header fields", lineno)
             continue
         if header is None:
             raise ParseError("content before solution header", lineno)

@@ -103,16 +103,17 @@ def solve(
     The report's ``lower`` is the largest of the reduction's certified lower
     bound and the parts' bounds, and ``tw`` the width of the glued
     decomposition.  ``parts.stopped`` counts the parts wider than ``lower``,
-    so ``tw`` equals ``lower`` exactly when it is 0.  Counters sum the
-    accepting decision levels run on the parts themselves; a part that no
-    level accepted, or whose decomposition was lifted from a minor, adds
-    nothing.  The report's ``levels`` holds the stats of every level that
-    finished, part by part in solve order, with the n of the graph it ran
-    on: below the part's size for a level tried on a minor.  Raises
-    :class:`AuditError` if no placed bag holds what a part or a removed
-    vertex shares, if the final decomposition fails its own audit, or if its
-    width is below ``lower`` or, without a deadline or a stopped part,
-    above it; the result is never silently wrong.
+    so ``tw`` equals ``lower`` exactly when it is 0.  Every other part counts
+    under the ``how`` that :func:`~twsolve.solver.treewidth` returns: in
+    ``parts.lifted``, in ``parts.settled_by_bound``, or, when
+    ``"accepted"``, in the counters, which sum its accepting level.  The
+    report's ``levels`` holds the stats of every level that finished, part
+    by part in solve order, with the n of the graph it ran on: below the
+    part's size for a level tried on a minor.  Raises :class:`AuditError`
+    if no placed bag holds what a part or a removed vertex shares, if the
+    final decomposition fails its own audit, or if its width is below
+    ``lower`` or, without a deadline or a stopped part, above it; the result
+    is never silently wrong.
     """
     started = time.monotonic()
     report = SolveReport(instance, g.n, g.edge_count)
@@ -146,20 +147,17 @@ def solve(
                 repeat(running_max), repeat(deadline),
             )))
 
-    lower = max([low] + [bound for bound, _, _ in solved.values()])
-    for number, (i, (_, td, stats)) in enumerate(solved.items()):
+    lower = max([low] + [bound for bound, *_ in solved.values()])
+    for number, (_, td, stats, how) in enumerate(solved.values()):
         report.levels += [{"part": number, **asdict(s)} for s in stats]
         report.parts["levels"] += len(stats)
         if td.width() > lower:
             report.parts["stopped"] += 1
-        # a level that accepted on the part itself ends its stats
-        elif stats and stats[-1].answer and stats[-1].n == parts[i].graph.n:
+        elif how == "accepted":
             for key in COUNTERS:
                 report.counters[key] += getattr(stats[-1], key)
-        elif td.width() < parts[i].held.width():
-            report.parts["lifted"] += 1
         else:
-            report.parts["settled_by_bound"] += 1
+            report.parts[how] += 1
     report.parts["total"] = len(parts)
     report.safe_separators["max_part"] = max((part.graph.n for part in parts), default=0)
 

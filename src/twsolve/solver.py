@@ -360,9 +360,10 @@ def treewidth(
     held: TreeDecomposition,
     lower: int = 0,
     deadline: float | None = None,
-) -> tuple[int, TreeDecomposition, list[SolverStats]]:
-    """A bound on the treewidth of connected ``g``, a decomposition of ``g``
-    and the stats of the levels run, each with the n of the graph it ran on.
+) -> tuple[int, TreeDecomposition, list[SolverStats], str]:
+    """A bound on the treewidth of connected ``g``, a decomposition of ``g``,
+    the stats of the levels run, each with the n of the graph it ran on, and
+    how the decomposition came about.
 
     ``held`` is a decomposition of ``g`` the caller already holds.  The
     decision levels run with the bound k increasing one by one from
@@ -383,6 +384,12 @@ def treewidth(
     that answered no, on ``g`` or on an audited minor, or the minimum degree
     of ``g`` when none did, with the narrowest decomposition held, which is
     wider.
+
+    ``how`` is ``"accepted"`` for a decomposition extracted from a level run
+    on ``g``, which is then the last entry of the stats; ``"lifted"`` for a
+    minor's yes lifted to ``g``, whether it accepted its level or was held
+    as narrower than ``held``; and ``"settled_by_bound"`` for ``held``
+    itself.  A stopped run returns the ``how`` of the decomposition it holds.
     """
     if g.n == 0:
         raise ValueError("treewidth requires a non-empty graph")
@@ -398,6 +405,7 @@ def treewidth(
     chain = {h.n: (_Analysis(h), branch) for h, branch in chain}
     analysis = _Analysis(g)
     levels: list[SolverStats] = []
+    how = "settled_by_bound"
     size = 0
     bound = g.min_degree()
     k = start
@@ -420,17 +428,17 @@ def treewidth(
                 if yes is not None:
                     td = _lift(g, *yes)
                     if td.width() <= k:
-                        return k, td, levels
+                        return k, td, levels, "lifted"
                     if td.width() < top:
-                        top, held = td.width(), td
+                        top, held, how = td.width(), td, "lifted"
                 res = decide(g, k, deadline=deadline, _analysis=analysis)
                 levels.append(res.stats)
                 if res.answer:
-                    return k, extract(g, res.witness), levels
+                    return k, extract(g, res.witness), levels, "accepted"
             bound = k = k + 1
     except SolverTimeout:
-        return bound, held, levels
-    return top, held, levels
+        return bound, held, levels, how
+    return top, held, levels, how
 
 
 def _lift(g: Graph, h: Graph, branch: list[int], witness: Witness) -> TreeDecomposition:

@@ -277,7 +277,7 @@ def held_decomposition(g: Graph) -> TreeDecomposition:
     return from_elimination(g, *best)
 
 
-def treewidth(g: Graph, **kw) -> tuple[int, TreeDecomposition, list[solver.SolverStats]]:
+def treewidth(g: Graph, **kw) -> tuple[int, TreeDecomposition, list[solver.SolverStats], str]:
     """:func:`twsolve.solver.treewidth` holding the decomposition a part
     comes with."""
     return solver.treewidth(g, held_decomposition(g), **kw)

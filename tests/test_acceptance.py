@@ -113,7 +113,7 @@ def test_criterion3_oracle_equivalence_300():
             for rep in range(10):
                 seed = n * 1000 + mult_num * 100 + rep
                 g = random_connected_graph(n, m, seed)
-                tw, td, _ = treewidth(g)
+                tw, td, _, _ = treewidth(g)
                 bf = oracle.bf_treewidth(g)
                 assert tw == bf, f"n={n} m={m} rep={rep}: solver {tw} oracle {bf}"
                 ok = validate(g, td) == [] and td.width() == tw

@@ -83,12 +83,12 @@ def cliquish_by_pairs(g, k_set):
 
 
 def check_cliquish(g, k_set) -> tuple[str, bool]:
-    """Compare ``is_cliquish`` with the definition; return the path it takes
-    and the answer."""
+    """Compare ``is_cliquish`` with the definition; return the input's class,
+    "many" components c when 2^c >= |K| and "few" otherwise, and the answer."""
     got = is_cliquish(g, k_set)
     assert got == cliquish_by_pairs(g, k_set)
     comps = len(g.components(k_set))
-    return ("classes" if 1 << comps < k_set.bit_count() else "per vertex"), got
+    return ("many" if 1 << comps >= k_set.bit_count() else "few"), got
 
 
 @given(connected_graphs(max_n=12), st.data())
@@ -96,8 +96,8 @@ def test_is_cliquish_matches_pairwise_definition(g, data):
     check_cliquish(g, data.draw(vertex_subsets(g, min_size=1)))
 
 
-def test_is_cliquish_differential_reaches_both_paths():
-    # seeded draws like those of the test above: both paths answer both ways
+def test_is_cliquish_differential_covers_both_input_classes():
+    # seeded draws like those of the test above: both classes, both answers
     seen = Counter()
     rng = random.Random(3)
     for seed in range(150):
@@ -105,17 +105,17 @@ def test_is_cliquish_differential_reaches_both_paths():
         g = random_connected_graph(n, n - 1 + rng.randint(0, 2 * n), seed)
         for _ in range(10):
             seen[check_cliquish(g, rng.randint(1, g.full_mask))] += 1
-    for path in ("classes", "per vertex"):
-        assert seen[path, True] >= 50 and seen[path, False] >= 50
+    for kind in ("few", "many"):
+        assert seen[kind, True] >= 50 and seen[kind, False] >= 50
 
 
 def test_is_cliquish_fixed_cases():
     # K = all vertices leaves no component: cliquish iff a clique
-    assert check_cliquish(complete_graph(5), complete_graph(5).full_mask) == ("classes", True)
-    assert check_cliquish(cycle_graph(5), cycle_graph(5).full_mask) == ("classes", False)
+    assert check_cliquish(complete_graph(5), complete_graph(5).full_mask) == ("few", True)
+    assert check_cliquish(cycle_graph(5), cycle_graph(5).full_mask) == ("few", False)
     # a single vertex is always cliquish
     for v in range(5):
-        assert check_cliquish(cycle_graph(5), mask(v)) == ("per vertex", True)
+        assert check_cliquish(cycle_graph(5), mask(v)) == ("many", True)
 
 
 def test_is_pmc():

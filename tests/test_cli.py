@@ -271,6 +271,13 @@ def test_validate_rejects_a_wrong_declared_bag_size(tmp_graph_file, capsys):
     assert "parse error: line 1: declared max bag size 7" in capsys.readouterr().err
 
 
+def test_validate_rejects_negative_td_header_fields(tmp_graph_file, capsys):
+    gpath = tmp_graph_file("empty.gr", "p tw 0 0\n")
+    tdpath = tmp_graph_file("neg.td", "s td -1 0 0\n")
+    assert main(["validate", gpath, tdpath]) == 2
+    assert "parse error: line 1: negative header fields" in capsys.readouterr().err
+
+
 def test_jobs_flag(tmp_graph_file, capsys):
     # a graph with cut vertices so several parts exist
     text = "p tw 7 8\n1 2\n2 3\n1 3\n3 4\n4 5\n5 6\n6 7\n5 7\n"

@@ -56,8 +56,8 @@ treewidth = pipeline.treewidth
 
 def shifted(by):
     def bound_off_by(*args):
-        bound, td, levels = treewidth(*args)
-        return bound + by, td, levels
+        bound, td, levels, how = treewidth(*args)
+        return bound + by, td, levels, how
     return bound_off_by
 
 

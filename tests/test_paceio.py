@@ -103,6 +103,17 @@ def test_read_td_errors():
         paceio.read_td("s td 1 1 2\nb 1 1 2\n")
 
 
+@pytest.mark.parametrize("text", [
+    "s td -1 0 0\n",  # no bags, no vertices
+    "s td 1 0 -4\nb 1\n",  # an empty bag over -4 vertices
+    "c comment\ns td 1 -1 1\nb 1\n",
+])
+def test_read_td_rejects_negative_header_fields(text):
+    lineno = 2 if text.startswith("c") else 1
+    with pytest.raises(paceio.ParseError, match=f"line {lineno}: negative header fields"):
+        paceio.read_td(text)
+
+
 def test_td_roundtrip_empty_decomposition():
     # the one bag written for an empty decomposition is empty, of size 0
     empty = TreeDecomposition(0, [], [])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from twsolve import cli, oracle, pipeline, safesep, solver
-from twsolve.families import cycle_graph, mycielski_graph, random_connected_graph
+from twsolve.families import cycle_graph, mycielski_graph, queen_graph, random_connected_graph
 from twsolve.graph import AuditError, Graph, is_clique_in, vset
 from twsolve.paceio import write_gr
 from twsolve.solver import SolverTimeout
@@ -125,7 +125,7 @@ def test_pipeline_matches_oracle_and_toggle():
         assert td.width() == tw
         assert tw == oracle.bf_treewidth(g)
         # the solver alone, without the reduction and the splitting
-        tw2, td2, _ = treewidth(g)
+        tw2, td2, _, _ = treewidth(g)
         assert tw2 == tw
         assert validate(g, td2) == []
 
@@ -133,7 +133,7 @@ def test_pipeline_matches_oracle_and_toggle():
 def test_pipeline_larger_sparse_graph_consistency():
     g = random_connected_graph(34, 40, 2718)
     tw_a, td_a, rep = pipeline.solve(g)
-    tw_b, td_b, _ = treewidth(g)
+    tw_b, td_b, _, _ = treewidth(g)
     assert tw_a == tw_b
     assert validate(g, td_a) == [] and validate(g, td_b) == []
     assert td_a.width() == tw_a and td_b.width() == tw_b
@@ -159,6 +159,37 @@ def test_level_schedule_is_pinned(make, schedule):
     _, _, report = pipeline.solve(make())
     assert [(r["part"], r["n"], r["k"], r["answer"]) for r in report.levels] == [
         (0, *level) for level in schedule]
+
+
+@pytest.mark.parametrize("make, how", [
+    (lambda: mycielski_graph(4), "accepted"),
+    (lambda: queen_graph(6, 6), "accepted"),
+    (lambda: queen_graph(5, 5), "settled_by_bound"),
+], ids=["myciel4", "queen6_6", "queen5_5"])
+def test_a_part_counts_under_how_its_decomposition_came_about(make, how):
+    # myciel5's lift is counted in test_levels_record_the_n_of_the_graph_they_ran_on
+    report = pipeline.solve(make())[2]
+    parts = dict.fromkeys(("settled_by_bound", "lifted", "stopped"), 0)
+    if how != "accepted":
+        parts[how] = 1
+    assert report.parts == {"total": 1, **parts, "levels": len(report.levels)}
+    # only the accepting level on the part, which ran last, adds to counters
+    last = report.levels[-1]
+    assert report.counters == {
+        key: last[key] if how == "accepted" else 0 for key in pipeline.COUNTERS}
+
+
+def test_a_held_lift_counts_as_lifted_without_counters(monkeypatch):
+    # myciel4's level 9 holds a width-10 lift, narrower than its elimination
+    # width 11, and answers no on the part: nothing accepts on the part
+    exact = treewidth(mycielski_graph(4))[1]
+    monkeypatch.setattr(solver, "_lift", lambda *args: exact)
+    tw, _, report = pipeline.solve(mycielski_graph(4))
+    assert tw == 10 and report.parts["lifted"] == 1
+    assert report.parts["settled_by_bound"] == report.parts["stopped"] == 0
+    assert (report.levels[-1]["n"], report.levels[-1]["k"], report.levels[-1]["answer"]) == (
+        23, 9, False)
+    assert set(report.counters.values()) == {0}
 
 
 def test_parallel_jobs_agree():
@@ -453,6 +484,26 @@ def test_a_part_stopped_below_the_certified_bound_is_not_open():
     report = pipeline.solve(g, deadline=time.monotonic() - 1.0)[2]
     assert report.parts == {"total": 2, "settled_by_bound": 2, "lifted": 0, "stopped": 0,
                             "levels": 0}
+
+
+def test_a_part_stopped_within_the_certified_bound_counts_under_its_how(monkeypatch):
+    # K11 is removed whole and certifies 10; myciel4 holds a lifted width-10
+    # decomposition from level 9, then stops on the part with bound 9
+    exact = treewidth(mycielski_graph(4))[1]
+    monkeypatch.setattr(solver, "_lift", lambda *args: exact)
+    decide = solver.decide
+
+    def stop_on_the_part(h, k, **kwargs):
+        if h.n == 23:
+            raise SolverTimeout
+        return decide(h, k, **kwargs)
+
+    monkeypatch.setattr(solver, "decide", stop_on_the_part)
+    tw, _, report = pipeline.solve(disjoint_union(mycielski_graph(4), complete_graph(11)))
+    assert tw == report.lower == 10 and report.reduction["removed"] == 11
+    assert report.parts == {"total": 1, "settled_by_bound": 0, "lifted": 1, "stopped": 0,
+                            "levels": len(report.levels)}
+    assert set(report.counters.values()) == {0}
 
 
 def test_pool_carries_the_deadline():

@@ -82,7 +82,7 @@ def test_treewidth_complete_bipartite():
 def test_witness_yields_valid_decomposition():
     g = cycle_graph(4)
     # held in one bag, so level 2 runs on g and its witness gives the result
-    tw, td, levels = solver.treewidth(g, TreeDecomposition(4, [g.full_mask], []))
+    tw, td, levels, _ = solver.treewidth(g, TreeDecomposition(4, [g.full_mask], []))
     assert [(s.n, s.k, s.answer) for s in levels] == [(4, 2, True)]
     assert validate(g, td) == []
     assert td.width() == tw == 2
@@ -93,7 +93,7 @@ def test_oracle_equivalence_small():
         n = 4 + seed % 8
         g = random_connected_graph(n, 2 * n, 900 + seed)
         with checked_searches() as checked:
-            tw, td, levels = treewidth(g)
+            tw, td, levels, _ = treewidth(g)
         # every level is checked; a graph runs none only when its minimum
         # degree certifies the width of the decomposition it holds
         assert len(checked) == len(levels) and (levels or tw == g.min_degree())
@@ -181,7 +181,7 @@ def _levels(g: Graph, held: TreeDecomposition | None = None,
     the decomposition a part comes with), with the (n, k, answer) of every
     level it ran."""
     held = held_decomposition(g) if held is None else held
-    tw, td, stats = solver.treewidth(g, held, **bounds)
+    tw, td, stats, _ = solver.treewidth(g, held, **bounds)
     return (tw, td), [(s.n, s.k, s.answer) for s in stats]
 
 
@@ -238,18 +238,74 @@ def test_levels_between_bounds():
     assert _levels(g, held) == ((3, held), [(4, 2, False)])
     assert _levels(g, wide, lower=4) == ((4, wide), [])
     assert _levels(g, held, lower=3) == ((3, held), [])  # empty range
-    tw, td, _ = solver.treewidth(g, _banded(g, 5), lower=2)
+    tw, td, _, _ = solver.treewidth(g, _banded(g, 5), lower=2)
     assert tw == td.width() == 3
 
 
 def test_myciel5_accepts_level_19_through_a_lifted_minor():
     g = mycielski_graph(5)
-    tw, td, stats = treewidth(g)
-    assert tw == td.width() == 19 and validate(g, td) == []
+    tw, td, stats, how = treewidth(g)
+    assert tw == td.width() == 19 and validate(g, td) == [] and how == "lifted"
     # every minor tried at level 19 answers yes; the largest one's
     # decomposition, lifted and narrowed, has width 19, so g runs no level 19
     assert (stats[-1].n, stats[-1].k, stats[-1].answer) == (36, 19, True)
     assert not any(s.n == g.n and s.k == 19 for s in stats)
+
+
+@pytest.mark.parametrize("make, held_width, tw", [
+    (lambda: mycielski_graph(4), 11, 10), (lambda: queen_graph(6, 6), 26, 25),
+], ids=["myciel4", "queen6_6"])
+def test_how_accepted_ends_with_the_accepting_level_on_the_graph(make, held_width, tw):
+    g = make()
+    held = held_decomposition(g)
+    bound, td, levels, how = solver.treewidth(g, held)
+    assert held.width() == held_width and bound == td.width() == tw
+    assert how == "accepted" and (levels[-1].n, levels[-1].k, levels[-1].answer) == (
+        g.n, tw, True)
+
+
+def test_how_lifted_when_a_narrower_lift_is_held(monkeypatch):
+    g = mycielski_graph(4)
+    held = held_decomposition(g)
+    exact = solver.treewidth(g, held)[1]
+    monkeypatch.setattr(solver, "_lift", lambda *args: exact)
+    # level 9 lifts a decomposition of width 10, narrower than the held 11
+    # but wider than 9; level 9 on g answers no, so width 10 is certified
+    bound, td, levels, how = solver.treewidth(g, held)
+    assert held.width() == 11 and exact.width() == 10
+    assert (bound, td, how) == (10, exact, "lifted")
+    assert (levels[-1].n, levels[-1].k, levels[-1].answer) == (g.n, 9, False)
+
+
+def test_how_settled_by_bound_with_and_without_levels():
+    g = cycle_graph(6)  # minimum degree 2 certifies the held width 2
+    held = held_decomposition(g)
+    assert solver.treewidth(g, held) == (2, held, [], "settled_by_bound")
+    g = queen_graph(5, 5)
+    held = held_decomposition(g)
+    bound, td, levels, how = solver.treewidth(g, held)
+    assert (bound, td, how) == (18, held, "settled_by_bound")
+    assert max(s.k for s in levels) == 17 and not any(s.answer for s in levels)
+
+
+def test_a_stopped_run_returns_the_how_of_what_it_holds(monkeypatch):
+    g = mycielski_graph(4)
+    held = held_decomposition(g)
+    assert solver.treewidth(g, held, 0, time.monotonic() - 1.0)[1:] == (
+        held, [], "settled_by_bound")
+    exact = solver.treewidth(g, held)[1]
+    monkeypatch.setattr(solver, "_lift", lambda *args: exact)
+    decide = solver.decide
+
+    def stop_on_g(h, k, **kwargs):
+        if h.n == g.n:
+            raise SolverTimeout
+        return decide(h, k, **kwargs)
+
+    monkeypatch.setattr(solver, "decide", stop_on_g)
+    # level 9 holds the lifted decomposition, then stops on g
+    bound, td, _, how = solver.treewidth(g, held)
+    assert (bound, td, how) == (9, exact, "lifted")
 
 
 def test_lifted_decomposition_is_audited(monkeypatch):
@@ -276,7 +332,7 @@ def test_no_accepting_level_returns_the_held_decomposition(monkeypatch):
     wide = _banded(g, 5)
     # every level below the held width answers no, so the held width is the
     # bound; the minors are gated off, since the largest is far narrower
-    tw, td, stats = solver.treewidth(g, wide)
+    tw, td, stats, _ = solver.treewidth(g, wide)
     assert (tw, td) == (5, wide)
     assert [(s.n, s.k) for s in stats] == [(9, 2), (9, 3), (9, 4)]
 
@@ -295,7 +351,7 @@ def test_timeout_carries_the_certified_bound(monkeypatch):
     g = mycielski_graph(4)  # minimum degree 4, treewidth 10
     held = held_decomposition(g)  # width 11
     for lower in (0, 6):  # a start above the minimum degree certifies nothing
-        bound, td, levels = solver.treewidth(g, held, lower, time.monotonic() - 1.0)
+        bound, td, levels, _ = solver.treewidth(g, held, lower, time.monotonic() - 1.0)
         assert bound == g.min_degree() == 4 and td is held and levels == []
     ran: list[solver.SolverStats] = []
     decide = solver.decide
@@ -308,7 +364,7 @@ def test_timeout_carries_the_certified_bound(monkeypatch):
         return res
 
     monkeypatch.setattr(solver, "decide", stop_at_level_7)
-    bound, td, levels = solver.treewidth(g, held)
+    bound, td, levels, _ = solver.treewidth(g, held)
     assert max(s.k for s in ran if not s.answer) == 6
     assert bound == 7 and td is held and held.width() == 11
     # the levels that finished before the stop come back with the bound
@@ -395,7 +451,7 @@ def test_levels_match_fresh_decisions_hypothesis(g):
     graphs = {h.n: h for h, _ in minors.contraction_chain(g, 2, g.n - 1)}
     graphs[g.n] = g
     with checked_searches() as checked:
-        tw, td, stats = treewidth(g)
+        tw, td, stats, _ = treewidth(g)
         fresh = [decide(graphs[s.n], s.k) for s in stats]
     assert [_counts(s) for s in stats] == [_counts(res.stats) for res in fresh]
     if stats and stats[-1].answer and stats[-1].n == g.n:
