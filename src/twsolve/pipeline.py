@@ -87,12 +87,14 @@ def solve(
     deadline, and a report.
 
     Parts are solved largest first (ties: larger elimination width ub first).
-    Each part runs its decision levels from the largest bound M found so far
-    up to its own ub - 1, and keeps its elimination decomposition when no
-    level accepts; its width ub is then certified by its negative level
-    ub - 1, by its minimum degree, or by ub <= M.  With ``jobs`` > 1 the
-    largest part is solved first in this process, then the others in a pool
-    with M fixed at its bound.
+    Each part runs its decision levels on minors upward from the largest
+    bound M found so far, then on the part top-down from its own ub - 1
+    (:func:`~twsolve.solver.treewidth`), and keeps its elimination
+    decomposition when no level accepts.  The width w it ends with is
+    certified by a no at level w - 1, on the part or on a minor, by its
+    minimum degree, or by w <= M.  With ``jobs`` > 1 the largest part is
+    solved first in this process, then the others in a pool with M fixed at
+    its bound.
 
     ``deadline`` is a :func:`time.monotonic` time.  The reduction and the
     safe-separator search always run in full; the decision levels poll the
@@ -106,7 +108,8 @@ def solve(
     so ``tw`` equals ``lower`` exactly when it is 0.  Every other part counts
     under the ``how`` that :func:`~twsolve.solver.treewidth` returns: in
     ``parts.lifted``, in ``parts.settled_by_bound``, or, when
-    ``"accepted"``, in the counters, which sum its accepting level.  The
+    ``"accepted"``, in the counters, which sum its accepting level: the
+    last of its levels with a yes answer.  The
     report's ``levels`` holds the stats of every level that finished, part
     by part in solve order, with the n of the graph it ran on: below the
     part's size for a level tried on a minor.  Raises :class:`AuditError`
@@ -154,8 +157,9 @@ def solve(
         if td.width() > lower:
             report.parts["stopped"] += 1
         elif how == "accepted":
+            accepting = next(s for s in reversed(stats) if s.answer)
             for key in COUNTERS:
-                report.counters[key] += getattr(stats[-1], key)
+                report.counters[key] += getattr(accepting, key)
         else:
             report.parts[how] += 1
     report.parts["total"] = len(parts)

@@ -38,21 +38,25 @@ audit certifies the level, and a small minor reaches its fixpoint far sooner
 than the graph.  Level k tries the minors of sizes s, s + 1, s + 3, s + 7,
 ... up to ``MINOR_SHARE`` of the graph, where s is the size that answered
 no at the level below, or k + 2 if that is larger; the levels share one
-analysis per minor.  A level that no minor answers no runs on the whole
-graph, as does every level above it.  A yes on a minor certifies nothing by
-itself, but its witness unfolds into a decomposition of the minor, which the
-branch sets lift to the graph.  So at the level where the minors run out,
-the largest minor's yes is lifted, narrowed to a minimal triangulation
-(:func:`~twsolve.tdbuild.narrow`) and validated: if it is no wider than the
-level, the level accepts with it and never runs on the graph, and otherwise
-it is held in place of a wider decomposition.  This happens at most once
-per graph, since the minors are dropped there.  A graph whose largest
-minor's min-degree width is below the width of the decomposition it holds,
-less one, has lost its top levels to contraction and tries no minors.
+analysis per minor.  A yes on a minor certifies nothing by itself, but its
+witness unfolds into a decomposition of the minor, which the branch sets
+lift to the graph.  At the first level k that no minor answers no, none
+does above k either, so the minors run out: the largest minor's yes is
+lifted, narrowed to a minimal triangulation (:func:`~twsolve.tdbuild.narrow`)
+and validated, and held if it is narrower than the decomposition held.
+Then the graph runs its levels top-down, at U - 1 for the width U of the
+narrowest decomposition held: a yes is extracted and held, and its width,
+which may be more than one below U, sets the next level; a no certifies U,
+and a width of at most k needs no level.  So the graph runs at most one
+negative level, tw - 1, whose no implies those below it.  A graph whose
+largest minor's min-degree width is below the width of the decomposition
+it holds, less one, has lost its top levels to contraction and tries no
+minors.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -74,8 +78,8 @@ __all__ = [
     "treewidth",
 ]
 
-# Levels try minors of at most this share of the graph's vertices.  A level
-# that no smaller minor answers no runs on the whole graph, and a minor near
+# Levels try minors of at most this share of the graph's vertices.  When no
+# smaller minor answers no, the whole graph runs the levels, and a minor near
 # the graph's size would cost about as much as the graph while certifying
 # the level rarely, since the greedy contractions lose width early.
 MINOR_SHARE = 0.85
@@ -366,30 +370,29 @@ def treewidth(
     how the decomposition came about.
 
     ``held`` is a decomposition of ``g`` the caller already holds.  The
-    decision levels run with the bound k increasing one by one from
-    max(``lower``, 1, minimum degree) (from 0 for a single vertex), each on
-    minors first as the module docstring describes, and stop at the first
-    accepting level or below the width of the narrowest decomposition held.
-    A certified answer needs the negative level tw - 1 anyway, and binary
-    search would add levels above tw, each of which holds every feasible
-    object of the levels below it (feasibility is monotone in k).  A
-    decomposition lifted from a minor is validated against ``g``, which
+    levels run on minors upward from max(``lower``, 1, minimum degree)
+    (from 0 for a single vertex), then on ``g`` top-down, as the module
+    docstring describes.  A certified answer needs the negative level
+    tw - 1, which reaches its fixpoint, and an accepting level at or above
+    tw, which stops at its root; binary search would add negative levels.
+    A decomposition lifted from a minor is validated against ``g``, which
     raises :class:`AuditError` on failure.
 
-    A finished run returns the accepting level k with its decomposition, of
-    width at most k, or the width of the narrowest decomposition held with
-    it.  That bound is the treewidth of ``g`` when ``lower`` is at most the
-    treewidth, and at most ``lower`` otherwise.  A run stopped at the
-    deadline returns the bound its levels certify, one above the last level
-    that answered no, on ``g`` or on an audited minor, or the minimum degree
-    of ``g`` when none did, with the narrowest decomposition held, which is
-    wider.
+    A finished run returns the width of the narrowest decomposition held
+    with it.  That bound is the treewidth of ``g`` when ``lower`` is at
+    most the treewidth, and at most ``lower`` otherwise.  A run stopped at
+    the deadline returns the bound its levels certify, one above the last
+    level that answered no on an audited minor, or the minimum degree of
+    ``g`` when none did, with the narrowest decomposition held, which is
+    wider.  A stop while ``g`` runs its levels keeps the bound of the level
+    where they began, since the one no on ``g`` ends the run.
 
     ``how`` is ``"accepted"`` for a decomposition extracted from a level run
-    on ``g``, which is then the last entry of the stats; ``"lifted"`` for a
-    minor's yes lifted to ``g``, whether it accepted its level or was held
-    as narrower than ``held``; and ``"settled_by_bound"`` for ``held``
-    itself.  A stopped run returns the ``how`` of the decomposition it holds.
+    on ``g``, which is then the last entry of the stats with a yes answer;
+    ``"lifted"`` for a minor's yes lifted to ``g``, whether it accepted its
+    level or was held as narrower than ``held``; and ``"settled_by_bound"``
+    for ``held`` itself.  A stopped run returns the ``how`` of the
+    decomposition it holds.
     """
     if g.n == 0:
         raise ValueError("treewidth requires a non-empty graph")
@@ -417,28 +420,39 @@ def treewidth(
                 res = decide(facts.g, k, deadline=deadline, _analysis=facts)
                 if not res.answer:
                     minors.audit(g, facts.g, branch)
-                levels.append(res.stats)
+                _record(levels, res.stats)
                 if not res.answer:
                     break
                 yes = facts.g, branch, res.witness
                 size, step = size + step, 2 * step
             else:
-                # no minor up to the cap answers no at k, so none answers no above k
-                chain = {}
+                # no minor up to the cap answers no at k, so none answers no
+                # above k: g runs top - 1 until a no certifies top or top <= k
                 if yes is not None:
                     td = _lift(g, *yes)
-                    if td.width() <= k:
-                        return k, td, levels, "lifted"
                     if td.width() < top:
                         top, held, how = td.width(), td, "lifted"
-                res = decide(g, k, deadline=deadline, _analysis=analysis)
-                levels.append(res.stats)
-                if res.answer:
-                    return k, extract(g, res.witness), levels, "accepted"
+                while top > k:
+                    res = decide(g, top - 1, deadline=deadline, _analysis=analysis)
+                    _record(levels, res.stats)
+                    if not res.answer:
+                        break
+                    held, how = extract(g, res.witness), "accepted"
+                    top = held.width()
+                return top, held, levels, how
             bound = k = k + 1
     except SolverTimeout:
         return bound, held, levels, how
     return top, held, levels, how
+
+
+def _record(levels: list[SolverStats], s: SolverStats) -> None:
+    """Append a finished level's stats to ``levels`` and log them."""
+    levels.append(s)
+    logging.getLogger("twsolve").debug(
+        "level n=%d k=%d answer=%s ms=%.1f iblocks=%d oblocks=%d pmcs_buildable=%d "
+        "pmcs_feasible=%d", s.n, s.k, s.answer, s.ms, s.iblocks, s.oblocks, s.pmcs_buildable,
+        s.pmcs_feasible)
 
 
 def _lift(g: Graph, h: Graph, branch: list[int], witness: Witness) -> TreeDecomposition:

@@ -57,14 +57,15 @@ def test_stats_levels_record_every_decision_level(tmp_graph_file, tmp_path, caps
     stats = json.loads(out_json.read_text())
     levels = stats["levels"]
     assert stats["parts"]["levels"] == len(levels)
-    # one part of 23 vertices: each level from the minimum degree 4 up to 9
-    # answers no once, on the part or on a minor of it, and level 10 accepts
-    # on the part, last
+    # one part of 23 vertices: the levels from the minimum degree 4 up to 8
+    # answer no on minors of it, in ascending order; the minors run out at
+    # level 9, and the part runs top-down from its elimination width 11:
+    # level 10 accepts, and level 9 answers no, last
     assert {r["part"] for r in levels} == {0}
-    assert [r["k"] for r in levels if not r["answer"]] == list(range(4, 10))
-    assert [r["k"] for r in levels] == sorted(r["k"] for r in levels)
-    assert (levels[-1]["n"], levels[-1]["k"], levels[-1]["answer"]) == (23, 10, True)
-    assert any(r["n"] < 23 and not r["answer"] for r in levels)
+    minor_levels = [r["k"] for r in levels[:-2]]
+    assert minor_levels == sorted(minor_levels) and all(r["n"] < 23 for r in levels[:-2])
+    assert [r["k"] for r in levels[:-2] if not r["answer"]] == list(range(4, 9))
+    assert [(r["n"], r["k"], r["answer"]) for r in levels[-2:]] == [(23, 10, True), (23, 9, False)]
     for r in levels:
         assert list(r) == ["part", "n", "k", "answer", "iblocks", "oblocks", "pmcs_buildable",
                            "pmcs_feasible", "ms"]
@@ -72,7 +73,7 @@ def test_stats_levels_record_every_decision_level(tmp_graph_file, tmp_path, caps
         assert r["k"] + 2 <= r["n"] <= 23
         if r["n"] == 23:
             assert r["pmcs_feasible"] > 0
-    assert {key: levels[-1][key] for key in stats["counters"]} == stats["counters"]
+    assert {key: levels[-2][key] for key in stats["counters"]} == stats["counters"]
 
 
 def test_exact_col_format(tmp_graph_file, capsys):

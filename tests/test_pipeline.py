@@ -142,17 +142,26 @@ def test_pipeline_larger_sparse_graph_consistency():
 @pytest.mark.parametrize("make, schedule", [
     # level 8 answers no on the 13-vertex minor, and level 9 starts there;
     # after 13, 14 and 16 the next size, 20, passes the cap of 19, so the
-    # 16-vertex minor's yes is lifted, is wider than 9, and the level runs
-    # on the graph
+    # 16-vertex minor's yes is lifted, is no narrower than the elimination
+    # width 11, and the graph runs top-down from there: 10 accepts, 9 does not
     (lambda: mycielski_graph(4), [
         (6, 4, 0), (7, 5, 0), (8, 6, 0), (9, 7, 0), (10, 8, 1), (11, 8, 1), (13, 8, 0),
-        (13, 9, 1), (14, 9, 1), (16, 9, 1), (23, 9, 0), (23, 10, 1)]),
-    # the one part that runs levels has 33 vertices and a cap of 28: level 5
-    # steps 7, 8, 10, 14 to its no, and level 6 from 14 to 21, whose next
-    # size, 29, passes the cap
+        (13, 9, 1), (14, 9, 1), (16, 9, 1), (23, 10, 1), (23, 9, 0)]),
+    # sparse150_3: the one part that runs levels has 33 vertices and a cap
+    # of 28: level 5 steps 7, 8, 10, 14 to its no, and level 6 from 14 to 21,
+    # whose next size, 29, passes the cap; the part's elimination width is 8
     (lambda: random_connected_graph(150, 187, 3), [
         (5, 3, 0), (6, 4, 0), (7, 5, 1), (8, 5, 1), (10, 5, 1), (14, 5, 0), (14, 6, 1),
-        (15, 6, 1), (17, 6, 1), (21, 6, 1), (33, 6, 0), (33, 7, 1)]),
+        (15, 6, 1), (17, 6, 1), (21, 6, 1), (33, 7, 1), (33, 6, 0)]),
+    # the minors are gated off (the largest loses the top levels), so the
+    # whole graph runs from its elimination width: queen6_6's 26 and
+    # queen7_7's 37, where level 36 accepts with width 36 and level 35 with
+    # width 35
+    (lambda: queen_graph(6, 6), [(36, 25, 1), (36, 24, 0)]),
+    (lambda: queen_graph(7, 7), [(49, 36, 1), (49, 35, 1), (49, 34, 0)]),
+    # sparse150_2: of its seven parts only the 35-vertex one, of elimination
+    # width 10, runs a level; its no at 9 certifies the width
+    (lambda: random_connected_graph(150, 187, 2), [(35, 9, 0)]),
 ])
 def test_level_schedule_is_pinned(make, schedule):
     # the (n, k, answer) of every level, minors included, in the order run
@@ -173,10 +182,14 @@ def test_a_part_counts_under_how_its_decomposition_came_about(make, how):
     if how != "accepted":
         parts[how] = 1
     assert report.parts == {"total": 1, **parts, "levels": len(report.levels)}
-    # only the accepting level on the part, which ran last, adds to counters
-    last = report.levels[-1]
+    # only the accepting level on the part adds to counters: the last level
+    # with a yes answer, which here runs on the part just before its no
+    if how == "accepted":
+        accepting = next(r for r in reversed(report.levels) if r["answer"])
+        assert accepting is report.levels[-2] and not report.levels[-1]["answer"]
+        assert (accepting["n"], accepting["k"]) == (report.n, report.tw)
     assert report.counters == {
-        key: last[key] if how == "accepted" else 0 for key in pipeline.COUNTERS}
+        key: accepting[key] if how == "accepted" else 0 for key in pipeline.COUNTERS}
 
 
 def test_a_held_lift_counts_as_lifted_without_counters(monkeypatch):

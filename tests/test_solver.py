@@ -1,4 +1,5 @@
 import heapq
+import logging
 import time
 
 import pytest
@@ -194,7 +195,7 @@ def _banded(g: Graph, width: int) -> TreeDecomposition:
     return td
 
 
-def test_levels_ascend_from_min_degree_to_first_acceptance():
+def test_levels_ascend_on_minors_then_descend_on_the_graph():
     graphs = [path_graph(6), cycle_graph(6), complete_graph(5), grid_graph(3, 3),
               random_connected_graph(10, 18, 3), mycielski_graph(4)]
     for g in graphs:
@@ -203,24 +204,32 @@ def test_levels_ascend_from_min_degree_to_first_acceptance():
         assert tw == (10 if g.n == 23 else oracle.bf_treewidth(g))
         assert validate(g, td) == [] and td.width() == tw
         start = max(1, g.min_degree())
-        # each level below tw answers no once, on g or on a minor of it, and
-        # level tw accepts last: on g, or on the largest minor that ran it
-        # when that minor's lifted decomposition has width tw.  When tw is
-        # the width of the held decomposition, no level tw runs and the held
-        # decomposition is the result.
-        assert [k for _, k, answer in ran if not answer] == list(range(start, tw))
-        assert [k for _, k, _ in ran] == sorted(k for _, k, _ in ran)
-        if tw < held.width():
-            assert ran[-1][1:] == (tw, True)
+        # the levels on minors come first, ascending from the minimum degree;
+        # each level below the one where the minors run out answers no once
+        minor_levels = [(n, k, answer) for n, k, answer in ran if n < g.n]
+        on_g = ran[len(minor_levels):]
+        assert ran[:len(minor_levels)] == minor_levels
+        assert [k for _, k, _ in minor_levels] == sorted(k for _, k, _ in minor_levels)
+        negative = [k for _, k, answer in minor_levels if not answer]
+        assert negative == list(range(start, start + len(negative)))
+        assert all(k + 2 <= n <= solver.MINOR_SHARE * g.n for n, k, _ in minor_levels)
+        # then g runs top-down from the held width: yes answers, each below
+        # the width held, and a no at tw - 1 last, unless a minor's no, the
+        # minimum degree or a yes at the level where the minors ran out
+        # certifies tw first
+        assert all(n == g.n for n, _, _ in on_g)
+        assert [k for _, k, _ in on_g] == sorted({k for _, k, _ in on_g}, reverse=True)
+        assert all(answer for _, _, answer in on_g[:-1])
+        if on_g and not on_g[-1][2]:
+            assert on_g[-1][1] == tw - 1
         else:
-            assert td is held and all(k < tw for _, k, _ in ran)
-        # minors lie between k + 2 vertices and the cap; once a level runs on
-        # g, every level after it does
-        on_g = [n == g.n for n, _, _ in ran]
-        assert on_g == sorted(on_g)
-        assert all(k + 2 <= n <= solver.MINOR_SHARE * g.n for n, k, _ in ran if n < g.n)
-    assert any(n < 23 and not answer for n, _, answer in ran)  # myciel4
-    assert ran[-1] == (23, 10, True)
+            assert tw == start + len(negative)
+        if on_g:
+            assert on_g[0][1] == held.width() - 1
+        else:
+            assert td is held or (tw, True) == ran[-1][1:]
+    assert ran[-2:] == [(23, 10, True), (23, 9, False)]  # myciel4
+    assert any(n < 23 and not answer for n, _, answer in ran)
     assert _levels(Graph(1)) == ((0, TreeDecomposition(1, [1], [])), [])
 
 
@@ -260,8 +269,12 @@ def test_how_accepted_ends_with_the_accepting_level_on_the_graph(make, held_widt
     held = held_decomposition(g)
     bound, td, levels, how = solver.treewidth(g, held)
     assert held.width() == held_width and bound == td.width() == tw
-    assert how == "accepted" and (levels[-1].n, levels[-1].k, levels[-1].answer) == (
-        g.n, tw, True)
+    # the accepting level is the last level with a yes answer; the no at
+    # tw - 1, which certifies its width, runs after it
+    accepting = [s for s in levels if s.answer][-1]
+    assert how == "accepted" and (accepting.n, accepting.k) == (g.n, tw)
+    assert levels[-2] is accepting and (levels[-1].n, levels[-1].k, levels[-1].answer) == (
+        g.n, tw - 1, False)
 
 
 def test_how_lifted_when_a_narrower_lift_is_held(monkeypatch):
@@ -330,11 +343,12 @@ def test_no_accepting_level_returns_the_held_decomposition(monkeypatch):
     monkeypatch.setattr(solver, "decide", reject)
     g = grid_graph(3, 3)
     wide = _banded(g, 5)
-    # every level below the held width answers no, so the held width is the
-    # bound; the minors are gated off, since the largest is far narrower
+    # the minors are gated off, since the largest is far narrower, so g runs
+    # its first level one below the held width, and its no certifies that
+    # width: no level below it runs
     tw, td, stats, _ = solver.treewidth(g, wide)
     assert (tw, td) == (5, wide)
-    assert [(s.n, s.k) for s in stats] == [(9, 2), (9, 3), (9, 4)]
+    assert [(s.n, s.k) for s in stats] == [(9, 4)]
 
 
 def test_deadline_interrupts():
@@ -369,6 +383,96 @@ def test_timeout_carries_the_certified_bound(monkeypatch):
     assert bound == 7 and td is held and held.width() == 11
     # the levels that finished before the stop come back with the bound
     assert levels == ran and {s.k for s in levels} == {4, 5, 6}
+
+
+def _seeded_graphs() -> list[Graph]:
+    """Random connected graphs of 8 to 16 vertices, with 1.5 to 3 edges per
+    vertex, small enough for the brute-force oracle."""
+    return [random_connected_graph(n, min(n * (n - 1) // 2, n * per // 2), 10 * n + per)
+            for n in (8, 10, 12, 14, 16) for per in (3, 4, 6)]
+
+
+def _one_bag(g: Graph) -> TreeDecomposition:
+    """The decomposition of ``g`` into a single bag, of width n - 1."""
+    return TreeDecomposition(g.n, [g.full_mask], [])
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["elimination", "one_bag"])
+def test_levels_on_the_graph_descend_and_each_yes_narrows_the_held_width(wide, monkeypatch):
+    extracted = []
+    extract_witness = solver.extract
+
+    def recording(h, witness):
+        td = extract_witness(h, witness)
+        extracted.append((h.n, td.width()))
+        return td
+
+    monkeypatch.setattr(solver, "extract", recording)
+    descents = []
+    for g in _seeded_graphs():
+        held = _one_bag(g) if wide else held_decomposition(g)
+        extracted.clear()
+        tw, td, stats, how = solver.treewidth(g, held)
+        assert tw == td.width() == oracle.bf_treewidth(g) and validate(g, td) == []
+        on_g = [s for s in stats if s.n == g.n]
+        assert stats[len(stats) - len(on_g):] == on_g  # the levels on g come last
+        if not on_g:
+            continue
+        # each level on g runs one below the width held: the narrowest held
+        # when g starts, then the width of each yes, strictly narrower
+        tops = [on_g[0].k + 1] + [w for n, w in extracted if n == g.n]
+        assert on_g[0].k < held.width() and tops == sorted(set(tops), reverse=True)
+        assert [s.k for s in on_g] == [top - 1 for top in tops[:len(on_g)]]
+        # every level but the last answers yes, and a no is at tw - 1
+        assert all(s.answer for s in on_g[:-1]) and len(tops) - 1 == sum(s.answer for s in on_g)
+        assert on_g[-1].answer or on_g[-1].k == tw - 1
+        assert how != "accepted" or tops[-1] == tw
+        descents.append(tops)
+    if wide:
+        # from one bag, g runs several yes levels, some skipping widths
+        assert max(map(len, descents)) >= 4
+        assert any(a - b > 1 for tops in descents for a, b in zip(tops, tops[1:]))
+
+
+class _Clock:
+    """Stands in for the ``time`` module: each reading of the clock advances
+    it by one, so a deadline stops a run at a fixed reading."""
+
+    def __init__(self):
+        self.now = 0
+
+    def monotonic(self) -> float:
+        self.now += 1
+        return float(self.now)
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["elimination", "one_bag"])
+def test_a_run_stopped_mid_level_bounds_the_treewidth(wide, monkeypatch):
+    clock = _Clock()
+    monkeypatch.setattr(solver, "time", clock)
+    stops = 0
+    for g in _seeded_graphs():
+        held = _one_bag(g) if wide else held_decomposition(g)
+        tw = oracle.bf_treewidth(g)
+        begin = clock.now
+        full = [(s.n, s.k, s.answer) for s in solver.treewidth(g, held, 0, float("inf"))[2]]
+        readings = clock.now - begin
+        for share in (0.1, 0.3, 0.5, 0.7, 0.9):
+            bound, td, levels, how = solver.treewidth(
+                g, held, 0, clock.now + int(share * readings))
+            assert bound <= tw <= td.width() and validate(g, td) == []
+            ran = [(s.n, s.k, s.answer) for s in levels]
+            assert ran == full[:len(ran)]
+            if ran == full:
+                continue  # stopped after the last poll
+            # a stopped run has no no on g, and is bounded by the level
+            # above its last no on a minor, or by the minimum degree
+            stops += 1
+            assert all(answer for n, _, answer in ran if n == g.n)
+            assert bound == max((k + 1 for _, k, answer in ran if not answer),
+                                default=g.min_degree())
+            assert (td is held) == (how == "settled_by_bound")
+    assert stops >= 50
 
 
 @given(connected_graphs(max_n=8))
@@ -430,6 +534,16 @@ def test_sieve_matches_linear_scan_levels_hypothesis(g):
     assert _decide_levels(g, SieveBank) == _decide_levels(g, _ScanBank)
 
 
+def test_each_finished_level_logs_one_debug_line(caplog):
+    with caplog.at_level(logging.DEBUG, logger="twsolve"):
+        stats = treewidth(mycielski_graph(4))[2]
+    assert len(stats) == 12
+    assert [r.getMessage() for r in caplog.records if r.name == "twsolve"] == [
+        f"level n={s.n} k={s.k} answer={s.answer} ms={s.ms:.1f} iblocks={s.iblocks} "
+        f"oblocks={s.oblocks} pmcs_buildable={s.pmcs_buildable} pmcs_feasible={s.pmcs_feasible}"
+        for s in stats]
+
+
 # -- the candidate analysis shared by the levels of one graph --------------
 
 
@@ -455,7 +569,9 @@ def test_levels_match_fresh_decisions_hypothesis(g):
         fresh = [decide(graphs[s.n], s.k) for s in stats]
     assert [_counts(s) for s in stats] == [_counts(res.stats) for res in fresh]
     if stats and stats[-1].answer and stats[-1].n == g.n:
-        assert stats[-1].k == tw and td == extract(g, fresh[-1].witness)
+        # the top-down levels on g ended on a yes as narrow as the levels
+        # below them allow
+        assert stats[-1].k >= tw == td.width() and td == extract(g, fresh[-1].witness)
     else:
         # the held decomposition or one lifted from a minor: level tw accepted
         # on that minor, or level tw - 1 answered no, or no level ran since
@@ -504,7 +620,9 @@ def test_shared_analysis_entries_match_reference(make, monkeypatch):
         assert all(a.g is h for h, a in run)
         assert len({id(a) for _, a in run}) == len({id(h) for h, _ in run})
     on_g = [[a for h, a in run if h is g] for run in runs]
-    assert len(on_g[0]) > 1 and all(a is on_g[0][0] for a in on_g[0])
+    # queen5_5 runs its no at 17 alone on g, and myciel4 its levels 10 and
+    # 9; the exhaustive level below shares the table in both cases
+    assert len(on_g[0]) == {25: 1, 23: 2}[g.n] and all(a is on_g[0][0] for a in on_g[0])
     assert all(a is on_g[1][0] for a in on_g[1])
     assert on_g[0][0] is not on_g[1][0]
     facts = on_g[0][0]
