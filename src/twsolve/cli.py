@@ -118,15 +118,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
     td = paceio.read_td(Path(args.td).read_text())
-    problems = list(tdbuild.validate(g, td))
-    if td.n != g.n:
-        problems.insert(
-            0,
-            tdbuild.Violation(
-                "vertex-count-mismatch",
-                f"decomposition declares {td.n} vertices, graph has {g.n}",
-            ),
-        )
+    problems = tdbuild.validate(g, td)
     if problems:
         for p in problems:
             print(f"{p.kind}: {p.detail}")

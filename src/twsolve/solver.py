@@ -26,7 +26,9 @@ stores, and with them its sieve counts and now and then its buildable
 PMCs, depends on this order.  The answer, the inbound blocks and the
 feasible PMCs of an exhaustive run do not: on random graphs they matched
 those of runs in the order of discovery and in its reverse.  A level that
-stops at its root counts only what it built before the root appeared.
+is not exhaustive looks for its root only before it takes the next inbound
+block, so the seeding pass, or the block in progress with every feasibility
+cascade it starts, runs to its end, and the level counts all it built.
 
 Feasible records keep witness links (which clique emitted which block), so
 an accepting run can be unfolded into an explicit tree decomposition.
@@ -181,65 +183,58 @@ class _Search:
         self.root: int | None = None
 
     def _register_pmc(self, rec: PmcRecord) -> None:
-        """Record a PMC that is not yet buildable; mark it feasible now or
-        park it on its missing support components."""
+        """Record a PMC that is not yet buildable and propagate feasibility.
+
+        A PMC whose support components are all inbound blocks is marked
+        feasible.  The first with an empty outlet becomes the root; every
+        other emits the crib of its outlet as an inbound block, which
+        releases the PMCs waiting on it as their last missing component.
+        The root, the outbound blocks stored and the buildable PMCs depend
+        on the order, which is: released PMCs are marked in the order their
+        last component arrived, ties in the order they were parked; cribs
+        are emitted last in, first out; a crib already emitted is skipped.
+        """
         cand = rec.vertices
         self.buildable[cand] = rec
-        miss = 0
         iblock_source = self.iblock_source
         waiting = self.waiting
+        missing = self.missing
+        miss = 0
         for c in rec.support:
             if c not in iblock_source:
                 waiting.setdefault(c, []).append(cand)
                 miss += 1
         if miss:
-            self.missing[cand] = miss
+            missing[cand] = miss
             return
-        crib = self._mark_feasible(cand, rec)
-        if crib:
-            self._emit_iblock(crib, rec.outlet, cand)
-
-    def _mark_feasible(self, cand: int, rec: PmcRecord) -> int:
-        """Mark a PMC feasible and return the crib of its outlet: the inbound
-        block it emits, or 0 when the outlet is empty.  The first PMC with an
-        empty outlet becomes the root."""
-        self.feasible[cand] = rec
-        if rec.outlet == 0:
-            if self.root is None:
-                self.root = cand
-            return 0
-        crib = cand & ~rec.outlet
-        for d in rec.support:
-            crib |= d
-        return crib
-
-    def _emit_iblock(self, comp: int, nb: int, src: int) -> None:
-        """Queue a new feasible inbound block and resolve PMCs waiting on it.
-
-        A waiting PMC is marked feasible as soon as its last missing support
-        component arrives, before the blocks it emits are worked off.
-        """
-        work = [(comp, nb, src)]
-        iblock_source = self.iblock_source
-        waiting = self.waiting
-        missing = self.missing
-        buildable = self.buildable
-        while work:
-            comp, nb, src = work.pop()
-            if comp in iblock_source:
-                continue
+        released = [rec]
+        cribs: list[tuple[int, int, int]] = []
+        while True:
+            for rec in released:
+                cand = rec.vertices
+                self.feasible[cand] = rec
+                if rec.outlet:
+                    crib = cand & ~rec.outlet
+                    for d in rec.support:
+                        crib |= d
+                    cribs.append((crib, rec.outlet, cand))
+                elif self.root is None:
+                    self.root = cand
+            while cribs and cribs[-1][0] in iblock_source:
+                cribs.pop()
+            if not cribs:
+                return
+            comp, nb, src = cribs.pop()
             heappush(self.pending, (-comp.bit_count(), len(self.iblocks)))
             self.iblocks.append((comp, nb))
             iblock_source[comp] = src
-            for k2 in waiting.pop(comp, ()):
-                cnt = missing.pop(k2) - 1
+            released = []
+            for p in waiting.pop(comp, ()):
+                cnt = missing.pop(p) - 1
                 if cnt:
-                    missing[k2] = cnt
-                    continue
-                rec2 = buildable[k2]
-                crib = self._mark_feasible(k2, rec2)
-                if crib and crib not in iblock_source:
-                    work.append((crib, rec2.outlet, k2))
+                    missing[p] = cnt
+                else:
+                    released.append(self.buildable[p])
 
     # -- main loop ---------------------------------------------------------
 
@@ -402,8 +397,10 @@ def treewidth(
     if chain and max(
             map(int.bit_count, greedy_elimination(chain[0][0], "min_degree")[1])) < top - 1:
         # the largest minor certifies no level above top - 3, so none of
-        # the top levels, where the cost lies; the levels it can reach are
-        # cheap on g itself
+        # the top levels, where the cost lies.  Measured without this gate,
+        # queen6_6 and queen7_7 run 16 and 26 levels on minors and take a
+        # fifth to a third longer, and sparse150_2 runs 12 levels, not 1;
+        # the gate does not fire on the other benchmark graphs
         chain = []
     chain = {h.n: (_Analysis(h), branch) for h, branch in chain}
     analysis = _Analysis(g)

@@ -201,12 +201,15 @@ def contract(td: TreeDecomposition) -> TreeDecomposition:
 
 
 def validate(g: Graph, td: TreeDecomposition) -> list[Violation]:
-    """Check the three decomposition conditions plus tree-ness.
+    """Check the vertex count, the three decomposition conditions and tree-ness.
 
     Returns an empty list when the decomposition is valid; otherwise one
     entry per violation, naming the offending vertex, edge, or bag.
     """
     out: list[Violation] = []
+    if td.n != g.n:
+        out.append(Violation("vertex-count-mismatch",
+                             f"decomposition declares {td.n} vertices, graph has {g.n}"))
     nbags = len(td.bags)
     if nbags == 0:
         if g.n > 0:

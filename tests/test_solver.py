@@ -1,9 +1,10 @@
 import heapq
 import logging
 import time
+from heapq import heappush
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twsolve import blocks, minors, oracle, solver
 from twsolve.families import cycle_graph, mycielski_graph, queen_graph, random_connected_graph
@@ -698,6 +699,89 @@ def test_order_leaves_exhaustive_fixpoint_unchanged_hypothesis(g):
         _first_in_first_out(mp)
         assert [_exhaustive_fixpoint(g, k) for k in levels] == largest_first
     assert [answer for answer, _, _ in largest_first] == [k == tw for k in levels]
+
+
+class _ThreeMethodSearch(solver._Search):
+    """Reference propagation of feasible PMCs, spread over three methods as
+    the solver once had it; it pins the order that ``_register_pmc`` states."""
+
+    def _register_pmc(self, rec: solver.PmcRecord) -> None:
+        """Record a PMC that is not yet buildable; mark it feasible now or
+        park it on its missing support components."""
+        cand = rec.vertices
+        self.buildable[cand] = rec
+        miss = 0
+        iblock_source = self.iblock_source
+        waiting = self.waiting
+        for c in rec.support:
+            if c not in iblock_source:
+                waiting.setdefault(c, []).append(cand)
+                miss += 1
+        if miss:
+            self.missing[cand] = miss
+            return
+        crib = self._mark_feasible(cand, rec)
+        if crib:
+            self._emit_iblock(crib, rec.outlet, cand)
+
+    def _mark_feasible(self, cand: int, rec: solver.PmcRecord) -> int:
+        """Mark a PMC feasible and return the crib of its outlet: the inbound
+        block it emits, or 0 when the outlet is empty.  The first PMC with an
+        empty outlet becomes the root."""
+        self.feasible[cand] = rec
+        if rec.outlet == 0:
+            if self.root is None:
+                self.root = cand
+            return 0
+        crib = cand & ~rec.outlet
+        for d in rec.support:
+            crib |= d
+        return crib
+
+    def _emit_iblock(self, comp: int, nb: int, src: int) -> None:
+        """Queue a new feasible inbound block and resolve PMCs waiting on it.
+
+        A waiting PMC is marked feasible as soon as its last missing support
+        component arrives, before the blocks it emits are worked off.
+        """
+        work = [(comp, nb, src)]
+        iblock_source = self.iblock_source
+        waiting = self.waiting
+        missing = self.missing
+        buildable = self.buildable
+        while work:
+            comp, nb, src = work.pop()
+            if comp in iblock_source:
+                continue
+            heappush(self.pending, (-comp.bit_count(), len(self.iblocks)))
+            self.iblocks.append((comp, nb))
+            iblock_source[comp] = src
+            for k2 in waiting.pop(comp, ()):
+                cnt = missing.pop(k2) - 1
+                if cnt:
+                    missing[k2] = cnt
+                    continue
+                rec2 = buildable[k2]
+                crib = self._mark_feasible(k2, rec2)
+                if crib and crib not in iblock_source:
+                    work.append((crib, rec2.outlet, k2))
+
+
+def _propagated(search: solver._Search) -> tuple:
+    """Run ``search``; returns the state its propagation order decides."""
+    search.run()
+    return (search.iblocks, list(search.iblock_source.items()), search.root,
+            list(search.feasible), list(search.buildable), list(search.onb))
+
+
+@given(connected_graphs(max_n=14))
+@example(random_connected_graph(16, 40, 5))  # cribs emitted first in, first out differ here
+def test_propagation_order_matches_the_three_method_reference_hypothesis(g):
+    facts, reference_facts = solver._Analysis(g), solver._Analysis(g)
+    for k in range(1, g.n - 1):
+        for exhaustive in (False, True):
+            assert _propagated(solver._Search(facts, k, exhaustive, None)) == _propagated(
+                _ThreeMethodSearch(reference_facts, k, exhaustive, None)), (k, exhaustive)
 
 
 def test_accepting_level_stops_after_a_sliver_of_its_work():

@@ -102,6 +102,17 @@ def test_validate_accepts_single_vertex():
     assert validate(g, TreeDecomposition(1, [mask(0)], [])) == []
 
 
+def test_validate_flags_a_mismatched_vertex_count_first():
+    g = Graph(2, [(0, 1)])
+    problems = validate(g, TreeDecomposition(5, [mask(0, 1)], []))
+    assert [(p.kind, p.detail) for p in problems] == [
+        ("vertex-count-mismatch", "decomposition declares 5 vertices, graph has 2")]
+    # the mismatch leads the list when the bags are wrong too
+    problems = validate(g, TreeDecomposition(1, [mask(0)], []))
+    assert [p.kind for p in problems] == [
+        "vertex-count-mismatch", "vertex-uncovered", "edge-uncovered"]
+
+
 def test_width_of_empty_decomposition():
     assert TreeDecomposition(0, [], []).width() == -1
     assert TreeDecomposition(0, [0], []).width() == -1
