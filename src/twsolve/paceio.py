@@ -39,10 +39,16 @@ class FormatWarning(UserWarning):
 
 
 def _ints(tokens: list[str], what: str, lineno: int) -> list[int]:
-    try:
-        return [int(t) for t in tokens]
-    except ValueError:
-        raise ParseError(f"non-integer {what}", lineno) from None
+    """The tokens as integers, each an optional minus sign and ASCII digits.
+    ``int`` also takes a plus sign, underscores and non-ASCII digits, which
+    are refused before it runs."""
+    joined = "".join(tokens)
+    if joined.isascii() and "+" not in joined and "_" not in joined:
+        try:
+            return [int(t) for t in tokens]
+        except ValueError:
+            pass
+    raise ParseError(f"non-integer {what}", lineno)
 
 
 def _clean_lines(text: str) -> list[tuple[int, str]]:

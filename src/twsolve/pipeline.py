@@ -9,14 +9,14 @@ width ub; its decision levels stop below ub and start at the largest bound
 found so far, since levels outside that range cannot change the answer.
 A part stopped at a deadline keeps its bound and the decomposition it holds.
 
-One rule glues the answer's decomposition: a piece joins the bags placed
-so far by an edge between a placed bag and a bag of the piece that both
-hold the clique it shares with them.  The parts join in the glue order
-:func:`safesep.decompose` returns, each sharing its ``attach`` set; then
-each removed vertex v, in reverse removal order, joins as the piece N[v]
-sharing N(v), which is a clique of the graph it was removed from.  A
-joined bag can lie inside its neighbour, so the glued decomposition is
-contracted before its audit.
+The answer's decomposition is read off one chordal graph
+(:func:`~twsolve.tdbuild.from_cliques`): the input with every bag of every
+part's decomposition, and each removed vertex v's N[v], completed into a
+clique.  That graph is chordal: the parts meet in cliques, the separators
+completed in each of them, so their completed bags form a clique-sum of
+chordal graphs, and each removed vertex is simplicial once the vertices
+removed before it are gone.  Its maximal cliques are the bags, and the
+result is audited as if it came from elsewhere.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from itertools import repeat
 from . import safesep
 from .graph import AuditError, Graph
 from .solver import treewidth
-from .tdbuild import TreeDecomposition, contract, lift, validate
+from .tdbuild import TreeDecomposition, from_cliques, lift, validate
 # not called here; perfbench/tracer.py wraps it under this name
 from .tdbuild import extract  # noqa: F401
 
@@ -55,24 +55,6 @@ class SolveReport:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-def _attach(
-    bags: list[int], edges: list[tuple[int, int]], piece: list[int],
-    piece_edges: list[tuple[int, int]], shared: int, name: str,
-) -> None:
-    """Join a piece (its bags and edges) to the decomposition built so far,
-    by an edge between a bag of each side that holds ``shared``, the
-    vertices they have in common; ``name`` says what is joined."""
-    placed = next((i for i in reversed(range(len(bags))) if shared & ~bags[i] == 0), None)
-    held = next((i for i, b in enumerate(piece) if shared & ~b == 0), None)
-    lo = len(bags)
-    if placed is not None and held is not None:
-        edges.append((placed, lo + held))
-    elif bags or shared:
-        raise AuditError(f"no bag contains the {name}")
-    bags.extend(piece)
-    edges.extend((a + lo, b + lo) for a, b in piece_edges)
 
 
 def solve(
@@ -113,10 +95,9 @@ def solve(
     report's ``levels`` holds the stats of every level that finished, part
     by part in solve order, with the n of the graph it ran on: below the
     part's size for a level tried on a minor.  Raises :class:`AuditError`
-    if no placed bag holds what a part or a removed vertex shares, if the
-    final decomposition fails its own audit, or if its width is below
-    ``lower`` or, without a deadline or a stopped part, above it; the result
-    is never silently wrong.
+    if the final decomposition fails its own audit, or if its width is
+    below ``lower`` or, without a deadline or a stopped part, above it; the
+    result is never silently wrong.
     """
     started = time.monotonic()
     report = SolveReport(instance, g.n, g.edge_count)
@@ -165,15 +146,10 @@ def solve(
     report.parts["total"] = len(parts)
     report.safe_separators["max_part"] = max((part.graph.n for part in parts), default=0)
 
-    bags: list[int] = []
-    edges: list[tuple[int, int]] = []
+    cliques = [nb | 1 << v for v, nb in removed]
     for i, part in enumerate(parts):
-        td = lift(solved[i][1], [1 << r for r in part.to_root], g.n)
-        _attach(bags, edges, td.bags, td.edges, part.attach,
-                f"vertices part {i} shares with the parts before it")
-    for v, nb in reversed(removed):
-        _attach(bags, edges, [nb | 1 << v], [], nb, f"neighborhood of removed vertex {v}")
-    td = contract(TreeDecomposition(g.n, bags, edges))
+        cliques += lift(solved[i][1], [1 << r for r in part.to_root], g.n).bags
+    td = from_cliques(g, cliques)
     problems = validate(g, td)
     if problems:
         raise AuditError(f"produced decomposition failed validation: {problems[:3]}")

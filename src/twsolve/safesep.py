@@ -6,8 +6,6 @@ A separator is *minor-safe* when, for every component C associated with it,
 the rest of the graph contains the separator as a labelled clique minor;
 completing such a separator into a clique cannot raise the treewidth, so the
 instance splits into one independent subproblem per component.
-:func:`decompose` returns the parts in glue order, each with the clique it
-shares with the parts before it.
 
 Candidates come from greedy elimination decompositions (min-fill and
 min-degree); each candidate's components are computed once and shared by
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .blocks import is_minimal_separator
-from .graph import Graph, bit_list, bits, is_clique_in, vset
+from .graph import Graph, bit_list, bits, is_clique_in
 from .minors import audit
 from .tdbuild import TreeDecomposition, from_elimination
 
@@ -376,19 +374,17 @@ def _clique_minor_search(g: Graph, s: int, component: int) -> tuple[str, dict[in
 @dataclass
 class Part:
     """A part to solve: its graph (separators already completed), the root
-    labels of its vertices, ``attach``, the root labels it shares with the
-    parts before it, and ``held``, the decomposition of its better greedy
-    elimination, in the vertex indices of ``graph``."""
+    labels of its vertices, and ``held``, the decomposition of its better
+    greedy elimination, in the vertex indices of ``graph``."""
 
     graph: Graph
     to_root: list[int]
-    attach: int
     held: TreeDecomposition
 
 
 @dataclass
 class Decomposition:
-    """The parts in glue order and a ``tally`` of the minor-safety checks
+    """The parts and a ``tally`` of the minor-safety checks
     run: ``checks``, one count per verdict (``yes``, ``dont_know``,
     ``aborted``) and the ``steps`` they used."""
 
@@ -406,62 +402,43 @@ def decompose(g: Graph, labels: list[int] | None = None) -> Decomposition:
     gets the separator completed into a clique and is then split further if
     possible.  Parts are labelled in ``labels``, the names of the vertices of
     ``g`` (the identity by default).  Every part holds the decomposition of
-    the better of the greedy eliminations its separator search ran.
-
-    The parts come in glue order: each part's ``attach``, its vertices that
-    the parts before it hold, is a clique of the part that a bag of those
-    parts' decompositions holds, so joining every part at such a bag builds
-    a decomposition of ``g``.  By induction over the splits: a part split
-    along S with ``attach`` A is replaced in place by its children, one per
-    component C, on C and its neighborhood N(C) (a subset of S completed
-    into a clique).  A is a clique, so it meets at most one component C and
-    then lies within C and N(C); that child goes first, or a full child
-    (N(C) = S) when none does, and a full child goes no later than second.
-    So the first child shares A, which a bag already placed holds; a full
-    child after a non-full first child shares N(C) of the first child; and
-    every later child shares its own N(C), held by the full child placed
-    before it.  Each of these is a clique of the child, and any clique of a
-    placed part lies in one of its bags.
+    the better of the greedy eliminations its separator search ran.  Every
+    split completes its separator in each child, so the parts' completed
+    bags form a clique-sum of chordal graphs, a chordal supergraph of ``g``.
     """
     out = Decomposition()
-    root = (g, list(range(g.n)) if labels is None else labels, 0)
+    root = (g, list(range(g.n)) if labels is None else labels)
     comps_nbs = g.components_with_neighborhoods(0)
-    stack = [root] if len(comps_nbs) == 1 else _children(*root, 0, comps_nbs)[::-1]
+    stack = [root] if len(comps_nbs) == 1 else _children(*root, comps_nbs)[::-1]
     while stack:
-        graph, to_root, attach = stack.pop()
+        graph, to_root = stack.pop()
         elims = [greedy_elimination(graph, mode) for mode in ("min_fill", "min_degree")]
         found = _find_safe_separator(graph, elims, out.tally)
         if found is None:  # keep the elimination of least width, min-fill on a tie
             best = min(elims, key=lambda e: max(map(int.bit_count, e[1]), default=0))
-            out.parts.append(Part(graph, to_root, attach, from_elimination(graph, *best)))
+            out.parts.append(Part(graph, to_root, from_elimination(graph, *best)))
         else:
-            stack += _children(graph, to_root, attach, *found)[::-1]
+            stack += _children(graph, to_root, found)[::-1]
     return out
 
 
 def _children(
-    graph: Graph, to_root: list[int], attach: int, s: int, comps_nbs: list[tuple[int, int]]
-) -> list[tuple[Graph, list[int], int]]:
-    """Split along ``s`` (vertex indices of ``graph``): one child per
-    component, on it and its neighborhood completed into a clique, in glue
-    order, each with the root labels it shares with ``attach`` and the
-    children before it."""
-    held = vset(v for v, label in enumerate(to_root) if attach >> label & 1)
+    graph: Graph, to_root: list[int], comps_nbs: list[tuple[int, int]]
+) -> list[tuple[Graph, list[int]]]:
+    """One child per component, on it and its neighborhood completed into a
+    clique, with the root labels of its vertices."""
     out = []
-    # the child that meets attach, then the full children, then the rest
-    for comp, nb in sorted(comps_nbs, key=lambda e: (not e[0] & held, e[1] != s)):
+    for comp, nb in comps_nbs:
         part, part_labels = graph.subgraph(comp | nb, make_clique=nb)
-        shared = vset(to_root[v] for v in bits((comp | nb) & held))
-        out.append((part, [to_root[v] for v in part_labels], shared))
-        held |= comp | nb
+        out.append((part, [to_root[v] for v in part_labels]))
     return out
 
 
 def _find_safe_separator(
     g: Graph, elims: list[tuple[list[int], list[int]]], tally: dict[str, int]
-) -> tuple[int, list[tuple[int, int]]] | None:
-    """The first candidate found minor-safe, with its components and their
-    neighborhoods; every check is added to ``tally``."""
+) -> list[tuple[int, int]] | None:
+    """The components, with their neighborhoods, of the first candidate
+    found minor-safe; every check is added to ``tally``."""
     if g.n <= 2:
         return None
     scored = []
@@ -476,5 +453,5 @@ def _find_safe_separator(
         tally[report.verdict.replace("-", "_")] += 1
         tally["steps"] += report.steps_used
         if report.verdict == YES:
-            return s, comps_nbs
+            return comps_nbs
     return None

@@ -1,5 +1,6 @@
 """Tree decompositions: extraction from accepting witnesses, construction
-from elimination orders, lifting from a minor, narrowing, and validation.
+from elimination orders and from chordal graphs, lifting from a minor,
+narrowing, and validation.
 
 The validator shares only the graph layer with the solver, so it can audit
 decompositions produced elsewhere.
@@ -15,8 +16,8 @@ from .graph import AuditError, Graph, bit_list, bits, is_clique_in
 if TYPE_CHECKING:
     from .solver import Witness
 
-__all__ = ["TreeDecomposition", "Violation", "contract", "extract", "from_elimination", "lift",
-           "narrow", "validate"]
+__all__ = ["TreeDecomposition", "Violation", "contract", "extract", "from_cliques",
+           "from_elimination", "lift", "narrow", "validate"]
 
 
 @dataclass
@@ -121,10 +122,10 @@ def narrow(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     exactly when the common neighbours of u and v in H form a clique; such
     edges go until none is left, which makes H a minimal triangulation
     (Blair, Heggernes & Telle, "A practical algorithm for making filled
-    graphs minimal", TCS 2001).  The decomposition is read off H along a
-    perfect elimination order, found by maximum cardinality search: each
-    vertex with its later neighbours in H.  Eliminating ``g`` along that
-    order would fill in exactly H, since H is a minimal triangulation.
+    graphs minimal", TCS 2001).  The decomposition is read off H by
+    :func:`from_cliques`, given the fill edges left; eliminating ``g``
+    along the order it reads H in would fill in exactly H, since H is a
+    minimal triangulation.
     """
     n = g.n
     adj = list(g.adj)
@@ -145,17 +146,45 @@ def narrow(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
             else:
                 kept.append((u, v))
         fill = kept
-    # maximum cardinality search visits a chordal graph in the reverse of a
-    # perfect elimination order
+    return from_cliques(g, [1 << u | 1 << v for u, v in fill])
+
+
+def from_cliques(g: Graph, cliques: list[int]) -> TreeDecomposition:
+    """The decomposition read off the graph H that ``g`` becomes when every
+    set of ``cliques`` is completed into a clique: each vertex with its
+    later neighbours in H, along the reverse of the order in which maximum
+    cardinality search visits H.  When H is chordal that order is a perfect
+    elimination order (Tarjan & Yannakakis, SIAM J. Comput. 1984) and the
+    bags are the maximal cliques of H; otherwise the result need not be a
+    decomposition of ``g``.
+
+    The search visits next the lowest unvisited vertex with the most
+    visited neighbours; ``buckets[w]`` holds the unvisited vertices with w
+    visited neighbours.
+    """
+    n = g.n
+    adj = list(g.adj)
+    for c in cliques:
+        for v in bits(c):
+            adj[v] |= c & ~(1 << v)
     weight = [0] * n
-    unvisited = g.full_mask
+    buckets = [0] * (n + 1)
+    buckets[0] = unvisited = g.full_mask
+    top = 0
     order = []
     for _ in range(n):
-        v = max(bits(unvisited), key=weight.__getitem__)
+        while not buckets[top]:
+            top -= 1
+        low = buckets[top] & -buckets[top]
+        buckets[top] ^= low
+        unvisited ^= low
+        v = low.bit_length() - 1
         order.append(v)
-        unvisited &= ~(1 << v)
         for w in bits(adj[v] & unvisited):
+            buckets[weight[w]] ^= 1 << w
             weight[w] += 1
+            buckets[weight[w]] |= 1 << w
+        top += 1
     order.reverse()
     later = g.full_mask
     neighborhoods = []

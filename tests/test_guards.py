@@ -70,18 +70,21 @@ fires("lower-below-width-with-deadline", lambda: pipeline.solve(
     octahedron, deadline=float("inf")))
 pipeline.treewidth = treewidth
 
-narrow = solver.narrow
 
-
-def drop_a_vertex(g, td):
-    td = narrow(g, td)
+def drop_a_vertex(td):
     return TreeDecomposition(td.n, [td.bags[0] & td.bags[0] - 1] + td.bags[1:], td.edges)
 
 
+narrow = solver.narrow
 # myciel4 lifts its 16-vertex minor's yes at level 9
-solver.narrow = drop_a_vertex
+solver.narrow = lambda g, td: drop_a_vertex(narrow(g, td))
 fires("lifted-decomposition", lambda: pipeline.solve(mycielski_graph(4)))
 solver.narrow = narrow
+
+from_cliques = pipeline.from_cliques
+pipeline.from_cliques = lambda g, cliques: drop_a_vertex(from_cliques(g, cliques))
+fires("glued-decomposition", lambda: pipeline.solve(octahedron))
+pipeline.from_cliques = from_cliques
 """
 
 
@@ -107,6 +110,7 @@ def test_result_guards_fire_under_optimize():
         "lower-below-width-without-deadline fires",
         "lower-below-width-with-deadline silent",
         "lifted-decomposition fires",
+        "glued-decomposition fires",
         "",
     ]
 

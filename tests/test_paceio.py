@@ -46,6 +46,20 @@ def test_read_gr_errors():
         paceio.read_gr("")
 
 
+# tokens that Python's int() reads but the formats do not allow
+NOT_INTEGERS = ["1_0", "+3", "\uff13", "\u0662"]  # full-width 3, Arabic-Indic 2
+
+
+@pytest.mark.parametrize("token", NOT_INTEGERS)
+def test_read_gr_rejects_python_only_integers(token):
+    with pytest.raises(paceio.ParseError, match="line 1: non-integer header fields"):
+        paceio.read_gr(f"p tw {token} 0\n")
+    with pytest.raises(paceio.ParseError, match="line 2: non-integer vertex token"):
+        paceio.read_gr(f"p tw 3 1\n1 {token}\n")
+    with pytest.raises(paceio.ParseError, match="line 2: non-integer vertex token"):
+        paceio.read_gr(f"p edge 3 1\ne {token} 1\n")
+
+
 def test_read_gr_drops_duplicates_and_loops_with_warning():
     with pytest.warns(paceio.FormatWarning):
         g, _ = paceio.read_gr("p tw 3 3\n1 2\n2 1\n3 3\n")
@@ -101,6 +115,16 @@ def test_read_td_errors():
         paceio.read_td("s td 2 7 3\nb 1 1 2\nb 2 2 3\n1 2\n")  # bags of size 2
     with pytest.raises(paceio.ParseError, match="declared max bag size 1 but the largest"):
         paceio.read_td("s td 1 1 2\nb 1 1 2\n")
+
+
+@pytest.mark.parametrize("token", NOT_INTEGERS)
+def test_read_td_rejects_python_only_integers(token):
+    with pytest.raises(paceio.ParseError, match="line 1: non-integer header fields"):
+        paceio.read_td(f"s td 1 1 {token}\nb 1 1\n")
+    with pytest.raises(paceio.ParseError, match="line 2: non-integer bag token"):
+        paceio.read_td(f"s td 1 1 3\nb 1 {token}\n")
+    with pytest.raises(paceio.ParseError, match="line 4: non-integer bag id"):
+        paceio.read_td(f"s td 2 1 3\nb 1 1\nb 2 2\n1 {token}\n")
 
 
 @pytest.mark.parametrize("text", [

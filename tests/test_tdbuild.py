@@ -1,7 +1,9 @@
+import random
+
 from hypothesis import given, strategies as st
 
 from twsolve.families import cycle_graph, random_connected_graph
-from twsolve.graph import Graph, bits
+from twsolve.graph import Graph, bits, is_clique_in
 from twsolve.minors import contraction_chain
 from twsolve.safesep import greedy_elimination
 from twsolve.solver import decide
@@ -10,6 +12,7 @@ from twsolve.tdbuild import (
     Violation,
     contract,
     extract,
+    from_cliques,
     from_elimination,
     lift,
     narrow,
@@ -300,3 +303,81 @@ def test_narrow_leaves_no_removable_fill_edge(data, g):
     assert validate(g, narrowed) == []
     assert narrowed.width() <= td.width()
     assert_minimal_triangulation(g, narrowed)
+
+
+# -- reading a decomposition off a chordal graph ----------------------------
+
+
+@given(st.data(), connected_graphs(max_n=14))
+def test_from_cliques_gives_the_maximal_cliques_of_a_chordal_graph(data, g):
+    # g filled in along a random order is chordal, and each vertex with its
+    # later neighbours along that order lists every maximal clique
+    order = data.draw(st.permutations(range(g.n)))
+    nbs = fill_neighborhoods(g, order)
+    bags = [nb | 1 << v for v, nb in zip(order, nbs)]
+    filled = Graph(g.n, [(v, u) for v, nb in zip(order, nbs) for u in bits(nb)])
+    assert_contracted(filled, from_cliques(filled, []), bags)
+    # the same graph given as g with the bags to complete
+    td = from_cliques(g, bags)
+    assert_contracted(filled, td, bags)
+    assert validate(g, td) == []
+
+
+def test_from_cliques_of_a_graph_that_is_not_chordal_fails_validation():
+    for n in (4, 5, 6):
+        g = cycle_graph(n)
+        assert validate(g, from_cliques(g, [])) != []
+
+
+def quadratic_narrow(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
+    """``narrow`` as it was with a quadratic maximum cardinality search,
+    kept verbatim as the reference for the bucketed one."""
+    n = g.n
+    adj = list(g.adj)
+    for b in td.bags:
+        for v in bits(b):
+            adj[v] |= b & ~(1 << v)
+    fill = [(u, v) for u in range(n) for v in bits(adj[u] & ~g.adj[u] & -(2 << u))]
+    # removing uv changes only the common neighbourhoods of edges at u or v,
+    # so a pass rechecks only the edges at a vertex the pass before changed
+    changed = g.full_mask
+    while changed:
+        touched, changed, kept = changed, 0, []
+        for u, v in fill:
+            if (touched >> u | touched >> v) & 1 and is_clique_in(adj, adj[u] & adj[v]):
+                adj[u] &= ~(1 << v)
+                adj[v] &= ~(1 << u)
+                changed |= 1 << u | 1 << v
+            else:
+                kept.append((u, v))
+        fill = kept
+    # maximum cardinality search visits a chordal graph in the reverse of a
+    # perfect elimination order
+    weight = [0] * n
+    unvisited = g.full_mask
+    order = []
+    for _ in range(n):
+        v = max(bits(unvisited), key=weight.__getitem__)
+        order.append(v)
+        unvisited &= ~(1 << v)
+        for w in bits(adj[v] & unvisited):
+            weight[w] += 1
+    order.reverse()
+    later = g.full_mask
+    neighborhoods = []
+    for v in order:
+        later &= ~(1 << v)
+        neighborhoods.append(adj[v] & later)
+    return from_elimination(g, order, neighborhoods)
+
+
+def test_narrow_matches_the_quadratic_search():
+    for seed in range(400):
+        rng = random.Random(seed)
+        n = rng.randint(1, 20)
+        g = random_connected_graph(n, n - 1 + rng.randint(0, 2 * n), seed)
+        order = rng.sample(range(n), n)
+        td = from_elimination(g, order, fill_neighborhoods(g, order))
+        expected = quadratic_narrow(g, td)
+        narrowed = narrow(g, td)
+        assert (narrowed.bags, narrowed.edges) == (expected.bags, expected.edges), seed
