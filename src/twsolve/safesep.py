@@ -36,7 +36,7 @@ from itertools import combinations
 from .blocks import is_minimal_separator
 from .graph import Graph, bit_list, bits, is_clique_in
 from .minors import audit
-from .tdbuild import TreeDecomposition, from_elimination
+from .tdbuild import TreeDecomposition, from_cliques
 
 __all__ = [
     "ABORTED",
@@ -374,8 +374,8 @@ def _clique_minor_search(g: Graph, s: int, component: int) -> tuple[str, dict[in
 @dataclass
 class Part:
     """A part to solve: its graph (separators already completed), the root
-    labels of its vertices, and ``held``, the decomposition of its better
-    greedy elimination, in the vertex indices of ``graph``."""
+    labels of its vertices, and ``held``, the clique tree of the graph its
+    better greedy elimination fills in, in the vertex indices of ``graph``."""
 
     graph: Graph
     to_root: list[int]
@@ -401,8 +401,10 @@ def decompose(g: Graph, labels: list[int] | None = None) -> Decomposition:
     reduction of the biggest part, then size ascending); every applied part
     gets the separator completed into a clique and is then split further if
     possible.  Parts are labelled in ``labels``, the names of the vertices of
-    ``g`` (the identity by default).  Every part holds the decomposition of
-    the better of the greedy eliminations its separator search ran.  Every
+    ``g`` (the identity by default).  Every part holds the clique tree
+    (:func:`~twsolve.tdbuild.from_cliques`) of the better of the greedy
+    eliminations its separator search ran, whose bags are the maximal sets
+    of a vertex and its neighbourhood when eliminated.  Every
     split completes its separator in each child, so the parts' completed
     bags form a clique-sum of chordal graphs, a chordal supergraph of ``g``.
     """
@@ -416,7 +418,8 @@ def decompose(g: Graph, labels: list[int] | None = None) -> Decomposition:
         found = _find_safe_separator(graph, elims, out.tally)
         if found is None:  # keep the elimination of least width, min-fill on a tie
             best = min(elims, key=lambda e: max(map(int.bit_count, e[1]), default=0))
-            out.parts.append(Part(graph, to_root, from_elimination(graph, *best)))
+            bags = [nb | 1 << v for v, nb in zip(*best)]
+            out.parts.append(Part(graph, to_root, from_cliques(graph, bags)))
         else:
             stack += _children(graph, to_root, found)[::-1]
     return out

@@ -1,6 +1,5 @@
-"""Tree decompositions: extraction from accepting witnesses, construction
-from elimination orders and from chordal graphs, lifting from a minor,
-narrowing, and validation.
+"""Tree decompositions: construction from witnesses and chordal graphs,
+lifting from a minor, narrowing, and validation.
 
 The validator shares only the graph layer with the solver, so it can audit
 decompositions produced elsewhere.
@@ -16,8 +15,8 @@ from .graph import AuditError, Graph, bit_list, bits, is_clique_in
 if TYPE_CHECKING:
     from .solver import Witness
 
-__all__ = ["TreeDecomposition", "Violation", "contract", "extract", "from_cliques",
-           "from_elimination", "lift", "narrow", "validate"]
+__all__ = ["TreeDecomposition", "Violation", "extract", "from_cliques", "lift", "narrow",
+           "validate"]
 
 
 @dataclass
@@ -46,7 +45,10 @@ def extract(g: Graph, witness: Witness) -> TreeDecomposition:
     Starting from the accepting clique, each support component is expanded
     through the clique that made it feasible; that clique contains the
     component's neighborhood, so attaching the bags keeps occurrence subtrees
-    connected.  Bags contained in their parent are contracted afterwards.
+    connected.  No potential maximal clique contains another (Bouchitte &
+    Todinca, SIAM J. Comput. 2001).  A child clique has vertices in the
+    component its parent hands it, where the parent has none, so adjacent
+    bags differ and no bag lies inside another.
     """
     if witness.root is None:
         raise AuditError("extract requires an accepting witness")
@@ -74,28 +76,7 @@ def extract(g: Graph, witness: Witness) -> TreeDecomposition:
             if child is None:
                 raise AuditError("broken witness chain: component without source")
             stack.append((child, idx, comp))
-    td = TreeDecomposition(g.n, bags, edges)
-    return contract(td)
-
-
-def from_elimination(g: Graph, order: list[int], neighborhoods: list[int]) -> TreeDecomposition:
-    """The tree decomposition of an elimination order.
-
-    ``neighborhoods[i]`` is the neighborhood of ``order[i]`` when it is
-    eliminated.  Each vertex gets the bag of itself and that neighborhood,
-    attached to the bag of the first vertex of the neighborhood to be
-    eliminated; the neighborhood is a clique by then, so that bag holds it.
-    Bags with an empty neighborhood (one per connected component) are chained
-    to the last bag.  Bags contained in a neighbor are contracted afterwards.
-    """
-    position = {v: i for i, v in enumerate(order)}
-    last = len(order) - 1
-    bags = [nb | 1 << v for v, nb in zip(order, neighborhoods)]
-    edges = [
-        (i, min(position[u] for u in bits(nb)) if nb else last)
-        for i, nb in enumerate(neighborhoods[:last])
-    ]
-    return contract(TreeDecomposition(g.n, bags, edges))
+    return TreeDecomposition(g.n, bags, edges)
 
 
 def lift(td: TreeDecomposition, branch: list[int], n: int) -> TreeDecomposition:
@@ -150,28 +131,37 @@ def narrow(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
 
 
 def from_cliques(g: Graph, cliques: list[int]) -> TreeDecomposition:
-    """The decomposition read off the graph H that ``g`` becomes when every
-    set of ``cliques`` is completed into a clique: each vertex with its
-    later neighbours in H, along the reverse of the order in which maximum
-    cardinality search visits H.  When H is chordal that order is a perfect
+    """The clique tree of the graph H that ``g`` becomes when every set of
+    ``cliques`` is completed into a clique, built as maximum cardinality
+    search visits H (Blair & Peyton, "An introduction to chordal graphs and
+    clique trees", 1993).  A vertex with at most as many visited neighbours
+    as the vertex visited before it starts a new bag, itself and those
+    neighbours, attached to the bag of its neighbour visited last, or to the
+    previous bag when it has none; any other vertex joins the current bag.
+    When H is chordal, the search visits it in the reverse of a perfect
     elimination order (Tarjan & Yannakakis, SIAM J. Comput. 1984) and the
-    bags are the maximal cliques of H; otherwise the result need not be a
+    bags are its maximal cliques; otherwise the result need not be a
     decomposition of ``g``.
 
     The search visits next the lowest unvisited vertex with the most
     visited neighbours; ``buckets[w]`` holds the unvisited vertices with w
-    visited neighbours.
+    visited neighbours, and ``last[w]`` the bag of the neighbour of w
+    visited last.  Completing a set adds each of its vertices to its own
+    neighbourhood too, which is harmless: a vertex is visited before its
+    neighbourhood is read.
     """
     n = g.n
     adj = list(g.adj)
     for c in cliques:
         for v in bits(c):
-            adj[v] |= c & ~(1 << v)
+            adj[v] |= c
     weight = [0] * n
+    last = [0] * n
     buckets = [0] * (n + 1)
     buckets[0] = unvisited = g.full_mask
-    top = 0
-    order = []
+    top = previous = 0
+    bags: list[int] = []
+    edges: list[tuple[int, int]] = []
     for _ in range(n):
         while not buckets[top]:
             top -= 1
@@ -179,54 +169,21 @@ def from_cliques(g: Graph, cliques: list[int]) -> TreeDecomposition:
         buckets[top] ^= low
         unvisited ^= low
         v = low.bit_length() - 1
-        order.append(v)
+        if top <= previous:
+            if bags:
+                edges.append((last[v] if top else len(bags) - 1, len(bags)))
+            bags.append(adj[v] & ~unvisited | low)
+        else:
+            bags[-1] |= low
+        previous = top
+        current = len(bags) - 1
         for w in bits(adj[v] & unvisited):
             buckets[weight[w]] ^= 1 << w
             weight[w] += 1
             buckets[weight[w]] |= 1 << w
+            last[w] = current
         top += 1
-    order.reverse()
-    later = g.full_mask
-    neighborhoods = []
-    for v in order:
-        later &= ~(1 << v)
-        neighborhoods.append(adj[v] & later)
-    return from_elimination(g, order, neighborhoods)
-
-
-def contract(td: TreeDecomposition) -> TreeDecomposition:
-    """Merge every bag into an adjacent bag that contains it.
-
-    A union-find meets each edge once and joins the classes of its ends when
-    one class's bag contains the other's; a class's root keeps its largest
-    bag, which holds all of the class's bags.  One pass is enough: in a tree
-    decomposition a bag contained in another bag is contained in every bag on
-    the path between them, so also in its neighbour on that path.
-    """
-    bags = td.bags
-    parent = list(range(len(bags)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in td.edges:
-        a, b = find(a), find(b)
-        if bags[b] & ~bags[a] == 0:
-            parent[b] = a
-        elif bags[a] & ~bags[b] == 0:
-            parent[a] = b
-    keep = [i for i, p in enumerate(parent) if p == i]
-    remap = {old: new for new, old in enumerate(keep)}
-    # the classes are subtrees, so each edge between two of them is met once
-    edges = []
-    for a, b in td.edges:
-        a, b = remap[find(a)], remap[find(b)]
-        if a != b:
-            edges.append((a, b))
-    return TreeDecomposition(td.n, [bags[i] for i in keep], edges)
+    return TreeDecomposition(n, bags, edges)
 
 
 def validate(g: Graph, td: TreeDecomposition) -> list[Violation]:

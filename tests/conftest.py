@@ -31,6 +31,11 @@ def min_vertex(s: int) -> int:
     return (s & -s).bit_length() - 1
 
 
+def non_nested(sets: list[int]) -> bool:
+    """True iff no set of ``sets`` lies inside another, and none comes twice."""
+    return all(a & ~b and b & ~a for i, a in enumerate(sets) for b in sets[i + 1:])
+
+
 def has_edge(g: Graph, u: int, v: int) -> bool:
     return bool(g.adj[u] >> v & 1)
 

@@ -21,7 +21,7 @@ from itertools import combinations
 from twsolve import blocks, safesep, solver
 from twsolve.graph import Graph
 from twsolve.oracle import bf_treewidth
-from twsolve.tdbuild import TreeDecomposition, from_elimination
+from twsolve.tdbuild import TreeDecomposition, from_cliques
 
 # -- small graphs ----------------------------------------------------------
 
@@ -274,7 +274,7 @@ def held_decomposition(g: Graph) -> TreeDecomposition:
     on a tie."""
     elims = [safesep.greedy_elimination(g, mode) for mode in ("min_fill", "min_degree")]
     best = min(elims, key=lambda e: max(map(int.bit_count, e[1]), default=0))
-    return from_elimination(g, *best)
+    return from_cliques(g, [nb | 1 << v for v, nb in zip(*best)])
 
 
 def treewidth(g: Graph, **kw) -> tuple[int, TreeDecomposition, list[solver.SolverStats], str]:

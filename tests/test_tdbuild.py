@@ -1,25 +1,25 @@
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from twsolve.families import cycle_graph, random_connected_graph
 from twsolve.graph import Graph, bits, is_clique_in
 from twsolve.minors import contraction_chain
+from twsolve.oracle import enumerate_pmcs
 from twsolve.safesep import greedy_elimination
 from twsolve.solver import decide
 from twsolve.tdbuild import (
     TreeDecomposition,
     Violation,
-    contract,
     extract,
     from_cliques,
-    from_elimination,
     lift,
     narrow,
     validate,
 )
 
-from conftest import connected_graphs, mask
+from conftest import connected_graphs, disjoint_union, mask, non_nested
 from reference import complete_graph, star_graph, treewidth
 
 
@@ -125,14 +125,15 @@ def test_width_of_empty_decomposition():
 def test_elimination_decomposition_validates(g, mode):
     order, nbs = greedy_elimination(g, mode)
     assert sorted(order) == list(range(g.n))
-    td = from_elimination(g, order, nbs)
+    td = from_cliques(g, [nb | 1 << v for v, nb in zip(order, nbs)])
     assert validate(g, td) == []
     assert td.width() == max(nb.bit_count() for nb in nbs)
 
 
 def test_elimination_decomposition_of_disconnected_graph():
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    td = from_elimination(g, *greedy_elimination(g, "min_degree"))
+    order, nbs = greedy_elimination(g, "min_degree")
+    td = from_cliques(g, [nb | 1 << v for v, nb in zip(order, nbs)])
     assert validate(g, td) == [] and td.width() == 1
 
 
@@ -197,8 +198,14 @@ def fill_neighborhoods(g: Graph, order: list[int]) -> list[int]:
     return out
 
 
+def elimination_bags(g: Graph, order: list[int]) -> list[int]:
+    """Each vertex with its neighborhood when it is eliminated in ``order``,
+    fill edges included."""
+    return [nb | 1 << v for v, nb in zip(order, fill_neighborhoods(g, order))]
+
+
 def witness_bags(witness) -> list[int]:
-    """The bags ``extract`` unfolds from a witness before contraction."""
+    """The bags ``extract`` unfolds from a witness."""
     bags, stack = [], [witness.root]
     while stack:
         rec = witness.records[stack.pop()]
@@ -218,35 +225,38 @@ def assert_contracted(g: Graph, td: TreeDecomposition, input_bags: list[int]) ->
 @given(st.data(), connected_graphs(max_n=14))
 def test_contraction_leaves_the_distinct_maximal_bags(data, g):
     order = data.draw(st.permutations(range(g.n)))
-    nbs = fill_neighborhoods(g, order)
-    bags = [nb | 1 << v for v, nb in zip(order, nbs)]
-    assert_contracted(g, from_elimination(g, order, nbs), bags)
-    # from_elimination lists each edge child first, and only a parent bag
-    # can lie inside its child's; the reverse listing merges the other way
-    position = {v: i for i, v in enumerate(order)}
-    edges = [(min(position[u] for u in bits(nb)), i) for i, nb in enumerate(nbs[:-1])]
-    assert_contracted(g, contract(TreeDecomposition(g.n, bags, edges)), bags)
+    bags = elimination_bags(g, order)
+    assert_contracted(g, from_cliques(g, bags), bags)
     _, witness = accepting_witness(g)
     assert_contracted(g, extract(g, witness), witness_bags(witness))
 
 
-@given(st.data(), connected_graphs(max_n=14))
-def test_contraction_keeps_each_remaining_edge_once(data, g):
-    # an elimination decomposition before contraction, its bags shuffled and
-    # its edges listed in random order and orientation
-    order = data.draw(st.permutations(range(g.n)))
-    nbs = fill_neighborhoods(g, order)
-    position = {v: i for i, v in enumerate(order)}
-    edges = [(i, min(position[u] for u in bits(nb))) for i, nb in enumerate(nbs[:-1])]
-    place = data.draw(st.permutations(range(g.n)))
-    bags = [0] * g.n
-    for i, (v, nb) in enumerate(zip(order, nbs)):
-        bags[place[i]] = nb | 1 << v
-    edges = [(place[a], place[b]) if data.draw(st.booleans()) else (place[b], place[a])
-             for a, b in data.draw(st.permutations(edges))]
-    td = contract(TreeDecomposition(g.n, bags, edges))
-    assert validate(g, td) == []
-    assert len({frozenset(e) for e in td.edges}) == len(td.edges) == len(td.bags) - 1
+# -- no bag inside another --------------------------------------------------
+
+
+@st.composite
+def small_graphs(draw, max_n: int = 9) -> Graph:
+    """Graphs on 1 to ``max_n`` vertices with random edges, so often
+    disconnected."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+@given(small_graphs())
+def test_no_potential_maximal_clique_contains_another(g):
+    assert non_nested(list(enumerate_pmcs(g)))
+
+
+@given(connected_graphs(max_n=10), st.booleans())
+def test_witness_bags_never_nest(g, exhaustive):
+    # every level from tw up accepts; the unfolded witness needs no merging
+    for k in range(treewidth(g)[0], g.n):
+        res = decide(g, k, exhaustive=exhaustive)
+        assert res.answer, k
+        td = extract(g, res.witness)
+        assert non_nested(td.bags) and len(td.edges) == len(td.bags) - 1, k
+        assert validate(g, td) == [], k
 
 
 # -- lifting a minor's decomposition and narrowing it -----------------------
@@ -298,7 +308,7 @@ def test_lifted_minor_decomposition_validates(data, g):
 @given(st.data(), connected_graphs(max_n=12))
 def test_narrow_leaves_no_removable_fill_edge(data, g):
     order = data.draw(st.permutations(range(g.n)))
-    td = from_elimination(g, order, fill_neighborhoods(g, order))
+    td = from_cliques(g, elimination_bags(g, order))
     narrowed = narrow(g, td)
     assert validate(g, narrowed) == []
     assert narrowed.width() <= td.width()
@@ -308,7 +318,15 @@ def test_narrow_leaves_no_removable_fill_edge(data, g):
 # -- reading a decomposition off a chordal graph ----------------------------
 
 
-@given(st.data(), connected_graphs(max_n=14))
+@st.composite
+def scattered_graphs(draw) -> Graph:
+    """Disjoint unions of one to three connected graphs and up to three
+    isolated vertices."""
+    parts = draw(st.lists(connected_graphs(max_n=6), min_size=1, max_size=3))
+    return disjoint_union(*parts, Graph(draw(st.integers(0, 3))))
+
+
+@given(st.data(), st.one_of(connected_graphs(max_n=14), scattered_graphs()))
 def test_from_cliques_gives_the_maximal_cliques_of_a_chordal_graph(data, g):
     # g filled in along a random order is chordal, and each vertex with its
     # later neighbours along that order lists every maximal clique
@@ -323,15 +341,29 @@ def test_from_cliques_gives_the_maximal_cliques_of_a_chordal_graph(data, g):
     assert validate(g, td) == []
 
 
+@pytest.mark.parametrize("g", [
+    Graph(1),
+    Graph(2),
+    Graph(6),
+    Graph(7, [(1, 2), (2, 3), (1, 3), (5, 6)]),  # 0 and 4 isolated
+    disjoint_union(Graph(1), complete_graph(4), Graph(2), star_graph(3), Graph(1)),
+])
+def test_from_cliques_gives_one_tree_on_edgeless_and_disconnected_graphs(g):
+    td = from_cliques(g, [])
+    assert len(td.edges) == len(td.bags) - 1 and validate(g, td) == []
+    assert non_nested(td.bags)
+
+
 def test_from_cliques_of_a_graph_that_is_not_chordal_fails_validation():
     for n in (4, 5, 6):
         g = cycle_graph(n)
         assert validate(g, from_cliques(g, [])) != []
 
 
-def quadratic_narrow(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
-    """``narrow`` as it was with a quadratic maximum cardinality search,
-    kept verbatim as the reference for the bucketed one."""
+def quadratic_narrow(g: Graph, td: TreeDecomposition) -> list[int]:
+    """The bags of ``narrow`` as it was with a quadratic maximum cardinality
+    search, kept as the reference for the bucketed one: each vertex with its
+    later neighbours along the reverse of the order the search visits."""
     n = g.n
     adj = list(g.adj)
     for b in td.bags:
@@ -364,11 +396,11 @@ def quadratic_narrow(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
             weight[w] += 1
     order.reverse()
     later = g.full_mask
-    neighborhoods = []
+    bags = []
     for v in order:
         later &= ~(1 << v)
-        neighborhoods.append(adj[v] & later)
-    return from_elimination(g, order, neighborhoods)
+        bags.append(adj[v] & later | 1 << v)
+    return bags
 
 
 def test_narrow_matches_the_quadratic_search():
@@ -377,7 +409,5 @@ def test_narrow_matches_the_quadratic_search():
         n = rng.randint(1, 20)
         g = random_connected_graph(n, n - 1 + rng.randint(0, 2 * n), seed)
         order = rng.sample(range(n), n)
-        td = from_elimination(g, order, fill_neighborhoods(g, order))
-        expected = quadratic_narrow(g, td)
-        narrowed = narrow(g, td)
-        assert (narrowed.bags, narrowed.edges) == (expected.bags, expected.edges), seed
+        td = from_cliques(g, elimination_bags(g, order))
+        assert_contracted(g, narrow(g, td), quadratic_narrow(g, td))
