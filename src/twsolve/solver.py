@@ -12,8 +12,12 @@ emits the crib of its outlet as a new inbound block.  The answer is yes
 exactly when some feasible potential maximal clique has an empty outlet.
 Whether a candidate has a full component or is a potential maximal clique,
 with its outlet and support, does not depend on k: the levels of one graph
-share one facts table, which analyses each set once and stops its component
-pass at the first full component; only the size test is made per level.
+share one facts table, whose component pass stops at the first full
+component; only the size test is made per level.  The table keeps every set
+it analyses, except that a level k run top-down on the graph itself keeps
+no set of size k + 1, since the levels after it run below k and never read
+one; such a set met again in its level is analysed again, unless it is a
+PMC already buildable, which the seed, hit and clip loops test first.
 
 Each step works off the largest inbound block found and not yet worked
 off, ties going to the earliest found.  The root's support components
@@ -40,7 +44,9 @@ audit certifies the level, and a small minor reaches its fixpoint far sooner
 than the graph.  Level k tries the minors of sizes s, s + 1, s + 3, s + 7,
 ... up to ``MINOR_SHARE`` of the graph, where s is the size that answered
 no at the level below, or k + 2 if that is larger; the levels share one
-analysis per minor.  A yes on a minor certifies nothing by itself, but its
+analysis per minor, which keeps every set, since level k + 1 reads the sets
+of size k + 1 again, and which is freed once the start passes the minor.
+A yes on a minor certifies nothing by itself, but its
 witness unfolds into a decomposition of the minor, which the branch sets
 lift to the graph.  At the first level k that no minor answers no, none
 does above k either, so the minors run out: the largest minor's yes is
@@ -119,6 +125,7 @@ class SolverStats:
     oblocks: int = 0
     pmcs_buildable: int = 0
     pmcs_feasible: int = 0
+    facts: int = 0
     ms: float = 0.0
 
 
@@ -137,7 +144,9 @@ class _Analysis(dict):
     :class:`PmcRecord` if it is a potential maximal clique, else to 0.  A
     set missing from the table is analysed on lookup: its component pass
     stops at the first full component, and only a set without one gets all
-    its components, the cliquish test and its outlet and support.
+    its components, the cliquish test and its outlet and support.  A lookup
+    keeps what it analyses; :meth:`analyse` does not, for the sets that a
+    top-down level (see :func:`decide`) keeps out of the table.
     """
 
     __slots__ = ("g",)
@@ -146,29 +155,33 @@ class _Analysis(dict):
         self.g = g
 
     def __missing__(self, s: int) -> int | PmcRecord:
+        fact = self[s] = self.analyse(s)
+        return fact
+
+    def analyse(self, s: int) -> int | PmcRecord:
+        """The fact of ``s``, not kept in the table; the facts of the
+        component neighborhoods of a PMC, looked up for its support, are."""
         g = self.g
         comps_nbs = g.components_with_neighborhoods(s, until_full=True)
         if comps_nbs and comps_nbs[-1][1] == s:
-            fact = comps_nbs[-1][0]
-        elif is_cliquish(g, s, [nb for _, nb in comps_nbs]):
+            return comps_nbs[-1][0]
+        if is_cliquish(g, s, [nb for _, nb in comps_nbs]):
             # a component's neighborhood has that component as a full one,
             # so its fact is its first full component
-            fact = PmcRecord(s, *outlet_and_support(s, comps_nbs, self.__getitem__))
-        else:
-            fact = 0
-        self[s] = fact
-        return fact
+            return PmcRecord(s, *outlet_and_support(s, comps_nbs, self.__getitem__))
+        return 0
 
 
 class _Search:
     """One decision run for a fixed graph and width bound."""
 
     def __init__(self, analysis: _Analysis, k: int, exhaustive: bool,
-                 deadline: float | None):
+                 deadline: float | None, top_down: bool = False):
         self.analysis = analysis
         self.g = analysis.g
         self.k = k
         self.exhaustive = exhaustive
+        self.top_down = top_down
         self.deadline = deadline
         self.iblocks: list[tuple[int, int]] = []
         # the inbound blocks not yet worked off, as (-|C|, discovery index)
@@ -249,6 +262,20 @@ class _Search:
         bank = self.bank
         buildable = self.buildable
         facts = self.analysis
+        if self.top_down:
+            # the levels after this one on the table run below k and never
+            # look up a set of size k + 1, so such a set is not kept
+            known, analyse = facts.get, facts.analyse
+
+            def lookup(s: int) -> int | PmcRecord:
+                fact = known(s)
+                if fact is None:
+                    fact = analyse(s)
+                    if s.bit_count() <= k:
+                        facts[s] = fact
+                return fact
+        else:
+            lookup = facts.__getitem__
 
         # a level may have no inbound block, so poll once before seeding too
         if deadline is not None and time.monotonic() > deadline:
@@ -256,9 +283,9 @@ class _Search:
         # seed with closed neighborhoods that are small PMCs
         for v in range(g.n):
             cand = adj[v] | 1 << v
-            if cand.bit_count() <= size_cap:
-                fact = facts[cand]
-                if type(fact) is PmcRecord and cand not in buildable:
+            if cand.bit_count() <= size_cap and cand not in buildable:
+                fact = lookup(cand)
+                if type(fact) is PmcRecord:
                     self._register_pmc(fact)
 
         iblocks = self.iblocks
@@ -272,10 +299,11 @@ class _Search:
             new_obs: list[tuple[int, int]] = []
             for b in bank.supersets(comp, nb):
                 cand = nb | onb[b]
-                fact = facts[cand]
+                if cand in buildable:
+                    continue
+                fact = lookup(cand)
                 if type(fact) is PmcRecord:
-                    if cand not in buildable:
-                        self._register_pmc(fact)
+                    self._register_pmc(fact)
                 elif fact and fact not in onb and cand.bit_count() <= k:
                     onb[fact] = cand
                     bank.store(fact, cand)
@@ -293,9 +321,9 @@ class _Search:
                     vb = rem & -rem
                     rem ^= vb
                     cand = na | (adj[vb.bit_length() - 1] & a)
-                    if cand.bit_count() <= size_cap:
-                        fact = facts[cand]
-                        if type(fact) is PmcRecord and cand not in buildable:
+                    if cand.bit_count() <= size_cap and cand not in buildable:
+                        fact = lookup(cand)
+                        if type(fact) is PmcRecord:
                             self._register_pmc(fact)
 
         return self.root is not None
@@ -308,6 +336,7 @@ def decide(
     exhaustive: bool = False,
     deadline: float | None = None,
     _analysis: _Analysis | None = None,
+    _top_down: bool = False,
 ) -> DecideResult:
     """Decide whether the treewidth of connected ``g`` is at most ``k``.
 
@@ -316,7 +345,9 @@ def decide(
     ``exhaustive`` the run continues to the fixpoint even after an accepting
     clique is found, so the final counters cover every feasible object.
     :func:`treewidth` passes in the candidate analysis its levels share; a
-    call without one analyses ``g`` afresh.
+    call without one analyses ``g`` afresh.  ``_top_down`` says that no
+    level at or above ``k`` runs on that analysis afterwards, so the sets
+    of size ``k + 1`` the run meets are not kept in it.
     """
     n = g.n
     if n == 0:
@@ -336,7 +367,7 @@ def decide(
         raise ValueError(f"width bound {k} out of range for n={n}")
 
     analysis = _Analysis(g) if _analysis is None else _analysis
-    search = _Search(analysis, k, exhaustive, deadline)
+    search = _Search(analysis, k, exhaustive, deadline, _top_down)
     answer = search.run()
     stats = SolverStats(
         n,
@@ -346,6 +377,7 @@ def decide(
         oblocks=len(search.onb),
         pmcs_buildable=len(search.buildable),
         pmcs_feasible=len(search.feasible),
+        facts=len(analysis),
         ms=(time.monotonic() - start) * 1000.0,
     )
     witness = None
@@ -412,6 +444,8 @@ def treewidth(
     try:
         while k < top:
             size, step, yes = max(size, k + 2), 1, None
+            # the gallop's start never falls, so it passed these minors for good
+            chain = {h_n: minor for h_n, minor in chain.items() if h_n >= size}
             while size in chain:
                 facts, branch = chain[size]
                 res = decide(facts.g, k, deadline=deadline, _analysis=facts)
@@ -430,7 +464,8 @@ def treewidth(
                     if td.width() < top:
                         top, held, how = td.width(), td, "lifted"
                 while top > k:
-                    res = decide(g, top - 1, deadline=deadline, _analysis=analysis)
+                    res = decide(g, top - 1, deadline=deadline, _analysis=analysis,
+                                 _top_down=True)
                     _record(levels, res.stats)
                     if not res.answer:
                         break
@@ -448,8 +483,8 @@ def _record(levels: list[SolverStats], s: SolverStats) -> None:
     levels.append(s)
     logging.getLogger("twsolve").debug(
         "level n=%d k=%d answer=%s ms=%.1f iblocks=%d oblocks=%d pmcs_buildable=%d "
-        "pmcs_feasible=%d", s.n, s.k, s.answer, s.ms, s.iblocks, s.oblocks, s.pmcs_buildable,
-        s.pmcs_feasible)
+        "pmcs_feasible=%d facts=%d", s.n, s.k, s.answer, s.ms, s.iblocks, s.oblocks,
+        s.pmcs_buildable, s.pmcs_feasible, s.facts)
 
 
 def _lift(g: Graph, h: Graph, branch: list[int], witness: Witness) -> TreeDecomposition:

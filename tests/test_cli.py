@@ -68,7 +68,7 @@ def test_stats_levels_record_every_decision_level(tmp_graph_file, tmp_path, caps
     assert [(r["n"], r["k"], r["answer"]) for r in levels[-2:]] == [(23, 10, True), (23, 9, False)]
     for r in levels:
         assert list(r) == ["part", "n", "k", "answer", "iblocks", "oblocks", "pmcs_buildable",
-                           "pmcs_feasible", "ms"]
+                           "pmcs_feasible", "facts", "ms"]
         assert r["ms"] >= 0 and 0 <= r["pmcs_feasible"] <= r["pmcs_buildable"]
         assert r["k"] + 2 <= r["n"] <= 23
         if r["n"] == 23:

@@ -1,6 +1,7 @@
 import heapq
 import logging
 import time
+import weakref
 from heapq import heappush
 
 import pytest
@@ -541,8 +542,8 @@ def test_each_finished_level_logs_one_debug_line(caplog):
     assert len(stats) == 12
     assert [r.getMessage() for r in caplog.records if r.name == "twsolve"] == [
         f"level n={s.n} k={s.k} answer={s.answer} ms={s.ms:.1f} iblocks={s.iblocks} "
-        f"oblocks={s.oblocks} pmcs_buildable={s.pmcs_buildable} pmcs_feasible={s.pmcs_feasible}"
-        for s in stats]
+        f"oblocks={s.oblocks} pmcs_buildable={s.pmcs_buildable} pmcs_feasible={s.pmcs_feasible} "
+        f"facts={s.facts}" for s in stats]
 
 
 # -- the candidate analysis shared by the levels of one graph --------------
@@ -638,6 +639,97 @@ def test_shared_analysis_entries_match_reference(make, monkeypatch):
         assert pmc == blocks.is_pmc(g, s), s
         if pmc:
             assert fact == solver.PmcRecord(s, *outlet_and_support(g, s)), s
+
+
+def _capture_tables(mp: pytest.MonkeyPatch, keep_every_set: bool = False) -> list[tuple]:
+    """Record (graph, k, table, top-down) for every level ``treewidth`` runs;
+    with ``keep_every_set`` no level is told that it runs top-down."""
+    calls = []
+    decide_level = solver.decide
+
+    def capture(h, k, **kwargs):
+        if keep_every_set:
+            kwargs["_top_down"] = False
+        calls.append((h, k, kwargs["_analysis"], kwargs.get("_top_down", False)))
+        return decide_level(h, k, **kwargs)
+
+    mp.setattr(solver, "decide", capture)
+    return calls
+
+
+RETENTION_GRAPHS = {
+    "queen5_5": queen_graph(5, 5), "myciel4": mycielski_graph(4),
+    **{f"seeded{i}": g for i, g in enumerate(_seeded_graphs())},
+    **{f"random30_{i}": random_connected_graph(30, 45, 600 + i) for i in range(4)}}
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["elimination", "one_bag"])
+@pytest.mark.parametrize("g", list(RETENTION_GRAPHS.values()), ids=list(RETENTION_GRAPHS))
+def test_top_down_retention_leaves_levels_and_decompositions_unchanged(g, wide, monkeypatch):
+    # held in one bag, g runs every level from n - 2 down to its first no
+    held = _one_bag(g) if wide else held_decomposition(g)
+    with pytest.MonkeyPatch.context() as mp:
+        _capture_tables(mp, keep_every_set=True)
+        tw_all, td_all, stats_all, how_all = solver.treewidth(g, held)
+    calls = _capture_tables(monkeypatch)
+    tw, td, stats, how = solver.treewidth(g, held)
+    assert (tw, td, how) == (tw_all, td_all, how_all)
+    assert [(s.n, *_counts(s)) for s in stats] == [(s.n, *_counts(s)) for s in stats_all]
+    # exactly the levels on g itself run top-down, and their tables keep at
+    # most what the tables that keep every set hold
+    assert [top_down for *_, top_down in calls] == [h is g for h, *_ in calls]
+    assert all(s.facts <= s_all.facts for s, s_all in zip(stats, stats_all))
+    assert any(top_down for *_, top_down in calls) or not wide
+
+
+def test_top_down_level_keeps_no_set_of_size_k_plus_one(monkeypatch):
+    g = queen_graph(5, 5)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _capture_tables(mp, keep_every_set=True)
+        treewidth(g)
+    kept_all = calls[-1][2]
+    calls = _capture_tables(monkeypatch)
+    tw, _, stats, _ = treewidth(g)
+    # queen5_5's only level on g is the no at 17; the sets of size 18 it met
+    # are analysed there but not kept, and nothing smaller is dropped
+    assert tw == 18 and [(h, k, top_down) for h, k, _, top_down in calls] == [(g, 17, True)]
+    facts = calls[0][2]
+    assert stats[-1].facts == len(facts)
+    assert 18 in {s.bit_count() for s in kept_all}
+    assert max(map(int.bit_count, facts)) == 17
+    assert facts == {s: fact for s, fact in kept_all.items() if s.bit_count() <= 17}
+
+
+class _WeakAnalysis(solver._Analysis):
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.parametrize("make", [lambda: mycielski_graph(4), lambda: mycielski_graph(5)],
+                         ids=["myciel4", "myciel5"])
+def test_minors_below_the_gallop_start_are_released(make, monkeypatch):
+    g = make()
+    tables: dict[int, weakref.ref] = {}
+
+    def analysis(h):
+        facts = _WeakAnalysis(h)
+        tables[h.n] = weakref.ref(facts)
+        return facts
+
+    monkeypatch.setattr(solver, "_Analysis", analysis)
+    starts = []
+    decide_level = solver.decide
+
+    def check(h, k, **kwargs):
+        if h is not g and (not starts or starts[-1][0] < k):
+            # the first minor a level tries is where its gallop starts
+            starts.append((k, h.n))
+            assert all(tables[n]() is None for n in tables if n < h.n), (k, h.n)
+        return decide_level(h, k, **kwargs)
+
+    monkeypatch.setattr(solver, "decide", check)
+    treewidth(g)
+    # the start moved up, so some minor had been tried and was released
+    assert starts[-1][1] > starts[0][1]
 
 
 # -- the order in which inbound blocks are worked off ----------------------
