@@ -13,8 +13,8 @@ Each row's time is the median of three solves in this one process, so a
 slow first call or a noisy moment on the host moves it less.
 File-based instances run when their files are under instances/ (see
 instances/README.md).  Pass --include-hard to also attempt the stretch
-rows, which are not part of the acceptance gate: queen8_8 (2-3 s per
-solve, most of it the no at level 44) and myciel6 (1.3-1.6 s per solve).
+rows, which are not part of the acceptance gate: queen8_8 (about 1.5 s per
+solve, most of it the no at level 44) and myciel6 (about 1.3 s per solve).
 Rows are printed as they finish.
 """
 

@@ -5,19 +5,18 @@ queries: given (C, N(C)), return every stored W with C a subset of W and
 |N(C) | N(W)| <= k + 1, in the order the sets were stored.
 
 Entries get ids in insertion order, and the index keeps int bitmasks over
-those ids: ``P[x]`` holds the entries whose W contains vertex x, ``Q[x]``
-those whose N(W) contains x, and ``G[r]`` those whose margin
-k + 1 - |N(W)| is at least r.  A query ANDs ``P[x]`` over x in C, which
-leaves the supersets of C.  An entry is a hit when |N(C) | N(W)| <= k + 1,
-that is when its count |N(C) - N(W)| is at most its margin.  When at most
-``_DIRECT_PER_NEIGHBOR`` * |N(C)| entries survive, each one's union is
-counted directly, one short operation per survivor.  Otherwise, for each x
-in N(C), the survivors lacking x in N(W) are added into bit-sliced counter
-planes, and an entry with count c is a hit exactly when it lies in
-``G[c]``.  That pass costs about |N(C)| times the plane count of big-int
-operations over the whole id space, which pays only when the survivors
-outnumber N(C) by more than the constant; with N(C) empty every survivor
-is a hit, read off ``G[0]`` without a loop.
+those ids: ``P[x]`` holds the entries whose W contains vertex x and ``Q[x]``
+those whose N(W) contains x.  A query ANDs ``P[x]`` over x in C, which
+leaves the supersets of C.  N(W) never meets C, a subset of W, so with
+R = V - C - N(C) and b = k + 1 - |N(C)| a survivor is a hit exactly when
+|N(W) & R| <= b.  When at most ``_DIRECT_PER_NEIGHBOR`` * |N(C)| entries
+survive, each one's union is counted directly, one short operation per
+survivor.  Otherwise the count runs over R for all survivors at once: with
+b < 0 none is a hit, with b >= k all are (``store`` keeps |N(W)| <= k),
+and else ``over[j]`` holds the survivors with more than j vertices of R so
+far.  Each x in R adds ``over[j - 1] & Q[x]`` to ``over[j]``, top-down so
+that x counts once per survivor; the hits are the survivors outside
+``over[b]``, and the count ends early once that leaves none.
 
 Stores wait in a tail that queries scan directly.  Once the tail holds
 ``_FOLD_BATCH`` entries, the next query folds it into the masks with one
@@ -75,14 +74,17 @@ class SieveBank:
         self.entries: list[tuple[int, int]] = []
         self.P = [0] * n
         self.Q = [0] * n
-        self.G = [0] * (k + 1)
         self._folded = 0
 
     def store(self, u: int, n_u: int) -> None:
-        """Add ``u`` with its neighborhood ``n_u``; callers store a set once."""
+        """Add ``u`` with its neighborhood ``n_u``; callers store a set once.
+
+        The margin check keeps |N(W)| <= k, on which the count's b >= k
+        shortcut rests, and the count over R needs N(W) to miss W."""
         margin = self.k + 1 - n_u.bit_count()
-        if not 1 <= margin <= self.k:
-            raise AuditError("stored sets must have neighborhood size between 1 and k")
+        if not 1 <= margin <= self.k or u & n_u:
+            raise AuditError(
+                "stored sets must have a disjoint neighborhood of size between 1 and k")
         self.entries.append((u, n_u))
 
     def _fold(self) -> None:
@@ -108,46 +110,26 @@ class SieveBank:
                 P[x] |= bits
             else:
                 Q[x - n] |= bits
-        by_margin = [0] * (self.k + 1)
-        for j, (_, n_w) in enumerate(batch):
-            by_margin[self.k + 1 - n_w.bit_count()] |= 1 << j
-        G = self.G
-        at_least = 0
-        for r in range(self.k, -1, -1):
-            at_least |= by_margin[r]
-            G[r] |= at_least << base
 
-    def _within_budget(self, s: int, n_u: int) -> int:
-        """The entries of ``s`` with |N(C) - N(W)| at most their margin."""
+    def _within_budget(self, s: int, u: int, n_u: int) -> int:
+        """The entries of ``s`` with |N(W) & R| <= b, for R = V - C - N(C)
+        and b = k + 1 - |N(C)|."""
+        b = self.k + 1 - n_u.bit_count()
+        if b < 0:
+            return 0
+        if b >= self.k:
+            return s
         Q = self.Q
-        planes: list[int] = []
-        for x in _ids(n_u):
-            carry = s & ~Q[x]
-            for i, plane in enumerate(planes):
-                planes[i] = plane ^ carry
-                carry &= plane
-                if not carry:
-                    break
-            if carry:
-                planes.append(carry)
-        # split the entries by count, from the top plane down
-        classes = [(s, 0)]
-        for i in range(len(planes) - 1, -1, -1):
-            plane = planes[i]
-            split = []
-            for part, count in classes:
-                one = part & plane
-                if one:
-                    split.append((one, count | 1 << i))
-                if part != one:
-                    split.append((part ^ one, count))
-            classes = split
-        G = self.G
-        hits = 0
-        for part, count in classes:
-            if count <= self.k:
-                hits |= part & G[count]
-        return hits
+        over = [0] * (b + 1)
+        for x in _ids((1 << self.n) - 1 & ~u & ~n_u):
+            q = Q[x] & s
+            if q:
+                for j in range(b, 0, -1):
+                    over[j] |= over[j - 1] & q
+                over[0] |= q
+                if over[b] == s:
+                    return 0
+        return s ^ over[b]
 
     def supersets(self, u: int, n_u: int) -> list[int]:
         """Every stored superset of ``u`` within the union budget, in
@@ -156,7 +138,7 @@ class SieveBank:
         if len(entries) - self._folded >= _FOLD_BATCH:
             self._fold()
         budget = self.k + 1
-        s = self.G[0]
+        s = (1 << self._folded) - 1
         P = self.P
         m = u
         while m and s:
@@ -164,7 +146,7 @@ class SieveBank:
             s &= P[low.bit_length() - 1]
             m ^= low
         if s.bit_count() > _DIRECT_PER_NEIGHBOR * n_u.bit_count():
-            hits = [entries[i][0] for i in _ids(self._within_budget(s, n_u))]
+            hits = [entries[i][0] for i in _ids(self._within_budget(s, u, n_u))]
         else:
             hits = [w for w, n_w in map(entries.__getitem__, _ids(s))
                     if (n_u | n_w).bit_count() <= budget]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from twsolve import sieve
+from twsolve.graph import AuditError
 from twsolve.sieve import SieveBank, linear_scan_supersets
 
 from conftest import mask
@@ -52,10 +53,9 @@ def _query_near(rng: random.Random, entries: list[tuple[int, int]], n: int, k: i
 def _differential(n: int, k: int, ops: int, seed: int) -> Counter:
     """Interleave stores and queries; every query must equal the linear scan
     over the entries stored so far, in insertion order.  Returns a tally of
-    the margins of the hits and of the queries whose folded survivors take
-    the counter planes ("wide"), among them those with N(C) empty, and of
-    those sent to the direct check with more than ``OLD_DIRECT_CHECK``
-    survivors."""
+    the margins of the hits, of the queries whose folded survivors take the
+    count over R ("wide") by their budget b = k + 1 - |N(C)|, and of those
+    sent to the direct check with more than ``OLD_DIRECT_CHECK`` survivors."""
     rng = random.Random(seed)
     bank = SieveBank(n, k)
     entries: list[tuple[int, int]] = []
@@ -76,8 +76,10 @@ def _differential(n: int, k: int, ops: int, seed: int) -> Counter:
         # of the masks, which the rule splits
         survivors = sum(u & ~w == 0 for w, _ in entries[: bank._folded])
         wide = survivors > sieve._DIRECT_PER_NEIGHBOR * nb.bit_count()
+        b = k + 1 - nb.bit_count()
+        budget = "b < 0" if b < 0 else "b = k" if b == k else "b > k" if b > k else f"b = {b}"
         seen["wide"] += wide
-        seen["wide, N(C) empty"] += wide and nb == 0
+        seen[f"wide, {budget}"] += wide
         seen["direct above old threshold"] += not wide and survivors > OLD_DIRECT_CHECK
         onb = dict(entries)
         for w in got:
@@ -119,17 +121,14 @@ def test_empty_bank():
 
 
 def _check_masks(bank: SieveBank) -> None:
-    """Bit i of P[x], Q[x] and G[r] says whether the i-th folded entry has x
-    in W, x in N(W) and margin at least r; unfolded entries have no bits."""
-    k = bank.k
+    """Bit i of P[x] and Q[x] says whether the i-th folded entry has x in W
+    and x in N(W); unfolded entries have no bits."""
     folded = bank.entries[: bank._folded]
     for i, (w, nb) in enumerate(folded):
-        margin = k + 1 - nb.bit_count()
         assert [bank.P[x] >> i & 1 for x in range(bank.n)] == [w >> x & 1 for x in range(bank.n)]
         assert [bank.Q[x] >> i & 1 for x in range(bank.n)] == [nb >> x & 1 for x in range(bank.n)]
-        assert [bank.G[r] >> i & 1 for r in range(k + 1)] == [int(margin >= r) for r in range(k + 1)]
     everything = (1 << len(folded)) - 1
-    for m in bank.P + bank.Q + bank.G:
+    for m in bank.P + bank.Q:
         assert m & ~everything == 0
 
 
@@ -145,23 +144,6 @@ def test_posting_masks_match_entries():
         assert (bank._folded < len(bank.entries)) == (batch == 5)
 
 
-def test_margin_masks_nest():
-    bank = SieveBank(8 + sieve._FOLD_BATCH, 4)
-    # margins k + 1 - |N(W)|: 1, 3, 4 and 3, then a batch of filler with 4
-    cases = [(mask(1), mask(0, 2, 3, 4)), (mask(2), mask(0, 1)), (mask(3), mask(4)),
-             (mask(5), mask(6, 7))]
-    for u, nb in cases:
-        bank.store(u, nb)
-    for v in range(sieve._FOLD_BATCH):
-        bank.store(1 << 8 + v, mask(7))
-    bank.supersets(mask(0), 0)
-    _check_masks(bank)
-    G = bank.G
-    assert G[0] == (1 << len(bank.entries)) - 1
-    assert all(G[r + 1] & ~G[r] == 0 for r in range(bank.k))
-    assert [G[r] & 0b1111 for r in range(bank.k + 1)] == [0b1111, 0b1111, 0b1110, 0b1110, 0b0100]
-
-
 def test_tail_is_scanned_until_folded():
     bank = SieveBank(40, 5)
     stored = [(mask(0, v), mask(v + 1)) for v in range(1, 39)]
@@ -175,6 +157,83 @@ def test_tail_is_scanned_until_folded():
     assert bank._folded == len(stored)
     assert got == [w for w, _ in stored]
     _check_masks(bank)
+
+
+def _budget_bank() -> tuple[SieveBank, list[tuple[int, int]]]:
+    """A bank of 90 entries at k = 3: two folds of 40 and a tail of 10.
+    Entry i of the first 60 is W = {0, 20 + i} with N(W) the
+    i-th of six shapes, cycling; the other 30 are W = {5, 20 + i} with
+    N(W) = {6, 7}."""
+    shapes = [mask(1, 2), mask(1, 2, 90), mask(1, 90, 91), mask(4, 90), mask(3, 4), mask(91)]
+    stored = [(mask(0, 20 + i), shapes[i % 6]) for i in range(60)]
+    stored += [(mask(5, 20 + i), mask(6, 7)) for i in range(30)]
+    bank = SieveBank(100, 3)
+    for start in (0, 40, 80):
+        for u, nb in stored[start:start + 40]:
+            bank.store(u, nb)
+        bank.supersets(mask(0), mask(1))
+    assert bank._folded == 80 < len(bank.entries) == len(stored)
+    return bank, stored
+
+
+def test_budget_count_at_the_boundary():
+    bank, stored = _budget_bank()
+    first = [w for w, _ in stored[:60]]
+
+    def shapes(*keep):
+        return [w for i, w in enumerate(first) if i % 6 in keep]
+
+    cases = [
+        # b = 1 over R = V - {0, 1, 2, 3}: shapes with 0 or 1 vertex of R
+        # are hits, those with 2 are not
+        (mask(0), mask(1, 2, 3), shapes(0, 1, 4, 5)),
+        # b = 0: only N(W) inside N(C) is a hit, one vertex of R is too many
+        (mask(0), mask(1, 2, 3, 4), shapes(0, 4)),
+        # b = 1, and every survivor has both 6 and 7 in R, so all overrun at
+        # vertex 7, long before R is exhausted
+        (mask(5), mask(1, 2, 3), []),
+        # b < 0 and b > k: no survivor is a hit, and every survivor is
+        (mask(0), mask(1, 2, 3, 4, 8), []),
+        (mask(5), 0, [w for w, _ in stored[60:]]),
+    ]
+    for u, n_u, want in cases:
+        survivors = sum(u & ~w == 0 for w, _ in stored[: bank._folded])
+        assert survivors > sieve._DIRECT_PER_NEIGHBOR * n_u.bit_count()  # the wide path
+        assert bank.supersets(u, n_u) == want == linear_scan_supersets(stored, u, n_u, 3)
+
+
+class _ReadLog(list):
+    """A list of masks that records the positions read from it."""
+
+    def __init__(self, masks):
+        super().__init__(masks)
+        self.read: list[int] = []
+
+    def __getitem__(self, x):
+        self.read.append(x)
+        return super().__getitem__(x)
+
+
+def test_budget_count_reads_only_r_and_stops_when_all_overrun():
+    bank, _ = _budget_bank()
+    for u, n_u, read in [
+        # b = 1: the hits keep the count running through R = V - {0, 1, 2, 3}
+        (mask(0), mask(1, 2, 3), list(range(4, 100))),
+        # b = 1: R = V - {1, 2, 3, 5} starts 0, 4, 6, 7, and every survivor
+        # has passed b at 7
+        (mask(5), mask(1, 2, 3), [0, 4, 6, 7]),
+        (mask(0), mask(1, 2, 3, 4, 8), []),  # b < 0
+        (mask(0), mask(1), []),  # b = k: every |N(W)| <= k fits
+        (mask(0), 0, []),  # b > k
+    ]:
+        bank.Q = _ReadLog(bank.Q)
+        bank.supersets(u, n_u)
+        assert bank.Q.read == read
+
+
+def test_store_rejects_a_neighborhood_that_meets_the_set():
+    with pytest.raises(AuditError, match="disjoint"):
+        SieveBank(6, 3).store(mask(0, 1), mask(1, 2))
 
 
 def test_differential_small_buckets_force_splits(monkeypatch):
@@ -204,7 +263,9 @@ def test_differential_hypothesis_reaches_wide_queries_and_extreme_margins():
         for k in (4, 9, 15):
             total += _differential(n=32, k=k, ops=400, seed=seed)
     assert total["wide"] >= 10
-    assert total["wide, N(C) empty"] and total["direct above old threshold"]
+    for budget in ("b < 0", "b = 0", "b = 1", "b = k", "b > k"):
+        assert total[f"wide, {budget}"], budget
+    assert total["direct above old threshold"]
     for k in (4, 9, 15):
         assert total[f"margin {k}"] and total["margin 1"]
 
