@@ -55,7 +55,6 @@ def main(argv: list[str] | None = None) -> int:
     p_exact.add_argument("input")
     p_exact.add_argument("-o", "--output", help="write the decomposition here (.td)")
     p_exact.add_argument("--stats", help="write a JSON stats record here")
-    p_exact.add_argument("--jobs", type=int, default=1, help="solve parts in parallel")
     p_exact.add_argument("--time-limit", type=seconds,
                          help="seconds; a run stopped then prints lower bound and width")
 
@@ -92,8 +91,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
     t0 = time.monotonic()
     deadline = None if args.time_limit is None else t0 + args.time_limit
-    tw, td, report = pipeline.solve(
-        g, instance=os.path.basename(args.input), jobs=args.jobs, deadline=deadline)
+    tw, td, report = pipeline.solve(g, instance=os.path.basename(args.input), deadline=deadline)
     elapsed = time.monotonic() - t0
     log.info("solved %s: lower bound %d, width %d in %.3fs", args.input, report.lower, tw, elapsed)
     print(tw if report.lower == tw else f"{report.lower} {tw}")

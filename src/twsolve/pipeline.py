@@ -5,8 +5,9 @@ whole input once (:func:`safesep.simplicial_reduction`), then splits what
 is left (:func:`safesep.decompose`): first into its connected components, a
 split along the empty separator, then along verified minor-safe
 separators.  Every part comes with a greedy elimination decomposition of
-width ub; its decision levels stop below ub and start at the largest bound
-found so far, since levels outside that range cannot change the answer.
+width ub.  The parts are solved one after another in this process; a
+part's decision levels stop below ub and start at the largest bound found
+so far, since levels outside that range cannot change the answer.
 A part stopped at a deadline keeps its bound and the decomposition it holds.
 
 The answer's decomposition is read off one chordal graph
@@ -22,9 +23,7 @@ result is audited as if it came from elsewhere.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
 
 from . import safesep
 from .graph import AuditError, Graph
@@ -61,7 +60,7 @@ def solve(
     g: Graph,
     instance: str = "-",
     *,
-    jobs: int = 1,
+    jobs: int = 1,  # only 1; perfbench/run.py still passes it (ROADMAP item 6)
     deadline: float | None = None,
 ) -> tuple[int, TreeDecomposition, SolveReport]:
     """A validated tree decomposition of an arbitrary (possibly disconnected)
@@ -74,9 +73,7 @@ def solve(
     (:func:`~twsolve.solver.treewidth`), and keeps its elimination
     decomposition when no level accepts.  The width w it ends with is
     certified by a no at level w - 1, on the part or on a minor, by its
-    minimum degree, or by w <= M.  With ``jobs`` > 1 the largest part is
-    solved first in this process, then the others in a pool with M fixed at
-    its bound.
+    minimum degree, or by w <= M.
 
     ``deadline`` is a :func:`time.monotonic` time.  The reduction and the
     safe-separator search always run in full; the decision levels poll the
@@ -97,8 +94,11 @@ def solve(
     part's size for a level tried on a minor.  Raises :class:`AuditError`
     if the final decomposition fails its own audit, or if its width is
     below ``lower`` or, without a deadline or a stopped part, above it; the
-    result is never silently wrong.
+    result is never silently wrong.  Raises :class:`ValueError` for any
+    ``jobs`` but 1.
     """
+    if jobs != 1:
+        raise ValueError(f"jobs must be 1, not {jobs!r}")
     started = time.monotonic()
     report = SolveReport(instance, g.n, g.edge_count)
     report.counters = dict.fromkeys(COUNTERS, 0)
@@ -119,17 +119,9 @@ def solve(
 
     solved: dict[int, tuple] = {}
     running_max = 0
-    inline = order if jobs <= 1 else order[:1]
-    for i in inline:
+    for i in order:
         solved[i] = treewidth(parts[i].graph, parts[i].held, running_max, deadline)
         running_max = max(running_max, solved[i][0])
-    rest = order[len(inline):]
-    if rest:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            solved.update(zip(rest, pool.map(
-                treewidth, [parts[i].graph for i in rest], [parts[i].held for i in rest],
-                repeat(running_max), repeat(deadline),
-            )))
 
     lower = max([low] + [bound for bound, *_ in solved.values()])
     for number, (_, td, stats, how) in enumerate(solved.values()):

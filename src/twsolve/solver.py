@@ -13,11 +13,12 @@ exactly when some feasible potential maximal clique has an empty outlet.
 Whether a candidate has a full component or is a potential maximal clique,
 with its outlet and support, does not depend on k: the levels of one graph
 share one facts table, whose component pass stops at the first full
-component; only the size test is made per level.  The table keeps every set
-it analyses, except that a level k run top-down on the graph itself keeps
-no set of size k + 1, since the levels after it run below k and never read
-one; such a set met again in its level is analysed again, unless it is a
-PMC already buildable, which the seed, hit and clip loops test first.
+component; only the size test is made per level.  The table keeps the sets
+it analyses up to its cap, every set by default.  Before a level k run
+top-down on the graph itself, :func:`treewidth` caps the table at k, since
+the levels after it run below k and never read a set of size k + 1; such a
+set met again in its level is analysed again, unless it is a PMC already
+buildable, which the seed, hit and clip loops test first.
 
 Each step works off the largest inbound block found and not yet worked
 off, ties going to the earliest found.  The root's support components
@@ -145,43 +146,43 @@ class _Analysis(dict):
     set missing from the table is analysed on lookup: its component pass
     stops at the first full component, and only a set without one gets all
     its components, the cliquish test and its outlet and support.  A lookup
-    keeps what it analyses; :meth:`analyse` does not, for the sets that a
-    top-down level (see :func:`decide`) keeps out of the table.
+    keeps what it analyses when the set has at most ``cap`` vertices, all
+    of ``g`` unless :func:`treewidth` lowers it before a top-down level.
+    The component neighborhoods that a PMC's support looks up are smaller
+    than the PMC, so a PMC within the cap keeps their facts too.
     """
 
-    __slots__ = ("g",)
+    __slots__ = ("g", "cap")
 
     def __init__(self, g: Graph):
         self.g = g
+        self.cap = g.n
 
     def __missing__(self, s: int) -> int | PmcRecord:
-        fact = self[s] = self.analyse(s)
-        return fact
-
-    def analyse(self, s: int) -> int | PmcRecord:
-        """The fact of ``s``, not kept in the table; the facts of the
-        component neighborhoods of a PMC, looked up for its support, are."""
         g = self.g
         comps_nbs = g.components_with_neighborhoods(s, until_full=True)
         if comps_nbs and comps_nbs[-1][1] == s:
-            return comps_nbs[-1][0]
-        if is_cliquish(g, s, [nb for _, nb in comps_nbs]):
+            fact = comps_nbs[-1][0]
+        elif is_cliquish(g, s, [nb for _, nb in comps_nbs]):
             # a component's neighborhood has that component as a full one,
             # so its fact is its first full component
-            return PmcRecord(s, *outlet_and_support(s, comps_nbs, self.__getitem__))
-        return 0
+            fact = PmcRecord(s, *outlet_and_support(s, comps_nbs, self.__getitem__))
+        else:
+            fact = 0
+        if s.bit_count() <= self.cap:
+            self[s] = fact
+        return fact
 
 
 class _Search:
     """One decision run for a fixed graph and width bound."""
 
     def __init__(self, analysis: _Analysis, k: int, exhaustive: bool,
-                 deadline: float | None, top_down: bool = False):
+                 deadline: float | None):
         self.analysis = analysis
         self.g = analysis.g
         self.k = k
         self.exhaustive = exhaustive
-        self.top_down = top_down
         self.deadline = deadline
         self.iblocks: list[tuple[int, int]] = []
         # the inbound blocks not yet worked off, as (-|C|, discovery index)
@@ -262,20 +263,6 @@ class _Search:
         bank = self.bank
         buildable = self.buildable
         facts = self.analysis
-        if self.top_down:
-            # the levels after this one on the table run below k and never
-            # look up a set of size k + 1, so such a set is not kept
-            known, analyse = facts.get, facts.analyse
-
-            def lookup(s: int) -> int | PmcRecord:
-                fact = known(s)
-                if fact is None:
-                    fact = analyse(s)
-                    if s.bit_count() <= k:
-                        facts[s] = fact
-                return fact
-        else:
-            lookup = facts.__getitem__
 
         # a level may have no inbound block, so poll once before seeding too
         if deadline is not None and time.monotonic() > deadline:
@@ -284,7 +271,7 @@ class _Search:
         for v in range(g.n):
             cand = adj[v] | 1 << v
             if cand.bit_count() <= size_cap and cand not in buildable:
-                fact = lookup(cand)
+                fact = facts[cand]
                 if type(fact) is PmcRecord:
                     self._register_pmc(fact)
 
@@ -301,7 +288,7 @@ class _Search:
                 cand = nb | onb[b]
                 if cand in buildable:
                     continue
-                fact = lookup(cand)
+                fact = facts[cand]
                 if type(fact) is PmcRecord:
                     self._register_pmc(fact)
                 elif fact and fact not in onb and cand.bit_count() <= k:
@@ -322,7 +309,7 @@ class _Search:
                     rem ^= vb
                     cand = na | (adj[vb.bit_length() - 1] & a)
                     if cand.bit_count() <= size_cap and cand not in buildable:
-                        fact = lookup(cand)
+                        fact = facts[cand]
                         if type(fact) is PmcRecord:
                             self._register_pmc(fact)
 
@@ -336,7 +323,6 @@ def decide(
     exhaustive: bool = False,
     deadline: float | None = None,
     _analysis: _Analysis | None = None,
-    _top_down: bool = False,
 ) -> DecideResult:
     """Decide whether the treewidth of connected ``g`` is at most ``k``.
 
@@ -345,9 +331,8 @@ def decide(
     ``exhaustive`` the run continues to the fixpoint even after an accepting
     clique is found, so the final counters cover every feasible object.
     :func:`treewidth` passes in the candidate analysis its levels share; a
-    call without one analyses ``g`` afresh.  ``_top_down`` says that no
-    level at or above ``k`` runs on that analysis afterwards, so the sets
-    of size ``k + 1`` the run meets are not kept in it.
+    call without one analyses ``g`` afresh.  The run keeps in the analysis
+    the sets it analyses up to the analysis's ``cap``.
     """
     n = g.n
     if n == 0:
@@ -367,7 +352,7 @@ def decide(
         raise ValueError(f"width bound {k} out of range for n={n}")
 
     analysis = _Analysis(g) if _analysis is None else _analysis
-    search = _Search(analysis, k, exhaustive, deadline, _top_down)
+    search = _Search(analysis, k, exhaustive, deadline)
     answer = search.run()
     stats = SolverStats(
         n,
@@ -464,8 +449,10 @@ def treewidth(
                     if td.width() < top:
                         top, held, how = td.width(), td, "lifted"
                 while top > k:
-                    res = decide(g, top - 1, deadline=deadline, _analysis=analysis,
-                                 _top_down=True)
+                    # the levels after this one run below it and never
+                    # read a set of size top
+                    analysis.cap = top - 1
+                    res = decide(g, top - 1, deadline=deadline, _analysis=analysis)
                     _record(levels, res.stats)
                     if not res.answer:
                         break

@@ -279,12 +279,12 @@ def test_validate_rejects_negative_td_header_fields(tmp_graph_file, capsys):
     assert "parse error: line 1: negative header fields" in capsys.readouterr().err
 
 
-def test_jobs_flag(tmp_graph_file, capsys):
-    # a graph with cut vertices so several parts exist
-    text = "p tw 7 8\n1 2\n2 3\n1 3\n3 4\n4 5\n5 6\n6 7\n5 7\n"
-    path = tmp_graph_file("parts.gr", text)
-    assert main(["exact", path, "--jobs", "2"]) == 0
-    assert capsys.readouterr().out.strip() == "2"
+def test_exact_has_no_jobs_flag(tmp_graph_file, capsys):
+    path = tmp_graph_file("edge.gr", "p tw 2 1\n1 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", path, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_readme_usage_matches_parser(capsys):

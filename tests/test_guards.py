@@ -201,3 +201,21 @@ def test_every_package_definition_has_a_production_caller():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in referenced
     }
     assert unreferenced - REFERENCE_ORACLES == set()
+
+
+def test_package_imports_no_process_pool():
+    # parts are solved in one process, so neither the package nor the
+    # command line loads the machinery of a pool
+    script = ("import sys, twsolve, twsolve.cli; "
+              "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+              "if m in sys.modules))")
+    pythonpath = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

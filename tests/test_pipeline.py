@@ -212,14 +212,17 @@ def test_a_held_lift_counts_as_lifted_without_counters(monkeypatch):
     assert set(report.counters.values()) == {0}
 
 
-def test_parallel_jobs_agree():
-    # eight octahedra: the first is solved inline, the other seven in the pool
+def test_octahedron_chain_of_eight():
     g = octahedron_chain(8)
-    tw1, td1, rep1 = pipeline.solve(g, jobs=1)
-    tw2, td2, rep2 = pipeline.solve(g, jobs=2)
-    assert tw1 == tw2 == 4
-    assert rep1.parts["total"] == rep2.parts["total"] == 8
-    assert validate(g, td2) == []
+    tw, td, report = pipeline.solve(g)
+    assert tw == 4
+    assert report.parts["total"] == 8
+    assert validate(g, td) == []
+
+
+def test_solve_accepts_only_one_job():
+    with pytest.raises(ValueError, match="jobs"):
+        pipeline.solve(octahedron_chain(8), jobs=2)
 
 
 def test_report_shape(monkeypatch):
@@ -394,7 +397,7 @@ def test_no_level_runs_on_parts_settled_by_bound(decided_levels):
     assert report.parts["total"] == alone[2].parts["total"] + 5
 
 
-def test_parallel_jobs_agree_when_running_maximum_prunes():
+def test_running_maximum_prunes():
     # the Petersen graph is solved first: level 3 is negative below its
     # elimination width 4.  The random graph splits into two parts of
     # elimination width 4 and one 8-vertex part of minimum degree 3 and
@@ -403,25 +406,23 @@ def test_parallel_jobs_agree_when_running_maximum_prunes():
     small = random_connected_graph(10, 22, 37)
     assert small.min_degree() == 3 and oracle.bf_treewidth(small) == 4
     g = disjoint_union(petersen_graph(), small)
-    runs = [pipeline.solve(g, jobs=jobs) for jobs in (1, 2)]
-    for tw, td, report in runs:
-        assert report.reduction["removed"] == 0
-        assert tw == td.width() == 4
-        assert validate(g, td) == []
-        assert report.parts == {"total": 4, "settled_by_bound": 3, "lifted": 0, "stopped": 0,
-                                "levels": len(report.levels)}
-        assert {(r["part"], r["k"]) for r in report.levels} == {(0, 3), (1, 4)}
-        assert [(r["part"], r["n"], r["k"]) for r in report.levels if not r["answer"]] == [
-            (0, 10, 3)]
-        assert (report.levels[-1]["n"], report.levels[-1]["answer"]) == (8, True)
-    assert runs[0][2].counters == runs[1][2].counters
+    tw, td, report = pipeline.solve(g)
+    assert report.reduction["removed"] == 0
+    assert tw == td.width() == 4
+    assert validate(g, td) == []
+    assert report.parts == {"total": 4, "settled_by_bound": 3, "lifted": 0, "stopped": 0,
+                            "levels": len(report.levels)}
+    assert {(r["part"], r["k"]) for r in report.levels} == {(0, 3), (1, 4)}
+    assert [(r["part"], r["n"], r["k"]) for r in report.levels if not r["answer"]] == [
+        (0, 10, 3)]
+    assert (report.levels[-1]["n"], report.levels[-1]["answer"]) == (8, True)
 
 
-def _bounds_by(g: Graph, deadline: float, jobs: int = 1) -> tuple[int, int]:
+def _bounds_by(g: Graph, deadline: float) -> tuple[int, int]:
     """The certified lower bound and the width ``solve`` reports by
     ``deadline``, once its decomposition validates with that width and the
     two agree exactly when no part stopped."""
-    tw, td, report = pipeline.solve(g, jobs=jobs, deadline=deadline)
+    tw, td, report = pipeline.solve(g, deadline=deadline)
     assert validate(g, td) == [] and td.width() == tw == report.tw
     assert (report.lower == tw) == (report.parts["stopped"] == 0)
     return report.lower, tw
@@ -526,14 +527,16 @@ def test_a_part_stopped_within_the_certified_bound_counts_under_its_how(monkeypa
     assert set(report.counters.values()) == {0}
 
 
-def test_pool_carries_the_deadline():
-    # the 9-vertex part of the first graph is solved in this process and
-    # settled by its bound, width 5, without a level; only the 8-vertex part
-    # of the second graph, elimination width 6, runs a level, in the pool,
-    # and stops there, keeping its elimination decomposition
+def test_stopped_part_keeps_the_running_maximum():
+    # the 9-vertex part of the first graph is solved first and settled by
+    # its bound, width 5, without a level; only the 8-vertex part of the
+    # second graph, elimination width 6, runs a level, and stops there,
+    # keeping its elimination decomposition
     g = disjoint_union(random_connected_graph(10, 27, 3), random_connected_graph(11, 31, 4))
-    assert pipeline.solve(g, jobs=2)[0] == 6
-    assert _bounds_by(g, time.monotonic() - 1.0, jobs=2) == (5, 6)  # the running maximum
+    assert pipeline.solve(g)[0] == 6
+    tw, td, report = pipeline.solve(g, deadline=time.monotonic() - 1.0)
+    assert validate(g, td) == []
+    assert (report.lower, tw, report.parts["stopped"]) == (5, 6, 1)  # 5: the running maximum
 
 
 def test_generous_deadline_gives_exact_width():

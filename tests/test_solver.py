@@ -629,7 +629,9 @@ def test_shared_analysis_entries_match_reference(make, monkeypatch):
     assert on_g[0][0] is not on_g[1][0]
     facts = on_g[0][0]
     # an accepting level may stop before it meets a set with neither fact;
-    # the fixpoint of an exhaustive one on the same table reaches such sets
+    # the fixpoint of an exhaustive one on the same table reaches such sets,
+    # once the table no longer has the cap of the last top-down level
+    facts.cap = g.n
     decide(g, tw, exhaustive=True, _analysis=facts)
     kinds = {type(fact) for fact in facts.values()}
     assert kinds == {int, solver.PmcRecord} and 0 in facts.values()
@@ -642,15 +644,17 @@ def test_shared_analysis_entries_match_reference(make, monkeypatch):
 
 
 def _capture_tables(mp: pytest.MonkeyPatch, keep_every_set: bool = False) -> list[tuple]:
-    """Record (graph, k, table, top-down) for every level ``treewidth`` runs;
-    with ``keep_every_set`` no level is told that it runs top-down."""
+    """Record (graph, k, table, capped) for every level ``treewidth`` runs,
+    where capped says that the table keeps fewer than all the sets it
+    analyses; with ``keep_every_set`` every table keeps them all."""
     calls = []
     decide_level = solver.decide
 
     def capture(h, k, **kwargs):
+        facts = kwargs["_analysis"]
         if keep_every_set:
-            kwargs["_top_down"] = False
-        calls.append((h, k, kwargs["_analysis"], kwargs.get("_top_down", False)))
+            facts.cap = h.n
+        calls.append((h, k, facts, facts.cap < h.n))
         return decide_level(h, k, **kwargs)
 
     mp.setattr(solver, "decide", capture)
