@@ -3,7 +3,8 @@
 line per graph, for comparing two source trees.
 
     python3 scripts/solve_dump.py > new.jsonl
-    python3 OTHER-TREE/scripts/solve_dump.py > old.jsonl && cmp old.jsonl new.jsonl
+    python3 OTHER-TREE/scripts/solve_dump.py > old.jsonl
+    python3 scripts/solve_dump.py --compare old.jsonl new.jsonl [--ignore facts]
 
 Each tree's script imports the package from its own ``src/``.  The set:
 myciel3-6, queen5_5-7_7, the benchmark's sparse150_0-4, 240 seeded random
@@ -13,8 +14,14 @@ name, tw, lower, the bag count, the sha256 of the sorted bags and the
 report (``SolveReport.as_dict``) without the times it holds: ``time_ms``
 and each level's ``ms``.  Tree edges and bag order are left out, so two
 trees agree whenever they find the same bags with the same counters.
+
+``--compare OLD NEW`` prints each graph whose lines differ with the first
+key path at which they do, and exits 1 if any graph differs, else 0.  Each
+``--ignore KEY`` drops that key from every level row first, so ``--ignore
+facts`` compares two trees whose facts tables keep different sets.
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -57,7 +64,64 @@ def graphs():
         yield f"near_tree{n}", random_connected_graph(n, n + 10, 5)
 
 
-def main() -> int:
+def first_difference(old, new, path: str = ""):
+    """The first key path at which ``old`` and ``new`` differ, or None."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            if key not in old or key not in new:
+                return f"{path}.{key}"
+            found = first_difference(old[key], new[key], f"{path}.{key}")
+            if found is not None:
+                return found
+        return None
+    if isinstance(old, list) and isinstance(new, list):
+        for i, (a, b) in enumerate(zip(old, new)):
+            found = first_difference(a, b, f"{path}[{i}]")
+            if found is not None:
+                return found
+        return None if len(old) == len(new) else f"{path}[{min(len(old), len(new))}]"
+    return None if old == new else path
+
+
+def compare(old_lines, new_lines, ignore=()) -> int:
+    """Print each graph whose dump lines differ, with the first differing
+    key path; 1 if any graph differs, else 0."""
+    def load(lines):
+        dumps = {}
+        for line in lines:
+            record = json.loads(line)
+            for level in record["report"]["levels"]:
+                for key in ignore:
+                    level.pop(key, None)
+            dumps[record["name"]] = record
+        return dumps
+
+    old, new = load(old_lines), load(new_lines)
+    names = {**old, **new}  # in the order of OLD, then the graphs only NEW has
+    differ = 0
+    for name in names:
+        if name not in old or name not in new:
+            print(f"{name}: only in {'new' if name in new else 'old'}")
+            differ += 1
+            continue
+        path = first_difference(old[name], new[name])
+        if path is not None:
+            print(f"{name}: {path[1:]}")
+            differ += 1
+    print(f"{differ} of {len(names)} graphs differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two dump files instead of dumping")
+    parser.add_argument("--ignore", action="append", default=[], metavar="KEY",
+                        help="with --compare, drop KEY from every level row")
+    args = parser.parse_args(argv)
+    if args.compare:
+        old, new = (Path(path).read_text().splitlines() for path in args.compare)
+        return compare(old, new, args.ignore)
     for name, g in graphs():
         tw, td, report = pipeline.solve(g, instance=name)
         record = report.as_dict()

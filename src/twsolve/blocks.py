@@ -12,12 +12,10 @@ associated with N(C) precedes it (has a smaller minimum vertex), otherwise
 *outbound*.  The *outlet* of a cliquish set K is the maximal neighborhood
 among its outbound non-full components (empty if there is none), and the
 *support* of K is the list of components unconfined to the outlet; support
-members are always inbound.
+members are always inbound.  K's components alone give both.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .graph import Graph
 
@@ -84,22 +82,26 @@ def is_pmc(g: Graph, k_set: int) -> bool:
 
 
 def outlet_and_support(
-    k_set: int, comps_nbs: list[tuple[int, int]], full_component: Callable[[int], int]
+    k_set: int, comps_nbs: list[tuple[int, int]]
 ) -> tuple[int, tuple[int, ...]]:
-    """Outlet of a cliquish set together with its support components.
+    """Outlet of a cliquish set of a connected graph and its support, listed,
+    like ``comps_nbs``, ascending by minimum vertex; ``comps_nbs`` holds the
+    components associated with ``k_set`` with their neighborhoods.
 
-    The support is listed ascending by minimum vertex.  With an outlet S, the
-    crib ``k_set - S`` plus the support is the full component of S that a
-    feasible ``k_set`` emits as an inbound block.  ``comps_nbs`` holds the
-    components associated with ``k_set`` and their neighborhoods, and
-    ``full_component`` is a lookup that returns the full component of a
-    separator with the smallest minimum vertex, or 0 when it has none.
+    For a component C with S = N(C) other than ``k_set``, the full
+    components of S are the components with neighborhood S and the one
+    holding ``k_set - S``, which absorbs every component whose neighborhood
+    leaves S (Bouchitté & Todinca, SIAM J. Comput. 2001).  So S is the
+    neighborhood of an outbound component exactly when some C with N(C) = S
+    precedes ``k_set - S`` and every component listed before C has its
+    neighborhood inside S.  With an outlet S, the crib ``k_set - S`` plus
+    the support is the full component of S that a feasible ``k_set`` emits.
     """
     out = 0
+    before = 0  # the union of the neighborhoods listed so far
     for c, nb in comps_nbs:
-        # outbound iff c is the first full component of its own neighborhood
-        if nb != k_set and full_component(nb) == c and nb.bit_count() > out.bit_count():
+        if (nb != k_set and not before & ~nb and not k_set & ~nb & ((c & -c) - 1)
+                and nb.bit_count() > out.bit_count()):
             out = nb
-    if out:
-        return out, tuple(c for c, nb in comps_nbs if nb & ~out)
-    return 0, tuple(c for c, _ in comps_nbs)
+        before |= nb
+    return out, tuple(c for c, nb in comps_nbs if nb & ~out)

@@ -112,7 +112,7 @@ def solve(
 
     sub, kept, low, removed = safesep.simplicial_reduction(g)
     report.reduction = {"removed": len(removed), "low": low}
-    split = safesep.decompose(sub, labels=kept)
+    split = safesep.decompose(sub)
     report.safe_separators.update(split.tally)
     parts = split.parts
     order = sorted(range(len(parts)), key=lambda i: (-parts[i].graph.n, -parts[i].held.width()))
@@ -140,7 +140,7 @@ def solve(
 
     cliques = [nb | 1 << v for v, nb in removed]
     for i, part in enumerate(parts):
-        cliques += lift(solved[i][1], [1 << r for r in part.to_root], g.n).bags
+        cliques += lift(solved[i][1], [1 << kept[r] for r in part.to_root], g.n).bags
     td = from_cliques(g, cliques)
     problems = validate(g, td)
     if problems:

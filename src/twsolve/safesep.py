@@ -193,8 +193,8 @@ def candidate_separators(
     ``elims`` holds eliminations of ``g`` (order and neighborhoods, as
     :func:`greedy_elimination` returns them); the neighborhood of each vertex
     at its elimination time is an adjacent-bag intersection of the resulting
-    decomposition.  Deduplicated, filtered to minimal separators, sizes
-    ascending.
+    decomposition.  Deduplicated and filtered to minimal separators, in the
+    order harvested.
     """
     seen: set[int] = set()
     out = []
@@ -205,7 +205,6 @@ def candidate_separators(
                 comps_nbs = g.components_with_neighborhoods(s)
                 if is_minimal_separator(s, comps_nbs):
                     out.append((s, comps_nbs))
-    out.sort(key=lambda e: (e[0].bit_count(), e[0]))
     return out
 
 
@@ -373,9 +372,10 @@ def _clique_minor_search(g: Graph, s: int, component: int) -> tuple[str, dict[in
 
 @dataclass
 class Part:
-    """A part to solve: its graph (separators already completed), the root
-    labels of its vertices, and ``held``, the clique tree of the graph its
-    better greedy elimination fills in, in the vertex indices of ``graph``."""
+    """A part to solve: its graph (separators already completed), the labels
+    of its vertices in the graph decomposed, and ``held``, the clique tree of
+    the graph its better greedy elimination fills in, in the vertex indices
+    of ``graph``."""
 
     graph: Graph
     to_root: list[int]
@@ -392,7 +392,7 @@ class Decomposition:
     tally: dict[str, int] = field(default_factory=lambda: dict.fromkeys(TALLY_KEYS, 0))
 
 
-def decompose(g: Graph, labels: list[int] | None = None) -> Decomposition:
+def decompose(g: Graph) -> Decomposition:
     """Split ``g`` along verified minor-safe separators until none applies.
 
     A disconnected ``g`` first splits into its components along the empty
@@ -400,16 +400,15 @@ def decompose(g: Graph, labels: list[int] | None = None) -> Decomposition:
     tallied.  Separators are then tried largest impact first (greatest
     reduction of the biggest part, then size ascending); every applied part
     gets the separator completed into a clique and is then split further if
-    possible.  Parts are labelled in ``labels``, the names of the vertices of
-    ``g`` (the identity by default).  Every part holds the clique tree
-    (:func:`~twsolve.tdbuild.from_cliques`) of the better of the greedy
-    eliminations its separator search ran, whose bags are the maximal sets
-    of a vertex and its neighbourhood when eliminated.  Every
+    possible.  Parts are labelled in the vertices of ``g``, and each holds
+    the clique tree (:func:`~twsolve.tdbuild.from_cliques`) of the better
+    of the greedy eliminations its separator search ran, whose bags are the
+    maximal sets of a vertex and its neighbourhood when eliminated.  Every
     split completes its separator in each child, so the parts' completed
     bags form a clique-sum of chordal graphs, a chordal supergraph of ``g``.
     """
     out = Decomposition()
-    root = (g, list(range(g.n)) if labels is None else labels)
+    root = (g, list(range(g.n)))
     comps_nbs = g.components_with_neighborhoods(0)
     stack = [root] if len(comps_nbs) == 1 else _children(*root, comps_nbs)[::-1]
     while stack:
@@ -441,15 +440,11 @@ def _find_safe_separator(
     g: Graph, elims: list[tuple[list[int], list[int]]], tally: dict[str, int]
 ) -> list[tuple[int, int]] | None:
     """The components, with their neighborhoods, of the first candidate
-    found minor-safe; every check is added to ``tally``."""
-    if g.n <= 2:
-        return None
-    scored = []
-    for s, comps_nbs in candidate_separators(g, elims):
-        reduction = g.n - max((c | nb).bit_count() for c, nb in comps_nbs)
-        if reduction > 0:
-            scored.append((-reduction, s.bit_count(), s, comps_nbs))
-    scored.sort(key=lambda e: e[:3])
+    found minor-safe; every check is added to ``tally``.  A candidate has two
+    full components and each part misses one, so it shrinks the largest."""
+    scored = sorted(
+        (max((c | nb).bit_count() for c, nb in comps_nbs), s.bit_count(), s, comps_nbs)
+        for s, comps_nbs in candidate_separators(g, elims))
     for _, _, s, comps_nbs in scored:
         report = heuristic_minor_safe(g, s, comps_nbs=comps_nbs)
         tally["checks"] += 1

@@ -13,12 +13,14 @@ exactly when some feasible potential maximal clique has an empty outlet.
 Whether a candidate has a full component or is a potential maximal clique,
 with its outlet and support, does not depend on k: the levels of one graph
 share one facts table, whose component pass stops at the first full
-component; only the size test is made per level.  The table keeps the sets
-it analyses up to its cap, every set by default.  Before a level k run
-top-down on the graph itself, :func:`treewidth` caps the table at k, since
-the levels after it run below k and never read a set of size k + 1; such a
-set met again in its level is analysed again, unless it is a PMC already
-buildable, which the seed, hit and clip loops test first.
+component; only the size test is made per level.  A PMC's own components
+give its outlet and support, so the table analyses only the sets the search
+looks up.  The table keeps the sets it analyses up to its cap, every set by
+default.  Before a level k run top-down on the graph itself,
+:func:`treewidth` caps the table at k, since the levels after it run below k
+and never read a set of size k + 1; such a set met again in its level is
+analysed again, unless it is a PMC already buildable, which the seed, hit
+and clip loops test first.
 
 Each step works off the largest inbound block found and not yet worked
 off, ties going to the earliest found.  The root's support components
@@ -145,11 +147,10 @@ class _Analysis(dict):
     :class:`PmcRecord` if it is a potential maximal clique, else to 0.  A
     set missing from the table is analysed on lookup: its component pass
     stops at the first full component, and only a set without one gets all
-    its components, the cliquish test and its outlet and support.  A lookup
-    keeps what it analyses when the set has at most ``cap`` vertices, all
-    of ``g`` unless :func:`treewidth` lowers it before a top-down level.
-    The component neighborhoods that a PMC's support looks up are smaller
-    than the PMC, so a PMC within the cap keeps their facts too.
+    its components, the cliquish test and its outlet and support, which its
+    components give alone.  So a lookup analyses the one set looked up, and
+    keeps it when it has at most ``cap`` vertices, all of ``g`` unless
+    :func:`treewidth` lowers it before a top-down level.
     """
 
     __slots__ = ("g", "cap")
@@ -164,9 +165,7 @@ class _Analysis(dict):
         if comps_nbs and comps_nbs[-1][1] == s:
             fact = comps_nbs[-1][0]
         elif is_cliquish(g, s, [nb for _, nb in comps_nbs]):
-            # a component's neighborhood has that component as a full one,
-            # so its fact is its first full component
-            fact = PmcRecord(s, *outlet_and_support(s, comps_nbs, self.__getitem__))
+            fact = PmcRecord(s, *outlet_and_support(s, comps_nbs))
         else:
             fact = 0
         if s.bit_count() <= self.cap:

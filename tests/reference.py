@@ -1,7 +1,7 @@
 """Reference code that only the tests use.
 
 - Small textbook graphs.
-- The orientation predicates by their definitions.
+- The orientation predicates, outlet and support by their definitions.
 - The production predicates with the arguments their callers precompute,
   computed here afresh.
 - Independent enumerators of minimal separators and potential maximal
@@ -15,7 +15,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 
 from twsolve import blocks, safesep, solver
@@ -77,6 +76,18 @@ def is_outbound(g: Graph, c: int) -> bool:
     return first_full_component(g, g.open_neighborhood(c)) == c
 
 
+def outlet_and_support(g: Graph, k_set: int) -> tuple[int, tuple[int, ...]]:
+    """The definition: the outlet is the largest neighborhood of an outbound
+    component other than a full one, each oriented by :func:`is_outbound`,
+    and the support the components whose neighborhood leaves the outlet."""
+    comps_nbs = g.components_with_neighborhoods(k_set)
+    out = 0
+    for c, nb in comps_nbs:
+        if nb != k_set and is_outbound(g, c) and nb.bit_count() > out.bit_count():
+            out = nb
+    return out, tuple(c for c, nb in comps_nbs if nb & ~out)
+
+
 # -- production predicates with their precomputed arguments ----------------
 
 
@@ -86,11 +97,6 @@ def is_minimal_separator(g: Graph, s: int) -> bool:
 
 def is_cliquish(g: Graph, k_set: int) -> bool:
     return blocks.is_cliquish(g, k_set, [nb for _, nb in g.components_with_neighborhoods(k_set)])
-
-
-def outlet_and_support(g: Graph, k_set: int) -> tuple[int, tuple[int, ...]]:
-    return blocks.outlet_and_support(
-        k_set, g.components_with_neighborhoods(k_set), partial(first_full_component, g))
 
 
 def heuristic_minor_safe(g: Graph, s: int) -> safesep.SafeSeparatorReport:

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 from twsolve import blocks
 from twsolve.families import cycle_graph, random_connected_graph
-from twsolve.graph import bit_list
+from twsolve.graph import Graph, bit_list
+from twsolve.oracle import enumerate_pmcs
 
 from conftest import connected_graphs, has_edge, mask, min_vertex, outlets_nest, vertex_subsets
 from reference import (
@@ -175,6 +176,37 @@ def test_support():
     assert outlet_and_support(c4, mask(0, 1, 2))[1] == (mask(3),)
     k3 = complete_graph(3)
     assert outlet_and_support(k3, mask(0, 1, 2))[1] == ()
+
+
+def oriented(g, k_set):
+    """``blocks.outlet_and_support`` given the components of ``k_set``."""
+    return blocks.outlet_and_support(k_set, g.components_with_neighborhoods(k_set))
+
+
+def test_outlet_and_support_fixed_cases():
+    p3 = path_graph(3)
+    # {2} follows vertex 0 of K - N({2}), so the full component {0} of
+    # N({2}) = {1} precedes it
+    assert oriented(p3, mask(0, 1)) == outlet_and_support(p3, mask(0, 1)) == (0, (mask(2),))
+    assert oriented(p3, mask(1, 2)) == outlet_and_support(p3, mask(1, 2)) == (mask(1), ())
+    # K = {2, 3, 4, 5}: {1} precedes K - N({1}) = {2}, but {0} comes first,
+    # and its neighborhood {2, 3} leaves N({1}), so {0} joins the full
+    # component holding 2; {0} is outbound and its neighborhood the outlet
+    g = Graph(6, [(0, 2), (0, 3), (1, 3), (1, 4), (1, 5), (2, 4), (2, 5)])
+    k_set = mask(2, 3, 4, 5)
+    assert blocks.is_pmc(g, k_set)
+    assert oriented(g, k_set) == outlet_and_support(g, k_set) == (mask(2, 3), (mask(1),))
+    # {3} follows vertex 1 of K - N({3})
+    c4 = cycle_graph(4)
+    assert oriented(c4, mask(0, 1, 2)) == outlet_and_support(c4, mask(0, 1, 2)) == (0, (mask(3),))
+    k3 = complete_graph(3)
+    assert oriented(k3, k3.full_mask) == (0, ())
+
+
+@given(connected_graphs(max_n=12))
+def test_outlet_and_support_matches_definition(g):
+    for k_set in enumerate_pmcs(g):
+        assert oriented(g, k_set) == outlet_and_support(g, k_set), k_set
 
 
 @given(connected_graphs(max_n=8), st.data())
