@@ -18,7 +18,9 @@ trees agree whenever they find the same bags with the same counters.
 ``--compare OLD NEW`` prints each graph whose lines differ with the first
 key path at which they do, and exits 1 if any graph differs, else 0.  Each
 ``--ignore KEY`` drops that key from every level row first, so ``--ignore
-facts`` compares two trees whose facts tables keep different sets.
+facts`` compares two trees whose facts tables keep different sets, and
+prints the key's sum over each side's level rows and how many of the rows
+at the same place on both sides it grew and fell in.
 """
 
 import argparse
@@ -85,18 +87,20 @@ def first_difference(old, new, path: str = ""):
 
 def compare(old_lines, new_lines, ignore=()) -> int:
     """Print each graph whose dump lines differ, with the first differing
-    key path; 1 if any graph differs, else 0."""
+    key path, then, for each ignored key, its sum over the level rows of
+    each side and how many rows at the same place on both sides it grew and
+    fell in; 1 if any graph differs, else 0."""
     def load(lines):
-        dumps = {}
+        dumps, dropped = {}, {}
         for line in lines:
             record = json.loads(line)
-            for level in record["report"]["levels"]:
-                for key in ignore:
-                    level.pop(key, None)
+            rows = record["report"]["levels"]
+            dropped[record["name"]] = [{key: level.pop(key, None) for key in ignore}
+                                       for level in rows]
             dumps[record["name"]] = record
-        return dumps
+        return dumps, dropped
 
-    old, new = load(old_lines), load(new_lines)
+    (old, old_dropped), (new, new_dropped) = load(old_lines), load(new_lines)
     names = {**old, **new}  # in the order of OLD, then the graphs only NEW has
     differ = 0
     for name in names:
@@ -108,6 +112,16 @@ def compare(old_lines, new_lines, ignore=()) -> int:
         if path is not None:
             print(f"{name}: {path[1:]}")
             differ += 1
+    for key in ignore:
+        old_sum, new_sum = (sum(row[key] or 0 for rows in dropped.values() for row in rows)
+                            for dropped in (old_dropped, new_dropped))
+        pairs = [(a[key], b[key]) for name in old_dropped if name in new_dropped
+                 for a, b in zip(old_dropped[name], new_dropped[name])
+                 if a[key] is not None and b[key] is not None]
+        grew = sum(b > a for a, b in pairs)
+        fell = sum(b < a for a, b in pairs)
+        print(f"{key}: {old_sum} -> {new_sum} summed; "
+              f"of {len(pairs)} level rows on both sides {grew} grew, {fell} fell")
     print(f"{differ} of {len(names)} graphs differ")
     return 1 if differ else 0
 

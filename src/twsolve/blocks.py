@@ -20,6 +20,7 @@ from __future__ import annotations
 from .graph import Graph
 
 __all__ = [
+    "clip_may_be_cliquish",
     "is_cliquish",
     "is_minimal_separator",
     "is_pmc",
@@ -71,6 +72,26 @@ def is_cliquish(g: Graph, k_set: int, comp_nbs: list[int]) -> bool:
             if rest & ~adj[b.bit_length() - 1] & ~b:
                 return False
     return True
+
+
+def clip_may_be_cliquish(g: Graph, s: int, v: int,
+                         outside: list[tuple[int, int]]) -> bool:
+    """Whether the clip K = S | (N(v) & A) of a full component A of ``s`` =
+    S at v in S may be cliquish, as far as ``outside`` shows: the components
+    of the graph minus A | S with their neighborhoods.
+
+    Each component of the graph minus K is one of those components, or lies
+    in A - N(v) and so misses v from its neighborhood.  So a vertex of S
+    outside N[v] shares a component neighborhood with v only through an
+    outside component adjacent to v; one in the neighborhood of none of
+    them forms with v a non-adjacent pair that no component covers, and
+    K is not cliquish.  True means only that this test cannot tell.
+    """
+    far = s & ~g.adj[v] & ~(1 << v)
+    for _, nb in outside:
+        if nb >> v & 1:
+            far &= ~nb
+    return not far
 
 
 def is_pmc(g: Graph, k_set: int) -> bool:

@@ -29,8 +29,10 @@ log = logging.getLogger("twsolve")
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("TW_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    """Log at the level TW_LOG names; a name that is not a level, such as
+    ``BASIC_FORMAT``, which ``logging`` also defines, gives WARNING."""
+    level = getattr(logging, os.environ.get("TW_LOG", "WARNING").upper(), None)
+    logging.basicConfig(level=level if type(level) is int else logging.WARNING)
 
 
 def _read_graph(path: str) -> Graph:

@@ -6,9 +6,12 @@ The search keeps four growing collections: feasible inbound full blocks
 maximal cliques, and feasible potential maximal cliques.  Every new inbound
 block is matched against the stored outbound blocks; each match proposes a
 candidate clique K = N(C) | N(B) that may be a new potential maximal clique
-or spawn a new outbound block.  A potential maximal clique becomes feasible
-once all of its support components have appeared as inbound blocks, and then
-emits the crib of its outlet as a new inbound block.  The answer is yes
+or spawn a new outbound block.  Each new outbound block A, with S = N(A),
+also proposes the clips K = S | (N(v) & A) for v in S (Bouchitté &
+Todinca's S | (N(x) & C)), which count only as potential maximal cliques.
+A potential maximal clique becomes feasible once all of its support
+components have appeared as inbound blocks, and then emits the crib of its
+outlet as a new inbound block.  The answer is yes
 exactly when some feasible potential maximal clique has an empty outlet.
 Whether a candidate has a full component or is a potential maximal clique,
 with its outlet and support, does not depend on k: the levels of one graph
@@ -21,6 +24,22 @@ default.  Before a level k run top-down on the graph itself,
 and never read a set of size k + 1; such a set met again in its level is
 analysed again, unless it is a PMC already buildable, which the seed, hit
 and clip loops test first.
+
+A clip never has a full component, and most clips that are not potential
+maximal cliques fail a test cheaper than their analysis.  Every component
+of G - K is a component of G - S other than A, whose neighborhood lies
+inside S, or lies inside A - N(v) and so is not adjacent to v.  The first
+kind is not full, since v has a neighbor in A and K is larger than S; the
+second misses v.  So v shares a component neighborhood only through the
+components of G - (A | S) adjacent to it, and K is not cliquish when some
+vertex of S - N[v] lies in the neighborhood of none of them
+(:func:`~twsolve.blocks.clip_may_be_cliquish`).  One component pass of
+G - (A | S) per outbound block, made when its first clip passes the size
+and buildable tests, serves all its clips.  The block of the separator
+N(C) of the inbound block C being worked off takes no pass: C is a full
+component of N(C) outside A, so it links every pair of each clip.  A
+rejected clip's fact would be 0, so it is not looked up and never enters
+the facts table.
 
 Each step works off the largest inbound block found and not yet worked
 off, ties going to the earliest found.  The root's support components
@@ -73,7 +92,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from . import minors
-from .blocks import is_cliquish, outlet_and_support
+from .blocks import clip_may_be_cliquish, is_cliquish, outlet_and_support
 from .graph import AuditError, Graph
 from .safesep import greedy_elimination
 from .sieve import SieveBank
@@ -300,14 +319,23 @@ class _Search:
                 onb[a] = nb
                 bank.store(a, nb)
                 new_obs.append((a, nb))
-            # candidate cliques clipped out of each fresh outbound block
+            # candidate cliques clipped out of each fresh outbound block, less
+            # those its outside components show are not cliquish; comp is a
+            # full outside component of the block of nb, so all its clips pass
             for a, na in new_obs:
+                outside = None
                 rem = na
                 while rem:
                     vb = rem & -rem
                     rem ^= vb
-                    cand = na | (adj[vb.bit_length() - 1] & a)
+                    v = vb.bit_length() - 1
+                    cand = na | (adj[v] & a)
                     if cand.bit_count() <= size_cap and cand not in buildable:
+                        if na != nb:
+                            if outside is None:
+                                outside = g.components_with_neighborhoods(a | na)
+                            if not clip_may_be_cliquish(g, na, v, outside):
+                                continue
                         fact = facts[cand]
                         if type(fact) is PmcRecord:
                             self._register_pmc(fact)

@@ -127,6 +127,70 @@ def test_is_pmc():
     assert not blocks.is_pmc(c4, mask(0, 2))
 
 
+def check_clips(g, s) -> list[str]:
+    """Check the lemma behind the solver's clip pre-check for each full
+    component A of ``s`` and each v in it: the clip K = S | (N(v) & A) has
+    no full component, and a K that ``blocks.clip_may_be_cliquish`` rejects
+    is not cliquish, nor ever one of an A beside which ``s`` has another
+    full component, as the solver assumes.  Return each clip's outcome:
+    "rejected", "pmc" (kept, and a PMC) or "kept" (kept, and not cliquish)."""
+    outcomes = []
+    fulls = full_components(g, s)
+    for a in fulls:
+        outside = g.components_with_neighborhoods(a | s)
+        for v in bit_list(s):
+            k_set = s | g.adj[v] & a
+            assert first_full_component(g, k_set) == 0
+            if not blocks.clip_may_be_cliquish(g, s, v, outside):
+                assert not cliquish_by_pairs(g, k_set), (s, a, v)
+                assert len(fulls) == 1
+                outcomes.append("rejected")
+            else:
+                outcomes.append("pmc" if cliquish_by_pairs(g, k_set) else "kept")
+    return outcomes
+
+
+def separators_of_components(g, w):
+    """The neighborhoods of the components of the subgraph induced by ``w``,
+    each with that component among its full components."""
+    return [s for c in g.components(g.full_mask & ~w) if (s := g.open_neighborhood(c))]
+
+
+@given(connected_graphs(max_n=12), st.data())
+def test_clip_pre_check_rejects_only_sets_that_are_not_cliquish(g, data):
+    for s in separators_of_components(g, data.draw(vertex_subsets(g, min_size=1))):
+        check_clips(g, s)
+
+
+def test_clip_pre_check_reaches_every_outcome():
+    # seeded draws like those of the test above: rejected clips, and kept
+    # clips both PMCs and not
+    seen = Counter()
+    rng = random.Random(5)
+    for seed in range(150):
+        n = rng.randint(2, 12)
+        g = random_connected_graph(n, n - 1 + rng.randint(0, 2 * n), seed)
+        for _ in range(5):
+            for s in separators_of_components(g, rng.randint(1, g.full_mask)):
+                seen.update(check_clips(g, s))
+    assert min(seen["rejected"], seen["pmc"], seen["kept"]) >= 50, seen
+
+
+def test_clip_pre_check_fixed_cases():
+    p5 = path_graph(5)
+    # S = {1, 3}, A = {2}: the clip at 1 is {1, 2, 3}, and no outside
+    # component is adjacent to both 1 and 3
+    outside = p5.components_with_neighborhoods(mask(1, 2, 3))
+    assert not blocks.clip_may_be_cliquish(p5, mask(1, 3), 1, outside)
+    assert check_clips(p5, mask(1, 3)) == ["rejected", "rejected"]
+    # S = {0}, A = {1, 2}: the clip {0, 1} is a PMC with no component
+    # adjacent to 0, so N[v], not N(v), is what the pre-check leaves out
+    p3 = path_graph(3)
+    assert check_clips(p3, mask(0)) == ["pmc"]
+    # S = {0, 2} in the 5-cycle: the outside component {1} or {3, 4} links 0 and 2
+    assert check_clips(cycle_graph(5), mask(0, 2)) == ["pmc"] * 4
+
+
 def test_unconf():
     c4 = cycle_graph(4)
     assert unconf(c4, mask(0), mask(0, 2)) == [mask(1), mask(3)]

@@ -1,10 +1,14 @@
 import json
+import logging
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from twsolve import oracle, pipeline
+from twsolve import cli, oracle, pipeline
 from twsolve.cli import main
 from twsolve.families import mycielski_graph, random_connected_graph
 
@@ -74,6 +78,32 @@ def test_stats_levels_record_every_decision_level(tmp_graph_file, tmp_path, caps
         if r["n"] == 23:
             assert r["pmcs_feasible"] > 0
     assert {key: levels[-2][key] for key in stats["counters"]} == stats["counters"]
+
+
+@pytest.mark.parametrize("name, level", [
+    ("debug", logging.DEBUG), ("Info", logging.INFO), ("basic_format", logging.WARNING),
+    ("raiseExceptions", logging.WARNING), ("loud", logging.WARNING), ("", logging.WARNING),
+])
+def test_tw_log_takes_only_level_names(monkeypatch, name, level):
+    # logging.BASIC_FORMAT is a format string, not a level
+    seen = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kw: seen.append(kw["level"]))
+    monkeypatch.setenv("TW_LOG", name)
+    cli._setup_logging()
+    assert seen == [level]
+
+
+def test_exact_with_tw_log_naming_no_level(tmp_graph_file):
+    # in a fresh process, where logging is not yet configured
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "twsolve.cli", "exact",
+         tmp_graph_file("edge.gr", "p tw 2 1\n1 2\n")],
+        env=dict(os.environ, PYTHONPATH=pythonpath, TW_LOG="basic_format"),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
 
 def test_exact_col_format(tmp_graph_file, capsys):
