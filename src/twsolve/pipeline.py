@@ -60,7 +60,7 @@ def solve(
     g: Graph,
     instance: str = "-",
     *,
-    jobs: int = 1,  # only 1; perfbench/run.py still passes it (ROADMAP item 6)
+    jobs: int = 1,  # only 1; kept until the benchmark stops perfbench/run.py passing jobs=1
     deadline: float | None = None,
 ) -> tuple[int, TreeDecomposition, SolveReport]:
     """A validated tree decomposition of an arbitrary (possibly disconnected)

@@ -1,17 +1,17 @@
 """Decide treewidth <= k by generating only positive subproblem instances.
 
-The search keeps four growing collections: feasible inbound full blocks
-(worked off largest first), feasible outbound full blocks (indexed in a
-:class:`~twsolve.sieve.SieveBank` for superset queries), buildable potential
-maximal cliques, and feasible potential maximal cliques.  Every new inbound
-block is matched against the stored outbound blocks; each match proposes a
-candidate clique K = N(C) | N(B) that may be a new potential maximal clique
-or spawn a new outbound block.  Each new outbound block A, with S = N(A),
-also proposes the clips K = S | (N(v) & A) for v in S (Bouchitté &
-Todinca's S | (N(x) & C)), which count only as potential maximal cliques.
-A potential maximal clique becomes feasible once all of its support
-components have appeared as inbound blocks, and then emits the crib of its
-outlet as a new inbound block.  The answer is yes
+The search stores each object once: feasible inbound full blocks, keyed to
+the clique that emitted them, feasible outbound full blocks (indexed in a
+:class:`~twsolve.sieve.SieveBank` for superset queries), and buildable
+potential maximal cliques, with the missing support count of those not yet
+feasible.  Every new inbound block is matched against the stored outbound
+blocks; each match proposes a candidate clique K = N(C) | N(B) that may be
+a new potential maximal clique or spawn a new outbound block.  Each new
+outbound block A, with S = N(A), also proposes the clips K = S | (N(v) & A)
+for v in S (Bouchitté & Todinca's S | (N(x) & C)), which count only as
+potential maximal cliques.  A potential maximal clique is feasible when
+none of its support components is missing from the inbound blocks, and then
+emits the crib of its outlet as a new inbound block.  The answer is yes
 exactly when some feasible potential maximal clique has an empty outlet.
 Whether a candidate has a full component or is a potential maximal clique,
 with its outlet and support, does not depend on k: the levels of one graph
@@ -56,7 +56,7 @@ is not exhaustive looks for its root only before it takes the next inbound
 block, so the seeding pass, or the block in progress with every feasibility
 cascade it starts, runs to its end, and the level counts all it built.
 
-Feasible records keep witness links (which clique emitted which block), so
+Each inbound block keeps the clique that emitted it as a witness link, so
 an accepting run can be unfolded into an explicit tree decomposition.
 
 :func:`treewidth` runs each level on contracted minors of the graph first,
@@ -122,7 +122,7 @@ class SolverTimeout(Exception):
 
 @dataclass(slots=True)
 class PmcRecord:
-    """A feasible potential maximal clique with its outlet and support components."""
+    """A potential maximal clique with its outlet and support components."""
 
     vertices: int
     outlet: int
@@ -131,7 +131,9 @@ class PmcRecord:
 
 @dataclass(slots=True)
 class Witness:
-    """Provenance links of an accepting run, enough to rebuild a decomposition."""
+    """Provenance links of an accepting run, enough to rebuild a decomposition.
+    ``records`` holds every buildable PMC, but the chain from ``root`` meets
+    only feasible ones: those with no support component missing a source."""
 
     root: int | None
     records: dict[int, PmcRecord]
@@ -202,14 +204,12 @@ class _Search:
         self.k = k
         self.exhaustive = exhaustive
         self.deadline = deadline
-        self.iblocks: list[tuple[int, int]] = []
-        # the inbound blocks not yet worked off, as (-|C|, discovery index)
-        self.pending: list[tuple[int, int]] = []
+        # the inbound blocks not yet worked off, as (-|C|, discovery index, C, N(C))
+        self.pending: list[tuple[int, int, int, int]] = []
         self.iblock_source: dict[int, int] = {}
         self.bank = SieveBank(self.g.n, k)
         self.onb: dict[int, int] = {}
         self.buildable: dict[int, PmcRecord] = {}
-        self.feasible: dict[int, PmcRecord] = {}
         self.waiting: dict[int, list[int]] = {}
         self.missing: dict[int, int] = {}
         self.root: int | None = None
@@ -217,14 +217,15 @@ class _Search:
     def _register_pmc(self, rec: PmcRecord) -> None:
         """Record a PMC that is not yet buildable and propagate feasibility.
 
-        A PMC whose support components are all inbound blocks is marked
-        feasible.  The first with an empty outlet becomes the root; every
-        other emits the crib of its outlet as an inbound block, which
-        releases the PMCs waiting on it as their last missing component.
-        The root, the outbound blocks stored and the buildable PMCs depend
-        on the order, which is: released PMCs are marked in the order their
-        last component arrived, ties in the order they were parked; cribs
-        are emitted last in, first out; a crib already emitted is skipped.
+        A PMC waits in ``missing`` until all its support components are
+        inbound blocks, and is feasible from then on.  The first feasible
+        PMC with an empty outlet becomes the root; every other emits the
+        crib of its outlet as an inbound block, which releases the PMCs
+        waiting on it as their last missing component.  The root, the
+        outbound blocks stored and the buildable PMCs depend on the order,
+        which is: released PMCs are handled in the order their last
+        component arrived, ties in the order they were parked; cribs are
+        emitted last in, first out; a crib already emitted is skipped.
         """
         cand = rec.vertices
         self.buildable[cand] = rec
@@ -244,7 +245,6 @@ class _Search:
         while True:
             for rec in released:
                 cand = rec.vertices
-                self.feasible[cand] = rec
                 if rec.outlet:
                     crib = cand & ~rec.outlet
                     for d in rec.support:
@@ -257,8 +257,7 @@ class _Search:
             if not cribs:
                 return
             comp, nb, src = cribs.pop()
-            heappush(self.pending, (-comp.bit_count(), len(self.iblocks)))
-            self.iblocks.append((comp, nb))
+            heappush(self.pending, (-comp.bit_count(), len(iblock_source), comp, nb))
             iblock_source[comp] = src
             released = []
             for p in waiting.pop(comp, ()):
@@ -293,14 +292,13 @@ class _Search:
                 if type(fact) is PmcRecord:
                     self._register_pmc(fact)
 
-        iblocks = self.iblocks
         pending = self.pending
         while pending:
             if self.root is not None and not exhaustive:
                 break
             if deadline is not None and time.monotonic() > deadline:
                 raise SolverTimeout
-            comp, nb = iblocks[heappop(pending)[1]]
+            _, _, comp, nb = heappop(pending)
             new_obs: list[tuple[int, int]] = []
             for b in bank.supersets(comp, nb):
                 cand = nb | onb[b]
@@ -385,16 +383,16 @@ def decide(
         n,
         k,
         answer,
-        iblocks=len(search.iblocks),
+        iblocks=len(search.iblock_source),
         oblocks=len(search.onb),
         pmcs_buildable=len(search.buildable),
-        pmcs_feasible=len(search.feasible),
+        pmcs_feasible=len(search.buildable) - len(search.missing),
         facts=len(analysis),
         ms=(time.monotonic() - start) * 1000.0,
     )
     witness = None
     if answer:
-        witness = Witness(search.root, search.feasible, search.iblock_source)
+        witness = Witness(search.root, search.buildable, search.iblock_source)
     return DecideResult(answer, stats, witness)
 
 

@@ -9,7 +9,7 @@ from twsolve import safesep, solver
 from twsolve.families import random_connected_graph
 from twsolve.graph import Graph, vset
 
-from reference import is_outbound
+from reference import crib, is_outbound
 
 settings.register_profile(
     "suite",
@@ -133,24 +133,39 @@ def outlets_nest(g: Graph, k_set: int) -> bool:
 def check_search(search: solver._Search) -> None:
     """Check the invariants of a decision search after its run.
 
-    Every inbound block is a connected, inbound set with the recorded
-    neighborhood; every stored outbound block is outbound with the recorded
-    neighborhood of at most k vertices; the outbound component
-    neighborhoods of every buildable PMC nest; and every feasible PMC is
-    buildable.  The sieve holds each outbound block once.
+    Every inbound block is a connected, inbound set whose source is a
+    feasible PMC that emits it: the block is the crib of the source's
+    outlet, which is the block's neighborhood.  Every pending entry is
+    (-|C|, discovery index, C, N(C)) for an inbound block C.  Every stored
+    outbound block is outbound with the recorded neighborhood of at most k
+    vertices; the outbound component neighborhoods of every buildable PMC
+    nest; and each PMC parked in ``missing`` is buildable with that many
+    support components without a source, while every other buildable PMC
+    has none.  The sieve holds each outbound block once.
     """
     g = search.g
-    for comp, nb in search.iblocks:
+    buildable, missing, source = search.buildable, search.missing, search.iblock_source
+    for comp, src in source.items():
+        nb = buildable[src].outlet
         assert g.open_neighborhood(comp) == nb, f"inbound block {comp:#x}: wrong neighborhood"
         assert g.is_connected(comp) and not is_outbound(g, comp), (
             f"inbound block {comp:#x} is not inbound")
+        assert crib(g, nb, src) == comp, f"inbound block {comp:#x}: not its source's crib"
+        assert src not in missing, f"inbound block {comp:#x}: source not feasible"
+    order = list(source)
+    for size, i, comp, nb in search.pending:
+        assert order[i] == comp and size == -comp.bit_count(), (
+            f"pending block {comp:#x}: wrong key")
+        assert buildable[source[comp]].outlet == nb, f"pending block {comp:#x}: wrong neighborhood"
     for comp, nb in search.onb.items():
         assert g.open_neighborhood(comp) == nb, f"outbound block {comp:#x}: wrong neighborhood"
         assert is_outbound(g, comp), f"outbound block {comp:#x} is not outbound"
         assert nb.bit_count() <= search.k, f"outbound block {comp:#x}: neighborhood above k"
-    for k_set in search.buildable:
+    for k_set, rec in buildable.items():
         assert outlets_nest(g, k_set), f"PMC {k_set:#x}: outbound neighborhoods do not nest"
-    assert search.feasible.keys() <= search.buildable.keys(), "a feasible PMC is not buildable"
+        unsourced = sum(c not in source for c in rec.support)
+        assert missing.get(k_set, 0) == unsourced, f"PMC {k_set:#x}: wrong missing count"
+    assert missing.keys() <= buildable.keys(), "a missing PMC is not buildable"
     assert len(search.bank.entries) == len(search.onb), "an outbound block was stored twice"
 
 

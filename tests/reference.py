@@ -88,6 +88,19 @@ def outlet_and_support(g: Graph, k_set: int) -> tuple[int, tuple[int, ...]]:
     return out, tuple(c for c, nb in comps_nbs if nb & ~out)
 
 
+def unconf(g: Graph, s: int, k_set: int) -> list[int]:
+    """Components associated with ``k_set`` whose neighborhood is not inside ``s``."""
+    return [c for c, nb in g.components_with_neighborhoods(k_set) if nb & ~s]
+
+
+def crib(g: Graph, s: int, k_set: int) -> int:
+    """The full component of ``s`` absorbing ``k_set - s`` and all unconfined components."""
+    c = k_set & ~s
+    for comp in unconf(g, s, k_set):
+        c |= comp
+    return c
+
+
 # -- production predicates with their precomputed arguments ----------------
 
 

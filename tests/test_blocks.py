@@ -11,6 +11,7 @@ from twsolve.oracle import enumerate_pmcs
 from conftest import connected_graphs, has_edge, mask, min_vertex, outlets_nest, vertex_subsets
 from reference import (
     complete_graph,
+    crib,
     enumerate_pmcs_naive,
     first_full_component,
     is_cliquish,
@@ -19,25 +20,13 @@ from reference import (
     outlet_and_support,
     path_graph,
     star_graph,
+    unconf,
 )
 
 
 def full_components(g, s):
     """Components associated with ``s`` whose neighborhood equals ``s``."""
     return [c for c, nb in g.components_with_neighborhoods(s) if nb == s]
-
-
-def unconf(g, s, k_set):
-    """Components associated with ``k_set`` whose neighborhood is not inside ``s``."""
-    return [c for c, nb in g.components_with_neighborhoods(k_set) if nb & ~s]
-
-
-def crib(g, s, k_set):
-    """The full component of ``s`` absorbing ``k_set - s`` and all unconfined components."""
-    c = k_set & ~s
-    for comp in unconf(g, s, k_set):
-        c |= comp
-    return c
 
 
 def test_full_components():

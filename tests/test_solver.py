@@ -91,6 +91,20 @@ def test_witness_yields_valid_decomposition():
     assert td.width() == tw == 2
 
 
+def test_extract_rejects_a_chain_through_a_pmc_with_missing_support():
+    # the witness holds every buildable PMC, feasible or not, so only the
+    # sources of the support components keep a parked PMC off its chain
+    g = random_connected_graph(11, 22, 18)  # tw 4, one PMC left parked
+    search = solver._Search(solver._Analysis(g), 4, True, None)
+    assert search.run() and len(search.missing) == 1
+    witness = solver.Witness(search.root, search.buildable, search.iblock_source)
+    assert validate(g, extract(g, witness)) == []
+    parked = next(iter(search.missing))
+    search.iblock_source[search.buildable[search.root].support[0]] = parked
+    with pytest.raises(AuditError, match="component without source"):
+        extract(g, witness)
+
+
 def test_oracle_equivalence_small():
     for seed in range(40):
         n = 4 + seed % 8
@@ -112,6 +126,11 @@ def test_monotone_in_k(g):
     assert answers == sorted(answers)
 
 
+def _feasible(search: solver._Search) -> set[int]:
+    """The feasible PMCs of a run: the buildable ones with no support missing."""
+    return search.buildable.keys() - search.missing.keys()
+
+
 def test_exhaustive_counters_match_recount():
     for seed in range(10):
         n = 5 + seed % 5
@@ -123,7 +142,7 @@ def test_exhaustive_counters_match_recount():
             check_search(search)
             ref = feasible_objects(g, k)
             assert set(search.iblock_source) == ref.iblocks, (seed, k)
-            assert set(search.feasible) == ref.pmcs, (seed, k)
+            assert _feasible(search) == ref.pmcs, (seed, k)
             # stored outbound blocks are always definition-feasible
             assert set(search.onb) <= ref.oblocks, (seed, k)
 
@@ -137,18 +156,30 @@ def test_every_feasible_pmc_was_buildable():
         check_search(search)
 
 
+def _first_iblock(search):
+    comp = next(iter(search.iblock_source))
+    return comp, search.buildable[search.iblock_source[comp]].outlet
+
+
 def _inbound_into_onb(search):
-    comp, nb = search.iblocks[0]
+    comp, nb = _first_iblock(search)
     search.onb[comp] = nb
 
 
-def _wrong_iblock_neighborhood(search):
-    comp, nb = search.iblocks[0]
-    search.iblocks[0] = (comp, nb | nb << 1)
+def _wrong_pending_neighborhood(search):
+    comp, nb = _first_iblock(search)
+    search.pending.append((-comp.bit_count(), 0, comp, nb | nb << 1))
 
 
-def _feasible_not_buildable(search):
-    del search.buildable[next(iter(search.feasible))]
+def _source_not_feasible(search):
+    comp, _ = _first_iblock(search)
+    src = search.iblock_source[comp]
+    search.missing[src] = 1
+
+
+def _missing_miscounted(search):
+    # the root emits no inbound block, so only its count is wrong
+    search.missing[search.root] = 1
 
 
 def _unnested_outlets(search):
@@ -158,10 +189,12 @@ def _unnested_outlets(search):
 
 @pytest.mark.parametrize("corrupt, message", [
     (_inbound_into_onb, "is not outbound"),
-    (_wrong_iblock_neighborhood, "wrong neighborhood"),
-    (_feasible_not_buildable, "not buildable"),
+    (_wrong_pending_neighborhood, "wrong neighborhood"),
+    (_source_not_feasible, "source not feasible"),
+    (_missing_miscounted, "wrong missing count"),
     (_unnested_outlets, "do not nest"),
-], ids=["inbound-in-onb", "wrong-neighborhood", "feasible-not-buildable", "outlets-not-nested"])
+], ids=["inbound-in-onb", "wrong-neighborhood", "source-not-feasible", "missing-miscounted",
+        "outlets-not-nested"])
 def test_check_search_catches_corruption(corrupt, message):
     search = solver._Search(solver._Analysis(path_graph(5)), 1, True, None)
     search.run()
@@ -746,7 +779,7 @@ def _worked_off(search: solver._Search) -> list[tuple[int, int]]:
     supersets = search.bank.supersets
 
     def query(comp, nb):
-        seen.append((comp, len(search.iblocks)))
+        seen.append((comp, len(search.iblock_source)))
         return supersets(comp, nb)
 
     search.bank.supersets = query
@@ -756,7 +789,7 @@ def _worked_off(search: solver._Search) -> list[tuple[int, int]]:
 
 def _first_in_first_out(mp: pytest.MonkeyPatch) -> None:
     """Key the pending inbound blocks on their discovery index alone."""
-    mp.setattr(solver, "heappush", lambda heap, item: heapq.heappush(heap, (0, item[1])))
+    mp.setattr(solver, "heappush", lambda heap, item: heapq.heappush(heap, (0, *item[1:])))
 
 
 @pytest.mark.parametrize(
@@ -769,21 +802,22 @@ def test_largest_pending_block_is_worked_off_first(make):
         for exhaustive in (False, True):
             search = solver._Search(solver._Analysis(g), k, exhaustive, None)
             seen = _worked_off(search)
+            found_order = list(search.iblock_source)
             done = set()
             for comp, found in seen:
                 pending = [(-c.bit_count(), i)
-                           for i, (c, _) in enumerate(search.iblocks[:found]) if c not in done]
-                assert search.iblocks[min(pending)[1]][0] == comp, (k, exhaustive)
+                           for i, c in enumerate(found_order[:found]) if c not in done]
+                assert found_order[min(pending)[1]] == comp, (k, exhaustive)
                 done.add(comp)
             assert len(seen) > 1
             if exhaustive:
-                assert len(seen) == len(search.iblocks)
+                assert len(seen) == len(found_order)
 
 
 def _exhaustive_fixpoint(g: Graph, k: int) -> tuple:
     search = solver._Search(solver._Analysis(g), k, True, None)
     answer = search.run()
-    return answer, set(search.iblock_source), set(search.feasible)
+    return answer, set(search.iblock_source), _feasible(search)
 
 
 @given(connected_graphs(max_n=14))
@@ -821,10 +855,9 @@ class _ThreeMethodSearch(solver._Search):
             self._emit_iblock(crib, rec.outlet, cand)
 
     def _mark_feasible(self, cand: int, rec: solver.PmcRecord) -> int:
-        """Mark a PMC feasible and return the crib of its outlet: the inbound
-        block it emits, or 0 when the outlet is empty.  The first PMC with an
-        empty outlet becomes the root."""
-        self.feasible[cand] = rec
+        """Take a PMC with no support missing and return the crib of its
+        outlet: the inbound block it emits, or 0 when the outlet is empty.
+        The first PMC with an empty outlet becomes the root."""
         if rec.outlet == 0:
             if self.root is None:
                 self.root = cand
@@ -849,8 +882,7 @@ class _ThreeMethodSearch(solver._Search):
             comp, nb, src = work.pop()
             if comp in iblock_source:
                 continue
-            heappush(self.pending, (-comp.bit_count(), len(self.iblocks)))
-            self.iblocks.append((comp, nb))
+            heappush(self.pending, (-comp.bit_count(), len(iblock_source), comp, nb))
             iblock_source[comp] = src
             for k2 in waiting.pop(comp, ()):
                 cnt = missing.pop(k2) - 1
@@ -866,8 +898,8 @@ class _ThreeMethodSearch(solver._Search):
 def _propagated(search: solver._Search) -> tuple:
     """Run ``search``; returns the state its propagation order decides."""
     search.run()
-    return (search.iblocks, list(search.iblock_source.items()), search.root,
-            list(search.feasible), list(search.buildable), list(search.onb))
+    return (list(search.iblock_source.items()), search.pending, search.root,
+            list(search.buildable), list(search.missing.items()), list(search.onb))
 
 
 @given(connected_graphs(max_n=14))
@@ -887,7 +919,7 @@ def test_accepting_level_stops_after_a_sliver_of_its_work():
         search = solver._Search(solver._Analysis(g), 25, False, None)
         worked = len(_worked_off(search))
         assert search.root is not None
-        return worked, len(search.iblocks)
+        return worked, len(search.iblock_source)
 
     worked, found = accepting_level()
     with pytest.MonkeyPatch.context() as mp:
