@@ -4,20 +4,20 @@ The pipeline removes simplicial and almost-simplicial vertices from the
 whole input once (:func:`safesep.simplicial_reduction`), then splits what
 is left (:func:`safesep.decompose`): first into its connected components, a
 split along the empty separator, then along verified minor-safe
-separators.  Every part comes with a greedy elimination decomposition of
+separators.  Every part comes with the bags of a greedy elimination of
 width ub.  The parts are solved one after another in this process; a
 part's decision levels stop below ub and start at the largest bound found
 so far, since levels outside that range cannot change the answer.
-A part stopped at a deadline keeps its bound and the decomposition it holds.
+A part stopped at a deadline keeps its bound and the bags it holds.
 
 The answer's decomposition is read off one chordal graph
-(:func:`~twsolve.tdbuild.from_cliques`): the input with every bag of every
-part's decomposition, and each removed vertex v's N[v], completed into a
-clique.  That graph is chordal: the parts meet in cliques, the separators
-completed in each of them, so their completed bags form a clique-sum of
-chordal graphs, and each removed vertex is simplicial once the vertices
-removed before it are gone.  Its maximal cliques are the bags, and the
-result is audited as if it came from elsewhere.
+(:func:`~twsolve.tdbuild.from_cliques`): the input with every bag each part
+hands back, and each removed vertex v's N[v], completed into a clique.  A
+part's bags, a decomposition's or an elimination's, complete into a chordal
+graph; the parts meet in cliques, the separators completed in each, so their
+completed bags form a clique-sum of chordal graphs, and each removed vertex
+is simplicial once the vertices removed before it are gone.  Its maximal
+cliques are the bags, and the result is audited as if it came from elsewhere.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 from . import safesep
 from .graph import AuditError, Graph
 from .solver import treewidth
-from .tdbuild import TreeDecomposition, from_cliques, lift, validate
+from .tdbuild import TreeDecomposition, from_cliques, lift, validate, width
 # not called here; perfbench/tracer.py wraps it under this name
 from .tdbuild import extract  # noqa: F401
 
@@ -70,8 +70,8 @@ def solve(
     Parts are solved largest first (ties: larger elimination width ub first).
     Each part runs its decision levels on minors upward from the largest
     bound M found so far, then on the part top-down from its own ub - 1
-    (:func:`~twsolve.solver.treewidth`), and keeps its elimination
-    decomposition when no level accepts.  The width w it ends with is
+    (:func:`~twsolve.solver.treewidth`), and keeps its elimination bags
+    when no level accepts.  The width w it ends with is
     certified by a no at level w - 1, on the part or on a minor, by its
     minimum degree, or by w <= M.
 
@@ -115,7 +115,7 @@ def solve(
     split = safesep.decompose(sub)
     report.safe_separators.update(split.tally)
     parts = split.parts
-    order = sorted(range(len(parts)), key=lambda i: (-parts[i].graph.n, -parts[i].held.width()))
+    order = sorted(range(len(parts)), key=lambda i: (-parts[i].graph.n, -width(parts[i].held)))
 
     solved: dict[int, tuple] = {}
     running_max = 0
@@ -124,10 +124,10 @@ def solve(
         running_max = max(running_max, solved[i][0])
 
     lower = max([low] + [bound for bound, *_ in solved.values()])
-    for number, (_, td, stats, how) in enumerate(solved.values()):
+    for number, (_, bags, stats, how) in enumerate(solved.values()):
         report.levels += [{"part": number, **asdict(s)} for s in stats]
         report.parts["levels"] += len(stats)
-        if td.width() > lower:
+        if width(bags) > lower:
             report.parts["stopped"] += 1
         elif how == "accepted":
             accepting = next(s for s in reversed(stats) if s.answer)
@@ -140,7 +140,7 @@ def solve(
 
     cliques = [nb | 1 << v for v, nb in removed]
     for i, part in enumerate(parts):
-        cliques += lift(solved[i][1], [1 << kept[r] for r in part.to_root], g.n).bags
+        cliques += lift(solved[i][1], [1 << kept[r] for r in part.to_root])
     td = from_cliques(g, cliques)
     problems = validate(g, td)
     if problems:

@@ -36,7 +36,6 @@ from itertools import combinations
 from .blocks import is_minimal_separator
 from .graph import Graph, bit_list, bits, is_clique_in
 from .minors import audit
-from .tdbuild import TreeDecomposition, from_cliques
 
 __all__ = [
     "ABORTED",
@@ -167,7 +166,7 @@ def simplicial_reduction(g: Graph) -> tuple[Graph, list[int], int, list[tuple[in
             if d > low:
                 low = d
                 todo |= alive  # almost-simplicial vertices of degree up to d now qualify
-        elif d <= low and any(is_clique_in(adj, nb & ~(1 << u)) for u in bits(nb)):
+        elif d <= low and is_almost_clique(adj, nb) is not None:
             for u in bits(nb):
                 adj[u] |= nb & ~(1 << u)
                 todo |= adj[u]  # the fill edges lie in the neighborhoods of these
@@ -208,10 +207,10 @@ def candidate_separators(
     return out
 
 
-def is_almost_clique(g: Graph, s: int) -> int | None:
-    """First vertex whose removal turns ``s`` into a clique, if any."""
+def is_almost_clique(adj: list[int], s: int) -> int | None:
+    """First vertex whose removal turns ``s`` into a clique of ``adj``, if any."""
     for v in bits(s):
-        if is_clique_in(g.adj, s & ~(1 << v)):
+        if is_clique_in(adj, s & ~(1 << v)):
             return v
     return None
 
@@ -231,7 +230,7 @@ def heuristic_minor_safe(
     with ``s`` and their neighborhoods.
     """
     comps = [c for c, _ in comps_nbs]
-    apex = is_almost_clique(g, s)
+    apex = is_almost_clique(g.adj, s)
     fulls = [c for c, nb in comps_nbs if nb == s]
     evidence = []
     used = 0
@@ -373,13 +372,13 @@ def _clique_minor_search(g: Graph, s: int, component: int) -> tuple[str, dict[in
 @dataclass
 class Part:
     """A part to solve: its graph (separators already completed), the labels
-    of its vertices in the graph decomposed, and ``held``, the clique tree of
-    the graph its better greedy elimination fills in, in the vertex indices
-    of ``graph``."""
+    of its vertices in the graph decomposed, and ``held``, the bags of its
+    better greedy elimination, each vertex with its neighbourhood when
+    eliminated, in the vertex indices of ``graph``."""
 
     graph: Graph
     to_root: list[int]
-    held: TreeDecomposition
+    held: list[int]
 
 
 @dataclass
@@ -401,11 +400,10 @@ def decompose(g: Graph) -> Decomposition:
     reduction of the biggest part, then size ascending); every applied part
     gets the separator completed into a clique and is then split further if
     possible.  Parts are labelled in the vertices of ``g``, and each holds
-    the clique tree (:func:`~twsolve.tdbuild.from_cliques`) of the better
-    of the greedy eliminations its separator search ran, whose bags are the
-    maximal sets of a vertex and its neighbourhood when eliminated.  Every
-    split completes its separator in each child, so the parts' completed
-    bags form a clique-sum of chordal graphs, a chordal supergraph of ``g``.
+    the bags of the better of the greedy eliminations its separator search
+    ran, each vertex with its neighbourhood when eliminated.  Every split
+    completes its separator in each child, so the parts' completed bags form
+    a clique-sum of chordal graphs, a chordal supergraph of ``g``.
     """
     out = Decomposition()
     root = (g, list(range(g.n)))
@@ -417,8 +415,7 @@ def decompose(g: Graph) -> Decomposition:
         found = _find_safe_separator(graph, elims, out.tally)
         if found is None:  # keep the elimination of least width, min-fill on a tie
             best = min(elims, key=lambda e: max(map(int.bit_count, e[1]), default=0))
-            bags = [nb | 1 << v for v, nb in zip(*best)]
-            out.parts.append(Part(graph, to_root, from_cliques(graph, bags)))
+            out.parts.append(Part(graph, to_root, [nb | 1 << v for v, nb in zip(*best)]))
         else:
             stack += _children(graph, to_root, found)[::-1]
     return out

@@ -96,7 +96,7 @@ from .blocks import clip_may_be_cliquish, is_cliquish, outlet_and_support
 from .graph import AuditError, Graph
 from .safesep import greedy_elimination
 from .sieve import SieveBank
-from .tdbuild import TreeDecomposition, extract, lift, narrow, validate
+from .tdbuild import extract, lift, narrow, validate, width
 
 __all__ = [
     "DecideResult",
@@ -122,9 +122,8 @@ class SolverTimeout(Exception):
 
 @dataclass(slots=True)
 class PmcRecord:
-    """A potential maximal clique with its outlet and support components."""
+    """The outlet and support components of a PMC, the key of every table holding it."""
 
-    vertices: int
     outlet: int
     support: tuple[int, ...]
 
@@ -132,8 +131,8 @@ class PmcRecord:
 @dataclass(slots=True)
 class Witness:
     """Provenance links of an accepting run, enough to rebuild a decomposition.
-    ``records`` holds every buildable PMC, but the chain from ``root`` meets
-    only feasible ones: those with no support component missing a source."""
+    ``records`` maps every buildable PMC to its record, but the chain from
+    ``root`` meets only feasible ones, with no support component unsourced."""
 
     root: int | None
     records: dict[int, PmcRecord]
@@ -186,7 +185,7 @@ class _Analysis(dict):
         if comps_nbs and comps_nbs[-1][1] == s:
             fact = comps_nbs[-1][0]
         elif is_cliquish(g, s, [nb for _, nb in comps_nbs]):
-            fact = PmcRecord(s, *outlet_and_support(s, comps_nbs))
+            fact = PmcRecord(*outlet_and_support(s, comps_nbs))
         else:
             fact = 0
         if s.bit_count() <= self.cap:
@@ -214,8 +213,8 @@ class _Search:
         self.missing: dict[int, int] = {}
         self.root: int | None = None
 
-    def _register_pmc(self, rec: PmcRecord) -> None:
-        """Record a PMC that is not yet buildable and propagate feasibility.
+    def _register_pmc(self, cand: int, rec: PmcRecord) -> None:
+        """Record PMC ``cand``, not yet buildable, and propagate feasibility.
 
         A PMC waits in ``missing`` until all its support components are
         inbound blocks, and is feasible from then on.  The first feasible
@@ -227,7 +226,6 @@ class _Search:
         component arrived, ties in the order they were parked; cribs are
         emitted last in, first out; a crib already emitted is skipped.
         """
-        cand = rec.vertices
         self.buildable[cand] = rec
         iblock_source = self.iblock_source
         waiting = self.waiting
@@ -240,11 +238,11 @@ class _Search:
         if miss:
             missing[cand] = miss
             return
-        released = [rec]
+        released = [cand]
         cribs: list[tuple[int, int, int]] = []
         while True:
-            for rec in released:
-                cand = rec.vertices
+            for cand in released:
+                rec = self.buildable[cand]
                 if rec.outlet:
                     crib = cand & ~rec.outlet
                     for d in rec.support:
@@ -265,7 +263,7 @@ class _Search:
                 if cnt:
                     missing[p] = cnt
                 else:
-                    released.append(self.buildable[p])
+                    released.append(p)
 
     # -- main loop ---------------------------------------------------------
 
@@ -290,7 +288,7 @@ class _Search:
             if cand.bit_count() <= size_cap and cand not in buildable:
                 fact = facts[cand]
                 if type(fact) is PmcRecord:
-                    self._register_pmc(fact)
+                    self._register_pmc(cand, fact)
 
         pending = self.pending
         while pending:
@@ -306,7 +304,7 @@ class _Search:
                     continue
                 fact = facts[cand]
                 if type(fact) is PmcRecord:
-                    self._register_pmc(fact)
+                    self._register_pmc(cand, fact)
                 elif fact and fact not in onb and cand.bit_count() <= k:
                     onb[fact] = cand
                     bank.store(fact, cand)
@@ -336,7 +334,7 @@ class _Search:
                                 continue
                         fact = facts[cand]
                         if type(fact) is PmcRecord:
-                            self._register_pmc(fact)
+                            self._register_pmc(cand, fact)
 
         return self.root is not None
 
@@ -368,7 +366,7 @@ def decide(
     if n == 1:
         # the one vertex is the one PMC, with empty outlet and no support
         stats = SolverStats(n, k, True, pmcs_buildable=1, pmcs_feasible=1)
-        return DecideResult(True, stats, Witness(1, {1: PmcRecord(1, 0, ())}, {}))
+        return DecideResult(True, stats, Witness(1, {1: PmcRecord(0, ())}, {}))
     if not g.is_connected(g.full_mask):
         raise ValueError("decide requires a connected graph")
     if k == 0:
@@ -398,22 +396,23 @@ def decide(
 
 def treewidth(
     g: Graph,
-    held: TreeDecomposition,
+    held: list[int],
     lower: int = 0,
     deadline: float | None = None,
-) -> tuple[int, TreeDecomposition, list[SolverStats], str]:
-    """A bound on the treewidth of connected ``g``, a decomposition of ``g``,
-    the stats of the levels run, each with the n of the graph it ran on, and
-    how the decomposition came about.
+) -> tuple[int, list[int], list[SolverStats], str]:
+    """A bound on the treewidth of connected ``g``, the bags of a
+    decomposition of ``g``, the stats of the levels run, each with the n of
+    the graph it ran on, and how the decomposition came about.
 
-    ``held`` is a decomposition of ``g`` the caller already holds.  The
-    levels run on minors upward from max(``lower``, 1, minimum degree)
-    (from 0 for a single vertex), then on ``g`` top-down, as the module
-    docstring describes.  A certified answer needs the negative level
-    tw - 1, which reaches its fixpoint, and an accepting level at or above
-    tw, which stops at its root; binary search would add negative levels.
-    A decomposition lifted from a minor is validated against ``g``, which
-    raises :class:`AuditError` on failure.
+    ``held`` is the bags of a decomposition of ``g`` the caller holds, and
+    bags return: the caller reads one tree off them all.  The levels run on
+    minors upward from max(``lower``, 1, minimum degree) (from 0 for a
+    single vertex), then on ``g`` top-down, as the module docstring
+    describes.  A certified answer needs the negative level tw - 1, which
+    reaches its fixpoint, and an accepting level at or above tw, which stops
+    at its root; binary search would add negative levels.  A decomposition
+    lifted from a minor is validated against ``g``, which raises
+    :class:`AuditError` on failure.
 
     A finished run returns the width of the narrowest decomposition held
     with it.  That bound is the treewidth of ``g`` when ``lower`` is at
@@ -434,7 +433,7 @@ def treewidth(
     if g.n == 0:
         raise ValueError("treewidth requires a non-empty graph")
     start = max(lower, max(1, g.min_degree()) if g.n > 1 else 0)
-    top = held.width()
+    top = width(held)
     chain = minors.contraction_chain(g, start + 2, int(MINOR_SHARE * g.n))
     if chain and max(
             map(int.bit_count, greedy_elimination(chain[0][0], "min_degree")[1])) < top - 1:
@@ -470,9 +469,9 @@ def treewidth(
                 # no minor up to the cap answers no at k, so none answers no
                 # above k: g runs top - 1 until a no certifies top or top <= k
                 if yes is not None:
-                    td = _lift(g, *yes)
-                    if td.width() < top:
-                        top, held, how = td.width(), td, "lifted"
+                    bags = _lift(g, *yes)
+                    if width(bags) < top:
+                        top, held, how = width(bags), bags, "lifted"
                 while top > k:
                     # the levels after this one run below it and never
                     # read a set of size top
@@ -481,8 +480,8 @@ def treewidth(
                     _record(levels, res.stats)
                     if not res.answer:
                         break
-                    held, how = extract(g, res.witness), "accepted"
-                    top = held.width()
+                    held, how = extract(g, res.witness).bags, "accepted"
+                    top = width(held)
                 return top, held, levels, how
             bound = k = k + 1
     except SolverTimeout:
@@ -499,12 +498,12 @@ def _record(levels: list[SolverStats], s: SolverStats) -> None:
         s.pmcs_buildable, s.pmcs_feasible, s.facts)
 
 
-def _lift(g: Graph, h: Graph, branch: list[int], witness: Witness) -> TreeDecomposition:
-    """The decomposition of ``g`` from a yes on its minor ``h``: the minor's
-    decomposition lifted through the branch sets and narrowed, returned only
-    once it passes :func:`~twsolve.tdbuild.validate` against ``g``."""
-    td = narrow(g, lift(extract(h, witness), branch, g.n))
+def _lift(g: Graph, h: Graph, branch: list[int], witness: Witness) -> list[int]:
+    """The bags of a decomposition of ``g`` from a yes on its minor ``h``: the
+    minor's decomposition lifted through the branch sets and narrowed, its
+    tree checked by :func:`~twsolve.tdbuild.validate` against ``g`` first."""
+    td = narrow(g, lift(extract(h, witness).bags, branch))
     problems = validate(g, td)
     if problems:
         raise AuditError(f"lifted decomposition failed validation: {problems[:3]}")
-    return td
+    return td.bags

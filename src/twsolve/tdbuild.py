@@ -16,7 +16,12 @@ if TYPE_CHECKING:
     from .solver import Witness
 
 __all__ = ["TreeDecomposition", "Violation", "extract", "from_cliques", "lift", "narrow",
-           "validate"]
+           "validate", "width"]
+
+
+def width(bags: list[int]) -> int:
+    """The width of a decomposition with these bags: -1 for none or only empty ones."""
+    return max(map(int.bit_count, bags), default=0) - 1
 
 
 @dataclass
@@ -28,9 +33,7 @@ class TreeDecomposition:
     edges: list[tuple[int, int]] = field(default_factory=list)
 
     def width(self) -> int:
-        if not self.bags:
-            return -1
-        return max(b.bit_count() for b in self.bags) - 1
+        return width(self.bags)
 
 
 @dataclass(frozen=True)
@@ -63,13 +66,13 @@ def extract(g: Graph, witness: Witness) -> TreeDecomposition:
         if rec is None:
             raise AuditError("broken witness chain: unregistered clique")
         idx = len(bags)
-        bags.append(rec.vertices)
+        bags.append(pmc)
         if parent >= 0:
             edges.append((parent, idx))
         if not rec.support and for_comp:
             # leaf: the bag must close over the component it stands for
             closed = for_comp | g.open_neighborhood(for_comp)
-            if closed & ~rec.vertices:
+            if closed & ~pmc:
                 raise AuditError("leaf bag does not close over its component")
         for comp in rec.support:
             child = source.get(comp)
@@ -79,24 +82,24 @@ def extract(g: Graph, witness: Witness) -> TreeDecomposition:
     return TreeDecomposition(g.n, bags, edges)
 
 
-def lift(td: TreeDecomposition, branch: list[int], n: int) -> TreeDecomposition:
-    """The decomposition ``td`` of a minor with each of its vertices replaced
-    by its branch set: a decomposition of the graph on ``n`` vertices whose
+def lift(bags: list[int], branch: list[int]) -> list[int]:
+    """The bags of a minor's decomposition with each minor vertex replaced by
+    its branch set: on the same tree, a decomposition of the graph whose
     minor the branch sets realize.  An edge of that graph lies inside a
     branch set or joins two whose vertices are adjacent in the minor, and the
     bags holding a vertex are those holding the minor vertex it went into."""
-    bags = []
-    for b in td.bags:
+    out = []
+    for b in bags:
         lifted = 0
         for v in bits(b):
             lifted |= branch[v]
-        bags.append(lifted)
-    return TreeDecomposition(n, bags, list(td.edges))
+        out.append(lifted)
+    return out
 
 
-def narrow(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
+def narrow(g: Graph, bags: list[int]) -> TreeDecomposition:
     """A decomposition of ``g`` from a minimal triangulation inside the one
-    that ``td`` defines, so never wider than ``td``.
+    that the bags of a decomposition of ``g`` define, so never wider.
 
     Making every bag a clique gives a chordal supergraph H of ``g``.  A fill
     edge uv (an edge of H that ``g`` lacks) leaves H chordal when removed
@@ -110,7 +113,7 @@ def narrow(g: Graph, td: TreeDecomposition) -> TreeDecomposition:
     """
     n = g.n
     adj = list(g.adj)
-    for b in td.bags:
+    for b in bags:
         for v in bits(b):
             adj[v] |= b & ~(1 << v)
     fill = [(u, v) for u in range(n) for v in bits(adj[u] & ~g.adj[u] & -(2 << u))]

@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 from twsolve import safesep, solver
 from twsolve.families import random_connected_graph
 from twsolve.graph import Graph, vset
+from twsolve.tdbuild import from_cliques, validate, width
 
 from reference import crib, is_outbound
 
@@ -61,6 +62,15 @@ def vertex_subsets(draw, g: Graph, min_size: int = 0) -> int:
         st.lists(st.integers(min_value=0, max_value=g.n - 1), min_size=min_size, unique=True)
     )
     return vset(members)
+
+
+def checked_width(g: Graph, bags: list[int]) -> int:
+    """The width of ``bags``, once the clique tree of ``g`` with every bag
+    completed, the decomposition the pipeline reads off them, is checked to
+    validate at that width."""
+    td = from_cliques(g, bags)
+    assert validate(g, td) == [] and td.width() == width(bags)
+    return width(bags)
 
 
 def disjoint_union(*graphs: Graph) -> Graph:

@@ -9,7 +9,7 @@
   different but equivalent formulation of minimality), which cross-check
   :mod:`twsolve.oracle` exactly.
 - An exhaustive recount of the solver's feasible objects.
-- The solver's level loop holding the decomposition a part comes with.
+- The solver's level loop holding the bags a part comes with.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from itertools import combinations
 from twsolve import blocks, safesep, solver
 from twsolve.graph import Graph
 from twsolve.oracle import bf_treewidth
-from twsolve.tdbuild import TreeDecomposition, from_cliques
 
 # -- small graphs ----------------------------------------------------------
 
@@ -287,16 +286,15 @@ def feasible_objects(g: Graph, k: int) -> FeasibleObjects:
 # -- the level loop --------------------------------------------------------
 
 
-def held_decomposition(g: Graph) -> TreeDecomposition:
-    """The decomposition that :func:`twsolve.safesep.decompose` gives a part:
-    that of the better of the min-fill and min-degree eliminations, min-fill
-    on a tie."""
+def held_decomposition(g: Graph) -> list[int]:
+    """The bags that :func:`twsolve.safesep.decompose` gives a part: those of
+    the better of the min-fill and min-degree eliminations, min-fill on a
+    tie."""
     elims = [safesep.greedy_elimination(g, mode) for mode in ("min_fill", "min_degree")]
     best = min(elims, key=lambda e: max(map(int.bit_count, e[1]), default=0))
-    return from_cliques(g, [nb | 1 << v for v, nb in zip(*best)])
+    return [nb | 1 << v for v, nb in zip(*best)]
 
 
-def treewidth(g: Graph, **kw) -> tuple[int, TreeDecomposition, list[solver.SolverStats], str]:
-    """:func:`twsolve.solver.treewidth` holding the decomposition a part
-    comes with."""
+def treewidth(g: Graph, **kw) -> tuple[int, list[int], list[solver.SolverStats], str]:
+    """:func:`twsolve.solver.treewidth` holding the bags a part comes with."""
     return solver.treewidth(g, held_decomposition(g), **kw)

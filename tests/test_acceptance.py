@@ -21,7 +21,7 @@ from twsolve.families import mycielski_graph, queen_graph, random_connected_grap
 from twsolve.graph import Graph
 from twsolve.sieve import SieveBank, linear_scan_supersets
 from twsolve.solver import decide
-from twsolve.tdbuild import validate
+from twsolve.tdbuild import from_cliques, validate, width
 
 from conftest import INSTANCE_DIR, decompose_with_splits, split_parts
 from reference import enumerate_minimal_separators_naive, enumerate_pmcs_naive, treewidth
@@ -113,10 +113,11 @@ def test_criterion3_oracle_equivalence_300():
             for rep in range(10):
                 seed = n * 1000 + mult_num * 100 + rep
                 g = random_connected_graph(n, m, seed)
-                tw, td, _, _ = treewidth(g)
+                tw, bags, _, _ = treewidth(g)
                 bf = oracle.bf_treewidth(g)
                 assert tw == bf, f"n={n} m={m} rep={rep}: solver {tw} oracle {bf}"
-                ok = validate(g, td) == [] and td.width() == tw
+                td = from_cliques(g, bags)
+                ok = validate(g, td) == [] and td.width() == width(bags) == tw
                 validated_runs.append((f"rand-{seed}", ok))
                 assert ok
                 count += 1

@@ -198,7 +198,7 @@ def test_broken_witness_chain_exit_code(tmp_graph_file, capsys, monkeypatch):
         # every level accepts, but the root's support component has no
         # source clique, whether the witness is extracted for the part or
         # for a minor whose decomposition is lifted
-        witness = Witness(0b11, {0b11: PmcRecord(0b11, 0, (0b100,))}, {})
+        witness = Witness(0b11, {0b11: PmcRecord(0, (0b100,))}, {})
         return DecideResult(True, SolverStats(h.n, k, True), witness)
 
     monkeypatch.setattr(solver, "decide", broken)

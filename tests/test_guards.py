@@ -36,7 +36,7 @@ def fires(name, fn, error=AuditError):
 path = Graph(3, [(0, 1), (1, 2)])
 # the leaf clique {2} stands for component {2} but misses its neighbor 1
 leaf = Witness(
-    0b011, {0b011: PmcRecord(0b011, 0, (0b100,)), 0b100: PmcRecord(0b100, 0b010, ())},
+    0b011, {0b011: PmcRecord(0, (0b100,)), 0b100: PmcRecord(0b010, ())},
     {0b100: 0b100},
 )
 print("optimize", sys.flags.optimize)
@@ -77,7 +77,7 @@ def drop_a_vertex(td):
 
 narrow = solver.narrow
 # myciel4 lifts its 16-vertex minor's yes at level 9
-solver.narrow = lambda g, td: drop_a_vertex(narrow(g, td))
+solver.narrow = lambda g, bags: drop_a_vertex(narrow(g, bags))
 fires("lifted-decomposition", lambda: pipeline.solve(mycielski_graph(4)))
 solver.narrow = narrow
 

@@ -41,11 +41,11 @@ def test_candidates_cut_vertex():
 
 def test_is_almost_clique():
     g = two_triangles()
-    assert safesep.is_almost_clique(g, mask(0, 1, 2)) is not None
+    assert safesep.is_almost_clique(g.adj, mask(0, 1, 2)) is not None
     c4 = cycle_graph(4)
-    assert safesep.is_almost_clique(c4, mask(0, 2)) is not None
+    assert safesep.is_almost_clique(c4.adj, mask(0, 2)) is not None
     indep = Graph(6, [(0, 3), (1, 4), (2, 5)])
-    assert safesep.is_almost_clique(indep, mask(0, 1, 2)) is None
+    assert safesep.is_almost_clique(indep.adj, mask(0, 1, 2)) is None
 
 
 def test_clique_separator_yes_with_empty_evidence():
@@ -78,7 +78,7 @@ def test_aborts_on_tiny_budget(monkeypatch):
     monkeypatch.setattr(safesep, "STEP_BUDGET", 1)
     g = random_connected_graph(12, 18, 31)
     for s, _ in candidate_separators(g):
-        if is_clique_in(g.adj, s) or safesep.is_almost_clique(g, s) is not None:
+        if is_clique_in(g.adj, s) or safesep.is_almost_clique(g.adj, s) is not None:
             continue
         report = heuristic_minor_safe(g, s)
         assert report.verdict in (safesep.ABORTED, safesep.DONT_KNOW)
@@ -302,7 +302,7 @@ def test_general_two_phase_path():
     g = Graph(11, edges)
     s = mask(0, 1, 2)
     assert not is_clique_in(g.adj, s)
-    assert safesep.is_almost_clique(g, s) is None
+    assert safesep.is_almost_clique(g.adj, s) is None
     report = heuristic_minor_safe(g, s)
     assert report.verdict == safesep.YES
     for ev in report.evidence:

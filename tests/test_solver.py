@@ -13,9 +13,9 @@ from twsolve.graph import AuditError, Graph, vset
 from twsolve.safesep import greedy_elimination
 from twsolve.sieve import SieveBank, linear_scan_supersets
 from twsolve.solver import SolverTimeout, decide
-from twsolve.tdbuild import TreeDecomposition, extract, validate
+from twsolve.tdbuild import TreeDecomposition, extract, validate, width
 
-from conftest import check_search, checked_searches, connected_graphs
+from conftest import check_search, checked_searches, checked_width, connected_graphs
 from reference import (
     complete_graph,
     feasible_objects,
@@ -85,10 +85,9 @@ def test_treewidth_complete_bipartite():
 def test_witness_yields_valid_decomposition():
     g = cycle_graph(4)
     # held in one bag, so level 2 runs on g and its witness gives the result
-    tw, td, levels, _ = solver.treewidth(g, TreeDecomposition(4, [g.full_mask], []))
+    tw, bags, levels, _ = solver.treewidth(g, [g.full_mask])
     assert [(s.n, s.k, s.answer) for s in levels] == [(4, 2, True)]
-    assert validate(g, td) == []
-    assert td.width() == tw == 2
+    assert checked_width(g, bags) == tw == 2
 
 
 def test_extract_rejects_a_chain_through_a_pmc_with_missing_support():
@@ -110,13 +109,12 @@ def test_oracle_equivalence_small():
         n = 4 + seed % 8
         g = random_connected_graph(n, 2 * n, 900 + seed)
         with checked_searches() as checked:
-            tw, td, levels, _ = treewidth(g)
+            tw, bags, levels, _ = treewidth(g)
         # every level is checked; a graph runs none only when its minimum
         # degree certifies the width of the decomposition it holds
         assert len(checked) == len(levels) and (levels or tw == g.min_degree())
         assert tw == oracle.bf_treewidth(g), f"seed {seed}"
-        assert validate(g, td) == []
-        assert td.width() == tw
+        assert checked_width(g, bags) == tw
 
 
 @given(connected_graphs(max_n=9))
@@ -184,7 +182,7 @@ def _missing_miscounted(search):
 
 def _unnested_outlets(search):
     # {0, 2, 4} on the path: outbound {1} and {3} have neighborhoods {0, 2}, {2, 4}
-    search.buildable[0b10101] = solver.PmcRecord(0b10101, 0, ())
+    search.buildable[0b10101] = solver.PmcRecord(0, ())
 
 
 @pytest.mark.parametrize("corrupt, message", [
@@ -211,23 +209,22 @@ def test_stats_counters_consistent():
     assert res.stats.k == 4 and res.stats.n == 9
 
 
-def _levels(g: Graph, held: TreeDecomposition | None = None,
-            **bounds) -> tuple[tuple[int, TreeDecomposition], list[tuple]]:
-    """``treewidth``'s bound and decomposition, holding ``held`` (by default
-    the decomposition a part comes with), with the (n, k, answer) of every
-    level it ran."""
+def _levels(g: Graph, held: list[int] | None = None,
+            **bounds) -> tuple[tuple[int, list[int]], list[tuple]]:
+    """``treewidth``'s bound and bags, holding ``held`` (by default the bags
+    a part comes with), with the (n, k, answer) of every level it ran."""
     held = held_decomposition(g) if held is None else held
-    tw, td, stats, _ = solver.treewidth(g, held, **bounds)
-    return (tw, td), [(s.n, s.k, s.answer) for s in stats]
+    tw, bags, stats, _ = solver.treewidth(g, held, **bounds)
+    return (tw, bags), [(s.n, s.k, s.answer) for s in stats]
 
 
-def _banded(g: Graph, width: int) -> TreeDecomposition:
-    """The path decomposition whose bags are the runs of ``width`` + 1
-    consecutive vertices of ``g``, checked to be one of ``g``."""
-    bags = [vset(range(i, i + width + 1)) for i in range(g.n - width)]
+def _banded(g: Graph, band: int) -> list[int]:
+    """The bags of the path decomposition whose bags are the runs of
+    ``band`` + 1 consecutive vertices of ``g``, checked to be one of ``g``."""
+    bags = [vset(range(i, i + band + 1)) for i in range(g.n - band)]
     td = TreeDecomposition(g.n, bags, [(i, i + 1) for i in range(len(bags) - 1)])
-    assert validate(g, td) == [] and td.width() == width
-    return td
+    assert validate(g, td) == [] and td.width() == band
+    return bags
 
 
 def test_levels_ascend_on_minors_then_descend_on_the_graph():
@@ -235,9 +232,9 @@ def test_levels_ascend_on_minors_then_descend_on_the_graph():
               random_connected_graph(10, 18, 3), mycielski_graph(4)]
     for g in graphs:
         held = held_decomposition(g)
-        (tw, td), ran = _levels(g, held)
+        (tw, bags), ran = _levels(g, held)
         assert tw == (10 if g.n == 23 else oracle.bf_treewidth(g))
-        assert validate(g, td) == [] and td.width() == tw
+        assert checked_width(g, bags) == tw
         start = max(1, g.min_degree())
         # the levels on minors come first, ascending from the minimum degree;
         # each level below the one where the minors run out answers no once
@@ -260,36 +257,35 @@ def test_levels_ascend_on_minors_then_descend_on_the_graph():
         else:
             assert tw == start + len(negative)
         if on_g:
-            assert on_g[0][1] == held.width() - 1
+            assert on_g[0][1] == width(held) - 1
         else:
-            assert td is held or (tw, True) == ran[-1][1:]
+            assert bags is held or (tw, True) == ran[-1][1:]
     assert ran[-2:] == [(23, 10, True), (23, 9, False)]  # myciel4
     assert any(n < 23 and not answer for n, _, answer in ran)
-    assert _levels(Graph(1)) == ((0, TreeDecomposition(1, [1], [])), [])
+    assert _levels(Graph(1)) == ((0, [1]), [])
 
 
 def test_levels_between_bounds():
     g = grid_graph(3, 3)  # minimum degree 2, treewidth 3
     wide = _banded(g, 4)
-    (tw, td), ran = _levels(g, wide, lower=3)
-    assert tw == td.width() == 3 and {k for _, k, _ in ran} == {3}
+    (tw, bags), ran = _levels(g, wide, lower=3)
+    assert tw == checked_width(g, bags) == 3 and {k for _, k, _ in ran} == {3}
     # the 6-vertex minor accepts level 3, and its lifted decomposition has
     # width 3, so level 3 does not run on g
     assert ran[-1] == (6, 3, True) and all(n < 9 for n, _, _ in ran)
-    assert validate(g, td) == []
     # level 2 negative, on a minor: the held width 3 is exact
     held = held_decomposition(g)
     assert _levels(g, held) == ((3, held), [(4, 2, False)])
     assert _levels(g, wide, lower=4) == ((4, wide), [])
     assert _levels(g, held, lower=3) == ((3, held), [])  # empty range
-    tw, td, _, _ = solver.treewidth(g, _banded(g, 5), lower=2)
-    assert tw == td.width() == 3
+    tw, bags, _, _ = solver.treewidth(g, _banded(g, 5), lower=2)
+    assert tw == checked_width(g, bags) == 3
 
 
 def test_myciel5_accepts_level_19_through_a_lifted_minor():
     g = mycielski_graph(5)
-    tw, td, stats, how = treewidth(g)
-    assert tw == td.width() == 19 and validate(g, td) == [] and how == "lifted"
+    tw, bags, stats, how = treewidth(g)
+    assert tw == checked_width(g, bags) == 19 and how == "lifted"
     # every minor tried at level 19 answers yes; the largest one's
     # decomposition, lifted and narrowed, has width 19, so g runs no level 19
     assert (stats[-1].n, stats[-1].k, stats[-1].answer) == (36, 19, True)
@@ -302,8 +298,8 @@ def test_myciel5_accepts_level_19_through_a_lifted_minor():
 def test_how_accepted_ends_with_the_accepting_level_on_the_graph(make, held_width, tw):
     g = make()
     held = held_decomposition(g)
-    bound, td, levels, how = solver.treewidth(g, held)
-    assert held.width() == held_width and bound == td.width() == tw
+    bound, bags, levels, how = solver.treewidth(g, held)
+    assert width(held) == held_width and bound == checked_width(g, bags) == tw
     # the accepting level is the last level with a yes answer; the no at
     # tw - 1, which certifies its width, runs after it
     accepting = [s for s in levels if s.answer][-1]
@@ -320,7 +316,7 @@ def test_how_lifted_when_a_narrower_lift_is_held(monkeypatch):
     # level 9 lifts a decomposition of width 10, narrower than the held 11
     # but wider than 9; level 9 on g answers no, so width 10 is certified
     bound, td, levels, how = solver.treewidth(g, held)
-    assert held.width() == 11 and exact.width() == 10
+    assert width(held) == 11 and width(exact) == 10
     assert (bound, td, how) == (10, exact, "lifted")
     assert (levels[-1].n, levels[-1].k, levels[-1].answer) == (g.n, 9, False)
 
@@ -359,8 +355,8 @@ def test_a_stopped_run_returns_the_how_of_what_it_holds(monkeypatch):
 def test_lifted_decomposition_is_audited(monkeypatch):
     narrow = solver.narrow
 
-    def drop_a_vertex(g, td):
-        td = narrow(g, td)
+    def drop_a_vertex(g, bags):
+        td = narrow(g, bags)
         bags = list(td.bags)
         bags[0] &= bags[0] - 1  # its lowest vertex
         return TreeDecomposition(td.n, bags, td.edges)
@@ -415,7 +411,7 @@ def test_timeout_carries_the_certified_bound(monkeypatch):
     monkeypatch.setattr(solver, "decide", stop_at_level_7)
     bound, td, levels, _ = solver.treewidth(g, held)
     assert max(s.k for s in ran if not s.answer) == 6
-    assert bound == 7 and td is held and held.width() == 11
+    assert bound == 7 and td is held and width(held) == 11
     # the levels that finished before the stop come back with the bound
     assert levels == ran and {s.k for s in levels} == {4, 5, 6}
 
@@ -427,9 +423,9 @@ def _seeded_graphs() -> list[Graph]:
             for n in (8, 10, 12, 14, 16) for per in (3, 4, 6)]
 
 
-def _one_bag(g: Graph) -> TreeDecomposition:
-    """The decomposition of ``g`` into a single bag, of width n - 1."""
-    return TreeDecomposition(g.n, [g.full_mask], [])
+def _one_bag(g: Graph) -> list[int]:
+    """The bags of the decomposition of ``g`` into a single bag, of width n - 1."""
+    return [g.full_mask]
 
 
 @pytest.mark.parametrize("wide", [False, True], ids=["elimination", "one_bag"])
@@ -447,8 +443,8 @@ def test_levels_on_the_graph_descend_and_each_yes_narrows_the_held_width(wide, m
     for g in _seeded_graphs():
         held = _one_bag(g) if wide else held_decomposition(g)
         extracted.clear()
-        tw, td, stats, how = solver.treewidth(g, held)
-        assert tw == td.width() == oracle.bf_treewidth(g) and validate(g, td) == []
+        tw, bags, stats, how = solver.treewidth(g, held)
+        assert tw == checked_width(g, bags) == oracle.bf_treewidth(g)
         on_g = [s for s in stats if s.n == g.n]
         assert stats[len(stats) - len(on_g):] == on_g  # the levels on g come last
         if not on_g:
@@ -456,7 +452,7 @@ def test_levels_on_the_graph_descend_and_each_yes_narrows_the_held_width(wide, m
         # each level on g runs one below the width held: the narrowest held
         # when g starts, then the width of each yes, strictly narrower
         tops = [on_g[0].k + 1] + [w for n, w in extracted if n == g.n]
-        assert on_g[0].k < held.width() and tops == sorted(set(tops), reverse=True)
+        assert on_g[0].k < width(held) and tops == sorted(set(tops), reverse=True)
         assert [s.k for s in on_g] == [top - 1 for top in tops[:len(on_g)]]
         # every level but the last answers yes, and a no is at tw - 1
         assert all(s.answer for s in on_g[:-1]) and len(tops) - 1 == sum(s.answer for s in on_g)
@@ -493,9 +489,9 @@ def test_a_run_stopped_mid_level_bounds_the_treewidth(wide, monkeypatch):
         full = [(s.n, s.k, s.answer) for s in solver.treewidth(g, held, 0, float("inf"))[2]]
         readings = clock.now - begin
         for share in (0.1, 0.3, 0.5, 0.7, 0.9):
-            bound, td, levels, how = solver.treewidth(
+            bound, bags, levels, how = solver.treewidth(
                 g, held, 0, clock.now + int(share * readings))
-            assert bound <= tw <= td.width() and validate(g, td) == []
+            assert bound <= tw <= checked_width(g, bags)
             ran = [(s.n, s.k, s.answer) for s in levels]
             assert ran == full[:len(ran)]
             if ran == full:
@@ -506,7 +502,7 @@ def test_a_run_stopped_mid_level_bounds_the_treewidth(wide, monkeypatch):
             assert all(answer for n, _, answer in ran if n == g.n)
             assert bound == max((k + 1 for _, k, answer in ran if not answer),
                                 default=g.min_degree())
-            assert (td is held) == (how == "settled_by_bound")
+            assert (bags is held) == (how == "settled_by_bound")
     assert stops >= 50
 
 
@@ -600,18 +596,18 @@ def test_levels_match_fresh_decisions_hypothesis(g):
     graphs = {h.n: h for h, _ in minors.contraction_chain(g, 2, g.n - 1)}
     graphs[g.n] = g
     with checked_searches() as checked:
-        tw, td, stats, _ = treewidth(g)
+        tw, bags, stats, _ = treewidth(g)
         fresh = [decide(graphs[s.n], s.k) for s in stats]
     assert [_counts(s) for s in stats] == [_counts(res.stats) for res in fresh]
     if stats and stats[-1].answer and stats[-1].n == g.n:
         # the top-down levels on g ended on a yes as narrow as the levels
         # below them allow
-        assert stats[-1].k >= tw == td.width() and td == extract(g, fresh[-1].witness)
+        assert stats[-1].k >= tw == width(bags) and bags == extract(g, fresh[-1].witness).bags
     else:
         # the held decomposition or one lifted from a minor: level tw accepted
         # on that minor, or level tw - 1 answered no, or no level ran since
         # the minimum degree certifies the held width
-        assert validate(g, td) == [] and td.width() == tw
+        assert checked_width(g, bags) == tw
         if stats:
             assert stats[-1].k == (tw if stats[-1].answer else tw - 1)
         else:
@@ -673,7 +669,7 @@ def test_shared_analysis_entries_match_reference(make, monkeypatch):
         assert (0 if pmc else fact) == first_full_component(g, s), s
         assert pmc == blocks.is_pmc(g, s), s
         if pmc:
-            assert fact == solver.PmcRecord(s, *outlet_and_support(g, s)), s
+            assert fact == solver.PmcRecord(*outlet_and_support(g, s)), s
 
 
 def _capture_tables(mp: pytest.MonkeyPatch, keep_every_set: bool = False) -> list[tuple]:
@@ -835,10 +831,9 @@ class _ThreeMethodSearch(solver._Search):
     """Reference propagation of feasible PMCs, spread over three methods as
     the solver once had it; it pins the order that ``_register_pmc`` states."""
 
-    def _register_pmc(self, rec: solver.PmcRecord) -> None:
-        """Record a PMC that is not yet buildable; mark it feasible now or
+    def _register_pmc(self, cand: int, rec: solver.PmcRecord) -> None:
+        """Record PMC ``cand``, not yet buildable; mark it feasible now or
         park it on its missing support components."""
-        cand = rec.vertices
         self.buildable[cand] = rec
         miss = 0
         iblock_source = self.iblock_source
@@ -957,12 +952,12 @@ def test_traced_names_are_the_ones_decide_calls(monkeypatch):
 def test_no_level_tries_minors_when_the_largest_loses_the_top_levels():
     g = queen_graph(6, 6)  # tw 25; its pipeline bound is 26
     largest = minors.contraction_chain(g, 30, 30)[0][0]  # MINOR_SHARE of 36
-    width = max(nb.bit_count() for nb in greedy_elimination(largest, "min_degree")[1])
-    assert width == 22 < 26 - 1
-    assert held_decomposition(g).width() == 26
+    minor_width = max(nb.bit_count() for nb in greedy_elimination(largest, "min_degree")[1])
+    assert minor_width == 22 < 26 - 1
+    assert width(held_decomposition(g)) == 26
     (tw, td), ran = _levels(g)
     assert tw == 25 and {n for n, _, _ in ran} == {36}
     # the gate is open where the largest minor keeps the part's width
     m5 = mycielski_graph(5)
-    assert held_decomposition(m5).width() == 20
+    assert width(held_decomposition(m5)) == 20
     assert any(n < 47 and not answer for n, _, answer in _levels(m5)[1])

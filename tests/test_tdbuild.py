@@ -17,6 +17,7 @@ from twsolve.tdbuild import (
     lift,
     narrow,
     validate,
+    width,
 )
 
 from conftest import connected_graphs, disjoint_union, mask, non_nested
@@ -119,6 +120,7 @@ def test_validate_flags_a_mismatched_vertex_count_first():
 def test_width_of_empty_decomposition():
     assert TreeDecomposition(0, [], []).width() == -1
     assert TreeDecomposition(0, [0], []).width() == -1
+    assert width([]) == width([0]) == -1 and width([0, 0b101]) == 1
 
 
 @given(connected_graphs(max_n=12), st.sampled_from(["min_fill", "min_degree"]))
@@ -208,9 +210,9 @@ def witness_bags(witness) -> list[int]:
     """The bags ``extract`` unfolds from a witness."""
     bags, stack = [], [witness.root]
     while stack:
-        rec = witness.records[stack.pop()]
-        bags.append(rec.vertices)
-        stack += [witness.iblock_source[c] for c in rec.support]
+        pmc = stack.pop()
+        bags.append(pmc)
+        stack += [witness.iblock_source[c] for c in witness.records[pmc].support]
     return bags
 
 
@@ -297,9 +299,11 @@ def test_lifted_minor_decomposition_validates(data, g):
     size = data.draw(st.integers(2, g.n - 1))
     h, branch = contraction_chain(g, size, size)[0]
     tw_h = treewidth(h)[0]
-    lifted = lift(extract(h, decide(h, tw_h).witness), branch, g.n)
+    minor = extract(h, decide(h, tw_h).witness)
+    # the lifted bags on the minor's tree
+    lifted = TreeDecomposition(g.n, lift(minor.bags, branch), minor.edges)
     assert validate(g, lifted) == []
-    narrowed = narrow(g, lifted)
+    narrowed = narrow(g, lifted.bags)
     assert validate(g, narrowed) == []
     assert narrowed.width() <= lifted.width()
     assert_minimal_triangulation(g, narrowed)
@@ -309,7 +313,7 @@ def test_lifted_minor_decomposition_validates(data, g):
 def test_narrow_leaves_no_removable_fill_edge(data, g):
     order = data.draw(st.permutations(range(g.n)))
     td = from_cliques(g, elimination_bags(g, order))
-    narrowed = narrow(g, td)
+    narrowed = narrow(g, td.bags)
     assert validate(g, narrowed) == []
     assert narrowed.width() <= td.width()
     assert_minimal_triangulation(g, narrowed)
@@ -358,6 +362,19 @@ def test_from_cliques_of_a_graph_that_is_not_chordal_fails_validation():
     for n in (4, 5, 6):
         g = cycle_graph(n)
         assert validate(g, from_cliques(g, [])) != []
+
+
+@given(st.one_of(connected_graphs(max_n=14), small_graphs(max_n=14)),
+       st.sampled_from(["min_fill", "min_degree"]))
+def test_elimination_bags_fill_in_the_graph_of_their_clique_tree(g, mode):
+    # a part hands over its elimination's bags, not their clique tree: both
+    # complete into the same graph, so the pipeline reads off the same tree
+    order, nbs = greedy_elimination(g, mode)
+    bags = [nb | 1 << v for v, nb in zip(order, nbs)]
+    td = from_cliques(g, bags)
+    again = from_cliques(g, td.bags)
+    assert (again.bags, again.edges) == (td.bags, td.edges)
+    assert validate(g, td) == [] and td.width() == width(bags)
 
 
 def quadratic_narrow(g: Graph, td: TreeDecomposition) -> list[int]:
@@ -410,4 +427,4 @@ def test_narrow_matches_the_quadratic_search():
         g = random_connected_graph(n, n - 1 + rng.randint(0, 2 * n), seed)
         order = rng.sample(range(n), n)
         td = from_cliques(g, elimination_bags(g, order))
-        assert_contracted(g, narrow(g, td), quadratic_narrow(g, td))
+        assert_contracted(g, narrow(g, td.bags), quadratic_narrow(g, td))
